@@ -150,9 +150,7 @@ def memory_counterexample_control(f0, T, Nmax):
     nodes = np.concatenate((np.linspace(0.0, 0.75 * T, 60),
                             T - back, [T]))
     nodes = np.unique(nodes)
-    vals = np.array([uhat(t) for t in nodes])
-    u = ControlSignal(time_nodes=nodes, nmax=Nmax, values=vals,
-                      t_window=(0.0, T), func=uhat)
+    u = ControlSignal.from_func(uhat, nodes, Nmax, 1, t_window=(0.0, T))
 
     # independent certificate: graded Gauss-Legendre quadrature of both
     # moment integrals against the closed-form targets

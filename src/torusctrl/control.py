@@ -32,8 +32,9 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import SystemMatrices, TorusSubset, TWO_PI
-from .dynamics import (FourierState, ControlSignal, evolve, mode_generator,
-                       project_branch, project_low, analyze_grid)
+from .dynamics import (FourierState, ControlSignal, EIG_COND_MAX, evolve,
+                       mode_generator, project_branch, project_low,
+                       analyze_grid)
 
 __all__ = [
     "MomentProblem", "LRSchedule", "cutoff_eta", "transport_control",
@@ -97,6 +98,16 @@ class SpatialWeight:
         if abs(n) > self.bandwidth:
             return 0.0 + 0.0j
         return self.coeffs[n + self.bandwidth]
+
+    def toeplitz(self, rows, cols):
+        """W[i, j] = rho2hat(rows[i] - cols[j]), zero beyond the bandwidth:
+        multiplication by rho2 from the modes cols to the modes rows."""
+        diff = np.subtract.outer(np.asarray(rows, dtype=int),
+                                 np.asarray(cols, dtype=int))
+        inside = np.abs(diff) <= self.bandwidth
+        return np.where(inside,
+                        self.coeffs[np.where(inside, diff, 0)
+                                    + self.bandwidth], 0.0)
 
 
 def plateau_weight(omega: TorusSubset, shrink=0.1,
@@ -266,7 +277,7 @@ def _eig_cache(mats):
     for key, mat in mats.items():
         mat = np.asarray(mat, dtype=complex)
         w, V = np.linalg.eig(mat)
-        if np.linalg.cond(V) < 1e6:
+        if np.linalg.cond(V) < EIG_COND_MAX:
             out[key] = ("eig", w, V, np.linalg.inv(V))
         else:
             out[key] = ("expm", mat)
@@ -310,6 +321,69 @@ def _gl_grid(t0, t1, panels, order=8):
         taus.extend(0.5 * (a + b) + 0.5 * (b - a) * gx)
         wts.extend(0.5 * (b - a) * gw)
     return np.array(taus), np.array(wts), edges
+
+
+def _emit_modes(modes, cache, obs, rates, vecs, T, window, nodes, weight,
+                nmax, omega, profile=None, mask=None):
+    """Lazy control u(t, x) = r(T-t) rho2(x) sum_k (mask v_k(T-t)) e^{ikx}
+    on the window, zero outside it, where
+    v_k(s) = obs[k] e^{-s rates[k] gen_k} vecs[k]
+    and gen_k is the generator cached under modes[k] by _eig_cache.
+
+    Every eig-path mode is evaluated in one einsum; a mode cached on the
+    expm path keeps its dense exponential.  The coefficients on
+    |n'| <= nmax are W @ V(t) with W[n', k] = rho2hat(n' - k) built once.
+    r is the time profile (1 when None), evaluated at the time to go
+    clipped to [0, T].
+    """
+    K, m = len(modes), obs.shape[1]
+    dg = vecs.shape[1]
+    decay = np.zeros((K, dg), dtype=complex)    # rates_k * eigenvalues
+    obs_v = np.zeros((K, m, dg), dtype=complex)  # obs_k V_k
+    coef = np.zeros((K, dg), dtype=complex)     # V_k^{-1} vecs_k
+    slow = []                                    # expm path: (k, rates_k G_k)
+    for k, n in enumerate(modes):
+        entry = cache[int(n)]
+        if entry[0] == "eig":
+            _, w, V, Vi = entry
+            decay[k] = rates[k] * w
+            obs_v[k] = obs[k] @ V
+            coef[k] = Vi @ vecs[k]
+        else:
+            slow.append((k, rates[k] * entry[1]))
+    keep = np.ones(m) if mask is None else np.asarray(mask, dtype=float)
+    W = weight.toeplitz(np.arange(-nmax, nmax + 1), modes)
+    t0, t1 = window
+
+    def stacked(t):
+        """(K, m) per-mode vectors at time t, None off the window."""
+        if t < t0 - 1e-12 or t > t1 + 1e-12:
+            return None
+        s = T - t
+        r = 1.0 if profile is None else float(profile(np.clip(s, 0.0, T)))
+        if r == 0.0:
+            return None
+        out = np.einsum("kij,kj->ki", obs_v, np.exp(-s * decay) * coef)
+        for k, gen in slow:
+            out[k] = obs[k] @ (scipy.linalg.expm(-s * gen) @ vecs[k])
+        return out * (r * keep)
+
+    def coeff_fn(t):
+        vs = stacked(t)
+        if vs is None:
+            return np.zeros((2 * nmax + 1, m), dtype=complex)
+        return W @ vs
+
+    def spatial(t, xs):
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        vs = stacked(t)
+        if vs is None:
+            return np.zeros((len(xs), m), dtype=complex)
+        return (np.exp(1j * np.outer(xs, modes)) @ vs) * weight(xs)[:, None]
+
+    return ControlSignal.from_func(coeff_fn, nodes, nmax, m,
+                                   t_window=window, omega=omega,
+                                   component_mask=mask, spatial=spatial)
 
 
 # ------------------------------------------------------------- moment method
@@ -378,24 +452,15 @@ def parabolic_moment_control(sys: SystemMatrices, branches: dict,
     svals, swts, _ = _gl_grid(0.0, T, time_panels, order=10)
     prof = profile(svals)
 
-    # fwd[n][q] = C(n) e^{-s_q n^2 E2(n)}: shape (Q, m, d2)
-    fwd = {}
-    for n in modes:
-        n = int(n)
-        es = _expm_traj(cache, n, svals * n * n)
-        fwd[n] = np.einsum("ij,qjk->qik", C[n], es)
-
-    gram = np.zeros((nm * d2, nm * d2), dtype=complex)
-    for i, n in enumerate(modes):
-        n = int(n)
-        An = fwd[n].conj().transpose(0, 2, 1)
-        for j, k in enumerate(modes):
-            k = int(k)
-            s_fac = weight.coeff(n - k)
-            if s_fac == 0.0:
-                continue
-            W = np.einsum("q,qij,qjk->ik", swts * prof, An, fwd[k])
-            gram[i * d2:(i + 1) * d2, j * d2:(j + 1) * d2] = s_fac * W
+    # fwd[i, q] = C(n_i) e^{-s_q n_i^2 E2(n_i)}: shape (nm, Q, m, d2)
+    fwd = np.array([np.einsum("ij,qjk->qik", C[int(n)],
+                              _expm_traj(cache, int(n), svals * n * n))
+                    for n in modes]).reshape(nm, len(svals), m, d2)
+    # rows (n, i) of the family, columns (s_q, channel)
+    fam = fwd.transpose(0, 3, 1, 2).reshape(nm * d2, -1)
+    tint = (fam.conj() * np.repeat(swts * prof, m)) @ fam.T
+    gram = np.kron(weight.toeplitz(modes, modes),
+                   np.ones((d2, d2))) * tint
     gram = 0.5 * (gram + gram.conj().T)
 
     rhs = np.zeros(nm * d2, dtype=complex)
@@ -427,47 +492,11 @@ def parabolic_moment_control(sys: SystemMatrices, branches: dict,
             f"moment Gram condition {cond_scaled:.2e} beyond "
             f"{cond_max:.0e}; reduce N or enlarge T")
     Vsol = np.linalg.solve(gram_scaled, rhs / dscale) / dscale
-    Vblocks = {int(n): Vsol[i * d2:(i + 1) * d2]
-               for i, n in enumerate(modes)}
 
-    nmax = f0p.nmax
-
-    def emitted(t):
-        """Per-mode control vectors w_k(t) in C^m before the cut-offs."""
-        s = T - t
-        if s < -1e-12 or s > T + 1e-12:
-            return {}
-        r = float(profile(np.clip(s, 0.0, T)))
-        if r == 0.0:
-            return {}
-        return {int(k): r * (C[int(k)] @ (_expm_cached(
-            cache, int(k), s * int(k) ** 2) @ Vblocks[int(k)]))
-            for k in modes}
-
-    def coeff_fn(t):
-        out = np.zeros((2 * nmax + 1, m), dtype=complex)
-        for k, v in emitted(t).items():
-            lo = max(-nmax, k - weight.bandwidth)
-            hi = min(nmax, k + weight.bandwidth)
-            for nprime in range(lo, hi + 1):
-                out[nprime + nmax, :] += weight.coeff(nprime - k) * v
-        return out
-
-    def spatial(t, xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.zeros((len(xs), m), dtype=complex)
-        vecs = emitted(t)
-        if vecs:
-            for k, v in vecs.items():
-                out += np.exp(1j * k * xs)[:, None] * v[None, :]
-            out *= weight(xs)[:, None]
-        return out
-
-    nodes = np.linspace(0.0, T, 129)
-    vals = np.array([coeff_fn(t) for t in nodes])
-    u = ControlSignal(time_nodes=nodes, nmax=nmax, values=vals,
-                      t_window=(0.0, T), omega=omega,
-                      func=coeff_fn, spatial=spatial)
+    u = _emit_modes(modes, cache, np.array([C[int(n)] for n in modes]),
+                    modes.astype(float) ** 2, Vsol.reshape(nm, d2), T,
+                    (0.0, T), np.linspace(0.0, T, 129), weight, f0p.nmax,
+                    omega, profile=profile)
     problem = MomentProblem(N=N, T=T, modes=modes, E2=E2, gram=gram,
                             rhs=rhs, weight=weight, cond=cond,
                             min_eig=min_eig, cond_scaled=cond_scaled)
@@ -674,14 +703,14 @@ def _joint_solve(sys, branches, blocks, targets, T, weight, nmax, omega,
     for bj, blk_col in enumerate(blocks):
         taus, wts, _ = quad[bj]
         Vc = obs_col[bj] * blk_col.mask[None, None, :]
+        cols = [n for n, _ in blk_col.entries]
         for bi, blk_row in enumerate(blocks):
             Vr = (obs_col[bj] if bi == bj
                   else _block_observations(sys, branches, blk_row, T, taus))
             tint = np.einsum("q,jqa,kqa->jk", wts, Vr.conj(), Vc)
-            for j, (nj, _) in enumerate(blk_row.entries):
-                for k, (nk, _) in enumerate(blk_col.entries):
-                    J[offs[bi] + j, offs[bj] + k] = (
-                        weight.coeff(nj - nk) * tint[j, k])
+            rows = [n for n, _ in blk_row.entries]
+            J[offs[bi]:offs[bi + 1], offs[bj]:offs[bj + 1]] = (
+                weight.toeplitz(rows, cols) * tint)
 
     c = np.concatenate(targets)
     eigs = np.linalg.eigvalsh(0.5 * (J + J.conj().T))
@@ -706,59 +735,28 @@ def _joint_solve(sys, branches, blocks, targets, T, weight, nmax, omega,
 
 def _emit_block(sys, branches, blk: DualBlock, lam, T, weight, nmax,
                 omega, edges):
-    m = sys.m
-    t0, t1 = blk.window
-    if blk.kind == "full":
-        cache = _eig_cache({n: mode_generator(sys, n, adjoint=True)
-                            for n, _ in blk.entries})
-        Mh = sys.M.conj().T
-
-        def obs(n, vec, t):
-            return Mh @ (_expm_cached(cache, n, T - t) @ vec)
+    """u = rho2 sum_j lambda_j (mask v_j) e^{i n_j x} on the block's
+    window; entries sharing a mode are summed before propagation."""
+    modes = np.array(sorted({n for n, _ in blk.entries}), dtype=int)
+    where = {int(n): k for k, n in enumerate(modes)}
+    full = blk.kind == "full"
+    vecs = np.zeros((len(modes), sys.d if full else sys.d2), dtype=complex)
+    for (n, vec), lj in zip(blk.entries, lam):
+        vecs[where[n]] += lj * vec
+    if full:
+        cache = _eig_cache({int(n): mode_generator(sys, int(n), adjoint=True)
+                            for n in modes})
+        obs = np.broadcast_to(sys.M.conj().T, (len(modes), sys.m, sys.d))
+        rates = np.ones(len(modes))
     else:
-        cache = _eig_cache({n: build_E2(sys, branches, n)
-                            for n, _ in blk.entries})
-        C = {n: observation_matrix(sys, branches, n) for n, _ in blk.entries}
-
-        def obs(n, vec, t):
-            return C[n] @ (_expm_cached(cache, n, (T - t) * n * n) @ vec)
-
-    def vecs(t):
-        out = {}
-        for (n, vec), lj in zip(blk.entries, lam):
-            v = lj * (blk.mask * obs(n, vec, t))
-            if n in out:
-                out[n] += v
-            else:
-                out[n] = v
-        return out
-
-    def coeff_fn(t):
-        out = np.zeros((2 * nmax + 1, m), dtype=complex)
-        if t < t0 - 1e-12 or t > t1 + 1e-12:
-            return out
-        for k, v in vecs(t).items():
-            lo = max(-nmax, k - weight.bandwidth)
-            hi = min(nmax, k + weight.bandwidth)
-            for nprime in range(lo, hi + 1):
-                out[nprime + nmax, :] += weight.coeff(nprime - k) * v
-        return out
-
-    def spatial(t, xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.zeros((len(xs), m), dtype=complex)
-        if t < t0 - 1e-12 or t > t1 + 1e-12:
-            return out
-        for k, v in vecs(t).items():
-            out += np.exp(1j * k * xs)[:, None] * v[None, :]
-        return out * weight(xs)[:, None]
-
-    nodes = np.asarray(edges, dtype=float)
-    vals = np.array([coeff_fn(t) for t in nodes])
-    return ControlSignal(time_nodes=nodes, nmax=nmax, values=vals,
-                         t_window=(t0, t1), omega=omega,
-                         component_mask=blk.mask, func=coeff_fn,
-                         spatial=spatial)
+        cache = _eig_cache({int(n): build_E2(sys, branches, int(n))
+                            for n in modes})
+        obs = np.array([observation_matrix(sys, branches, int(n))
+                        for n in modes]).reshape(len(modes), sys.m, sys.d2)
+        rates = modes.astype(float) ** 2
+    return _emit_modes(modes, cache, obs, rates, vecs, T, blk.window,
+                       np.asarray(edges, dtype=float), weight, nmax, omega,
+                       mask=blk.mask)
 
 
 def _target_entries(sys, branches, n0, nmax, target):
@@ -856,9 +854,8 @@ def merge_controls(controls, nmax, m, T) -> ControlSignal:
         edges.update(np.clip(u.time_nodes, 0.0, T).tolist())
     nodes = np.array(sorted(edges))
     nodes = nodes[np.concatenate(([True], np.diff(nodes) > 1e-13))]
-    vals = np.array([coeff_fn(t) for t in nodes])
-    return ControlSignal(time_nodes=nodes, nmax=nmax, values=vals,
-                         t_window=(0.0, T), func=coeff_fn, spatial=spatial)
+    return ControlSignal.from_func(coeff_fn, nodes, nmax, m,
+                                   t_window=(0.0, T), spatial=spatial)
 
 
 def full_pipeline(sys: SystemMatrices, branches: dict, n0: int,

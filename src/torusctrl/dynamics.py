@@ -101,19 +101,29 @@ def synth_grid(state: FourierState, ngrid=None):
 
 
 def analyze_grid(values, xs, nmax):
-    """Inverse of synth_grid on a uniform grid: trapezoidal (= exact DFT)
-    Fourier coefficients truncated to |n| <= nmax."""
+    """Inverse of synth_grid on the uniform grid xs[j] = 2 pi j / ngrid:
+    trapezoidal (= exact DFT) Fourier coefficients along axis 0, truncated
+    to |n| <= nmax.  Modes beyond the grid's Nyquist band alias onto the
+    grid frequency n mod ngrid."""
     ngrid = len(xs)
-    ns = np.arange(-nmax, nmax + 1)
-    phases = np.exp(-1j * np.outer(ns, xs))
-    return (phases @ values) / ngrid
+    if not np.allclose(xs, TWO_PI * np.arange(ngrid) / ngrid):
+        raise ValueError("analyze_grid needs the uniform grid "
+                         "2 pi j / ngrid, j = 0..ngrid-1")
+    spec = np.fft.fft(values, axis=0) / ngrid
+    return spec[np.arange(-nmax, nmax + 1) % ngrid]
 
 
 @dataclass
 class ControlSignal:
-    """Space-time control sampled at strictly increasing time nodes.
+    """Space-time control: sampled at strictly increasing time nodes, or
+    given by an exact evaluator.
 
-    values[i] is the (2*nmax+1, m) coefficient array of u(t_i, .).
+    Interpolated signals: values[i] is the (2*nmax+1, m) coefficient
+    array of u(t_i, .), and at() interpolates linearly between nodes.
+    Signals carrying func are lazy: at(t) returns func(t) and values holds
+    no samples, only the shape (0, 2*nmax+1, m) that records m; the time
+    nodes still mark the panel edges Duhamel quadratures align with.
+    Build them with ControlSignal.from_func.
     Support metadata records the declared time window, spatial subset and
     the component mask (which rows of the state receive the control).
     """
@@ -136,8 +146,19 @@ class ControlSignal:
         self.values = np.asarray(self.values, dtype=complex)
         if np.any(np.diff(self.time_nodes) <= 0):
             raise ValueError("time nodes must be strictly increasing")
-        if self.values.shape[:2] != (len(self.time_nodes), 2 * self.nmax + 1):
-            raise ValueError("values shape mismatch with nodes/nmax")
+        rows = 0 if self.func is not None else len(self.time_nodes)
+        if (self.values.ndim != 3
+                or self.values.shape[:2] != (rows, 2 * self.nmax + 1)):
+            raise ValueError("values shape mismatch with nodes/nmax "
+                             "(signals with func hold no samples)")
+
+    @classmethod
+    def from_func(cls, func, time_nodes, nmax, m, **support):
+        """Lazy signal evaluated exactly by func; support keywords as for
+        the constructor."""
+        return cls(time_nodes=time_nodes, nmax=nmax,
+                   values=np.zeros((0, 2 * nmax + 1, m), dtype=complex),
+                   func=func, **support)
 
     @property
     def m(self):

@@ -619,15 +619,17 @@ def run_experiment(scenario: Scenario, out_dir, seed=0):
     try:
         lines = runner(scenario, rng, out_dir)
         code = 0
+    # LinAlgError subclasses ValueError: the numerical branch goes first
+    except (np.linalg.LinAlgError, spectral.ContourError, ArithmeticError,
+            OverflowError) as e:
+        lines = [f"{scenario.experiment}: {scenario.name}",
+                 f"NUMERICAL FAILURE: {e}",
+                 "outputs in this directory are partial"]
+        code = 1
     except (PreconditionError, ValueError) as e:
         lines = [f"{scenario.experiment}: {scenario.name}",
                  f"REFUSED (precondition): {e}",
                  "outputs in this directory are partial"]
         code = 2
-    except (np.linalg.LinAlgError, ArithmeticError, OverflowError) as e:
-        lines = [f"{scenario.experiment}: {scenario.name}",
-                 f"NUMERICAL FAILURE: {e}",
-                 "outputs in this directory are partial"]
-        code = 1
     text = _write_summary(out_dir, lines)
     return code, text

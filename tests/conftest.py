@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from torusctrl.algebra import SystemMatrices, TorusSubset
-from torusctrl.dynamics import FourierState
 from torusctrl import spectral
+# the random-data law of the CLI experiments
+from torusctrl.harness import _random_state as random_state  # noqa: F401
 
 
 def nscl_system(vbar=1.0, rhobar=1.0, a=1.0, gamma=2.0, mu=1.0):
@@ -41,14 +42,6 @@ def decoupled_heat_system():
         D=np.array([[1.0]]),
         K=np.zeros((2, 2)),
         M=np.eye(2))
-
-
-def random_state(rng, nmax, d, decay=0.05):
-    st = FourierState.zeros(nmax, d)
-    env = np.exp(-decay * np.arange(-nmax, nmax + 1) ** 2)[:, None]
-    st.coeffs[:] = env * (rng.standard_normal((2 * nmax + 1, d))
-                          + 1j * rng.standard_normal((2 * nmax + 1, d)))
-    return st
 
 
 HALF_TORUS = TorusSubset(((0.0, np.pi),))

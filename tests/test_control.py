@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from torusctrl.algebra import TorusSubset, TWO_PI
@@ -8,7 +9,8 @@ from torusctrl.control import (smoothstep, window_fn, rho1, plateau_weight,
                                cutoff_eta, transport_control,
                                parabolic_moment_control, lebeau_robbiano,
                                hum_gramian_control, full_pipeline)
-from torusctrl.dynamics import evolve, project_branch, FourierState
+from torusctrl.dynamics import (evolve, project_branch, FourierState,
+                                mode_generator, synth_grid, EIG_COND_MAX)
 from torusctrl import spectral
 from conftest import (nscl_system, moving_wave_system,
                       decoupled_heat_system, random_state, HALF_TORUS)
@@ -229,3 +231,148 @@ class TestPipeline:
         with pytest.raises(np.linalg.LinAlgError):
             full_pipeline(sys, branches, consts.n0, f0, 1.5 * Tstar,
                           1.25 * Tstar, HALF_TORUS, Tstar=Tstar)
+
+
+def _loop_coeffs(weight, nmax, m, vecs):
+    """Reference emission: out[n'] = sum_k rho2hat(n' - k) v_k, one
+    coefficient lookup at a time."""
+    out = np.zeros((2 * nmax + 1, m), dtype=complex)
+    for k, v in vecs:
+        for nprime in range(-nmax, nmax + 1):
+            out[nprime + nmax, :] += weight.coeff(nprime - k) * v
+    return out
+
+
+def _block_vectors(sys, branches, blk, lam, T, t):
+    """Per-entry masked observations lambda_j (mask v_j(t)), by dense expm."""
+    out = []
+    for (n, vec), lj in zip(blk.entries, lam):
+        if blk.kind == "full":
+            v = sys.M.conj().T @ scipy.linalg.expm(
+                -(T - t) * mode_generator(sys, n, adjoint=True)) @ vec
+        else:
+            v = ctl.observation_matrix(sys, branches, n) @ scipy.linalg.expm(
+                -(T - t) * n * n * ctl.build_E2(sys, branches, n)) @ vec
+        out.append((n, lj * (blk.mask * v)))
+    return out
+
+
+def _close(got, ref, rel=1e-13):
+    return np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+class TestEmission:
+    """Toeplitz emission over stacked mode vectors against the per-mode
+    triple loop."""
+
+    T = 1.5 * np.pi
+    Tprime = 1.25 * np.pi
+
+    def test_toeplitz_is_the_coefficient_lookup(self):
+        w = plateau_weight(HALF_TORUS, bandwidth=6)
+        rows, cols = np.arange(-10, 11), np.array([-3, 0, 2, 9])
+        W = w.toeplitz(rows, cols)
+        assert np.array_equal(
+            W, np.array([[w.coeff(r - c) for c in cols] for r in rows]))
+        beyond = np.abs(np.subtract.outer(rows, cols)) > 6
+        assert np.all(W[beyond] == 0.0) and np.all(W[~beyond] != 0.0)
+
+    def _blocks(self, nscl_branches24):
+        """(sys, branches, block) for a full hyperbolic block and a
+        parabolic block of nscl, and a full low block of moving-wave whose
+        modes +-1 are Jordan blocks."""
+        sys, consts, branches = nscl_branches24
+        nmax, n0 = 10, consts.n0
+        kind, entries = ctl._target_entries(sys, branches, n0, nmax,
+                                            ("hyperbolic", nmax))
+        hyp = ctl.DualBlock(kind=kind, entries=entries,
+                            window=(0.0, self.Tprime),
+                            mask=np.array([True, False]))
+        eye = np.eye(sys.d2, dtype=complex)
+        par = ctl.DualBlock(
+            kind="parabolic", window=(self.T - 0.3, self.T),
+            entries=[(n, eye[:, 0]) for n in range(-nmax, nmax + 1)
+                     if abs(n) > n0],
+            mask=np.array([False, True]))
+        mw = moving_wave_system()
+        mw_branches = spectral.build_branch_table(
+            mw, spectral.separation_radius(mw), 6)
+        kind, entries = ctl._target_entries(mw, mw_branches, 5, 6, ("low",))
+        low = ctl.DualBlock(kind=kind, entries=entries,
+                            window=(self.T - 0.3, self.T),
+                            mask=np.ones(1, dtype=bool))
+        return [(sys, branches, hyp), (sys, branches, par),
+                (mw, mw_branches, low)]
+
+    def test_blocks_match_loop(self, nscl_branches24):
+        nmax = 10
+        weight = plateau_weight(HALF_TORUS)
+        rng = np.random.default_rng(11)
+        for sys, branches, blk in self._blocks(nscl_branches24):
+            lam = (rng.standard_normal(len(blk.entries))
+                   + 1j * rng.standard_normal(len(blk.entries)))
+            t0, t1 = blk.window
+            edges = np.linspace(t0, t1, 5)
+            u = ctl._emit_block(sys, branches, blk, lam, self.T, weight,
+                                nmax, HALF_TORUS, edges)
+            assert u.values.shape == (0, 2 * nmax + 1, sys.m)
+            for t in (t0, 0.3 * t0 + 0.7 * t1, t1):
+                ref = _loop_coeffs(weight, nmax, sys.m, _block_vectors(
+                    sys, branches, blk, lam, self.T, t))
+                assert _close(u.at(t), ref), (blk.kind, t)
+            assert not np.any(u.at(t0 - 0.01)) and not np.any(u.at(t1 + 0.01))
+
+    def test_expm_fallback_mode_present(self):
+        # the low block above reaches the expm branch of the emitter
+        mw = moving_wave_system()
+        gens = {n: mode_generator(mw, n, adjoint=True) for n in (-1, 0, 1)}
+        paths = {n: e[0] for n, e in ctl._eig_cache(gens).items()}
+        assert paths == {-1: "expm", 0: "eig", 1: "expm"}
+        _, V = np.linalg.eig(gens[1])
+        assert np.linalg.cond(V) >= EIG_COND_MAX
+
+    def test_moment_control_matches_loop(self, nscl_branches24):
+        sys, consts, branches = nscl_branches24
+        rng = np.random.default_rng(12)
+        f0p = project_branch(random_state(rng, 24, 2), branches,
+                             consts.n0, "p")
+        T, N = 1.0, 8
+        u, mp = parabolic_moment_control(sys, branches, f0p, T, N,
+                                         HALF_TORUS, consts.n0)
+        assert u.values.shape == (0, 49, sys.m)
+        dscale = np.sqrt(np.abs(np.diagonal(mp.gram)))
+        V = np.linalg.solve(mp.gram / np.outer(dscale, dscale),
+                            mp.rhs / dscale) / dscale
+        for t in (0.0, 0.35, 0.8, T):
+            s = T - t
+            vecs = [(n, rho1(np.array([s / T]))[0]
+                     * ctl.observation_matrix(sys, branches, n)
+                     @ scipy.linalg.expm(-s * n * n * mp.E2[n])
+                     @ V.reshape(len(mp.modes), -1)[i])
+                    for i, n in enumerate(int(k) for k in mp.modes)]
+            ref = _loop_coeffs(mp.weight, 24, sys.m, vecs)
+            assert _close(u.at(t), ref), t
+
+    def test_spatial_matches_synthesized_coefficients(self,
+                                                      nscl_branches24):
+        # with nmax above bandwidth + max|k| the coefficients keep every
+        # product term, so synthesis differs from the exact spatial form
+        # only by rho2's own truncation at its bandwidth
+        weight = plateau_weight(HALF_TORUS)
+        nmax = weight.bandwidth + 10
+        xs = 2 * np.pi * np.arange(4 * nmax) / (4 * nmax)
+        trunc = FourierState(weight.bandwidth, weight.coeffs[:, None])
+        rho2_band = synth_grid(trunc, ngrid=4 * nmax)[1][:, 0]
+        band_err = np.max(np.abs(rho2_band - weight(xs)))
+        rng = np.random.default_rng(13)
+        for sys, branches, blk in self._blocks(nscl_branches24):
+            lam = (rng.standard_normal(len(blk.entries))
+                   + 1j * rng.standard_normal(len(blk.entries)))
+            u = ctl._emit_block(sys, branches, blk, lam, self.T, weight,
+                                nmax, HALF_TORUS, blk.window)
+            t = 0.5 * sum(blk.window)
+            coeffs = FourierState(nmax, u.at(t))
+            synth = synth_grid(coeffs, ngrid=len(xs))[1]
+            vecs = _block_vectors(sys, branches, blk, lam, self.T, t)
+            bound = band_err * sum(np.max(np.abs(v)) for _, v in vecs)
+            assert np.max(np.abs(u.spatial(t, xs) - synth)) <= bound + 1e-12

@@ -170,3 +170,23 @@ def test_control_signal_interpolation():
     assert u.at(0.5) == pytest.approx(np.full((3, 1), 1.0 + 0j))
     assert u.at(-5.0) == pytest.approx(vals[0])
     assert u.at(7.0) == pytest.approx(vals[1])
+
+
+def test_lazy_signal_holds_no_samples():
+    calls = []
+
+    def func(t):
+        calls.append(t)
+        return np.full((3, 2), t, dtype=complex)
+
+    nodes = np.linspace(0.0, 1.0, 5)
+    u = ControlSignal.from_func(func, nodes, 1, 2, t_window=(0.0, 1.0))
+    assert u.values.shape == (0, 3, 2) and u.m == 2 and not calls
+    assert np.array_equal(u.at(0.3), func(0.3))
+    # a func signal with samples, or an interpolated one without a row
+    # per node, is malformed
+    with pytest.raises(ValueError, match="shape"):
+        ControlSignal(time_nodes=nodes, nmax=1,
+                      values=np.zeros((5, 3, 2)), func=func)
+    with pytest.raises(ValueError, match="shape"):
+        ControlSignal(time_nodes=nodes, nmax=1, values=np.zeros((4, 3, 2)))

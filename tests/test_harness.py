@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from torusctrl import cli
+from torusctrl import cli, harness, spectral
 from torusctrl.harness import (Scenario, ScenarioError, load_scenario,
                                run_experiment)
 
@@ -173,3 +173,26 @@ class TestCli:
                        "--T", "10.0", "--nmax", "8",
                        "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    def test_pipeline_without_transport_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["pipeline", "--scenario", "heat-memory",
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "REFUSED (precondition)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("error", [
+        np.linalg.LinAlgError("Gramian condition 2.41e+300"),
+        spectral.ContourError("contour quadrature did not converge")])
+    def test_numerical_failure_exits_1(self, tmp_path, monkeypatch, capsys,
+                                       error):
+        # LinAlgError subclasses ValueError, which alone means refusal
+        def runner(scn, rng, out_dir):
+            raise error
+
+        monkeypatch.setitem(harness._DISPATCH, "pipeline",
+                            (runner, ["pipeline_sweeps.csv"]))
+        rc = cli.main(["pipeline", "--scenario", "nscl(1, 1, 1, 2, 1)",
+                       "--nmax", "8", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "NUMERICAL FAILURE" in out and str(error) in out
