@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import SystemMatrices, TorusSubset, TWO_PI
 from .dynamics import (FourierState, ControlSignal, evolve_adjoint,
-                       synth_grid, analyze_grid)
+                       gauss_legendre, synth_grid, analyze_grid)
 from .control import plateau_weight
 
 __all__ = [
@@ -154,14 +154,9 @@ def memory_counterexample_control(f0, T, Nmax):
 
     # independent certificate: graded Gauss-Legendre quadrature of both
     # moment integrals against the closed-form targets
-    gx, gw = np.polynomial.legendre.leggauss(10)
     edges = np.unique(np.concatenate(
         (np.linspace(0.0, 0.75 * T, 30), T - back, [T])))
-    taus, wq = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        taus.extend(0.5 * (a + b) + 0.5 * (b - a) * gx)
-        wq.extend(0.5 * (b - a) * gw)
-    taus, wq = np.array(taus), np.array(wq)
+    taus, wq = gauss_legendre(edges, order=10)
     residuals = np.zeros(2 * Nmax + 1)
     for n in range(-Nmax, Nmax + 1):
         i = n + Nmax

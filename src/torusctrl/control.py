@@ -29,12 +29,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import SystemMatrices, TorusSubset, TWO_PI
-from .dynamics import (FourierState, ControlSignal, EIG_COND_MAX, evolve,
-                       mode_generator, project_branch, project_low,
-                       analyze_grid)
+from .dynamics import (FourierState, ControlSignal, ModeBasis, evolve,
+                       gauss_legendre, mode_generator, project_branch,
+                       project_low, analyze_grid)
 
 __all__ = [
     "MomentProblem", "LRSchedule", "cutoff_eta", "transport_control",
@@ -153,14 +152,9 @@ class CutoffEta:
 
     def _Q_exact(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        gx, gw = np.polynomial.legendre.leggauss(8)
-        edges = np.linspace(0.0, self.Tprime, 81)
         out = np.zeros(x.shape)
-        for a, b in zip(edges[:-1], edges[1:]):
-            ts = 0.5 * (a + b) + 0.5 * (b - a) * gx
-            ws = 0.5 * (b - a) * gw
-            for t, wq in zip(ts, ws):
-                out += wq * self.eta(t, x + self.mu * t)
+        for t, wq in zip(*gauss_legendre(np.linspace(0.0, self.Tprime, 81))):
+            out += wq * self.eta(t, x + self.mu * t)
         return out
 
     def Q(self, x):
@@ -269,88 +263,20 @@ def observation_matrix(sys: SystemMatrices, branches: dict, n: int):
     return Mh[:, :d1] @ branches[n].G + Mh[:, d1:]
 
 
-def _eig_cache(mats):
-    """Eigendecompositions keyed by mode; defective or nearly defective
-    generators (e.g. Jordan blocks at branch collisions) fall back to
-    dense expm evaluation."""
-    out = {}
-    for key, mat in mats.items():
-        mat = np.asarray(mat, dtype=complex)
-        w, V = np.linalg.eig(mat)
-        if np.linalg.cond(V) < EIG_COND_MAX:
-            out[key] = ("eig", w, V, np.linalg.inv(V))
-        else:
-            out[key] = ("expm", mat)
-    return out
-
-
-def _expm_cached(cache, key, scale):
-    entry = cache[key]
-    if entry[0] == "eig":
-        _, w, V, Vi = entry
-        return (V * np.exp(-scale * w)) @ Vi
-    return scipy.linalg.expm(-scale * entry[1])
-
-
-def _dual_traj(cache, key, scales, vec):
-    """Rows e^{-scales[q] * mat} @ vec for a cached generator."""
-    entry = cache[key]
-    if entry[0] == "eig":
-        _, w, V, Vi = entry
-        return np.einsum("ij,qj->qi", V,
-                         np.exp(-np.outer(scales, w)) * (Vi @ vec))
-    return np.array([scipy.linalg.expm(-s * entry[1]) @ vec
-                     for s in scales])
-
-
-def _expm_traj(cache, key, scales):
-    """Stack of e^{-scales[q] * mat} for a cached generator: (Q, d, d)."""
-    entry = cache[key]
-    if entry[0] == "eig":
-        _, w, V, Vi = entry
-        return np.einsum("ij,qj,jk->qik", V,
-                         np.exp(-np.outer(scales, w)), Vi)
-    return np.array([scipy.linalg.expm(-s * entry[1]) for s in scales])
-
-
-def _gl_grid(t0, t1, panels, order=8):
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(t0, t1, panels + 1)
-    taus, wts = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        taus.extend(0.5 * (a + b) + 0.5 * (b - a) * gx)
-        wts.extend(0.5 * (b - a) * gw)
-    return np.array(taus), np.array(wts), edges
-
-
-def _emit_modes(modes, cache, obs, rates, vecs, T, window, nodes, weight,
+def _emit_modes(modes, basis, obs, rates, vecs, T, window, nodes, weight,
                 nmax, omega, profile=None, mask=None):
     """Lazy control u(t, x) = r(T-t) rho2(x) sum_k (mask v_k(T-t)) e^{ikx}
     on the window, zero outside it, where
-    v_k(s) = obs[k] e^{-s rates[k] gen_k} vecs[k]
-    and gen_k is the generator cached under modes[k] by _eig_cache.
+    v_k(s) = obs[k] e^{-s rates[k] G_k} vecs[k]
+    and G_k is the generator of mode k in the ModeBasis basis.
 
-    Every eig-path mode is evaluated in one einsum; a mode cached on the
-    expm path keeps its dense exponential.  The coefficients on
-    |n'| <= nmax are W @ V(t) with W[n', k] = rho2hat(n' - k) built once.
+    The coefficients on |n'| <= nmax are W @ V(t), with V(t) the stacked
+    (K, m) per-mode vectors and W[n', k] = rho2hat(n' - k) built once.
     r is the time profile (1 when None), evaluated at the time to go
     clipped to [0, T].
     """
-    K, m = len(modes), obs.shape[1]
-    dg = vecs.shape[1]
-    decay = np.zeros((K, dg), dtype=complex)    # rates_k * eigenvalues
-    obs_v = np.zeros((K, m, dg), dtype=complex)  # obs_k V_k
-    coef = np.zeros((K, dg), dtype=complex)     # V_k^{-1} vecs_k
-    slow = []                                    # expm path: (k, rates_k G_k)
-    for k, n in enumerate(modes):
-        entry = cache[int(n)]
-        if entry[0] == "eig":
-            _, w, V, Vi = entry
-            decay[k] = rates[k] * w
-            obs_v[k] = obs[k] @ V
-            coef[k] = Vi @ vecs[k]
-        else:
-            slow.append((k, rates[k] * entry[1]))
+    m = obs.shape[1]
+    observe = basis.action(vecs, obs)
     keep = np.ones(m) if mask is None else np.asarray(mask, dtype=float)
     W = weight.toeplitz(np.arange(-nmax, nmax + 1), modes)
     t0, t1 = window
@@ -363,10 +289,7 @@ def _emit_modes(modes, cache, obs, rates, vecs, T, window, nodes, weight,
         r = 1.0 if profile is None else float(profile(np.clip(s, 0.0, T)))
         if r == 0.0:
             return None
-        out = np.einsum("kij,kj->ki", obs_v, np.exp(-s * decay) * coef)
-        for k, gen in slow:
-            out[k] = obs[k] @ (scipy.linalg.expm(-s * gen) @ vecs[k])
-        return out * (r * keep)
+        return observe(s * rates[:, None])[:, 0] * (r * keep)
 
     def coeff_fn(t):
         vs = stacked(t)
@@ -434,8 +357,9 @@ def parabolic_moment_control(sys: SystemMatrices, branches: dict,
         weight = plateau_weight(omega)
     modes = np.array([n for n in range(-N, N + 1) if abs(n) > n0])
     E2 = {int(n): build_E2(sys, branches, int(n)) for n in modes}
-    C = {int(n): observation_matrix(sys, branches, int(n)) for n in modes}
-    cache = _eig_cache(E2)
+    C = np.array([observation_matrix(sys, branches, int(n)) for n in modes])
+    basis = ModeBasis([E2[int(n)] for n in modes])
+    rates = modes.astype(float) ** 2
     nm = len(modes)
 
     if time_profile == "interior":
@@ -449,13 +373,12 @@ def parabolic_moment_control(sys: SystemMatrices, branches: dict,
     else:
         raise ValueError(f"unknown time_profile {time_profile!r}")
 
-    svals, swts, _ = _gl_grid(0.0, T, time_panels, order=10)
+    svals, swts = gauss_legendre(np.linspace(0.0, T, time_panels + 1),
+                                 order=10)
     prof = profile(svals)
 
     # fwd[i, q] = C(n_i) e^{-s_q n_i^2 E2(n_i)}: shape (nm, Q, m, d2)
-    fwd = np.array([np.einsum("ij,qjk->qik", C[int(n)],
-                              _expm_traj(cache, int(n), svals * n * n))
-                    for n in modes]).reshape(nm, len(svals), m, d2)
+    fwd = C[:, None] @ basis.expm(np.outer(rates, svals))
     # rows (n, i) of the family, columns (s_q, channel)
     fam = fwd.transpose(0, 3, 1, 2).reshape(nm * d2, -1)
     tint = (fam.conj() * np.repeat(swts * prof, m)) @ fam.T
@@ -464,6 +387,7 @@ def parabolic_moment_control(sys: SystemMatrices, branches: dict,
     gram = 0.5 * (gram + gram.conj().T)
 
     rhs = np.zeros(nm * d2, dtype=complex)
+    EnT = basis.expm(T * rates[:, None])[:, 0].conj().transpose(0, 2, 1)
     for i, n in enumerate(modes):
         n = int(n)
         if target_pairings is not None:
@@ -472,8 +396,7 @@ def parabolic_moment_control(sys: SystemMatrices, branches: dict,
             continue
         fn = f0p.get(n)
         vec = branches[n].G.conj().T @ fn[:d1] + fn[d1:]
-        EnT = _expm_cached(cache, n, T * n * n).conj().T
-        rhs[i * d2:(i + 1) * d2] = -(EnT @ vec)
+        rhs[i * d2:(i + 1) * d2] = -(EnT[i] @ vec)
 
     eigs = np.linalg.eigvalsh(gram)
     min_eig = float(eigs[0])
@@ -493,8 +416,7 @@ def parabolic_moment_control(sys: SystemMatrices, branches: dict,
             f"{cond_max:.0e}; reduce N or enlarge T")
     Vsol = np.linalg.solve(gram_scaled, rhs / dscale) / dscale
 
-    u = _emit_modes(modes, cache, np.array([C[int(n)] for n in modes]),
-                    modes.astype(float) ** 2, Vsol.reshape(nm, d2), T,
+    u = _emit_modes(modes, basis, C, rates, Vsol.reshape(nm, d2), T,
                     (0.0, T), np.linspace(0.0, T, 129), weight, f0p.nmax,
                     omega, profile=profile)
     problem = MomentProblem(N=N, T=T, modes=modes, E2=E2, gram=gram,
@@ -639,33 +561,36 @@ class HUMReport:
     target_dim: int
 
 
-def _block_observations(sys, branches, block: DualBlock, T, taus):
-    """Unmasked observations v_j(tau_q) in C^m: array (K, Q, m)."""
-    m = sys.m
-    out = np.zeros((len(block.entries), len(taus), m), dtype=complex)
+def _block_modes(sys, branches, block: DualBlock):
+    """(modes, basis, obs, rates) of a dual block: its distinct modes in
+    increasing order, the ModeBasis of their generators G_k, and the
+    observation matrices (K, m, dg) and time rates for which an entry
+    (modes[k], vec) observes obs[k] e^{-s rates[k] G_k} vec at time to
+    go s."""
+    modes = np.array(sorted({n for n, _ in block.entries}), dtype=int)
     if block.kind == "full":
-        gens = {}
-        for n, _ in block.entries:
-            if n not in gens:
-                gens[n] = mode_generator(sys, n, adjoint=True)
-        cache = _eig_cache(gens)
-        Mh = sys.M.conj().T
-        for j, (n, psi) in enumerate(block.entries):
-            traj = _dual_traj(cache, n, T - taus, psi)
-            out[j] = traj @ Mh.T
+        gens = [mode_generator(sys, int(n), adjoint=True) for n in modes]
+        obs = np.broadcast_to(sys.M.conj().T, (len(modes), sys.m, sys.d))
+        rates = np.ones(len(modes))
     elif block.kind == "parabolic":
-        E2, C = {}, {}
-        for n, _ in block.entries:
-            if n not in E2:
-                E2[n] = build_E2(sys, branches, n)
-                C[n] = observation_matrix(sys, branches, n)
-        cache = _eig_cache(E2)
-        for j, (n, phi2) in enumerate(block.entries):
-            traj = _dual_traj(cache, n, (T - taus) * n * n, phi2)
-            out[j] = traj @ C[n].T
+        gens = [build_E2(sys, branches, int(n)) for n in modes]
+        obs = np.array([observation_matrix(sys, branches, int(n))
+                        for n in modes]).reshape(len(modes), sys.m, sys.d2)
+        rates = modes.astype(float) ** 2
     else:
         raise ValueError(f"unknown dual kind {block.kind!r}")
-    return out
+    return modes, ModeBasis(gens), obs, rates
+
+
+def _block_observations(block: DualBlock, setup, T, taus):
+    """Unmasked observations v_j(tau_q) in C^m: array (J, Q, m).  The
+    observed propagators are formed per mode; entries are linear in their
+    vectors."""
+    modes, basis, obs, rates = setup
+    per_mode = obs[:, None] @ basis.expm(np.outer(rates, T - taus))
+    k = np.searchsorted(modes, [n for n, _ in block.entries])
+    vecs = np.array([vec for _, vec in block.entries])
+    return (per_mode[k] @ vecs[:, None, :, None])[..., 0]
 
 
 def _pairings(sys, branches, block: DualBlock, state: FourierState):
@@ -691,22 +616,22 @@ def _joint_solve(sys, branches, blocks, targets, T, weight, nmax, omega,
     v_k dtau; for a single block it is the Gram matrix of the weighted
     observations (Hermitian positive semidefinite).
     """
-    quad, obs_col = [], []
-    for blk in blocks:
-        taus, wts, edges = _gl_grid(*blk.window, blk.time_panels)
-        quad.append((taus, wts, edges))
-        obs_col.append(_block_observations(sys, branches, blk, T, taus))
+    setups = [_block_modes(sys, branches, blk) for blk in blocks]
+    edges = [np.linspace(*blk.window, blk.time_panels + 1) for blk in blocks]
+    quad = [gauss_legendre(e) for e in edges]
+    obs_col = [_block_observations(blk, setup, T, taus)
+               for blk, setup, (taus, _) in zip(blocks, setups, quad)]
 
     sizes = [len(b.entries) for b in blocks]
     offs = np.concatenate(([0], np.cumsum(sizes)))
     J = np.zeros((offs[-1], offs[-1]), dtype=complex)
     for bj, blk_col in enumerate(blocks):
-        taus, wts, _ = quad[bj]
+        taus, wts = quad[bj]
         Vc = obs_col[bj] * blk_col.mask[None, None, :]
         cols = [n for n, _ in blk_col.entries]
         for bi, blk_row in enumerate(blocks):
             Vr = (obs_col[bj] if bi == bj
-                  else _block_observations(sys, branches, blk_row, T, taus))
+                  else _block_observations(blk_row, setups[bi], T, taus))
             tint = np.einsum("q,jqa,kqa->jk", wts, Vr.conj(), Vc)
             rows = [n for n, _ in blk_row.entries]
             J[offs[bi]:offs[bi + 1], offs[bj]:offs[bj + 1]] = (
@@ -727,34 +652,21 @@ def _joint_solve(sys, branches, blocks, targets, T, weight, nmax, omega,
     lam = np.linalg.solve(Js, c / dscale) / dscale
 
     controls = [
-        _emit_block(sys, branches, blk, lam[offs[b]:offs[b + 1]], T,
-                    weight, nmax, omega, quad[b][2])
+        _emit_block(blk, setups[b], lam[offs[b]:offs[b + 1]], T, weight,
+                    nmax, omega, edges[b])
         for b, blk in enumerate(blocks)]
     return controls, J, lam, eigs, cond
 
 
-def _emit_block(sys, branches, blk: DualBlock, lam, T, weight, nmax,
-                omega, edges):
+def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, omega, edges):
     """u = rho2 sum_j lambda_j (mask v_j) e^{i n_j x} on the block's
-    window; entries sharing a mode are summed before propagation."""
-    modes = np.array(sorted({n for n, _ in blk.entries}), dtype=int)
-    where = {int(n): k for k, n in enumerate(modes)}
-    full = blk.kind == "full"
-    vecs = np.zeros((len(modes), sys.d if full else sys.d2), dtype=complex)
+    window, for the block's _block_modes setup; entries sharing a mode
+    are summed before propagation."""
+    modes, basis, obs, rates = setup
+    vecs = np.zeros((len(modes), obs.shape[2]), dtype=complex)
     for (n, vec), lj in zip(blk.entries, lam):
-        vecs[where[n]] += lj * vec
-    if full:
-        cache = _eig_cache({int(n): mode_generator(sys, int(n), adjoint=True)
-                            for n in modes})
-        obs = np.broadcast_to(sys.M.conj().T, (len(modes), sys.m, sys.d))
-        rates = np.ones(len(modes))
-    else:
-        cache = _eig_cache({int(n): build_E2(sys, branches, int(n))
-                            for n in modes})
-        obs = np.array([observation_matrix(sys, branches, int(n))
-                        for n in modes]).reshape(len(modes), sys.m, sys.d2)
-        rates = modes.astype(float) ** 2
-    return _emit_modes(modes, cache, obs, rates, vecs, T, blk.window,
+        vecs[np.searchsorted(modes, n)] += lj * vec
+    return _emit_modes(modes, basis, obs, rates, vecs, T, blk.window,
                        np.asarray(edges, dtype=float), weight, nmax, omega,
                        mask=blk.mask)
 

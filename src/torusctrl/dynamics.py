@@ -2,12 +2,14 @@
 
 Conventions: f(x) = sum_n fhat(n) e^{inx} and ||f||^2_{L2} = 2 pi
 sum_n |fhat(n)|^2.  The mode-n generator is n^2 E(i/n) for n != 0 and K
-for n = 0 (the formal limit).  Time integrals in the Duhamel formula use
-per-panel Gauss-Legendre of order 8 with panels aligned to the control's
-time nodes.
+for n = 0 (the formal limit).  Every per-mode semigroup e^{-s G_n} is
+evaluated by ModeBasis.  Time integrals in the Duhamel formula use
+per-panel Gauss-Legendre of order 8 (gauss_legendre) with panels aligned
+to the control's time nodes.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -17,9 +19,10 @@ from .spectral import eval_symbol
 from . import kernels
 
 __all__ = [
-    "FourierState", "ControlSignal", "decompose", "mode_propagator",
-    "evolve", "evolve_adjoint", "sobolev_norm", "h_minus1_tail_norm",
-    "windowed_l2_norm", "project_branch", "project_low", "synth_grid",
+    "FourierState", "ControlSignal", "ModeBasis", "gauss_legendre",
+    "decompose", "mode_propagator", "evolve", "evolve_adjoint",
+    "sobolev_norm", "h_minus1_tail_norm", "windowed_l2_norm",
+    "project_branch", "project_low", "synth_grid",
 ]
 
 # eigendecomposition error scales like eps * cond(V); keep the fast eig
@@ -180,6 +183,97 @@ class ControlSignal:
         return (1.0 - lam) * self.values[i] + lam * self.values[i + 1]
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(order):
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(edges, order=GL_ORDER):
+    """Composite Gauss-Legendre rule of the given order on the panels
+    between consecutive edges: (taus, wts), panel by panel."""
+    x, w = _legendre_rule(order)
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+class ModeBasis:
+    """The semigroups e^{-s G_k} of a stack of generators G, shape (K, d, d).
+
+    One stacked eigendecomposition is taken at construction.  Mode k takes
+    the eig path V_k e^{-s w_k} V_k^{-1} when cond(V_k) < EIG_COND_MAX, and
+    scaling and squaring (scipy.linalg.expm) otherwise; eig[k] records
+    the path.  All eig-path modes are evaluated in one stacked product and
+    all expm-path modes in one batched expm call.  Scales are (K, Q)
+    arrays, or anything that broadcasts to one: (Q,) shares the scales
+    across modes, (K, 1) gives one scale per mode.
+    """
+
+    def __init__(self, gens):
+        self.gens = np.asarray(gens, dtype=complex)
+        w, V = np.linalg.eig(self.gens)
+        self.eig = np.linalg.cond(V) < EIG_COND_MAX
+        self._fast = np.flatnonzero(self.eig)
+        self._slow = np.flatnonzero(~self.eig)
+        self._negw, self._V = -w[self._fast], V[self._fast]
+        self._Vinv = np.linalg.inv(self._V)
+
+    def _scales(self, scales):
+        return np.zeros((len(self.gens), 1)) + scales
+
+    def _decay(self, s):
+        """e^{-s w} of the eig-path modes: (Ke, Q, d)."""
+        return np.exp(s[self._fast, :, None] * self._negw[:, None, :])
+
+    def _expm_slow(self, s):
+        """e^{-s G} of the expm-path modes: (Ks, Q, d, d)."""
+        return scipy.linalg.expm(-s[self._slow, :, None, None]
+                                 * self.gens[self._slow, None])
+
+    def expm(self, scales):
+        """e^{-scales[k, q] G_k}: array (K, Q, d, d)."""
+        s = self._scales(scales)
+        out = np.empty(s.shape + self.gens.shape[1:], dtype=complex)
+        if len(self._fast):
+            out[self._fast] = ((self._V[:, None] * self._decay(s)[:, :, None])
+                               @ self._Vinv[:, None])
+        if len(self._slow):
+            out[self._slow] = self._expm_slow(s)
+        return out
+
+    def action(self, vecs, obs=None):
+        """The map scales -> obs[k] e^{-scales[k, q] G_k} vecs[k], an array
+        (K, Q, m), for vecs of shape (K, d), or (K, Q, d) with one vector
+        per scale, and observations obs of shape (K, m, d) (the identity
+        when None).  The factors that do not depend on the scales,
+        obs_k V_k and V_k^{-1} vecs_k, are formed once."""
+        K, d = self.gens.shape[:2]
+        vecs = np.asarray(vecs, dtype=complex)[..., None]
+        if vecs.ndim == 3:
+            vecs = vecs[:, None]
+        if obs is None:
+            obs = np.broadcast_to(np.eye(d), (K, d, d))
+        lead = obs[self._fast, None] @ self._V[:, None]
+        coef = self._Vinv[:, None] @ vecs[self._fast]
+        slow_obs, slow_vecs = obs[self._slow, None], vecs[self._slow]
+
+        def at(scales):
+            s = self._scales(scales)
+            out = np.empty(s.shape + obs.shape[1:2], dtype=complex)
+            if len(self._fast):
+                out[self._fast] = (
+                    lead @ (self._decay(s)[..., None] * coef))[..., 0]
+            if len(self._slow):
+                out[self._slow] = (
+                    slow_obs @ self._expm_slow(s) @ slow_vecs)[..., 0]
+            return out
+
+        return at
+
+
 def mode_generator(sys: SystemMatrices, n: int, adjoint=False):
     """n^2 E(i/n) for n != 0, K for n = 0; conjugate-transposed when
     adjoint."""
@@ -192,8 +286,7 @@ def mode_generator(sys: SystemMatrices, n: int, adjoint=False):
 
 def mode_propagator(sys: SystemMatrices, n: int, t: float, adjoint=False,
                     allow_negative=False):
-    """exp(-t * generator(n)) via eigendecomposition when well conditioned,
-    else scaling and squaring.
+    """exp(-t * generator(n)), by ModeBasis.
 
     Negative t is only legal on hyperbolic-branch data; callers must pass
     allow_negative=True to assert that.
@@ -201,21 +294,12 @@ def mode_propagator(sys: SystemMatrices, n: int, t: float, adjoint=False,
     if t < 0 and not allow_negative:
         raise ValueError("negative time needs hyperbolic-branch data "
                          "(pass allow_negative=True)")
-    G = mode_generator(sys, n, adjoint=adjoint)
-    w, V = np.linalg.eig(G)
-    if np.linalg.cond(V) < EIG_COND_MAX:
-        arg = -w * t
-        if np.max(arg.real) > 700.0:
-            raise OverflowError(
-                f"propagator overflow at mode {n}, t = {t}")
-        return (V * np.exp(arg)) @ np.linalg.inv(V)
-    return scipy.linalg.expm(-t * G)
-
-
-def _gl_nodes(a, b, order=GL_ORDER):
-    x, w = np.polynomial.legendre.leggauss(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    basis = ModeBasis([mode_generator(sys, n, adjoint=adjoint)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = basis.expm(t)[0, 0]
+    if not np.all(np.isfinite(P)):
+        raise OverflowError(f"propagator overflow at mode {n}, t = {t}")
+    return P
 
 
 def _mask_coeffs(coeffs, nmax, omega: TorusSubset):
@@ -248,58 +332,31 @@ def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
             raise ValueError("control truncation differs from state")
 
     # precompute masked, M-mapped source coefficients at quadrature nodes
-    taus, wts = [], []
     if u is not None:
         edges = np.unique(np.clip(u.time_nodes, 0.0, T))
         if edges[-1] < T:
             edges = np.append(edges, T)
-        for a, b in zip(edges[:-1], edges[1:]):
-            x, w = _gl_nodes(a, b)
-            taus.extend(x)
-            wts.extend(w)
-        taus = np.array(taus)
-        wts = np.array(wts)
-        src = np.empty((len(taus), 2 * nmax + 1, d), dtype=complex)
+        taus, wts = gauss_legendre(edges)
+        src = np.empty((2 * nmax + 1, len(taus), d), dtype=complex)
         for i, tau in enumerate(taus):
             uc = u.at(tau)
             if apply_mask and u.omega is not None:
                 uc = _mask_coeffs(uc, nmax, u.omega)
-            src[i] = uc @ sys.M.T
+            src[:, i] = uc @ sys.M.T
 
     if sample_times is None:
         sample_times = [T] if not return_trajectory else list(
             np.linspace(0.0, T, 33))
     sample_times = np.asarray(sample_times, dtype=float)
 
-    states = [FourierState.zeros(nmax, d) for _ in sample_times]
-    for n in range(-nmax, nmax + 1):
-        G = mode_generator(sys, n)
-        w, V = np.linalg.eig(G)
-        use_eig = np.linalg.cond(V) < EIG_COND_MAX
-        Vinv = np.linalg.inv(V) if use_eig else None
-
-        def prop(dt):
-            if dt == 0.0:
-                return np.eye(d)
-            if use_eig:
-                return (V * np.exp(-w * dt)) @ Vinv
-            return scipy.linalg.expm(-dt * G)
-
-        f0n = f0.get(n)
-        if u is not None and use_eig:
-            stil = src[:, n + nmax, :] @ Vinv.T  # (Q, d) in eigen coords
+    basis = ModeBasis([mode_generator(sys, n) for n in f0.modes])
+    traj = basis.action(f0.coeffs)(sample_times)
+    if u is not None:
         for k, t in enumerate(sample_times):
-            acc = prop(t) @ f0n
-            if u is not None:
-                sel = taus <= t + 1e-14
-                if use_eig:
-                    decay = np.exp(-np.outer(t - taus[sel], w))
-                    acc = acc + V @ np.sum(
-                        wts[sel, None] * decay * stil[sel], axis=0)
-                else:
-                    for tau, wt, s in zip(taus[sel], wts[sel], src[sel]):
-                        acc = acc + wt * (prop(t - tau) @ s[n + nmax])
-            states[k].set(n, acc)
+            sel = taus <= t + 1e-14
+            duhamel = basis.action(src[:, sel])(t - taus[sel])
+            traj[:, k] += np.einsum("q,nqi->ni", wts[sel], duhamel)
+    states = [FourierState(nmax, c) for c in traj.transpose(1, 0, 2).copy()]
     if return_trajectory:
         return sample_times, states
     return states[-1]
@@ -313,11 +370,12 @@ def evolve_adjoint(sys: SystemMatrices, g0: FourierState, T: float,
         sample_times = [T] if not return_trajectory else list(
             np.linspace(0.0, T, 33))
     sample_times = np.asarray(sample_times, dtype=float)
-    states = [FourierState.zeros(nmax, sys.d) for _ in sample_times]
-    for n in range(-nmax, nmax + 1):
-        g0n = g0.get(n)
-        for k, t in enumerate(sample_times):
-            states[k].set(n, mode_propagator(sys, n, t, adjoint=True) @ g0n)
+    if np.any(sample_times < 0):
+        raise ValueError("adjoint evolution runs forward: times must be >= 0")
+    basis = ModeBasis([mode_generator(sys, n, adjoint=True)
+                       for n in g0.modes])
+    traj = basis.action(g0.coeffs)(sample_times)
+    states = [FourierState(nmax, c) for c in traj.transpose(1, 0, 2).copy()]
     if return_trajectory:
         return sample_times, states
     return states[-1]

@@ -1,65 +1,10 @@
-"""Hot numerical kernels, numba-jitted with a pure-numpy fallback.
-
-Set TORUSCTRL_DISABLE_NUMBA=1 before import to force the numpy path
-(useful for debugging and for the benchmark in benchmarks/).
-"""
-
-import os
+"""Fourier synthesis on arbitrary points, in dense numpy."""
 
 import numpy as np
 
-_DISABLED = os.environ.get("TORUSCTRL_DISABLE_NUMBA", "0") not in ("0", "")
-
+# no jitted path exists; the flag stays because run provenance records
+# which kernel path ran
 USING_NUMBA = False
-if not _DISABLED:
-    try:
-        from numba import njit
-        USING_NUMBA = True
-    except ImportError:
-        pass
-
-
-def _synthesize_py(coeffs, ns, xs):
-    # coeffs: (nmodes, d), ns: (nmodes,), xs: (ngrid,) -> (ngrid, d)
-    phases = np.exp(1j * np.outer(xs, ns))
-    return phases @ coeffs
-
-
-def _gram_phase_py(ns, ks, weights, xs):
-    # S[a, b] = sum_j w_j exp(i (ks[b] - ns[a]) xs[j])
-    en = np.exp(-1j * np.outer(ns, xs))
-    ek = np.exp(1j * np.outer(ks, xs))
-    return en @ (weights[:, None] * ek.T)
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _synthesize_nb(coeffs, ns, xs):
-        ngrid = xs.shape[0]
-        nmodes, d = coeffs.shape
-        out = np.zeros((ngrid, d), dtype=np.complex128)
-        for j in range(ngrid):
-            for a in range(nmodes):
-                ph = np.exp(1j * ns[a] * xs[j])
-                for c in range(d):
-                    out[j, c] += ph * coeffs[a, c]
-        return out
-
-    @njit(cache=True)
-    def _gram_phase_nb(ns, ks, weights, xs):
-        na = ns.shape[0]
-        nb = ks.shape[0]
-        ngrid = xs.shape[0]
-        en = np.empty((na, ngrid), dtype=np.complex128)
-        for a in range(na):
-            for j in range(ngrid):
-                en[a, j] = np.exp(-1j * ns[a] * xs[j])
-        ekw = np.empty((ngrid, nb), dtype=np.complex128)
-        for j in range(ngrid):
-            for b in range(nb):
-                ekw[j, b] = weights[j] * np.exp(1j * ks[b] * xs[j])
-        return np.dot(en, ekw)
 
 
 def synthesize(coeffs, ns, xs):
@@ -67,24 +12,7 @@ def synthesize(coeffs, ns, xs):
 
     coeffs is (nmodes, d) complex, returns (ngrid, d) complex.
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    ns = np.ascontiguousarray(ns, dtype=np.float64)
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    if USING_NUMBA:
-        return _synthesize_nb(coeffs, ns, xs)
-    return _synthesize_py(coeffs, ns, xs)
-
-
-def gram_phase_matrix(ns, ks, weights, xs):
-    """Weighted phase sums S[a,b] = sum_j w_j e^{i(ks[b]-ns[a]) xs[j]}.
-
-    Discrete form of the spatial factor int rho2(x) e^{i(k-n)x} dx that
-    appears in the moment-problem Gram blocks.
-    """
-    ns = np.ascontiguousarray(ns, dtype=np.float64)
-    ks = np.ascontiguousarray(ks, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    if USING_NUMBA:
-        return _gram_phase_nb(ns, ks, weights, xs)
-    return _gram_phase_py(ns, ks, weights, xs)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    phases = np.exp(1j * np.outer(np.asarray(xs, dtype=np.float64),
+                                  np.asarray(ns, dtype=np.float64)))
+    return phases @ coeffs

@@ -127,38 +127,45 @@ class ObstructionWitness:
     Phmu_table: dict  # n -> (Phmu(i/n), Rhmu(i/n)) for the chosen mu
     T: float
 
+    def __post_init__(self):
+        # per live mode of chiN (a_n != 0, n != 0), stacked once: Rhmu(i/n)*
+        # and the start vector Phmu(i/n)* phi0
+        modes = self.chiN.modes
+        self._live = np.where((self.chiN.coeffs[:, 0] != 0) & (modes != 0))[0]
+        missing = [int(n) for n in modes[self._live]
+                   if int(n) not in self.Phmu_table]
+        if missing:
+            raise KeyError(
+                f"branch table missing modes {missing}; the highpass order "
+                "N must be at least the frequency cutoff n0")
+        d = self.sys.d
+        pairs = [self.Phmu_table[int(n)] for n in modes[self._live]]
+        self._Rstar = np.array([Rm.conj().T for _, Rm in pairs]
+                               ).reshape(-1, d, d)
+        self._start = np.array([Pm.conj().T @ self.phi0 for Pm, _ in pairs]
+                               ).reshape(-1, d)
+
     def gN_coeffs(self, t):
         """Exact adjoint-solution coefficients at time t."""
-        d = self.sys.d
-        out = dynamics.FourierState.zeros(self.chiN.nmax, d)
-        for i, n in enumerate(self.chiN.modes):
-            a = self.chiN.coeffs[i, 0]
-            if a == 0 or n == 0:
-                continue
-            if int(n) not in self.Phmu_table:
-                raise KeyError(
-                    f"branch table missing mode {n}; the highpass order N "
-                    "must be at least the frequency cutoff n0")
-            Pm, Rm = self.Phmu_table[int(n)]
-            vec = _expm(t * Rm.conj().T) @ (Pm.conj().T @ self.phi0)
-            out.coeffs[i] = a * np.exp(1j * self.mu * n * t) * vec
+        out = dynamics.FourierState.zeros(self.chiN.nmax, self.sys.d)
+        i = self._live
+        vecs = (scipy.linalg.expm(t * self._Rstar)
+                @ self._start[..., None])[..., 0]
+        phase = np.exp(1j * self.mu * self.chiN.modes[i] * t)
+        out.coeffs[i] = (self.chiN.coeffs[i, 0] * phase)[:, None] * vecs
         return out
 
     def gNtilde_coeffs(self, t):
         """Pure-transport comparison profile at time t."""
         d = self.sys.d
         out = dynamics.FourierState.zeros(self.chiN.nmax, d)
-        vec = _expm(t * self.Rhmu0.conj().T) @ self.phi0
+        vec = scipy.linalg.expm(t * self.Rhmu0.conj().T) @ self.phi0
         for i, n in enumerate(self.chiN.modes):
             a = self.chiN.coeffs[i, 0]
             if a == 0:
                 continue
             out.coeffs[i] = a * np.exp(1j * self.mu * n * t) * vec
         return out
-
-
-def _expm(m):
-    return scipy.linalg.expm(m)
 
 
 def _slowest_speed(sys):

@@ -12,13 +12,12 @@ E1(z) = E(z) Ph(z) / z (Kato's reduction process).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import SystemMatrices
 
 __all__ = [
     "SpectralBranch", "BranchConstants", "eval_symbol", "separation_radius",
-    "projection_split", "hyperbolic_branches", "graph_map", "branch_constants",
+    "projection_split", "hyperbolic_branches", "graph_map",
     "build_branch_table", "limit_projections",
 ]
 
@@ -70,16 +69,11 @@ def _resolvent_projection(mat, center, radius, tol=CONTOUR_TOL):
 @dataclass(frozen=True)
 class BranchConstants:
     """Global branch-splitting data: separation radius r, frequency cutoff
-    n0 (1/n0 < r), contour radius R, and sampled decay/boundedness
-    constants for the two branches."""
+    n0 (1/n0 < r) and contour radius R."""
 
     r: float
     n0: int
     R: float
-    Kp: float = np.nan
-    cp: float = np.nan
-    Kh: float = np.nan
-    ch: float = np.nan
 
 
 @dataclass(frozen=True)
@@ -253,49 +247,6 @@ def remainder_at_zero(sys: SystemMatrices, R: float, n_base=512):
         P2, R2 = out[2][mu]
         result[mu] = (2.0 * P2 - P1, 2.0 * R2 - R1)
     return result
-
-
-def branch_constants(sys: SystemMatrices, r: float, n0: int) -> BranchConstants:
-    """Estimate (Kp, cp, Kh, ch) on a sampled grid of |z| <= 1/n0.
-
-    cp is half the minimal real part of the parabolic eigenvalue group
-    over the sample; Kp the observed sup of e^{cp tau} ||e^{-E(z) tau} Pp||.
-    ch is the proof's c_mu = max ||Rhmu(z)|| over the sample, Kh the max
-    of sum_mu ||Phmu(z)||.  These are finite-sample estimates, not
-    certified bounds.
-    """
-    R = 0.5 * float(np.min(np.abs(np.linalg.eigvals(sys.D))))
-    zs = [0.0]
-    for n in (n0, 2 * n0, 4 * n0, 16 * n0):
-        zs.extend([1j / n, -1j / n, 0.7j / n + 0.3 / n])
-    taus = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]
-    re_min = np.inf
-    ch = 0.0
-    Kh = 1.0
-    splits = []
-    for z in zs:
-        Ph, Pp = projection_split(sys, z, R)
-        splits.append((z, Pp))
-        w = np.linalg.eigvals(eval_symbol(sys, z))
-        par = w[np.abs(w) > R]
-        if par.size:
-            re_min = min(re_min, float(np.min(par.real)))
-        if z != 0.0:
-            branches = hyperbolic_branches(sys, z, Ph)
-            ch = max(ch, max(np.linalg.norm(Rm, ord=2)
-                             for _, Rm in branches.values()))
-            Kh = max(Kh, sum(np.linalg.norm(Pm, ord=2)
-                             for Pm, _ in branches.values()))
-    if not re_min > 0:
-        raise ValueError("parabolic branch not uniformly decaying on sample")
-    cp = 0.5 * re_min
-    Kp = 1.0
-    for z, Pp in splits:
-        E = eval_symbol(sys, z)
-        for tau in taus:
-            nrm = np.linalg.norm(scipy.linalg.expm(-E * tau) @ Pp, ord=2)
-            Kp = max(Kp, nrm * np.exp(cp * tau))
-    return BranchConstants(r=r, n0=n0, R=R, Kp=Kp, cp=cp, Kh=Kh, ch=ch)
 
 
 def build_branch_table(sys: SystemMatrices, consts: BranchConstants,

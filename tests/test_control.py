@@ -10,7 +10,8 @@ from torusctrl.control import (smoothstep, window_fn, rho1, plateau_weight,
                                parabolic_moment_control, lebeau_robbiano,
                                hum_gramian_control, full_pipeline)
 from torusctrl.dynamics import (evolve, project_branch, FourierState,
-                                mode_generator, synth_grid, EIG_COND_MAX)
+                                mode_generator, synth_grid, ModeBasis,
+                                EIG_COND_MAX)
 from torusctrl import spectral
 from conftest import (nscl_system, moving_wave_system,
                       decoupled_heat_system, random_state, HALF_TORUS)
@@ -313,8 +314,8 @@ class TestEmission:
                    + 1j * rng.standard_normal(len(blk.entries)))
             t0, t1 = blk.window
             edges = np.linspace(t0, t1, 5)
-            u = ctl._emit_block(sys, branches, blk, lam, self.T, weight,
-                                nmax, HALF_TORUS, edges)
+            u = ctl._emit_block(blk, ctl._block_modes(sys, branches, blk),
+                                lam, self.T, weight, nmax, HALF_TORUS, edges)
             assert u.values.shape == (0, 2 * nmax + 1, sys.m)
             for t in (t0, 0.3 * t0 + 0.7 * t1, t1):
                 ref = _loop_coeffs(weight, nmax, sys.m, _block_vectors(
@@ -326,7 +327,8 @@ class TestEmission:
         # the low block above reaches the expm branch of the emitter
         mw = moving_wave_system()
         gens = {n: mode_generator(mw, n, adjoint=True) for n in (-1, 0, 1)}
-        paths = {n: e[0] for n, e in ctl._eig_cache(gens).items()}
+        basis = ModeBasis(list(gens.values()))
+        paths = dict(zip(gens, np.where(basis.eig, "eig", "expm")))
         assert paths == {-1: "expm", 0: "eig", 1: "expm"}
         _, V = np.linalg.eig(gens[1])
         assert np.linalg.cond(V) >= EIG_COND_MAX
@@ -368,8 +370,9 @@ class TestEmission:
         for sys, branches, blk in self._blocks(nscl_branches24):
             lam = (rng.standard_normal(len(blk.entries))
                    + 1j * rng.standard_normal(len(blk.entries)))
-            u = ctl._emit_block(sys, branches, blk, lam, self.T, weight,
-                                nmax, HALF_TORUS, blk.window)
+            u = ctl._emit_block(blk, ctl._block_modes(sys, branches, blk),
+                                lam, self.T, weight, nmax, HALF_TORUS,
+                                blk.window)
             t = 0.5 * sum(blk.window)
             coeffs = FourierState(nmax, u.at(t))
             synth = synth_grid(coeffs, ngrid=len(xs))[1]

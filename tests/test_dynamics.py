@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from torusctrl.algebra import TWO_PI
 from torusctrl import dynamics
-from torusctrl.dynamics import (FourierState, ControlSignal, synth_grid,
+from torusctrl.dynamics import (FourierState, ControlSignal, ModeBasis,
+                                gauss_legendre, synth_grid,
                                 analyze_grid, mode_generator,
                                 mode_propagator, evolve, evolve_adjoint,
                                 decompose, project_branch, project_low,
@@ -56,6 +57,71 @@ def test_mode_propagator_defective_generator_uses_expm():
                                   abs=1e-12)
 
 
+def _close(got, ref, rel=1e-12):
+    return np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+def _dense(gens, scales):
+    return np.array([[scipy.linalg.expm(-s * G) for s in row]
+                     for G, row in zip(gens, scales)])
+
+
+def test_mode_basis_eig_path_matches_dense_expm():
+    rng = np.random.default_rng(21)
+    gens = (rng.standard_normal((6, 3, 3))
+            + 1j * rng.standard_normal((6, 3, 3)))
+    basis = ModeBasis(gens)
+    assert basis.eig.all()
+    scales = rng.uniform(0.0, 1.5, (6, 4))
+    ref = _dense(gens, scales)
+    assert _close(basis.expm(scales), ref)
+    vecs = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    assert _close(basis.action(vecs)(scales),
+                  np.einsum("kqij,kj->kqi", ref, vecs))
+    per_scale = rng.standard_normal((6, 4, 3))
+    assert _close(basis.action(per_scale)(scales),
+                  np.einsum("kqij,kqj->kqi", ref, per_scale))
+
+
+def test_mode_basis_jordan_modes_take_expm_path():
+    # moving-wave |n| = 1 and nscl |n| = 2 are (near-)Jordan blocks
+    mw, nscl = moving_wave_system(), nscl_system()
+    gens = [mode_generator(mw, -1), mode_generator(mw, 1),
+            mode_generator(nscl, -2), mode_generator(nscl, 2),
+            mode_generator(nscl, 3)]
+    basis = ModeBasis(gens)
+    assert basis.eig.tolist() == [False, False, False, False, True]
+    scales = np.array([0.0, 0.3, 1.7])
+    ref = _dense(gens, np.broadcast_to(scales, (5, 3)))
+    assert _close(basis.expm(scales), ref)
+    vecs = np.arange(10.0).reshape(5, 2) + 1j
+    assert _close(basis.action(vecs)(scales),
+                  np.einsum("kqij,kj->kqi", ref, vecs))
+
+
+def test_evolve_adjoint_matches_dense_expm():
+    sys = nscl_system()  # modes +-2 on the expm path
+    rng = np.random.default_rng(22)
+    g0 = random_state(rng, 6, 2)
+    times = [0.0, 0.3, 1.1]
+    _, traj = evolve_adjoint(sys, g0, 1.1, sample_times=times,
+                             return_trajectory=True)
+    for t, st_ in zip(times, traj):
+        ref = np.array([scipy.linalg.expm(
+            -t * mode_generator(sys, n, adjoint=True)) @ g0.get(n)
+            for n in g0.modes])
+        assert _close(st_.coeffs, ref), t
+
+
+def test_gauss_legendre_panels_exact_on_polynomials():
+    edges = np.array([0.0, 0.1, 0.5, 2.0])
+    taus, wts = gauss_legendre(edges, order=4)
+    assert taus.shape == wts.shape == (12,)
+    assert np.all(np.diff(taus) > 0)
+    # order 4 integrates degree 7 exactly on every panel
+    assert np.sum(wts * taus ** 7) == pytest.approx(2.0 ** 8 / 8, rel=1e-14)
+
+
 def test_evolve_free_semigroup_property():
     sys = nscl_system()
     rng = np.random.default_rng(3)
@@ -75,7 +141,8 @@ def test_evolve_against_rk4_oracle():
         + 1j * rng.standard_normal((33, 2 * nmax + 1, 1))
     u = ControlSignal(time_nodes=nodes, nmax=nmax, values=vals,
                       t_window=(0.0, 0.5))
-    fT = evolve(sys, f0, u, 0.5, apply_mask=False)
+    times, traj = evolve(sys, f0, u, 0.5, apply_mask=False,
+                         return_trajectory=True, sample_times=[0.25, 0.5])
 
     def rhs(t, c):
         out = np.zeros_like(c)
@@ -89,13 +156,16 @@ def test_evolve_against_rk4_oracle():
     nsteps = 2048
     dt = 0.5 / nsteps
     for k in range(nsteps):
+        if k == nsteps // 2:
+            c_mid = c
         t = k * dt
         k1 = rhs(t, c)
         k2 = rhs(t + dt / 2, c + dt / 2 * k1)
         k3 = rhs(t + dt / 2, c + dt / 2 * k2)
         k4 = rhs(t + dt, c + dt * k3)
         c = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    assert np.linalg.norm(fT.coeffs - c) / np.linalg.norm(c) < 1e-7
+    for st_, ref in zip(traj, (c_mid, c)):
+        assert np.linalg.norm(st_.coeffs - ref) / np.linalg.norm(ref) < 1e-7
 
 
 def test_evolve_control_mask_restricts_support():

@@ -17,30 +17,3 @@ def test_synthesize_matches_direct_sum(nmax, d, seed):
     direct = np.array([[np.sum(coeffs[:, c] * np.exp(1j * ns * x))
                         for c in range(d)] for x in xs])
     assert got == pytest.approx(direct, abs=1e-10)
-
-
-def test_jit_and_numpy_paths_agree():
-    rng = np.random.default_rng(4)
-    coeffs = (rng.standard_normal((41, 2))
-              + 1j * rng.standard_normal((41, 2)))
-    ns = np.arange(-20, 21).astype(float)
-    xs = np.linspace(0, 2 * np.pi, 97, endpoint=False)
-    a = kernels.synthesize(coeffs, ns, xs)
-    b = kernels._synthesize_py(coeffs, ns, xs)
-    assert a == pytest.approx(b, abs=1e-10)
-
-    ks = np.arange(-8, 9).astype(float)
-    w = rng.random(64)
-    gx = rng.uniform(0, 2 * np.pi, 64)
-    g1 = kernels.gram_phase_matrix(ns, ks, w, gx)
-    g2 = kernels._gram_phase_py(ns, ks, w, gx)
-    assert g1 == pytest.approx(g2, abs=1e-10)
-
-
-def test_gram_phase_matrix_hermitian_on_equal_modes():
-    rng = np.random.default_rng(8)
-    ns = np.arange(-6, 7).astype(float)
-    w = rng.random(48)
-    xs = rng.uniform(0, 2 * np.pi, 48)
-    G = kernels.gram_phase_matrix(ns, ns, w, xs)
-    assert G == pytest.approx(G.conj().T, abs=1e-12)
