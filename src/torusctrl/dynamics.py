@@ -461,9 +461,10 @@ def windowed_l2_norm(times, states, window, omega: TorusSubset,
     ts = times[sel]
     if len(ts) < 2:
         raise ValueError("trajectory too sparse over the window")
-    vals = []
-    for st in [s for s, keep in zip(states, sel) if keep]:
-        v = kernels.synthesize(st.coeffs, st.modes, xs)
-        vals.append(float(np.sum(ind * np.sum(np.abs(v) ** 2, axis=1)))
-                    * TWO_PI / ngrid)
+    kept = [s for s, keep in zip(states, sel) if keep]
+    # kept states side by side as columns: one synthesis for all of them
+    cols = np.stack([st.coeffs for st in kept], axis=1)
+    v = kernels.synthesize(cols.reshape(cols.shape[0], -1), kept[0].modes, xs)
+    dens = np.sum(np.abs(v.reshape(ngrid, len(kept), -1)) ** 2, axis=2)
+    vals = ind @ dens * TWO_PI / ngrid
     return float(np.sqrt(np.trapezoid(vals, ts)))

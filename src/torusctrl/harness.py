@@ -364,10 +364,10 @@ def _exp_spectrum(scn, rng, out_dir):
     sys = scn.sys
     rows = []
     worst = np.zeros(4)
-    for _ in range(200):
-        z = (rng.uniform(0, 1.0 / consts.n0)
-             * np.exp(1j * rng.uniform(0, TWO_PI)))
-        Ph, Pp = spectral.projection_split(sys, z, consts.R)
+    zs = np.array([rng.uniform(0, 1.0 / consts.n0)
+                   * np.exp(1j * rng.uniform(0, TWO_PI)) for _ in range(200)])
+    Phs, _ = spectral.projection_split(sys, zs, consts.R)
+    for z, Ph in zip(zs, Phs):
         E = spectral.eval_symbol(sys, z)
         scale = max(np.linalg.norm(E), 1.0)
         r_idem = np.linalg.norm(Ph @ Ph - Ph)

@@ -27,43 +27,67 @@ CONTOUR_MAX_NODES = 4096
 
 
 class ContourError(RuntimeError):
-    """Contour quadrature failed to converge or hit an eigenvalue."""
+    """Contour quadrature failed to converge or hit an eigenvalue.
+
+    `members` holds the stack indices of the matrices that failed."""
+
+    def __init__(self, message, members=()):
+        super().__init__(message)
+        self.members = tuple(members)
 
 
-def eval_symbol(sys: SystemMatrices, z: complex) -> np.ndarray:
-    """E(z) = B + z A - z^2 K."""
+def eval_symbol(sys: SystemMatrices, z) -> np.ndarray:
+    """E(z) = B + z A - z^2 K; a 1-D array of z gives a (len(z), d, d)
+    stack."""
+    z = np.asarray(z)[..., None, None]
     return sys.B + z * sys.A - z * z * sys.K
 
 
-def _resolvent_projection(mat, center, radius, tol=CONTOUR_TOL):
-    """Riesz projection -(1/2 pi i) oint (mat - zeta I)^-1 d zeta over the
-    circle |zeta - center| = radius, by trapezoidal quadrature with node
-    doubling until the inter-resolution difference is below tol."""
-    d = mat.shape[0]
+def _resolvent_projection(mats, center, radius, tol=CONTOUR_TOL):
+    """Riesz projections -(1/2 pi i) oint (M - zeta I)^-1 d zeta over the
+    circle |zeta - center| = radius for every M in a (K, d, d) stack, by
+    the trapezoidal rule.
+
+    Each doubling keeps the previous node sum and adds only the odd nodes
+    of the new resolution.  Matrix k stops at the first resolution where
+    ||cur_k - prev_k||_2 < tol * max(1, ||cur_k||_2); the others go on, up
+    to CONTOUR_MAX_NODES nodes.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    K, d, _ = mats.shape
+    gap = np.abs(np.abs(np.linalg.eigvals(mats) - center) - radius)
+    bad = np.flatnonzero(np.min(gap, axis=-1) < 1e-12 * max(1.0, radius))
+    if bad.size:
+        raise ContourError("eigenvalue on the integration contour "
+                           f"(stack members {bad.tolist()})", bad)
     eye = np.eye(d)
-    w = np.linalg.eigvals(mat)
-    if np.min(np.abs(np.abs(w - center) - radius)) < 1e-12 * max(1.0, radius):
-        raise ContourError("eigenvalue on the integration contour")
 
-    def quad(m):
-        theta = 2.0 * np.pi * np.arange(m) / m
-        zeta = center + radius * np.exp(1j * theta)
-        acc = np.zeros((d, d), dtype=complex)
-        for t, ze in zip(theta, zeta):
-            acc += np.linalg.solve(mat - ze * eye, eye) * (ze - center)
-        # -(1/2 pi i) * i * (2 pi / m) * sum R(zeta) (zeta - center)
-        return -acc / m
+    def node_sum(live, j, m):
+        # sum_j (M - zeta_j I)^-1 (zeta_j - center), zeta_j on m nodes
+        zeta = center + radius * np.exp(1j * (2.0 * np.pi * j / m))
+        res = np.linalg.inv(mats[live, None] - zeta[:, None, None] * eye)
+        return np.einsum("kjab,j->kab", res, zeta - center)
 
+    out = np.empty_like(mats)
+    live = np.arange(K)
     m = CONTOUR_NODES
-    prev = quad(m)
-    while m <= CONTOUR_MAX_NODES:
+    acc = node_sum(live, np.arange(m), m)
+    # -(1/2 pi i) * i * (2 pi / m) * sum R(zeta) (zeta - center)
+    prev = -acc / m
+    while live.size and m < CONTOUR_MAX_NODES:
+        acc = acc + node_sum(live, np.arange(1, 2 * m, 2), 2 * m)
         m *= 2
-        cur = quad(m)
-        if np.linalg.norm(cur - prev, ord=2) < tol:
-            return cur
-        prev = cur
-    raise ContourError(
-        f"contour quadrature did not converge below {tol} at {m} nodes")
+        cur = -acc / m
+        done = (np.linalg.norm(cur - prev, ord=2, axis=(1, 2))
+                < tol * np.maximum(1.0, np.linalg.norm(cur, ord=2,
+                                                       axis=(1, 2))))
+        out[live[done]] = cur[done]
+        live, acc, prev = live[~done], acc[~done], cur[~done]
+    if live.size:
+        raise ContourError(
+            f"contour quadrature did not converge below {tol} (relative) "
+            f"at {m} nodes (stack members {live.tolist()})", live)
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,13 +125,9 @@ def separation_radius(sys: SystemMatrices, n0_override=None,
     radii_frac = np.linspace(0.05, 1.0, 12)
 
     def clears(r):
-        for fr in radii_frac:
-            for ph in phases:
-                z = r * fr * ph
-                w = np.linalg.eigvals(eval_symbol(sys, z))
-                if np.min(np.abs(np.abs(w) - R)) < margin:
-                    return False
-        return True
+        zs = ((r * radii_frac)[:, None] * phases).ravel()
+        w = np.linalg.eigvals(eval_symbol(sys, zs))
+        return not np.any(np.abs(np.abs(w) - R) < margin)
 
     r = 1.0
     while r >= floor:
@@ -126,14 +146,16 @@ def separation_radius(sys: SystemMatrices, n0_override=None,
     return BranchConstants(r=r, n0=n0, R=R)
 
 
-def projection_split(sys: SystemMatrices, z: complex, R: float):
+def projection_split(sys: SystemMatrices, z, R: float):
     """Hyperbolic/parabolic projection pair at z.
 
     Ph is the Riesz projection of E(z) for the eigenvalue group inside
-    |zeta| < R; Pp = I - Ph.
+    |zeta| < R; Pp = I - Ph.  A 1-D array of z gives (len(z), d, d)
+    stacks, all from one stacked quadrature.
     """
     E = eval_symbol(sys, z)
-    Ph = _resolvent_projection(E, 0.0, R)
+    Ph = _resolvent_projection(E.reshape(-1, sys.d, sys.d), 0.0, R)
+    Ph = Ph.reshape(E.shape)
     return Ph, np.eye(sys.d) - Ph
 
 
@@ -184,7 +206,7 @@ def hyperbolic_branches(sys: SystemMatrices, z: complex, Ph: np.ndarray):
             Phmu = Ph.copy()
         else:
             try:
-                Phmu = _resolvent_projection(E1, mus_, radius)
+                Phmu = _resolvent_projection(E1[None], mus_, radius)[0]
             except ContourError as exc:
                 raise ContourError(
                     f"mu-groups not separated at |z| = {abs(z):.3g}; "
@@ -223,7 +245,7 @@ def limit_projections(sys: SystemMatrices):
         proj = {mus[0]: np.eye(d1, dtype=complex)}
     else:
         gap = min(abs(a - b) for i, a in enumerate(mus) for b in mus[:i])
-        proj = {mu: _resolvent_projection(sys.Aprime, mu, gap / 3.0)
+        proj = {mu: _resolvent_projection(sys.Aprime[None], mu, gap / 3.0)[0]
                 for mu in mus}
     for mu, pm in proj.items():
         block = np.zeros((d, d), dtype=complex)
@@ -236,30 +258,33 @@ def remainder_at_zero(sys: SystemMatrices, R: float, n_base=512):
     """Richardson-extrapolated limits mu -> (Phmu(0), Rhmu(0)) from
     z = i/n_base and i/(2 n_base); the branch data is first order in z so
     the extrapolant is O(1/n^2) accurate."""
-    out = {}
-    for factor in (1, 2):
-        z = 1j / (n_base * factor)
-        Ph, _ = projection_split(sys, z, R)
-        out[factor] = hyperbolic_branches(sys, z, Ph)
+    zs = [1j / (n_base * factor) for factor in (1, 2)]
+    Ph, _ = projection_split(sys, np.array(zs), R)
+    out = [hyperbolic_branches(sys, z, P) for z, P in zip(zs, Ph)]
     result = {}
-    for mu in out[1]:
-        P1, R1 = out[1][mu]
-        P2, R2 = out[2][mu]
+    for mu in out[0]:
+        P1, R1 = out[0][mu]
+        P2, R2 = out[1][mu]
         result[mu] = (2.0 * P2 - P1, 2.0 * R2 - R1)
     return result
 
 
 def build_branch_table(sys: SystemMatrices, consts: BranchConstants,
                        nmax: int):
-    """SpectralBranch for every n0 < |n| <= nmax, keyed by n."""
-    table = {}
-    for n in range(consts.n0 + 1, nmax + 1):
-        for sign in (1, -1):
-            nn = sign * n
-            z = 1j / nn
-            Ph, Pp = projection_split(sys, z, consts.R)
-            table[nn] = SpectralBranch(
-                n=nn, Ph=Ph, Pp=Pp,
-                mu_branches=hyperbolic_branches(sys, z, Ph),
-                G=graph_map(sys, z, Pp))
-    return table
+    """SpectralBranch for every n0 < |n| <= nmax, keyed by n.
+
+    One stacked projection_split serves every mode; a ContourError names
+    the modes that failed.
+    """
+    ns = [sign * n for n in range(consts.n0 + 1, nmax + 1)
+          for sign in (1, -1)]
+    zs = [1j / nn for nn in ns]
+    try:
+        Ph, Pp = projection_split(sys, np.array(zs, dtype=complex), consts.R)
+    except ContourError as exc:
+        modes = [ns[k] for k in exc.members]
+        raise ContourError(f"modes n = {modes}: {exc}", exc.members) from exc
+    return {nn: SpectralBranch(n=nn, Ph=Ph[k], Pp=Pp[k],
+                               mu_branches=hyperbolic_branches(sys, z, Ph[k]),
+                               G=graph_map(sys, z, Pp[k]))
+            for k, (nn, z) in enumerate(zip(ns, zs))}

@@ -231,6 +231,27 @@ def test_windowed_l2_norm_full_torus_matches_parseval():
     assert got == pytest.approx(st_.norm(), rel=1e-10)
 
 
+def test_windowed_l2_norm_subset_matches_per_state_loop():
+    from torusctrl import kernels
+    from torusctrl.algebra import TorusSubset
+    rng = np.random.default_rng(4)
+    omega = TorusSubset(((0.3, 1.1), (2.0, 4.5)))
+    ts = np.linspace(0.0, 2.0, 11)
+    states = [random_state(rng, 6, 2) for _ in ts]
+    window = (0.4, 1.6)
+    got = windowed_l2_norm(ts, states, window, omega)
+    # reference: one synthesis per state kept by the window
+    xs = TWO_PI * np.arange(64) / 64
+    ind = omega.indicator(xs)
+    keep = (ts >= window[0]) & (ts <= window[1])
+    vals = [np.sum(ind * np.sum(np.abs(kernels.synthesize(
+        s.coeffs, s.modes, xs)) ** 2, axis=1)) * TWO_PI / 64
+        for s, k in zip(states, keep) if k]
+    want = np.sqrt(np.trapezoid(vals, ts[keep]))
+    assert keep.sum() == 7
+    assert got == pytest.approx(want, rel=1e-13)
+
+
 def test_control_signal_interpolation():
     nodes = np.array([0.0, 1.0])
     vals = np.zeros((2, 3, 1), dtype=complex)

@@ -122,3 +122,146 @@ def test_remainder_at_zero_extrapolation():
     Ph0, _ = limit_projections(sys)
     # Richardson from z = i/512, i/1024 leaves an O(1/n^2)-scale tail
     assert Pm0 == pytest.approx(Ph0, abs=1e-5)
+
+
+# ------------------------------------------------- stacked contour rule
+
+BUILTINS = ("damped-wave(0.5)", "moving-wave(1, 1)", "heat-memory",
+            "nscl(1, 1, 1, 2, 1)")
+
+
+def _separation_radius_loop(sys):
+    """The per-point reference for separation_radius: one eigvals per z,
+    in the same grid order, stopping at the first point inside the
+    margin."""
+    R = 0.5 * float(np.min(np.abs(np.linalg.eigvals(sys.D))))
+    phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))
+    radii_frac = np.linspace(0.05, 1.0, 12)
+
+    def clears(r):
+        for fr in radii_frac:
+            for ph in phases:
+                w = np.linalg.eigvals(eval_symbol(sys, r * fr * ph))
+                if np.min(np.abs(np.abs(w) - R)) < R / 10.0:
+                    return False
+        return True
+
+    r = 1.0
+    while not clears(r):
+        r *= 0.7
+    return r, int(np.ceil(1.0 / r)), R
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_separation_radius_matches_per_point_loop(name):
+    from torusctrl.harness import load_scenario
+    sys = load_scenario(name).sys
+    consts = separation_radius(sys)
+    assert (consts.r, consts.n0, consts.R) == _separation_radius_loop(sys)
+
+
+def test_eval_symbol_stack_matches_scalar_calls():
+    sys = nscl_system()
+    zs = np.array([0.1 + 0.05j, -0.3j, 0.02])
+    got = eval_symbol(sys, zs)
+    assert got.shape == (3, sys.d, sys.d)
+    for z, E in zip(zs, got):
+        np.testing.assert_array_equal(E, eval_symbol(sys, z))
+
+
+def _random_stack(rng, k, d, scale=0.6):
+    return scale * (rng.standard_normal((k, d, d))
+                    + 1j * rng.standard_normal((k, d, d)))
+
+
+def test_stacked_projection_matches_per_matrix_calls():
+    rng = np.random.default_rng(3)
+    mats = _random_stack(rng, 12, 3)
+    got = spectral._resolvent_projection(mats, 0.1, 0.9)
+    for M, P in zip(mats, got):
+        np.testing.assert_allclose(
+            P, spectral._resolvent_projection(M[None], 0.1, 0.9)[0],
+            rtol=0, atol=1e-13)
+        # the Riesz projection commutes with M and is idempotent
+        assert P @ P == pytest.approx(P, abs=1e-10)
+        assert P @ M == pytest.approx(M @ P, abs=1e-10)
+
+
+def test_mixed_stack_members_stop_on_their_own(monkeypatch):
+    # eigenvalue 1.02 sits just outside the unit contour, so the trapezoid
+    # rule needs thousands of nodes there; the diagonal 0.2/3 needs few
+    slow = np.array([[0.0, 1.0], [0.0, 1.02]], dtype=complex)
+    fast = np.diag([0.2, 3.0]).astype(complex)
+    inv = np.linalg.inv
+    stacks = []
+
+    def spy(a):
+        stacks.append(a.shape[0])
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    got = spectral._resolvent_projection(np.stack([fast, slow]), 0.0, 1.0)
+    monkeypatch.undo()
+    # both members at the first resolutions, then the slow one alone
+    assert stacks[:2] == [2, 2] and set(stacks[2:]) == {1}
+    assert len(stacks) > 6
+    assert got[0] == pytest.approx(np.diag([1.0, 0.0]), abs=1e-13)
+    # projection onto the eigenvalue 0 of slow: v = e1, w = (1, -1/1.02)
+    expect = np.array([[1.0, -1.0 / 1.02], [0.0, 0.0]])
+    assert got[1] == pytest.approx(expect, abs=1e-10)
+    np.testing.assert_allclose(
+        got[0], spectral._resolvent_projection(fast[None], 0.0, 1.0)[0],
+        rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("c", [1e7, 1e12])
+def test_contour_stop_is_relative_to_the_projection_norm(c):
+    # ||P|| = c/2: an absolute 1e-11 stop falls below the roundoff of the
+    # node sum (at c = 1e7 the per-node solve loop ran past the node cap
+    # and raised; the stacked sum needs c = 1e12 for that)
+    A = np.array([[1.0, c], [0.0, 3.0]], dtype=complex)
+    P = spectral._resolvent_projection(A[None], 1.0, 1.0)[0]
+    exact = np.array([[1.0, -c / 2.0], [0.0, 0.0]])
+    assert np.linalg.norm(P - exact, 2) <= 1e-10 * np.linalg.norm(exact, 2)
+
+
+def test_contour_gives_up_at_the_node_cap():
+    # eigenvalue 1.0005 needs about 60k nodes at tol 1e-11
+    near = np.array([[0.0, 0.0], [0.0, 1.0005]], dtype=complex)
+    fast = np.diag([0.2, 3.0]).astype(complex)
+    with pytest.raises(spectral.ContourError, match="4096 nodes") as exc:
+        spectral._resolvent_projection(np.stack([fast, near, fast]),
+                                       0.0, 1.0)
+    assert exc.value.members == (1,)
+
+
+def test_on_contour_eigenvalue_in_any_member_raises():
+    rng = np.random.default_rng(8)
+    mats = _random_stack(rng, 5, 2, scale=0.2)
+    mats[3] = np.diag([0.5, 1.0 + 0.0j])
+    with pytest.raises(spectral.ContourError, match="on the integration"
+                       ) as exc:
+        spectral._resolvent_projection(mats, 0.0, 1.0)
+    assert exc.value.members == (3,)
+
+
+def test_branch_table_matches_per_mode_projection_split(nscl_branches24):
+    sys, consts, branches = nscl_branches24
+    for n, br in branches.items():
+        Ph, Pp = projection_split(sys, 1j / n, consts.R)
+        np.testing.assert_allclose(br.Ph, Ph, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(br.Pp, Pp, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(br.G, graph_map(sys, 1j / n, Pp),
+                                   rtol=0, atol=1e-13)
+
+
+def test_branch_table_names_the_failing_mode():
+    # a contour radius equal to |lambda| of an eigenvalue of E(i/5) puts
+    # that eigenvalue (and its conjugate at n = -5) on the contour
+    sys = nscl_system()
+    consts = separation_radius(sys)
+    w = np.linalg.eigvals(eval_symbol(sys, 1j / 5))
+    R = float(np.abs(w[np.argmax(np.abs(w))]))
+    bad = spectral.BranchConstants(r=consts.r, n0=consts.n0, R=R)
+    with pytest.raises(spectral.ContourError, match=r"modes n = \[5, -5\]"):
+        build_branch_table(sys, bad, 8)
