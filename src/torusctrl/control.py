@@ -4,8 +4,9 @@ Four mechanisms, combined by full_pipeline:
 
 * transport_control: exact steering of the scalar transport equation
   through a space-time cut-off eta and the characteristic integrals Q_x;
-* parabolic_moment_control: Gram-matrix moment solve nulling the
-  parabolic-branch band n0 < |n| <= N at the end of a window;
+* parabolic_moment_control: moment solve nulling the parabolic-branch
+  band n0 < |n| <= N at the end of a window, posed as one parabolic
+  dual block of the shared dual-pairing solve;
 * lebeau_robbiano: dyadic active/passive schedule of moment controls
   with dissipation absorbing the cost;
 * hum_gramian_control: finite controllability Gramian on a declared
@@ -23,6 +24,9 @@ per-mode generators commute with the branch projections, so free
 evolution never mixes the low/parabolic/hyperbolic blocks and only the
 controls' spectral leakage couples them.  full_pipeline removes that
 coupling with a joint dual-pairing solve over the three families.
+_joint_solve is the one Gram assembly, conditioning check and solve:
+the moment method, the HUM Gramian and the pipeline sweeps each pose
+their families as DualBlocks and call it.
 """
 
 import warnings
@@ -328,101 +332,36 @@ class MomentProblem:
 def parabolic_moment_control(sys: SystemMatrices, branches: dict,
                              f0p: FourierState, T: float, N: int,
                              omega: TorusSubset, n0: int,
-                             weight: SpatialWeight = None,
-                             target_pairings: dict = None,
-                             time_profile="interior",
-                             time_panels=96, cond_max=1e14):
+                             weight: SpatialWeight = None, cond_max=1e14):
     """Moment-method control nulling the parabolic band n0 < |n| <= N.
 
-    Solves A V = F with blocks
+    One parabolic DualBlock, entries (n, e_j) on the window (0, T) with
+    profile rho1(s/T) of the time to go s, solved by _joint_solve:
     A_{n,k} = rho2hat(n-k) int_0^T rho1(s/T) e^{-s n^2 E2(n)*} C(n)*
               C(k) e^{-s k^2 E2(k)} ds,
-    F_n = -e^{-n^2 T E2(n)*} (G(i/n)* f01hat(n) + f02hat(n)),
-    and emits u(t, x) = rho1((T-t)/T) rho2(x)
-    sum_k C(k) e^{-k^2 (T-t) E2(k)} V_k e^{ikx}.
-    A is the Gram matrix of the family sqrt(rho1 rho2) C(k)
-    e^{-s k^2 E2(k)} e^{ikx}, hence Hermitian positive (semi)definite.
-
-    target_pairings (n -> d2 vector) overrides F_n to inject a
-    prescribed set of parabolic dual pairings at the window end instead
-    of nulling f0p; time_profile="terminal" then drops the end-of-window
-    vanishing of rho1 (a correction that must act right up to the final
-    time would otherwise pay an e^{c N sqrt(T)} amplification).
-    Returns (ControlSignal, MomentProblem).
+    F_n = -e^{-n^2 T E2(n)*} (G(i/n)* f01hat(n) + f02hat(n)) (the dual
+    pairings of the freely evolved data), and the emitted control is
+    u(t, x) = rho1((T-t)/T) rho2(x) sum_k C(k) e^{-k^2 (T-t) E2(k)} V_k
+    e^{ikx}.  Returns (ControlSignal, MomentProblem).
     """
-    d1, d2, m = sys.d1, sys.d2, sys.m
     if not n0 < N:
         raise ValueError("need n0 < N")
     if weight is None:
         weight = plateau_weight(omega)
+    kind, entries = _target_entries(sys, branches, n0, N, ("parabolic", N))
+    blk = DualBlock(kind=kind, entries=entries, window=(0.0, T),
+                    mask=np.ones(sys.m, dtype=bool), time_panels=128,
+                    profile=lambda s: rho1(s / T))
+    rhs = -_pairings(sys, branches, blk, evolve(sys, f0p, None, T))
+    (u,), gram, _, eigs, cond = _joint_solve(
+        sys, branches, [blk], [rhs], T, weight, f0p.nmax, omega,
+        cond_max=cond_max)
     modes = np.array([n for n in range(-N, N + 1) if abs(n) > n0])
     E2 = {int(n): build_E2(sys, branches, int(n)) for n in modes}
-    C = np.array([observation_matrix(sys, branches, int(n)) for n in modes])
-    basis = ModeBasis([E2[int(n)] for n in modes])
-    rates = modes.astype(float) ** 2
-    nm = len(modes)
-
-    if time_profile == "interior":
-        def profile(s):
-            return rho1(s / T)
-    elif time_profile == "terminal":
-        def profile(s):
-            # s is time-to-go: full strength at the window end, smooth
-            # vanishing toward its start
-            return smoothstep(2.0 * (1.0 - np.asarray(s) / T))
-    else:
-        raise ValueError(f"unknown time_profile {time_profile!r}")
-
-    svals, swts = gauss_legendre(np.linspace(0.0, T, time_panels + 1),
-                                 order=10)
-    prof = profile(svals)
-
-    # fwd[i, q] = C(n_i) e^{-s_q n_i^2 E2(n_i)}: shape (nm, Q, m, d2)
-    fwd = C[:, None] @ basis.expm(np.outer(rates, svals))
-    # rows (n, i) of the family, columns (s_q, channel)
-    fam = fwd.transpose(0, 3, 1, 2).reshape(nm * d2, -1)
-    tint = (fam.conj() * np.repeat(swts * prof, m)) @ fam.T
-    gram = np.kron(weight.toeplitz(modes, modes),
-                   np.ones((d2, d2))) * tint
-    gram = 0.5 * (gram + gram.conj().T)
-
-    rhs = np.zeros(nm * d2, dtype=complex)
-    EnT = basis.expm(T * rates[:, None])[:, 0].conj().transpose(0, 2, 1)
-    for i, n in enumerate(modes):
-        n = int(n)
-        if target_pairings is not None:
-            rhs[i * d2:(i + 1) * d2] = target_pairings.get(
-                n, np.zeros(d2, dtype=complex))
-            continue
-        fn = f0p.get(n)
-        vec = branches[n].G.conj().T @ fn[:d1] + fn[d1:]
-        rhs[i * d2:(i + 1) * d2] = -(EnT[i] @ vec)
-
-    eigs = np.linalg.eigvalsh(gram)
-    min_eig = float(eigs[0])
-    cond = float(eigs[-1] / max(eigs[0], 1e-300))
-    # the solve runs in the diagonally normalized basis: the rho1 and
-    # dissipation suppression spread the raw diagonal over many orders
-    # of magnitude, but that is a per-row rescaling of the dual family
-    # and says nothing about the correlation structure, which is what
-    # limits the achievable accuracy
-    dscale = np.sqrt(np.abs(np.diagonal(gram)).clip(1e-300))
-    gram_scaled = gram / np.outer(dscale, dscale)
-    eigs_s = np.linalg.eigvalsh(gram_scaled)
-    cond_scaled = float(eigs_s[-1] / max(eigs_s[0], 1e-300))
-    if not 0 < cond_scaled <= cond_max:
-        raise np.linalg.LinAlgError(
-            f"moment Gram condition {cond_scaled:.2e} beyond "
-            f"{cond_max:.0e}; reduce N or enlarge T")
-    Vsol = np.linalg.solve(gram_scaled, rhs / dscale) / dscale
-
-    u = _emit_modes(modes, basis, C, rates, Vsol.reshape(nm, d2), T,
-                    (0.0, T), np.linspace(0.0, T, 129), weight, f0p.nmax,
-                    omega, profile=profile)
-    problem = MomentProblem(N=N, T=T, modes=modes, E2=E2, gram=gram,
-                            rhs=rhs, weight=weight, cond=cond,
-                            min_eig=min_eig, cond_scaled=cond_scaled)
-    return u, problem
+    return u, MomentProblem(N=N, T=T, modes=modes, E2=E2, gram=gram,
+                            rhs=rhs, weight=weight,
+                            cond=float(eigs[-1] / max(eigs[0], 1e-300)),
+                            min_eig=float(eigs[0]), cond_scaled=cond)
 
 
 # ---------------------------------------------------------- Lebeau-Robbiano
@@ -543,6 +482,8 @@ class DualBlock:
     M* e^{-(T-tau) gen(n)*} psi.  kind "parabolic": entries
     (n, phi2 in C^d2), observation C(n) e^{-(T-tau) n^2 E2(n)} phi2
     (the same object written in the graph coordinate of Ima Pp*).
+    profile, a function of the time to go T - tau, weights the block's
+    Gram quadrature and its emitted control (None for weight 1).
     """
 
     kind: str
@@ -550,6 +491,7 @@ class DualBlock:
     window: tuple
     mask: np.ndarray
     time_panels: int = 32
+    profile: object = None
 
 
 @dataclass
@@ -612,13 +554,19 @@ def _joint_solve(sys, branches, blocks, targets, T, weight, nmax, omega,
     on the blocks' windows so the summed contribution at time T matches
     the prescribed dual pairings.
 
-    The pairing matrix J_{jk} = rho2hat(n_j - n_k) int_{W_k} v_j* mask_k
-    v_k dtau; for a single block it is the Gram matrix of the weighted
-    observations (Hermitian positive semidefinite).
+    The pairing matrix J_{jk} = rho2hat(n_j - n_k) int_{W_k} r_k(T - tau)
+    v_j* mask_k v_k dtau, with r_k the column block's profile; for a
+    single block it is the Gram matrix of the weighted observations
+    (Hermitian positive semidefinite).
     """
     setups = [_block_modes(sys, branches, blk) for blk in blocks]
     edges = [np.linspace(*blk.window, blk.time_panels + 1) for blk in blocks]
-    quad = [gauss_legendre(e) for e in edges]
+    quad = []
+    for blk, e in zip(blocks, edges):
+        taus, wts = gauss_legendre(e)
+        if blk.profile is not None:
+            wts = wts * blk.profile(T - taus)
+        quad.append((taus, wts))
     obs_col = [_block_observations(blk, setup, T, taus)
                for blk, setup, (taus, _) in zip(blocks, setups, quad)]
 
@@ -647,8 +595,8 @@ def _joint_solve(sys, branches, blocks, targets, T, weight, nmax, omega,
     cond = float(sv[0] / max(sv[-1], 1e-300))
     if refuse and not 0.0 < cond <= cond_max:
         raise np.linalg.LinAlgError(
-            f"Gramian condition {cond:.2e}: target too high-dimensional "
-            f"for this (T, omega)")
+            f"Gram condition {cond:.2e} beyond {cond_max:.0e}: target too "
+            f"high-dimensional for this (T, omega)")
     lam = np.linalg.solve(Js, c / dscale) / dscale
 
     controls = [
@@ -668,7 +616,7 @@ def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, omega, edges):
         vecs[np.searchsorted(modes, n)] += lj * vec
     return _emit_modes(modes, basis, obs, rates, vecs, T, blk.window,
                        np.asarray(edges, dtype=float), weight, nmax, omega,
-                       mask=blk.mask)
+                       profile=blk.profile, mask=blk.mask)
 
 
 def _target_entries(sys, branches, n0, nmax, target):
@@ -677,7 +625,8 @@ def _target_entries(sys, branches, n0, nmax, target):
     ("low",): canonical basis of C^d on |n| <= n0 (pairings zero iff the
     low block vanishes).  ("hyperbolic", nband): orthonormal basis of
     Ima Ph(i/n)* for n0 < |n| <= nband (pairings zero iff
-    Ph(i/n) fhat(n) = 0).
+    Ph(i/n) fhat(n) = 0).  ("parabolic", nband): canonical basis of the
+    phi2 coordinate of Ima Pp(i/n)* for n0 < |n| <= nband.
     """
     kind = target[0]
     entries = []
@@ -696,15 +645,19 @@ def _target_entries(sys, branches, n0, nmax, target):
             for j in range(int(np.sum(s > 1e-8))):
                 entries.append((n, U[:, j]))
         return "full", entries
+    if kind == "parabolic":
+        eye = np.eye(sys.d2, dtype=complex)
+        return "parabolic", [(n, eye[:, j].copy())
+                             for n in range(-target[1], target[1] + 1)
+                             if abs(n) > n0 for j in range(sys.d2)]
     raise ValueError(f"unknown target kind {kind!r}")
 
 
 def hum_gramian_control(sys: SystemMatrices, branches: dict, n0: int,
                         target, fstar: FourierState, T: float,
-                        omega: TorusSubset, component_mask=None,
-                        window=None, weight: SpatialWeight = None,
-                        Tstar=None, time_panels=32, cond_max=1e14,
-                        refuse=True):
+                        omega: TorusSubset, window=None,
+                        weight: SpatialWeight = None, Tstar=None,
+                        cond_max=1e14, refuse=True):
     """Minimum-energy control whose contribution at time T has the same
     dual pairings as fstar on the declared target subspace.
 
@@ -725,11 +678,9 @@ def hum_gramian_control(sys: SystemMatrices, branches: dict, n0: int,
             f"window length {window[1] - window[0]:.3f} <= minimal time "
             f"{Tstar:.3f}: hyperbolic Gramian expected near-singular",
             stacklevel=2)
-    mask = (np.ones(sys.m, dtype=bool) if component_mask is None
-            else np.asarray(component_mask, dtype=bool))
     kind, entries = _target_entries(sys, branches, n0, nmax, target)
-    blk = DualBlock(kind=kind, entries=entries, window=window, mask=mask,
-                    time_panels=time_panels)
+    blk = DualBlock(kind=kind, entries=entries, window=window,
+                    mask=np.ones(sys.m, dtype=bool))
     targets = [_pairings(sys, branches, blk, fstar)]
     controls, J, lam, eigs, cond = _joint_solve(
         sys, branches, [blk], targets, T, weight, nmax, omega,
@@ -773,53 +724,41 @@ def merge_controls(controls, nmax, m, T) -> ControlSignal:
 def full_pipeline(sys: SystemMatrices, branches: dict, n0: int,
                   f0: FourierState, T: float, Tprime: float,
                   omega: TorusSubset, Tstar: float = None,
-                  lr_rho=0.5, lr_delta=None, max_sweeps=5, tol=1e-9,
-                  hyperbolic_mask=None, parabolic_mask=None):
+                  max_sweeps=5):
     """Compose the three control mechanisms into a null control on (0,T).
 
     First lebeau_robbiano on (T', T) kills the bulk of the parabolic
     part of the freely evolved data.  The remaining cross-coupling
     (every control leaks into every band through its omega cut-off) is
     removed by sweeps of a joint dual-pairing solve over three families:
-    hyperbolic duals controlled on (0, T'), low modes and parabolic
-    duals over a trailing window near T (the parabolic correction uses a
-    terminal time profile there, so placing mass at high modes at time T
-    costs only the natural 1/n^2 factor).  Certificate reports the sweep
-    residual chain and the final relative norm.
+    hyperbolic duals controlled on (0, T') through the first d1 control
+    channels, low modes over a trailing window near T, and parabolic
+    duals over the same trailing window through the remaining channels
+    (all channels when the control space is not C^d).  No block carries a
+    time profile.  Sweeps stop at relative residual 1e-9, on a stall, or
+    after max_sweeps.  Certificate reports the sweep residual chain and
+    the final relative norm.
     """
     if Tstar is not None and not (Tstar < Tprime < T):
         raise ValueError(
             f"need T* < T' < T, got T* = {Tstar}, T' = {Tprime}, T = {T}")
     nmax = f0.nmax
     d1, m = sys.d1, sys.m
-    if hyperbolic_mask is None:
-        hyperbolic_mask = (np.arange(m) < d1 if m == sys.d
-                           else np.ones(m, dtype=bool))
-    if parabolic_mask is None:
-        parabolic_mask = (np.arange(m) >= d1 if m == sys.d
-                          else np.ones(m, dtype=bool))
+    split = m == sys.d
     weight = plateau_weight(omega)
     Tp = T - Tprime
-    if lr_delta is None:
-        lr_delta = Tp / 8.0
     Tlow = min(0.1 * T, Tp) / 2.0
 
-    kind_h, entries_h = _target_entries(sys, branches, n0, nmax,
-                                        ("hyperbolic", nmax))
-    kind_0, entries_0 = _target_entries(sys, branches, n0, nmax, ("low",))
-    eye2 = np.eye(sys.d2, dtype=complex)
-    entries_p = [(n, eye2[:, j].copy())
-                 for n in range(-nmax, nmax + 1) if abs(n) > n0
-                 for j in range(sys.d2)]
-    blocks = [
-        DualBlock(kind=kind_h, entries=entries_h, window=(0.0, Tprime),
-                  mask=np.asarray(hyperbolic_mask, dtype=bool)),
-        DualBlock(kind=kind_0, entries=entries_0, window=(T - Tlow, T),
-                  mask=np.ones(m, dtype=bool)),
-        DualBlock(kind="parabolic", entries=entries_p,
-                  window=(T - Tlow, T),
-                  mask=np.asarray(parabolic_mask, dtype=bool)),
-    ]
+    blocks = []
+    for target, window, mask in (
+            (("hyperbolic", nmax), (0.0, Tprime),
+             np.arange(m) < d1 if split else np.ones(m, dtype=bool)),
+            (("low",), (T - Tlow, T), np.ones(m, dtype=bool)),
+            (("parabolic", nmax), (T - Tlow, T),
+             np.arange(m) >= d1 if split else np.ones(m, dtype=bool))):
+        kind, entries = _target_entries(sys, branches, n0, nmax, target)
+        blocks.append(DualBlock(kind=kind, entries=entries, window=window,
+                                mask=mask))
 
     controls = []
     sweep_log = []
@@ -835,7 +774,7 @@ def full_pipeline(sys: SystemMatrices, branches: dict, n0: int,
                           "h": project_branch(fT, branches, n0, "h").norm(),
                           "p": project_branch(fT, branches, n0, "p").norm(),
                           "low": project_low(fT, n0).norm()})
-        if res <= tol:
+        if res <= 1e-9:
             break
         if sweep >= 2 and res > 0.5 * sweep_log[-2]["relative_residual"]:
             path = "lr+joint-sweeps (stalled)"
@@ -845,7 +784,7 @@ def full_pipeline(sys: SystemMatrices, branches: dict, n0: int,
             fp_mid = project_branch(f_mid, branches, n0, "p")
             if fp_mid.norm() > 1e-12 * f0norm:
                 lr_controls, lr_report = lebeau_robbiano(
-                    sys, branches, fp_mid, Tp, lr_delta, lr_rho, nmax, n0,
+                    sys, branches, fp_mid, Tp, Tp / 8.0, 0.5, nmax, n0,
                     omega, weight=weight)
                 controls.extend(_shift_control(u, Tprime)
                                 for u in lr_controls)

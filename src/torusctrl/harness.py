@@ -56,6 +56,8 @@ class Scenario:
             raise ScenarioError(
                 f"unknown experiment kind {experiment!r}; "
                 f"expected one of {EXPERIMENT_KINDS}")
+        if int(nmax) < 1:
+            raise ScenarioError(f"nmax must be at least 1, got {nmax}")
         report = validate_system(sys)
         if not report.ok:
             failed = [h for h in ("h1", "h2", "h3", "h4")
@@ -187,8 +189,11 @@ def _parse_complex_matrix(section, key, text):
 
 def _load_config(path):
     cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_file(fh)
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+    except configparser.Error as e:
+        raise ScenarioError(f"{path}: {e}")
     for sec in ("system", "geometry", "experiment"):
         if sec not in cp:
             raise ScenarioError(f"{path}: missing section [{sec}]")
@@ -197,6 +202,8 @@ def _load_config(path):
         d1, d2 = int(sysec["d1"]), int(sysec["d2"])
     except KeyError as e:
         raise ScenarioError(f"[system]: missing field {e}")
+    except ValueError:
+        raise ScenarioError("[system] d1, d2: not integers")
     mats = {k: _parse_complex_matrix("system", k, sysec[k])
             for k in ("A", "D", "K", "M") if k in sysec}
     for k in ("A", "D", "K", "M"):
@@ -238,7 +245,8 @@ def load_scenario(spec_str, experiment=None, nmax=None, T=None,
     if built is not None:
         name, sys = built
         scn = Scenario(spec_str.strip(), sys, _DEFAULT_OMEGA,
-                       T=T, Tprime=Tprime, nmax=nmax or 24, n0=n0,
+                       T=T, Tprime=Tprime,
+                       nmax=nmax if nmax is not None else 24, n0=n0,
                        experiment=experiment or "simulate")
         return scn
     if os.path.exists(spec_str):

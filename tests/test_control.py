@@ -11,7 +11,7 @@ from torusctrl.control import (smoothstep, window_fn, rho1, plateau_weight,
                                hum_gramian_control, full_pipeline)
 from torusctrl.dynamics import (evolve, project_branch, FourierState,
                                 mode_generator, synth_grid, ModeBasis,
-                                EIG_COND_MAX)
+                                EIG_COND_MAX, gauss_legendre)
 from torusctrl import spectral
 from conftest import (nscl_system, moving_wave_system,
                       decoupled_heat_system, random_state, HALF_TORUS)
@@ -144,6 +144,42 @@ class TestMomentControl:
             parabolic_moment_control(sys, branches, f0p, 1.0, 8,
                                      HALF_TORUS, consts.n0,
                                      cond_max=1e1)
+
+
+    def test_gram_and_rhs_match_entry_loop(self, nscl_branches24):
+        # the moment block's Gram and right-hand side against their
+        # definitions, one entry pair at a time with dense expm
+        sys, consts, branches = nscl_branches24
+        rng = np.random.default_rng(14)
+        f0p = project_branch(random_state(rng, 24, 2), branches,
+                             consts.n0, "p")
+        T, N = 1.0, 6
+        _, mp = parabolic_moment_control(sys, branches, f0p, T, N,
+                                         HALF_TORUS, consts.n0)
+        taus, wts = gauss_legendre(np.linspace(0.0, T, 129))
+        ss = T - taus
+        d1, d2 = sys.d1, sys.d2
+        fam = {}  # (n, i) -> observations C(n) e^{-s n^2 E2(n)} e_i, (Q, m)
+        for n in (int(k) for k in mp.modes):
+            C = ctl.observation_matrix(sys, branches, n)
+            for i in range(d2):
+                fam[n, i] = np.array([
+                    C @ scipy.linalg.expm(-s * n * n * mp.E2[n])[:, i]
+                    for s in ss])
+        keys = list(fam)
+        ref = np.zeros((len(keys), len(keys)), dtype=complex)
+        for a, (n, i) in enumerate(keys):
+            for b, (k, j) in enumerate(keys):
+                ref[a, b] = mp.weight.coeff(n - k) * np.sum(
+                    wts * rho1(ss / T)
+                    * np.sum(fam[n, i].conj() * fam[k, j], axis=1))
+        assert np.linalg.norm(mp.gram - ref) <= 1e-12 * np.linalg.norm(ref)
+
+        rhs = np.concatenate([
+            -scipy.linalg.expm(-T * n * n * mp.E2[n]).conj().T
+            @ (branches[n].G.conj().T @ f0p.get(n)[:d1] + f0p.get(n)[d1:])
+            for n in (int(k) for k in mp.modes)])
+        np.testing.assert_allclose(mp.rhs, rhs, rtol=1e-12, atol=0)
 
 
 class TestLebeauRobbiano:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,37 @@ class TestConfigFiles:
         p.write_text(GOOD_CONFIG)
         scn = load_scenario(str(p), nmax=6, experiment="kalman")
         assert scn.nmax == 6 and scn.experiment == "kalman"
+
+    @pytest.mark.parametrize("text, match", [
+        ("garbage\n", "no section headers"),
+        (None, r"\[system\] d1, d2: not integers")])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, match):
+        p = tmp_path / "scn.ini"
+        p.write_text(text if text is not None
+                     else GOOD_CONFIG.replace("d1 = 1", "d1 = x"))
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", "--scenario", str(p),
+                       "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(match, err)
+        assert not out.exists()
+
+
+class TestNmax:
+
+    def test_zero_rejected_not_defaulted(self):
+        with pytest.raises(ScenarioError, match="nmax must be at least 1"):
+            load_scenario("heat-memory", nmax=0)
+        assert load_scenario("heat-memory").nmax == 24
+
+    def test_negative_refused_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = cli.main(["control", "--scenario", "heat-memory",
+                       "--nmax", "-2", "--out-dir", str(out)])
+        assert rc == 2
+        assert "nmax must be at least 1, got -2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunExperiment:
