@@ -138,12 +138,12 @@ def memory_counterexample_control(f0, T, Nmax):
     u0 = -c02[Nmax] / T
 
     def uhat(t):
-        out = np.full((2 * Nmax + 1, 1), u0, dtype=complex)
         ns = np.arange(-Nmax, Nmax + 1).astype(float)
-        w1 = ns * np.exp(-ns ** 2 * (T - t))
-        out[:, 0] = alpha * w1 + beta
-        out[Nmax, 0] = u0
-        return out
+        ts = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
+        w1 = ns * np.exp(-ns ** 2 * (T - ts))
+        out = (alpha * w1 + beta)[..., None]
+        out[:, Nmax, 0] = u0
+        return out if np.ndim(t) else out[0]
 
     # nodes graded toward t = T where w1 peaks at scale 1/Nmax^2
     back = np.geomspace(0.25 * T, T / (8.0 * Nmax ** 2), 120)

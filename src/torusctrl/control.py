@@ -277,7 +277,8 @@ def _emit_modes(modes, basis, obs, rates, vecs, T, window, nodes, weight,
     The coefficients on |n'| <= nmax are W @ V(t), with V(t) the stacked
     (K, m) per-mode vectors and W[n', k] = rho2hat(n' - k) built once.
     r is the time profile (1 when None), evaluated at the time to go
-    clipped to [0, T].
+    clipped to [0, T].  The coefficients take a float or a 1-D array of
+    times (the ControlSignal.at contract).
     """
     m = obs.shape[1]
     observe = basis.action(vecs, obs)
@@ -285,27 +286,27 @@ def _emit_modes(modes, basis, obs, rates, vecs, T, window, nodes, weight,
     W = weight.toeplitz(np.arange(-nmax, nmax + 1), modes)
     t0, t1 = window
 
-    def stacked(t):
-        """(K, m) per-mode vectors at time t, None off the window."""
-        if t < t0 - 1e-12 or t > t1 + 1e-12:
-            return None
-        s = T - t
-        r = 1.0 if profile is None else float(profile(np.clip(s, 0.0, T)))
-        if r == 0.0:
-            return None
-        return observe(s * rates[:, None])[:, 0] * (r * keep)
+    def stacked(ts):
+        """(Q, K, m) per-mode vectors at the 1-D times ts, zero off the
+        window and where the profile vanishes."""
+        s = T - ts
+        r = (np.ones(len(ts)) if profile is None
+             else profile(np.clip(s, 0.0, T)))
+        r = np.where((ts >= t0 - 1e-12) & (ts <= t1 + 1e-12), r, 0.0)
+        on = np.flatnonzero(r)
+        out = np.zeros((len(ts), len(modes), m), dtype=complex)
+        if len(on):
+            vs = observe(s[None, on] * rates[:, None]).transpose(1, 0, 2)
+            out[on] = vs * (r[on, None, None] * keep)
+        return out
 
     def coeff_fn(t):
-        vs = stacked(t)
-        if vs is None:
-            return np.zeros((2 * nmax + 1, m), dtype=complex)
-        return W @ vs
+        out = W @ stacked(np.atleast_1d(np.asarray(t, dtype=float)))
+        return out if np.ndim(t) else out[0]
 
     def spatial(t, xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        vs = stacked(t)
-        if vs is None:
-            return np.zeros((len(xs), m), dtype=complex)
+        vs = stacked(np.array([t], dtype=float))[0]
         return (np.exp(1j * np.outer(xs, modes)) @ vs) * weight(xs)[:, None]
 
     return ControlSignal.from_func(coeff_fn, nodes, nmax, m,
@@ -458,6 +459,7 @@ def lebeau_robbiano(sys: SystemMatrices, branches: dict, f0p: FourierState,
 
 
 def _shift_control(u: ControlSignal, t0: float) -> ControlSignal:
+    """u delayed by t0; its func sees t - t0 for a float or an array t."""
     func = spatial = None
     if u.func is not None:
         func = lambda t, _f=u.func, _t0=t0: _f(t - _t0)  # noqa: E731
@@ -511,7 +513,7 @@ def _block_modes(sys, branches, block: DualBlock):
     go s."""
     modes = np.array(sorted({n for n, _ in block.entries}), dtype=int)
     if block.kind == "full":
-        gens = [mode_generator(sys, int(n), adjoint=True) for n in modes]
+        gens = mode_generator(sys, modes, adjoint=True)
         obs = np.broadcast_to(sys.M.conj().T, (len(modes), sys.m, sys.d))
         rates = np.ones(len(modes))
     elif block.kind == "parabolic":
@@ -699,11 +701,13 @@ def merge_controls(controls, nmax, m, T) -> ControlSignal:
              for u in controls]
 
     def coeff_fn(t):
-        out = np.zeros((2 * nmax + 1, m), dtype=complex)
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.zeros((len(ts), 2 * nmax + 1, m), dtype=complex)
         for u, (a, b) in items:
-            if a - 1e-12 <= t <= b + 1e-12:
-                out += u.at(t)
-        return out
+            on = (ts >= a - 1e-12) & (ts <= b + 1e-12)
+            if np.any(on):
+                out[on] += u.at(ts[on])
+        return out if np.ndim(t) else out[0]
 
     def spatial(t, xs):
         out = np.zeros((len(np.atleast_1d(xs)), m), dtype=complex)

@@ -121,11 +121,15 @@ class ControlSignal:
     """Space-time control: sampled at strictly increasing time nodes, or
     given by an exact evaluator.
 
+    at(t) takes a float or a 1-D array of times: a float gives the
+    (2*nmax+1, m) coefficient array of u(t, .), an array of Q times the
+    (Q, 2*nmax+1, m) stack.
     Interpolated signals: values[i] is the (2*nmax+1, m) coefficient
     array of u(t_i, .), and at() interpolates linearly between nodes.
-    Signals carrying func are lazy: at(t) returns func(t) and values holds
-    no samples, only the shape (0, 2*nmax+1, m) that records m; the time
-    nodes still mark the panel edges Duhamel quadratures align with.
+    Signals carrying func are lazy: at(t) returns func(t), so func keeps
+    the same float-or-array contract, and values holds no samples, only
+    the shape (0, 2*nmax+1, m) that records m; the time nodes still mark
+    the panel edges Duhamel quadratures align with.
     Build them with ControlSignal.from_func.
     Support metadata records the declared time window, spatial subset and
     the component mask (which rows of the state receive the control).
@@ -137,7 +141,7 @@ class ControlSignal:
     t_window: tuple = None
     omega: TorusSubset = None
     component_mask: np.ndarray = None
-    # optional exact evaluator t -> (2*nmax+1, m) coefficients; when set it
+    # optional exact evaluator with the contract of at(); when set it
     # supersedes interpolation (moment/transport controls are analytic in t)
     func: object = None
     # optional exact spatial evaluator (t, xs) -> (len(xs), m); synthesized
@@ -149,6 +153,9 @@ class ControlSignal:
         self.values = np.asarray(self.values, dtype=complex)
         if np.any(np.diff(self.time_nodes) <= 0):
             raise ValueError("time nodes must be strictly increasing")
+        if self.func is None and len(self.time_nodes) < 2:
+            raise ValueError("an interpolated signal needs at least two "
+                             "time nodes")
         rows = 0 if self.func is not None else len(self.time_nodes)
         if (self.values.ndim != 3
                 or self.values.shape[:2] != (rows, 2 * self.nmax + 1)):
@@ -158,7 +165,9 @@ class ControlSignal:
     @classmethod
     def from_func(cls, func, time_nodes, nmax, m, **support):
         """Lazy signal evaluated exactly by func; support keywords as for
-        the constructor."""
+        the constructor.  func(t) must take a float, giving a
+        (2*nmax+1, m) array, and a 1-D array of Q times, giving a
+        (Q, 2*nmax+1, m) stack."""
         return cls(time_nodes=time_nodes, nmax=nmax,
                    values=np.zeros((0, 2 * nmax + 1, m), dtype=complex),
                    func=func, **support)
@@ -168,18 +177,18 @@ class ControlSignal:
         return self.values.shape[2]
 
     def at(self, t):
-        """Linear interpolation between nodes, vectorized over all
-        coefficients; controls are built smooth in t and sampled densely,
-        and quadrature panels align with the nodes."""
+        """u(t) for a float t, or the stack over a 1-D array of times.
+        Interpolated signals interpolate linearly between nodes and hold
+        the end values outside them; controls are built smooth in t and
+        sampled densely, and quadrature panels align with the nodes."""
         if self.func is not None:
             return np.asarray(self.func(t), dtype=complex)
-        tn = self.time_nodes
-        if t <= tn[0]:
-            return self.values[0]
-        if t >= tn[-1]:
-            return self.values[-1]
-        i = int(np.searchsorted(tn, t) - 1)
-        lam = (t - tn[i]) / (tn[i + 1] - tn[i])
+        # fractional node index: np.interp clamps it to [0, len - 1]
+        # outside the nodes and returns it exactly on them
+        n = len(self.time_nodes)
+        x = np.interp(t, self.time_nodes, np.arange(n, dtype=float))
+        i = np.minimum(np.asarray(x, dtype=int), n - 2)
+        lam = np.asarray(x - i)[..., None, None]
         return (1.0 - lam) * self.values[i] + lam * self.values[i + 1]
 
 
@@ -274,14 +283,18 @@ class ModeBasis:
         return at
 
 
-def mode_generator(sys: SystemMatrices, n: int, adjoint=False):
+def mode_generator(sys: SystemMatrices, n, adjoint=False):
     """n^2 E(i/n) for n != 0, K for n = 0; conjugate-transposed when
-    adjoint."""
-    if n == 0:
-        G = np.array(sys.K, dtype=complex)
-    else:
-        G = n * n * eval_symbol(sys, 1j / n)
-    return G.conj().T if adjoint else G
+    adjoint.  An int n gives one (d, d) matrix, a 1-D array of modes the
+    (len(n), d, d) stack."""
+    ns = np.atleast_1d(np.asarray(n, dtype=int))
+    G = np.empty((len(ns), sys.d, sys.d), dtype=complex)
+    G[ns == 0] = sys.K
+    nz = ns != 0
+    G[nz] = (ns[nz] ** 2)[:, None, None] * eval_symbol(sys, 1j / ns[nz])
+    if adjoint:
+        G = G.conj().swapaxes(1, 2)
+    return G if np.ndim(n) else G[0]
 
 
 def mode_propagator(sys: SystemMatrices, n: int, t: float, adjoint=False,
@@ -294,7 +307,7 @@ def mode_propagator(sys: SystemMatrices, n: int, t: float, adjoint=False,
     if t < 0 and not allow_negative:
         raise ValueError("negative time needs hyperbolic-branch data "
                          "(pass allow_negative=True)")
-    basis = ModeBasis([mode_generator(sys, n, adjoint=adjoint)])
+    basis = ModeBasis(mode_generator(sys, [n], adjoint=adjoint))
     with np.errstate(over="ignore", invalid="ignore"):
         P = basis.expm(t)[0, 0]
     if not np.all(np.isfinite(P)):
@@ -304,7 +317,9 @@ def mode_propagator(sys: SystemMatrices, n: int, t: float, adjoint=False,
 
 def _mask_coeffs(coeffs, nmax, omega: TorusSubset):
     """Multiply a coefficient array by 1_omega: synthesize on a 4*nmax
-    grid, mask, re-analyze, truncate back to nmax."""
+    grid, mask, re-analyze, truncate back to nmax.  The map is linear in
+    coeffs, so applied to the identity it gives its (2*nmax+1, 2*nmax+1)
+    matrix."""
     ngrid = max(4 * nmax, 64)
     xs = TWO_PI * np.arange(ngrid) / ngrid
     ns = np.arange(-nmax, nmax + 1)
@@ -321,35 +336,35 @@ def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
     The control is masked by 1_omega (when its support metadata carries an
     omega and apply_mask is set) and mapped through M before entering the
     mode ODEs.  Duhamel integrals use Gauss-Legendre panels between
-    control time nodes.
+    control time nodes; the control is asked for all of them in one
+    u.at(taus) call, so a lazy signal's func must accept a 1-D array of
+    times (see ControlSignal).
     """
     nmax = f0.nmax
-    d = sys.d
     if u is not None:
         if u.time_nodes[0] > 1e-12 or u.time_nodes[-1] < T - 1e-12:
             raise ValueError("control nodes do not cover [0, T]")
         if u.nmax != nmax:
             raise ValueError("control truncation differs from state")
 
-    # precompute masked, M-mapped source coefficients at quadrature nodes
+    # masked, M-mapped source coefficients at the quadrature nodes:
+    # src[k, q] is the mode-k source at taus[q]
     if u is not None:
         edges = np.unique(np.clip(u.time_nodes, 0.0, T))
         if edges[-1] < T:
             edges = np.append(edges, T)
         taus, wts = gauss_legendre(edges)
-        src = np.empty((2 * nmax + 1, len(taus), d), dtype=complex)
-        for i, tau in enumerate(taus):
-            uc = u.at(tau)
-            if apply_mask and u.omega is not None:
-                uc = _mask_coeffs(uc, nmax, u.omega)
-            src[:, i] = uc @ sys.M.T
+        uc = u.at(taus)
+        if apply_mask and u.omega is not None:
+            uc = _mask_coeffs(np.eye(2 * nmax + 1), nmax, u.omega) @ uc
+        src = (uc @ sys.M.T).transpose(1, 0, 2)
 
     if sample_times is None:
         sample_times = [T] if not return_trajectory else list(
             np.linspace(0.0, T, 33))
     sample_times = np.asarray(sample_times, dtype=float)
 
-    basis = ModeBasis([mode_generator(sys, n) for n in f0.modes])
+    basis = ModeBasis(mode_generator(sys, f0.modes))
     traj = basis.action(f0.coeffs)(sample_times)
     if u is not None:
         for k, t in enumerate(sample_times):
@@ -372,8 +387,7 @@ def evolve_adjoint(sys: SystemMatrices, g0: FourierState, T: float,
     sample_times = np.asarray(sample_times, dtype=float)
     if np.any(sample_times < 0):
         raise ValueError("adjoint evolution runs forward: times must be >= 0")
-    basis = ModeBasis([mode_generator(sys, n, adjoint=True)
-                       for n in g0.modes])
+    basis = ModeBasis(mode_generator(sys, g0.modes, adjoint=True))
     traj = basis.action(g0.coeffs)(sample_times)
     states = [FourierState(nmax, c) for c in traj.transpose(1, 0, 2).copy()]
     if return_trajectory:

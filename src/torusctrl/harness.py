@@ -70,11 +70,16 @@ class Scenario:
         self.omega = omega
         self.validation = report
         self.Tstar = minimal_time(sys, omega)
+        # the default horizons scale with a finite, positive T*
+        scaled = 0.0 < self.Tstar < np.inf
         if T is None:
-            T = 1.5 * self.Tstar if np.isfinite(self.Tstar) else 1.0
+            T = 1.5 * self.Tstar if scaled else 1.0
         if Tprime is None:
-            Tprime = (1.25 * self.Tstar if np.isfinite(self.Tstar)
-                      else 0.75 * T)
+            Tprime = 1.25 * self.Tstar if scaled else 0.75 * T
+        for key, val in (("T", T), ("Tprime", Tprime)):
+            if not (np.isfinite(val) and val > 0):
+                raise ScenarioError(
+                    f"{key} must be finite and positive, got {val}")
         self.T = float(T)
         self.Tprime = float(Tprime)
         self.nmax = int(nmax)

@@ -77,6 +77,25 @@ class TestMemoryCounterexample:
         fT = evolve(MEMORY_SYS, f0, u, 1.0, apply_mask=False)
         assert fT.norm() < 1e-10 * f0.norm()
 
+    def test_batched_signal_matches_scalar_and_closed_form(self):
+        rng = np.random.default_rng(4)
+        Nmax, T = 8, 1.0
+        c01, c02 = self._random_data(rng, Nmax)
+        u, rep = memory_counterexample_control((c01, c02), T, Nmax)
+        ts = np.concatenate((u.time_nodes[::17], [0.3, T - 1e-9, T]))
+        got = u.at(ts)
+        assert got.shape == (len(ts), 2 * Nmax + 1, 1)
+        ns = np.arange(-Nmax, Nmax + 1)
+        for t, row in zip(ts, got):
+            ref = u.at(t)
+            assert ref.shape == (2 * Nmax + 1, 1)
+            assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+            closed = [rep["u0"] if n == 0 else rep["alpha"][n + Nmax] * n
+                      * np.exp(-float(n) ** 2 * (T - t)) + rep["beta"][n + Nmax]
+                      for n in ns]
+            assert np.max(np.abs(row[:, 0] - closed)) <= 1e-14 * np.max(
+                np.abs(closed))
+
     def test_energy_dominates_h1_deficit(self):
         rng = np.random.default_rng(2)
         for _ in range(5):

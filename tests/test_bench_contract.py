@@ -81,3 +81,26 @@ def test_traced_moment_solve_records_headroom(tracing):
     for name in tracing.HEADROOM:
         assert math.isfinite(tracer.minima[name]), name
     assert tracer.counters[0, "control._joint_solve.size"] == 6
+
+
+def test_scalar_at_keeps_its_shape(tracing):
+    """A float time gives one (2*nmax+1, m) coefficient array, on an
+    interpolated and on a lazy signal, also through the tracer's wrapper:
+    the RK4 oracles call at(t) that way."""
+    nmax, m = 3, 2
+    nodes = np.linspace(0.0, 1.0, 5)
+    vals = np.arange(5 * (2 * nmax + 1) * m, dtype=complex).reshape(
+        5, 2 * nmax + 1, m)
+    sampled = dynamics.ControlSignal(time_nodes=nodes, nmax=nmax,
+                                     values=vals)
+    merged = control.merge_controls([sampled], nmax, m, 1.0)
+    tracer = tracing.Tracer()
+    with tracer.solving(0):
+        for u in (sampled, merged):
+            assert u.at(0.3).shape == (2 * nmax + 1, m)
+            assert u.at(np.float64(0.3)).shape == (2 * nmax + 1, m)
+            assert u.at(np.array([0.3, 0.6])).shape == (2, 2 * nmax + 1, m)
+    # three calls on each signal, and merged's three reach sampled's at
+    spans = [rec for rec in tracer.spans
+             if rec[0] == "dynamics.ControlSignal.at"]
+    assert len(spans) == 9

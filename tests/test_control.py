@@ -10,8 +10,8 @@ from torusctrl.control import (smoothstep, window_fn, rho1, plateau_weight,
                                parabolic_moment_control, lebeau_robbiano,
                                hum_gramian_control, full_pipeline)
 from torusctrl.dynamics import (evolve, project_branch, FourierState,
-                                mode_generator, synth_grid, ModeBasis,
-                                EIG_COND_MAX, gauss_legendre)
+                                ControlSignal, mode_generator, synth_grid,
+                                ModeBasis, EIG_COND_MAX, gauss_legendre)
 from torusctrl import spectral
 from conftest import (nscl_system, moving_wave_system,
                       decoupled_heat_system, random_state, HALF_TORUS)
@@ -415,3 +415,98 @@ class TestEmission:
             vecs = _block_vectors(sys, branches, blk, lam, self.T, t)
             bound = band_err * sum(np.max(np.abs(v)) for _, v in vecs)
             assert np.max(np.abs(u.spatial(t, xs) - synth)) <= bound + 1e-12
+
+    def _edge_times(self, t0, t1):
+        """Times just inside and just outside the 1e-12 window slack, on
+        the edges and inside the window."""
+        return np.array([t0 - 2e-12, t0 - 5e-13, t0, t0 + 5e-13,
+                         0.8 * t0 + 0.2 * t1, 0.3 * t0 + 0.7 * t1,
+                         t1 - 5e-13, t1, t1 + 5e-13, t1 + 2e-12])
+
+    def test_batched_at_matches_scalar_loop(self, nscl_branches24):
+        """at(ts) on emitted blocks, with and without a time profile,
+        against the scalar at(t) and against the dense-expm emission."""
+        nmax = 10
+        weight = plateau_weight(HALF_TORUS)
+        rng = np.random.default_rng(31)
+        blocks = [(sys, branches, blk, None)
+                  for sys, branches, blk in self._blocks(nscl_branches24)]
+        sys, _, branches = nscl_branches24
+        par = blocks[1][2]
+        L = par.window[1] - par.window[0]
+        profile = lambda s: rho1(s / L)  # noqa: E731
+        blocks.append((sys, branches, ctl.DualBlock(
+            kind=par.kind, entries=par.entries, window=par.window,
+            mask=par.mask, profile=profile), profile))
+        for sys, branches, blk, prof in blocks:
+            lam = (rng.standard_normal(len(blk.entries))
+                   + 1j * rng.standard_normal(len(blk.entries)))
+            t0, t1 = blk.window
+            u = ctl._emit_block(blk, ctl._block_modes(sys, branches, blk),
+                                lam, self.T, weight, nmax, HALF_TORUS,
+                                np.linspace(t0, t1, 5))
+            ts = self._edge_times(t0, t1)
+            if prof is not None:
+                # the profile is exactly zero at both ends and where
+                # e^{-1/tau} underflows
+                ts = np.append(ts, t1 - 1e-4)
+                assert not np.any(prof(self.T - ts[[2, 7, -1]]))
+            batched = u.at(ts)
+            assert batched.shape == (len(ts), 2 * nmax + 1, sys.m)
+            for t, row in zip(ts, batched):
+                ref = u.at(t)
+                assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(
+                    np.abs(ref)), (blk.kind, t)
+                r = 1.0 if prof is None else prof(np.clip(self.T - t, 0.0,
+                                                          self.T))
+                inside = t0 - 1e-12 <= t <= t1 + 1e-12
+                if not inside or r == 0.0:
+                    assert not np.any(row), (blk.kind, t)
+                    continue
+                dense = r * _loop_coeffs(weight, nmax, sys.m, _block_vectors(
+                    sys, branches, blk, lam, self.T, t))
+                assert _close(row, dense), (blk.kind, t)
+
+    def test_shifted_and_merged_batched(self, nscl_branches24):
+        """_shift_control and merge_controls over overlapping windows:
+        batched at(ts) against the per-time, per-item definition."""
+        nmax = 10
+        weight = plateau_weight(HALF_TORUS)
+        rng = np.random.default_rng(32)
+        sys, branches, hyp = self._blocks(nscl_branches24)[0]
+        lam = (rng.standard_normal(len(hyp.entries))
+               + 1j * rng.standard_normal(len(hyp.entries)))
+        u = ctl._emit_block(hyp, ctl._block_modes(sys, branches, hyp), lam,
+                            self.T, weight, nmax, HALF_TORUS,
+                            np.linspace(*hyp.window, 5))
+        shifted = ctl._shift_control(u, 0.5)
+        ts = self._edge_times(0.5, 0.5 + self.Tprime)
+        got = shifted.at(ts)
+        for t, row in zip(ts, got):
+            assert np.array_equal(row, shifted.at(t))
+            assert np.array_equal(row, u.at(t - 0.5))
+        # an interpolated item without t_window: its window is its node
+        # range, outside which at() holds its end values
+        nodes = np.linspace(1.0, 2.5, 4)
+        vals = (rng.standard_normal((4, 2 * nmax + 1, sys.m))
+                + 1j * rng.standard_normal((4, 2 * nmax + 1, sys.m)))
+        sampled = ControlSignal(time_nodes=nodes, nmax=nmax, values=vals)
+        items = [(u, hyp.window), (shifted, shifted.t_window),
+                 (sampled, (1.0, 2.5))]
+        T = self.T
+        merged = ctl.merge_controls([it for it, _ in items], nmax, sys.m, T)
+        ts = np.unique(np.concatenate(
+            [self._edge_times(a, b) for _, (a, b) in items]
+            + [np.linspace(0.0, T, 41)]))
+        ts = ts[(ts >= 0.0) & (ts <= T)]
+        got = merged.at(ts)
+        overlap = 0
+        for t, row in zip(ts, got):
+            on = [it for it, (a, b) in items if a - 1e-12 <= t <= b + 1e-12]
+            overlap += len(on) > 1
+            ref = sum((it.at(t) for it in on),
+                      np.zeros((2 * nmax + 1, sys.m), dtype=complex))
+            scale = max(np.max(np.abs(ref)), 1e-300)
+            assert np.max(np.abs(row - ref)) <= 1e-14 * scale, t
+            assert np.max(np.abs(row - merged.at(t))) <= 1e-14 * scale, t
+        assert overlap > 10

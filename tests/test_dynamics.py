@@ -11,7 +11,7 @@ from torusctrl.dynamics import (FourierState, ControlSignal, ModeBasis,
                                 decompose, project_branch, project_low,
                                 sobolev_norm, h_minus1_tail_norm,
                                 windowed_l2_norm)
-from conftest import (nscl_system, moving_wave_system,
+from conftest import (nscl_system, moving_wave_system, damped_wave_system,
                       decoupled_heat_system, random_state, HALF_TORUS)
 
 import scipy.linalg
@@ -281,3 +281,69 @@ def test_lazy_signal_holds_no_samples():
                       values=np.zeros((5, 3, 2)), func=func)
     with pytest.raises(ValueError, match="shape"):
         ControlSignal(time_nodes=nodes, nmax=1, values=np.zeros((4, 3, 2)))
+
+
+def test_mode_generator_stack_matches_per_mode_loop():
+    """The stacked generators against n^2 E(i/n) and K written out mode
+    by mode; an int still gives one matrix."""
+    modes = np.arange(-9, 10)
+    for sys in (nscl_system(), moving_wave_system(), damped_wave_system()):
+        for adjoint in (False, True):
+            stack = mode_generator(sys, modes, adjoint=adjoint)
+            assert stack.shape == (len(modes), 2, 2)
+            for n, G in zip(modes, stack):
+                z = 1j / n if n else 0.0
+                ref = (n * n * (sys.B + z * sys.A - z * z * sys.K) if n
+                       else sys.K.astype(complex))
+                if adjoint:
+                    ref = ref.conj().T
+                assert np.max(np.abs(G - ref)) <= 1e-15 * np.max(np.abs(ref))
+                assert np.array_equal(
+                    mode_generator(sys, int(n), adjoint=adjoint), G)
+
+
+def test_interpolated_signal_batched_matches_scalar():
+    rng = np.random.default_rng(21)
+    nodes = np.array([0.0, 0.1, 0.35, 0.4, 1.0])
+    vals = (rng.standard_normal((5, 7, 2))
+            + 1j * rng.standard_normal((5, 7, 2)))
+    u = ControlSignal(time_nodes=nodes, nmax=3, values=vals)
+    ts = np.concatenate(([-1.0, -1e-15], nodes, [0.05, 0.2, 0.399, 0.7],
+                         [1.0 + 1e-15, 3.0]))
+    batched = u.at(ts)
+    assert batched.shape == (len(ts), 7, 2)
+    for t, row in zip(ts, batched):
+        ref = u.at(t)
+        assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref)), t
+    # clamped before the first node and after the last, exact on nodes
+    assert np.array_equal(batched[:2], vals[[0, 0]])
+    assert np.array_equal(batched[2:7], vals)
+    assert np.array_equal(batched[-2:], vals[[-1, -1]])
+    # one node spans no panel to interpolate over
+    with pytest.raises(ValueError, match="at least two time nodes"):
+        ControlSignal(time_nodes=[0.0], nmax=3, values=vals[:1])
+
+
+def test_masked_source_matches_per_node_mask():
+    """evolve's mask matrix against the masking synthesis run node by
+    node, through the Duhamel sum of a decoupled system."""
+    sys = decoupled_heat_system()
+    rng = np.random.default_rng(22)
+    nmax = 10
+    nodes = np.linspace(0.0, 0.6, 7)
+    vals = (rng.standard_normal((7, 2 * nmax + 1, 2))
+            + 1j * rng.standard_normal((7, 2 * nmax + 1, 2)))
+    u = ControlSignal(time_nodes=nodes, nmax=nmax, values=vals,
+                      omega=HALF_TORUS)
+    f0 = random_state(rng, nmax, 2)
+    got = evolve(sys, f0, u, 0.6)
+    taus, wts = gauss_legendre(nodes)
+    src = np.array([dynamics._mask_coeffs(u.at(t), nmax, HALF_TORUS)
+                    @ sys.M.T for t in taus])
+    ref = f0.coeffs.copy()
+    for i, n in enumerate(f0.modes):
+        G = mode_generator(sys, int(n))
+        ref[i] = scipy.linalg.expm(-0.6 * G) @ ref[i]
+        for tau, w, s in zip(taus, wts, src):
+            ref[i] += w * scipy.linalg.expm(-(0.6 - tau) * G) @ s[i]
+    assert np.max(np.abs(got.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))

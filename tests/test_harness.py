@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torusctrl import cli, harness, spectral
+from torusctrl.algebra import TorusSubset
 from torusctrl.harness import (Scenario, ScenarioError, load_scenario,
                                run_experiment)
 
@@ -136,6 +137,29 @@ class TestNmax:
         assert rc == 2
         assert "nmax must be at least 1, got -2" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestHorizon:
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--T", "-1"), ("--T", "0"), ("--T", "nan"), ("--Tprime", "-1")])
+    def test_bad_horizon_refused_before_any_output(self, tmp_path, capsys,
+                                                   flag, value):
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", "--scenario", "heat-memory", flag, value,
+                       "--nmax", "4", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]} must be finite and "
+                              "positive")
+        assert not out.exists()
+
+    def test_full_torus_defaults_to_unit_horizon(self):
+        # T* = 0 when omega is the whole circle; 1.5 T* would be no
+        # horizon at all
+        scn = Scenario("full", load_scenario("heat-memory").sys,
+                       TorusSubset(((0.0, 2 * np.pi),)))
+        assert scn.Tstar == 0.0 and (scn.T, scn.Tprime) == (1.0, 0.75)
 
 
 class TestRunExperiment:
