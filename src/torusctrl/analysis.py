@@ -257,8 +257,7 @@ def cascade_elimination_check(sys: SystemMatrices, g0: FourierState,
     """
     d1 = sys.d1
     times = np.linspace(0.0, T, nt)
-    _, traj = evolve_adjoint(sys, g0, T, sample_times=times,
-                             return_trajectory=True)
+    _, traj = evolve_adjoint(sys, g0, T, sample_times=times)
     weight = plateau_weight(omega, shrink=0.05,
                             bandwidth=min(4 * g0.nmax, 256))
     level_norms = []

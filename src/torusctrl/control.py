@@ -15,9 +15,10 @@ Four mechanisms, combined by full_pipeline:
 Everything runs on the mode-truncated (Galerkin) system: states and
 control coefficients live on |n| <= nmax.  Synthesized controls are
 products of a smooth plateau cut-off rho2 supported in omega with
-band-limited mode sums; their exact spatial form (available through
-ControlSignal.spatial) vanishes outside omega identically, while the
-stored coefficients are that control's band restriction.
+band-limited mode sums, so each signal carries its own support: its
+exact spatial form (ControlSignal.spatial) vanishes outside omega
+identically, and its coefficients, that control's band restriction, are
+what evolve integrates.
 
 Stage contributions are all expressed at the common final time: the
 per-mode generators commute with the branch projections, so free
@@ -268,7 +269,7 @@ def observation_matrix(sys: SystemMatrices, branches: dict, n: int):
 
 
 def _emit_modes(modes, basis, obs, rates, vecs, T, window, nodes, weight,
-                nmax, omega, profile=None, mask=None):
+                nmax, profile=None, mask=None):
     """Lazy control u(t, x) = r(T-t) rho2(x) sum_k (mask v_k(T-t)) e^{ikx}
     on the window, zero outside it, where
     v_k(s) = obs[k] e^{-s rates[k] G_k} vecs[k]
@@ -310,8 +311,7 @@ def _emit_modes(modes, basis, obs, rates, vecs, T, window, nodes, weight,
         return (np.exp(1j * np.outer(xs, modes)) @ vs) * weight(xs)[:, None]
 
     return ControlSignal.from_func(coeff_fn, nodes, nmax, m,
-                                   t_window=window, omega=omega,
-                                   component_mask=mask, spatial=spatial)
+                                   t_window=window, spatial=spatial)
 
 
 # ------------------------------------------------------------- moment method
@@ -355,8 +355,7 @@ def parabolic_moment_control(sys: SystemMatrices, branches: dict,
                     profile=lambda s: rho1(s / T))
     rhs = -_pairings(sys, branches, blk, evolve(sys, f0p, None, T))
     (u,), gram, _, eigs, cond = _joint_solve(
-        sys, branches, [blk], [rhs], T, weight, f0p.nmax, omega,
-        cond_max=cond_max)
+        sys, branches, [blk], [rhs], T, weight, f0p.nmax, cond_max=cond_max)
     modes = np.array([n for n in range(-N, N + 1) if abs(n) > n0])
     E2 = {int(n): build_E2(sys, branches, int(n)) for n in modes}
     return u, MomentProblem(N=N, T=T, modes=modes, E2=E2, gram=gram,
@@ -437,7 +436,7 @@ def lebeau_robbiano(sys: SystemMatrices, branches: dict, f0p: FourierState,
             raise np.linalg.LinAlgError(
                 f"stage {level} (N = {Nl}): {exc}") from exc
         controls.append(_shift_control(u, a_start))
-        state = evolve(sys, state, u, Tl, apply_mask=False)
+        state = evolve(sys, state, u, Tl)
         state = evolve(sys, state, None, Tl)
         t_reached += 2.0 * Tl
         norms.append(pnorm(state))
@@ -469,8 +468,7 @@ def _shift_control(u: ControlSignal, t0: float) -> ControlSignal:
     if u.t_window is not None:
         window = (u.t_window[0] + t0, u.t_window[1] + t0)
     return ControlSignal(time_nodes=u.time_nodes + t0, nmax=u.nmax,
-                         values=u.values, t_window=window, omega=u.omega,
-                         component_mask=u.component_mask, func=func,
+                         values=u.values, t_window=window, func=func,
                          spatial=spatial)
 
 
@@ -550,7 +548,7 @@ def _pairings(sys, branches, block: DualBlock, state: FourierState):
     return out
 
 
-def _joint_solve(sys, branches, blocks, targets, T, weight, nmax, omega,
+def _joint_solve(sys, branches, blocks, targets, T, weight, nmax,
                  cond_max=1e14, refuse=True):
     """Choose controls u_b = rho2 sum_k lambda_k (mask v_k) e^{i n_k x}
     on the blocks' windows so the summed contribution at time T matches
@@ -603,12 +601,12 @@ def _joint_solve(sys, branches, blocks, targets, T, weight, nmax, omega,
 
     controls = [
         _emit_block(blk, setups[b], lam[offs[b]:offs[b + 1]], T, weight,
-                    nmax, omega, edges[b])
+                    nmax, edges[b])
         for b, blk in enumerate(blocks)]
     return controls, J, lam, eigs, cond
 
 
-def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, omega, edges):
+def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges):
     """u = rho2 sum_j lambda_j (mask v_j) e^{i n_j x} on the block's
     window, for the block's _block_modes setup; entries sharing a mode
     are summed before propagation."""
@@ -617,7 +615,7 @@ def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, omega, edges):
     for (n, vec), lj in zip(blk.entries, lam):
         vecs[np.searchsorted(modes, n)] += lj * vec
     return _emit_modes(modes, basis, obs, rates, vecs, T, blk.window,
-                       np.asarray(edges, dtype=float), weight, nmax, omega,
+                       np.asarray(edges, dtype=float), weight, nmax,
                        profile=blk.profile, mask=blk.mask)
 
 
@@ -685,7 +683,7 @@ def hum_gramian_control(sys: SystemMatrices, branches: dict, n0: int,
                     mask=np.ones(sys.m, dtype=bool))
     targets = [_pairings(sys, branches, blk, fstar)]
     controls, J, lam, eigs, cond = _joint_solve(
-        sys, branches, [blk], targets, T, weight, nmax, omega,
+        sys, branches, [blk], targets, T, weight, nmax,
         cond_max=cond_max, refuse=refuse)
     report = HUMReport(gram=J, eigs=eigs, cond=cond,
                        energy=float(np.real(np.vdot(lam, targets[0]))),
@@ -741,7 +739,7 @@ def full_pipeline(sys: SystemMatrices, branches: dict, n0: int,
     (all channels when the control space is not C^d).  No block carries a
     time profile.  Sweeps stop at relative residual 1e-9, on a stall, or
     after max_sweeps.  Certificate reports the sweep residual chain and
-    the final relative norm.
+    the final relative norm, the last sweep's unless max_sweeps ran out.
     """
     if Tstar is not None and not (Tstar < Tprime < T):
         raise ValueError(
@@ -771,8 +769,8 @@ def full_pipeline(sys: SystemMatrices, branches: dict, n0: int,
     joint_cond = None
     f0norm = max(f0.norm(), 1e-300)
     for sweep in range(max_sweeps):
-        u_now = merge_controls(controls, nmax, m, T) if controls else None
-        fT = evolve(sys, f0, u_now, T, apply_mask=False)
+        u_total = merge_controls(controls, nmax, m, T) if controls else None
+        fT = evolve(sys, f0, u_total, T)
         res = fT.norm() / f0norm
         sweep_log.append({"sweep": sweep, "relative_residual": res,
                           "h": project_branch(fT, branches, n0, "h").norm(),
@@ -797,11 +795,12 @@ def full_pipeline(sys: SystemMatrices, branches: dict, n0: int,
             # go straight to the joint dual solve
         targets = [-_pairings(sys, branches, blk, fT) for blk in blocks]
         corr, J, lam, eigs, joint_cond = _joint_solve(
-            sys, branches, blocks, targets, T, weight, nmax, omega)
+            sys, branches, blocks, targets, T, weight, nmax)
         controls.extend(corr)
-
-    u_total = merge_controls(controls, nmax, m, T) if controls else None
-    fT = evolve(sys, f0, u_total, T, apply_mask=False)
+    else:
+        # max_sweeps ran out: the last sweep's controls are not yet checked
+        u_total = merge_controls(controls, nmax, m, T) if controls else None
+        fT = evolve(sys, f0, u_total, T)
     cert = {
         "path": path,
         "sweeps": sweep_log,

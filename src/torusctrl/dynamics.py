@@ -3,9 +3,12 @@
 Conventions: f(x) = sum_n fhat(n) e^{inx} and ||f||^2_{L2} = 2 pi
 sum_n |fhat(n)|^2.  The mode-n generator is n^2 E(i/n) for n != 0 and K
 for n = 0 (the formal limit).  Every per-mode semigroup e^{-s G_n} is
-evaluated by ModeBasis.  Time integrals in the Duhamel formula use
-per-panel Gauss-Legendre of order 8 (gauss_legendre) with panels aligned
-to the control's time nodes.
+evaluated by ModeBasis, the one matrix exponential of the package.  Time
+integrals in the Duhamel formula use per-panel Gauss-Legendre of order 8
+(gauss_legendre) with panels aligned to the control's time nodes.  A
+control enters through its coefficients as they stand: a signal carries
+its own support (the emitters build the spatial cut-off into them), and
+evolve applies no mask of its own.
 """
 
 import functools
@@ -20,7 +23,7 @@ from . import kernels
 
 __all__ = [
     "FourierState", "ControlSignal", "ModeBasis", "gauss_legendre",
-    "decompose", "mode_propagator", "evolve", "evolve_adjoint",
+    "decompose", "evolve", "evolve_adjoint",
     "sobolev_norm", "h_minus1_tail_norm", "windowed_l2_norm",
     "project_branch", "project_low", "synth_grid",
 ]
@@ -131,16 +134,15 @@ class ControlSignal:
     the shape (0, 2*nmax+1, m) that records m; the time nodes still mark
     the panel edges Duhamel quadratures align with.
     Build them with ControlSignal.from_func.
-    Support metadata records the declared time window, spatial subset and
-    the component mask (which rows of the state receive the control).
+    A signal carries its own support: its coefficients already vanish
+    where the control is off, and t_window, when set, only records the
+    declared time window (merge_controls skips a signal outside it).
     """
 
     time_nodes: np.ndarray
     nmax: int
     values: np.ndarray
     t_window: tuple = None
-    omega: TorusSubset = None
-    component_mask: np.ndarray = None
     # optional exact evaluator with the contract of at(); when set it
     # supersedes interpolation (moment/transport controls are analytic in t)
     func: object = None
@@ -164,8 +166,8 @@ class ControlSignal:
 
     @classmethod
     def from_func(cls, func, time_nodes, nmax, m, **support):
-        """Lazy signal evaluated exactly by func; support keywords as for
-        the constructor.  func(t) must take a float, giving a
+        """Lazy signal evaluated exactly by func; t_window and spatial
+        keywords as for the constructor.  func(t) must take a float, giving a
         (2*nmax+1, m) array, and a 1-D array of Q times, giving a
         (Q, 2*nmax+1, m) stack."""
         return cls(time_nodes=time_nodes, nmax=nmax,
@@ -297,102 +299,59 @@ def mode_generator(sys: SystemMatrices, n, adjoint=False):
     return G if np.ndim(n) else G[0]
 
 
-def mode_propagator(sys: SystemMatrices, n: int, t: float, adjoint=False,
-                    allow_negative=False):
-    """exp(-t * generator(n)), by ModeBasis.
-
-    Negative t is only legal on hyperbolic-branch data; callers must pass
-    allow_negative=True to assert that.
-    """
-    if t < 0 and not allow_negative:
-        raise ValueError("negative time needs hyperbolic-branch data "
-                         "(pass allow_negative=True)")
-    basis = ModeBasis(mode_generator(sys, [n], adjoint=adjoint))
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = basis.expm(t)[0, 0]
-    if not np.all(np.isfinite(P)):
-        raise OverflowError(f"propagator overflow at mode {n}, t = {t}")
-    return P
-
-
-def _mask_coeffs(coeffs, nmax, omega: TorusSubset):
-    """Multiply a coefficient array by 1_omega: synthesize on a 4*nmax
-    grid, mask, re-analyze, truncate back to nmax.  The map is linear in
-    coeffs, so applied to the identity it gives its (2*nmax+1, 2*nmax+1)
-    matrix."""
-    ngrid = max(4 * nmax, 64)
-    xs = TWO_PI * np.arange(ngrid) / ngrid
-    ns = np.arange(-nmax, nmax + 1)
-    vals = kernels.synthesize(coeffs, ns, xs)
-    vals = vals * omega.indicator(xs)[:, None]
-    return analyze_grid(vals, xs, nmax)
-
-
 def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
-           T: float = 1.0, return_trajectory=False, sample_times=None,
-           apply_mask=True):
+           T: float = 1.0, sample_times=None):
     """Exact per-mode evolution with Duhamel source term.
 
-    The control is masked by 1_omega (when its support metadata carries an
-    omega and apply_mask is set) and mapped through M before entering the
-    mode ODEs.  Duhamel integrals use Gauss-Legendre panels between
-    control time nodes; the control is asked for all of them in one
-    u.at(taus) call, so a lazy signal's func must accept a 1-D array of
-    times (see ControlSignal).
+    The control's coefficients are mapped through M and enter the mode
+    ODEs as they stand (the signal carries its own support).  Duhamel
+    integrals use Gauss-Legendre panels between control time nodes; the
+    control is asked for all of them in one u.at(taus) call, so a lazy
+    signal's func must accept a 1-D array of times (see ControlSignal).
+    Returns the state at T, or (times, states) at sample_times, which
+    must lie in [0, T].
     """
     nmax = f0.nmax
+    times = (np.array([T]) if sample_times is None
+             else np.asarray(sample_times, dtype=float))
+    if np.any(times < 0) or np.any(times > T):
+        raise ValueError(f"sample times must lie in [0, T = {T}]")
     if u is not None:
         if u.time_nodes[0] > 1e-12 or u.time_nodes[-1] < T - 1e-12:
             raise ValueError("control nodes do not cover [0, T]")
         if u.nmax != nmax:
             raise ValueError("control truncation differs from state")
 
-    # masked, M-mapped source coefficients at the quadrature nodes:
-    # src[k, q] is the mode-k source at taus[q]
+    basis = ModeBasis(mode_generator(sys, f0.modes))
+    traj = basis.action(f0.coeffs)(times)
     if u is not None:
         edges = np.unique(np.clip(u.time_nodes, 0.0, T))
         if edges[-1] < T:
             edges = np.append(edges, T)
         taus, wts = gauss_legendre(edges)
-        uc = u.at(taus)
-        if apply_mask and u.omega is not None:
-            uc = _mask_coeffs(np.eye(2 * nmax + 1), nmax, u.omega) @ uc
-        src = (uc @ sys.M.T).transpose(1, 0, 2)
-
-    if sample_times is None:
-        sample_times = [T] if not return_trajectory else list(
-            np.linspace(0.0, T, 33))
-    sample_times = np.asarray(sample_times, dtype=float)
-
-    basis = ModeBasis(mode_generator(sys, f0.modes))
-    traj = basis.action(f0.coeffs)(sample_times)
-    if u is not None:
-        for k, t in enumerate(sample_times):
+        # src[k, q] is the M-mapped mode-k source at taus[q]
+        src = (u.at(taus) @ sys.M.T).transpose(1, 0, 2)
+        for k, t in enumerate(times):
             sel = taus <= t + 1e-14
             duhamel = basis.action(src[:, sel])(t - taus[sel])
             traj[:, k] += np.einsum("q,nqi->ni", wts[sel], duhamel)
     states = [FourierState(nmax, c) for c in traj.transpose(1, 0, 2).copy()]
-    if return_trajectory:
-        return sample_times, states
-    return states[-1]
+    return states[-1] if sample_times is None else (times, states)
 
 
 def evolve_adjoint(sys: SystemMatrices, g0: FourierState, T: float,
-                   sample_times=None, return_trajectory=False):
-    """Homogeneous adjoint evolution: ghat(n, t) = e^{-t n^2 E(i/n)*} ghat0(n)."""
-    nmax = g0.nmax
-    if sample_times is None:
-        sample_times = [T] if not return_trajectory else list(
-            np.linspace(0.0, T, 33))
-    sample_times = np.asarray(sample_times, dtype=float)
-    if np.any(sample_times < 0):
+                   sample_times=None):
+    """Homogeneous adjoint evolution: ghat(n, t) = e^{-t n^2 E(i/n)*} ghat0(n).
+    Returns the state at T, or (times, states) at sample_times."""
+    times = (np.array([T]) if sample_times is None
+             else np.asarray(sample_times, dtype=float))
+    if np.any(times < 0):
         raise ValueError("adjoint evolution runs forward: times must be >= 0")
     basis = ModeBasis(mode_generator(sys, g0.modes, adjoint=True))
-    traj = basis.action(g0.coeffs)(sample_times)
-    states = [FourierState(nmax, c) for c in traj.transpose(1, 0, 2).copy()]
-    if return_trajectory:
-        return sample_times, states
-    return states[-1]
+    traj = basis.action(g0.coeffs)(times)
+    states = [FourierState(g0.nmax, c)
+              for c in traj.transpose(1, 0, 2).copy()]
+    return states[-1] if sample_times is None else (times, states)
 
 
 def decompose(state: FourierState, branches: dict, n0: int):
@@ -457,17 +416,11 @@ def h_minus1_tail_norm(state: FourierState, n0: int) -> float:
     return float(np.sqrt(np.sum(w[:, None] * np.abs(state.coeffs[sel]) ** 2)))
 
 
-def windowed_l2_norm(times, states, window, omega: TorusSubset,
-                     ngrid=None) -> float:
+def windowed_l2_norm(times, states, window, omega: TorusSubset) -> float:
     """L2 norm over (time window) x omega: spatial synthesis on a uniform
-    grid of >= 4*nmax points, composite trapezoid in time."""
+    grid of max(4*nmax, 64) points, composite trapezoid in time."""
     times = np.asarray(times, dtype=float)
-    nmax = states[0].nmax
-    if ngrid is None:
-        ngrid = max(4 * nmax, 64)
-    if ngrid < 2 * nmax:
-        raise ValueError(f"grid of {ngrid} points under Nyquist "
-                         f"(need >= {2 * nmax})")
+    ngrid = max(4 * states[0].nmax, 64)
     xs = TWO_PI * np.arange(ngrid) / ngrid
     ind = omega.indicator(xs)
     t0, t1 = window

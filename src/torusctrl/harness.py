@@ -354,8 +354,7 @@ def _branch_setup(scenario):
 def _exp_simulate(scn, rng, out_dir):
     f0 = _random_state(rng, scn.nmax, scn.sys.d)
     ts = np.linspace(0.0, scn.T, 65)
-    _, traj = evolve(scn.sys, f0, None, scn.T, return_trajectory=True,
-                     sample_times=ts)
+    _, traj = evolve(scn.sys, f0, None, scn.T, sample_times=ts)
     rows = []
     for t, st in zip(ts, traj):
         comp = np.sqrt(TWO_PI) * np.linalg.norm(st.coeffs, axis=0)
@@ -455,7 +454,7 @@ def _exp_control(scn, rng, out_dir):
     f0p = project_branch(f0, branches, consts.n0, "p")
     u, mp = control.parabolic_moment_control(
         scn.sys, branches, f0p, scn.T, N, scn.omega, consts.n0)
-    fT = evolve(scn.sys, f0p, u, scn.T, apply_mask=False)
+    fT = evolve(scn.sys, f0p, u, scn.T)
     fTp = project_branch(fT, branches, consts.n0, "p")
     rows = []
     for n in range(-N, N + 1):

@@ -93,7 +93,7 @@ def test_acceptance_03_semigroup_vs_rk4():
         vals *= env[None, :, None]
         u = ControlSignal(time_nodes=nodes, nmax=nmax, values=vals,
                           t_window=(0.0, T))
-        fT = evolve(sys, f0, u, T, apply_mask=False)
+        fT = evolve(sys, f0, u, T)
 
         G = np.stack([mode_generator(sys, n)
                       for n in range(-nmax, nmax + 1)])
@@ -199,7 +199,7 @@ def test_acceptance_06_parabolic_moment_control():
         for N in (4, 8, 12):
             u, mp = control.parabolic_moment_control(
                 sys, branches, f0p, 1.0, N, HALF_TORUS, consts.n0)
-            fT = evolve(sys, f0p, u, 1.0, apply_mask=False)
+            fT = evolve(sys, f0p, u, 1.0)
             res = project_branch(fT, branches, consts.n0, "p",
                                  nband=N).norm()
             worst = max(worst, float(res))

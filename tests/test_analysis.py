@@ -74,7 +74,7 @@ class TestMemoryCounterexample:
         c01, c02 = self._random_data(rng, Nmax)
         u, rep = memory_counterexample_control((c01, c02), 1.0, Nmax)
         f0 = FourierState(Nmax, np.stack([c01, c02], axis=1))
-        fT = evolve(MEMORY_SYS, f0, u, 1.0, apply_mask=False)
+        fT = evolve(MEMORY_SYS, f0, u, 1.0)
         assert fT.norm() < 1e-10 * f0.norm()
 
     def test_batched_signal_matches_scalar_and_closed_form(self):

@@ -12,7 +12,7 @@ from torusctrl.control import (smoothstep, window_fn, rho1, plateau_weight,
 from torusctrl.dynamics import (evolve, project_branch, FourierState,
                                 ControlSignal, mode_generator, synth_grid,
                                 ModeBasis, EIG_COND_MAX, gauss_legendre)
-from torusctrl import spectral
+from torusctrl import harness, spectral
 from conftest import (nscl_system, moving_wave_system,
                       decoupled_heat_system, random_state, HALF_TORUS)
 
@@ -115,7 +115,7 @@ class TestMomentControl:
         f0p = project_branch(f0, branches, 1, "p")
         u, mp = parabolic_moment_control(sys, branches, f0p, 1.0, 4,
                                          HALF_TORUS, 1)
-        fT = evolve(sys, f0p, u, 1.0, apply_mask=False)
+        fT = evolve(sys, f0p, u, 1.0)
         fTp = project_branch(fT, branches, 1, "p", nband=4)
         assert fTp.norm() < 1e-8
         # Gram is Hermitian positive definite after scaling
@@ -130,7 +130,7 @@ class TestMomentControl:
         f0p = project_branch(f0, branches, consts.n0, "p")
         u, mp = parabolic_moment_control(sys, branches, f0p, 1.0, 8,
                                          HALF_TORUS, consts.n0)
-        fT = evolve(sys, f0p, u, 1.0, apply_mask=False)
+        fT = evolve(sys, f0p, u, 1.0)
         fTp = project_branch(fT, branches, consts.n0, "p", nband=8)
         assert fTp.norm() < 1e-8
 
@@ -249,6 +249,44 @@ class TestPipeline:
             full_pipeline(sys, branches, consts.n0, f0, 1.0, 2.0,
                           HALF_TORUS, Tstar=np.pi)
 
+    @staticmethod
+    def _spy_pipeline(monkeypatch, max_sweeps):
+        """full_pipeline on a datum of the benchmark's pipeline workload
+        (nscl, nmax 10), counting its evolves that carry a control."""
+        scn = harness.load_scenario("nscl(1, 1, 1, 2, 1)",
+                                    experiment="pipeline", nmax=10)
+        consts = spectral.separation_radius(scn.sys)
+        branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
+        f0 = random_state(np.random.default_rng(41), scn.nmax, scn.sys.d)
+        controlled = []
+
+        def spy(sys, f, u=None, *args, **kwargs):
+            controlled.append(u is not None)
+            return evolve(sys, f, u, *args, **kwargs)
+
+        monkeypatch.setattr(ctl, "evolve", spy)
+        _, cert = full_pipeline(scn.sys, branches, consts.n0, f0, scn.T,
+                                scn.Tprime, scn.omega, Tstar=scn.Tstar,
+                                max_sweeps=max_sweeps)
+        return sum(controlled), cert
+
+    def test_early_stop_certifies_last_sweep(self, monkeypatch):
+        # one free sweep, one joint solve, one controlled sweep that
+        # converges: the certificate reuses that sweep's state
+        n, cert = self._spy_pipeline(monkeypatch, 5)
+        assert [s["sweep"] for s in cert["sweeps"]] == [0, 1]
+        assert n == 1
+        assert cert["relative"] == cert["sweeps"][-1]["relative_residual"]
+        assert cert["relative"] <= 1e-9
+
+    def test_exhausted_sweeps_check_last_correction(self, monkeypatch):
+        # max_sweeps = 1: the joint solve's control is emitted after the
+        # only sweep, so one more evolve must check it
+        n, cert = self._spy_pipeline(monkeypatch, 1)
+        assert len(cert["sweeps"]) == 1 and n == 1
+        assert cert["sweeps"][0]["relative_residual"] > 1e-6
+        assert cert["relative"] <= 1e-9
+
     def test_severed_coupling_refused(self):
         # moving-wave with K21 forced to zero: the second component is
         # unreachable from a first-component control
@@ -351,7 +389,7 @@ class TestEmission:
             t0, t1 = blk.window
             edges = np.linspace(t0, t1, 5)
             u = ctl._emit_block(blk, ctl._block_modes(sys, branches, blk),
-                                lam, self.T, weight, nmax, HALF_TORUS, edges)
+                                lam, self.T, weight, nmax, edges)
             assert u.values.shape == (0, 2 * nmax + 1, sys.m)
             for t in (t0, 0.3 * t0 + 0.7 * t1, t1):
                 ref = _loop_coeffs(weight, nmax, sys.m, _block_vectors(
@@ -407,8 +445,7 @@ class TestEmission:
             lam = (rng.standard_normal(len(blk.entries))
                    + 1j * rng.standard_normal(len(blk.entries)))
             u = ctl._emit_block(blk, ctl._block_modes(sys, branches, blk),
-                                lam, self.T, weight, nmax, HALF_TORUS,
-                                blk.window)
+                                lam, self.T, weight, nmax, blk.window)
             t = 0.5 * sum(blk.window)
             coeffs = FourierState(nmax, u.at(t))
             synth = synth_grid(coeffs, ngrid=len(xs))[1]
@@ -443,7 +480,7 @@ class TestEmission:
                    + 1j * rng.standard_normal(len(blk.entries)))
             t0, t1 = blk.window
             u = ctl._emit_block(blk, ctl._block_modes(sys, branches, blk),
-                                lam, self.T, weight, nmax, HALF_TORUS,
+                                lam, self.T, weight, nmax,
                                 np.linspace(t0, t1, 5))
             ts = self._edge_times(t0, t1)
             if prof is not None:
@@ -477,7 +514,7 @@ class TestEmission:
         lam = (rng.standard_normal(len(hyp.entries))
                + 1j * rng.standard_normal(len(hyp.entries)))
         u = ctl._emit_block(hyp, ctl._block_modes(sys, branches, hyp), lam,
-                            self.T, weight, nmax, HALF_TORUS,
+                            self.T, weight, nmax,
                             np.linspace(*hyp.window, 5))
         shifted = ctl._shift_control(u, 0.5)
         ts = self._edge_times(0.5, 0.5 + self.Tprime)

@@ -1,18 +1,22 @@
+import ast
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusctrl.algebra import TWO_PI
 from torusctrl import dynamics
+from torusctrl.harness import load_scenario
 from torusctrl.dynamics import (FourierState, ControlSignal, ModeBasis,
                                 gauss_legendre, synth_grid,
                                 analyze_grid, mode_generator,
-                                mode_propagator, evolve, evolve_adjoint,
+                                evolve, evolve_adjoint,
                                 decompose, project_branch, project_low,
                                 sobolev_norm, h_minus1_tail_norm,
                                 windowed_l2_norm)
 from conftest import (nscl_system, moving_wave_system, damped_wave_system,
-                      decoupled_heat_system, random_state, HALF_TORUS)
+                      decoupled_heat_system, random_state)
 
 import scipy.linalg
 
@@ -44,7 +48,7 @@ def test_mode_generator_matches_symbol():
     assert mode_generator(sys, 0) == pytest.approx(sys.K)
 
 
-def test_mode_propagator_defective_generator_uses_expm():
+def test_mode_basis_defective_generator_uses_expm():
     # the moving-wave generator at |n| = 1, b = 1 is a Jordan block:
     # eigendecomposition would lose half the digits there
     sys = moving_wave_system(c=1.0, b=1.0)
@@ -52,7 +56,7 @@ def test_mode_propagator_defective_generator_uses_expm():
         G = mode_generator(sys, n)
         w, V = np.linalg.eig(G)
         assert np.linalg.cond(V) > dynamics.EIG_COND_MAX
-        P = mode_propagator(sys, n, 0.7)
+        P = ModeBasis([G]).expm(0.7)[0, 0]
         assert P == pytest.approx(scipy.linalg.expm(-0.7 * G),
                                   abs=1e-12)
 
@@ -104,8 +108,7 @@ def test_evolve_adjoint_matches_dense_expm():
     rng = np.random.default_rng(22)
     g0 = random_state(rng, 6, 2)
     times = [0.0, 0.3, 1.1]
-    _, traj = evolve_adjoint(sys, g0, 1.1, sample_times=times,
-                             return_trajectory=True)
+    _, traj = evolve_adjoint(sys, g0, 1.1, sample_times=times)
     for t, st_ in zip(times, traj):
         ref = np.array([scipy.linalg.expm(
             -t * mode_generator(sys, n, adjoint=True)) @ g0.get(n)
@@ -141,8 +144,7 @@ def test_evolve_against_rk4_oracle():
         + 1j * rng.standard_normal((33, 2 * nmax + 1, 1))
     u = ControlSignal(time_nodes=nodes, nmax=nmax, values=vals,
                       t_window=(0.0, 0.5))
-    times, traj = evolve(sys, f0, u, 0.5, apply_mask=False,
-                         return_trajectory=True, sample_times=[0.25, 0.5])
+    times, traj = evolve(sys, f0, u, 0.5, sample_times=[0.25, 0.5])
 
     def rhs(t, c):
         out = np.zeros_like(c)
@@ -168,20 +170,72 @@ def test_evolve_against_rk4_oracle():
         assert np.linalg.norm(st_.coeffs - ref) / np.linalg.norm(ref) < 1e-7
 
 
-def test_evolve_control_mask_restricts_support():
-    sys = decoupled_heat_system()
-    nmax = 12
-    nodes = np.linspace(0.0, 1.0, 17)
-    vals = np.zeros((17, 2 * nmax + 1, 2), dtype=complex)
-    vals[:, nmax + 1, :] = 1.0  # pure e^{ix} forcing
-    u = ControlSignal(time_nodes=nodes, nmax=nmax, values=vals,
-                      t_window=(0.0, 1.0), omega=HALF_TORUS)
-    f0 = FourierState.zeros(nmax, 2)
-    masked = evolve(sys, f0, u, 1.0)
-    free = evolve(sys, f0, u, 1.0, apply_mask=False)
-    # masking spreads the forcing over the spectrum and changes the state
-    assert masked.norm() > 0
-    assert abs(masked.norm() - free.norm()) > 1e-3
+def test_evolve_refuses_sample_times_outside_horizon():
+    sys = load_scenario("heat-memory").sys
+    rng = np.random.default_rng(5)
+    f0 = random_state(rng, 6, sys.d)
+    # backward in time the heat component blows up instead of failing
+    with pytest.raises(ValueError, match=r"\[0, T"):
+        evolve(sys, f0, None, 1.0, sample_times=[-1.0, 0.0, 1.0])
+    # after T the Duhamel nodes stop at T and would drop the source
+    nodes = np.linspace(0.0, 2.0, 9)
+    u = ControlSignal(time_nodes=nodes, nmax=6,
+                      values=np.ones((9, 13, sys.m), dtype=complex))
+    with pytest.raises(ValueError, match=r"\[0, T"):
+        evolve(sys, f0, u, 1.0, sample_times=[0.5, 1.5])
+    # both ends of the horizon are legal
+    _, states = evolve(sys, f0, u, 1.0, sample_times=[0.0, 1.0])
+    assert _close(states[0].coeffs, f0.coeffs)
+    assert _close(states[1].coeffs, evolve(sys, f0, u, 1.0).coeffs)
+
+
+def _expm_references(path):
+    """(qualified scope, line) of every reference to scipy.linalg.expm in
+    the module at path: the attribute through any alias of scipy.linalg,
+    or expm imported by name."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    linalg = {"scipy.linalg"}
+    found = []
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Import):
+            linalg.update(a.asname for a in node.names
+                          if a.name == "scipy.linalg" and a.asname)
+        elif isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                if node.module == "scipy" and a.name == "linalg":
+                    linalg.add(a.asname or "linalg")
+                elif node.module == "scipy.linalg" and a.name == "expm":
+                    found.append((scope, node.lineno))
+        elif (isinstance(node, ast.Attribute) and node.attr == "expm"
+              and dotted(node.value) in linalg):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_mode_basis_calls_scipy_expm():
+    """ModeBasis is the package's one matrix exponential: a second
+    scipy.linalg.expm anywhere in src/torusctrl fails here."""
+    src = os.path.dirname(dynamics.__file__)
+    refs = {(name[:-3], scope)
+            for name in sorted(os.listdir(src)) if name.endswith(".py")
+            for scope, _ in _expm_references(os.path.join(src, name))}
+    assert refs == {("dynamics", "ModeBasis._expm_slow")}
 
 
 def test_adjoint_duality_free():
@@ -322,28 +376,3 @@ def test_interpolated_signal_batched_matches_scalar():
     # one node spans no panel to interpolate over
     with pytest.raises(ValueError, match="at least two time nodes"):
         ControlSignal(time_nodes=[0.0], nmax=3, values=vals[:1])
-
-
-def test_masked_source_matches_per_node_mask():
-    """evolve's mask matrix against the masking synthesis run node by
-    node, through the Duhamel sum of a decoupled system."""
-    sys = decoupled_heat_system()
-    rng = np.random.default_rng(22)
-    nmax = 10
-    nodes = np.linspace(0.0, 0.6, 7)
-    vals = (rng.standard_normal((7, 2 * nmax + 1, 2))
-            + 1j * rng.standard_normal((7, 2 * nmax + 1, 2)))
-    u = ControlSignal(time_nodes=nodes, nmax=nmax, values=vals,
-                      omega=HALF_TORUS)
-    f0 = random_state(rng, nmax, 2)
-    got = evolve(sys, f0, u, 0.6)
-    taus, wts = gauss_legendre(nodes)
-    src = np.array([dynamics._mask_coeffs(u.at(t), nmax, HALF_TORUS)
-                    @ sys.M.T for t in taus])
-    ref = f0.coeffs.copy()
-    for i, n in enumerate(f0.modes):
-        G = mode_generator(sys, int(n))
-        ref[i] = scipy.linalg.expm(-0.6 * G) @ ref[i]
-        for tau, w, s in zip(taus, wts, src):
-            ref[i] += w * scipy.linalg.expm(-(0.6 - tau) * G) @ s[i]
-    assert np.max(np.abs(got.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))

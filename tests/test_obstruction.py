@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from torusctrl.algebra import TorusSubset, TWO_PI
 from torusctrl import spectral, obstruction
@@ -86,6 +87,42 @@ def test_observability_ratio_decays(nscl_branches24):
         ratios.append(observability_ratio(wit, HALF_TORUS, T))
     assert ratios[1] < 0.5 * ratios[0]
     assert ratios[0] < 1e-2
+
+
+@pytest.mark.parametrize("N", [8, 32])
+def test_witness_coeffs_batched_and_match_dense_expm(N):
+    """gN_coeffs and gNtilde_coeffs on an array of times against their
+    float calls, and against a dense per-mode scipy.linalg.expm of
+    Rhmu(i/n)* and Rhmu(0)*."""
+    sys = nscl_system()
+    consts = spectral.separation_radius(sys)
+    T = 0.5 * np.pi
+    branches = spectral.build_branch_table(sys, consts, witness_nmax(N))
+    wit = build_witness(sys, branches, HALF_TORUS, T, N, consts=consts)
+    ts = np.linspace(0.0, T, 5)
+    a = wit.chiN.coeffs[:, 0]
+    for method, rate in ((wit.gN_coeffs, None),
+                         (wit.gNtilde_coeffs, wit.Rhmu0)):
+        batched = method(ts)
+        assert len(batched) == len(ts)
+        for t, st_ in zip(ts, batched):
+            one = method(t)
+            assert isinstance(one, FourierState)
+            assert _close(st_.coeffs, one.coeffs, 1e-14)
+            ref = np.zeros_like(one.coeffs)
+            for i, n in enumerate(wit.chiN.modes):
+                if a[i] == 0 or (rate is None and n == 0):
+                    continue
+                P, R = ((np.eye(sys.d), rate) if rate is not None
+                        else wit.Phmu_table[int(n)])
+                ref[i] = (a[i] * np.exp(1j * wit.mu * n * t)
+                          * scipy.linalg.expm(t * R.conj().T)
+                          @ P.conj().T @ wit.phi0)
+            assert _close(one.coeffs, ref, 1e-13), (method.__name__, t)
+
+
+def _close(got, ref, rel):
+    return np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
 
 
 def test_pure_transport_space_rank_dichotomy():
