@@ -1,4 +1,4 @@
-"""Truncated Fourier states, exact per-mode evolution, norms, decomposition.
+"""Truncated Fourier states, exact per-mode evolution, norms, projections.
 
 Conventions: f(x) = sum_n fhat(n) e^{inx} and ||f||^2_{L2} = 2 pi
 sum_n |fhat(n)|^2.  The mode-n generator is n^2 E(i/n) for n != 0 and K
@@ -15,7 +15,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import SystemMatrices, TorusSubset, TWO_PI
 from .spectral import eval_symbol
@@ -23,8 +22,7 @@ from . import kernels
 
 __all__ = [
     "FourierState", "ControlSignal", "ModeBasis", "gauss_legendre",
-    "decompose", "evolve", "evolve_adjoint",
-    "sobolev_norm", "h_minus1_tail_norm", "windowed_l2_norm",
+    "evolve", "evolve_adjoint", "windowed_l2_norm",
     "project_branch", "project_low", "synth_grid",
 ]
 
@@ -34,6 +32,14 @@ __all__ = [
 # zeros, and take the expm path)
 EIG_COND_MAX = 1e6
 GL_ORDER = 8
+# degree-13 Pade coefficients b_0..b_13, and the 1-norm up to which the
+# unscaled approximant's backward error stays below the unit roundoff
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3)
+PADE13_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+            960960.0, 16380.0, 182.0, 1.0)
+THETA13 = 5.371920351148152
 
 
 @dataclass
@@ -211,16 +217,58 @@ def gauss_legendre(edges, order=GL_ORDER):
     return (mid + half * x).ravel(), (half * w).ravel()
 
 
+def _expm_pade13(A):
+    """e^A for a stack A of shape (..., d, d): scaling and squaring with
+    the degree-13 Pade approximant r = (V - U)^{-1} (V + U) (Higham 2005).
+
+    Each matrix gets its own scaling 2^-s, s = max(0, ceil(log2(|A|_1 /
+    THETA13))), and the j-th squaring pass squares only the matrices with
+    s > j.  The passes square R = X + c I through X <- X^2 + 2c X,
+    starting from X = r - I = (V - U)^{-1} 2U (one batched solve).  With
+    c = 1 the entries of R near 1 keep the accuracy of their small
+    increments, where squaring R itself loses about 2^s ulps; a matrix
+    whose R has decayed below 1-norm 1/2 goes on with c = 0, because
+    R - I would cancel.
+    """
+    A = np.asarray(A, dtype=complex)
+    norm1 = np.abs(A).sum(axis=-2).max(axis=-1, initial=0.0)
+    with np.errstate(divide="ignore"):
+        s = np.maximum(0.0, np.ceil(np.log2(norm1 / THETA13))).astype(int)
+    A = A * np.ldexp(1.0, -s)[..., None, None]
+    b = PADE13_B
+    eye = np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    X = np.linalg.solve(V - U, 2.0 * U)
+    c = np.ones(s.shape + (1, 1))
+    for j in range(s.max(initial=0)):
+        sq = s > j
+        w, cw = X[sq], c[sq]
+        decayed = cw * (np.abs(w + eye).sum(axis=-2).max(axis=-1)
+                        < 0.5)[:, None, None]
+        w += decayed * eye
+        cw -= decayed
+        X[sq] = w @ w + 2.0 * cw * w
+        c[sq] = cw
+    return X + c * eye
+
+
 class ModeBasis:
     """The semigroups e^{-s G_k} of a stack of generators G, shape (K, d, d).
 
     One stacked eigendecomposition is taken at construction.  Mode k takes
     the eig path V_k e^{-s w_k} V_k^{-1} when cond(V_k) < EIG_COND_MAX, and
-    scaling and squaring (scipy.linalg.expm) otherwise; eig[k] records
-    the path.  All eig-path modes are evaluated in one stacked product and
-    all expm-path modes in one batched expm call.  Scales are (K, Q)
-    arrays, or anything that broadcasts to one: (Q,) shares the scales
-    across modes, (K, 1) gives one scale per mode.
+    the scaling-and-squaring Pade-13 exponential _expm_pade13 otherwise;
+    eig[k] records the path.  All eig-path modes are evaluated in one
+    stacked product, and all expm-path modes at all their scales in one
+    _expm_pade13 call.  Scales are (K, Q) arrays, or anything that
+    broadcasts to one: (Q,) shares the scales across modes, (K, 1) gives
+    one scale per mode.
     """
 
     def __init__(self, gens):
@@ -241,8 +289,8 @@ class ModeBasis:
 
     def _expm_slow(self, s):
         """e^{-s G} of the expm-path modes: (Ks, Q, d, d)."""
-        return scipy.linalg.expm(-s[self._slow, :, None, None]
-                                 * self.gens[self._slow, None])
+        return _expm_pade13(-s[self._slow, :, None, None]
+                            * self.gens[self._slow, None])
 
     def expm(self, scales):
         """e^{-scales[k, q] G_k}: array (K, Q, d, d)."""
@@ -342,39 +390,17 @@ def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
 def evolve_adjoint(sys: SystemMatrices, g0: FourierState, T: float,
                    sample_times=None):
     """Homogeneous adjoint evolution: ghat(n, t) = e^{-t n^2 E(i/n)*} ghat0(n).
-    Returns the state at T, or (times, states) at sample_times."""
+    Returns the state at T, or (times, states) at sample_times, which
+    must lie in [0, T]."""
     times = (np.array([T]) if sample_times is None
              else np.asarray(sample_times, dtype=float))
-    if np.any(times < 0):
-        raise ValueError("adjoint evolution runs forward: times must be >= 0")
+    if np.any(times < 0) or np.any(times > T):
+        raise ValueError(f"sample times must lie in [0, T = {T}]")
     basis = ModeBasis(mode_generator(sys, g0.modes, adjoint=True))
     traj = basis.action(g0.coeffs)(times)
     states = [FourierState(g0.nmax, c)
               for c in traj.transpose(1, 0, 2).copy()]
     return states[-1] if sample_times is None else (times, states)
-
-
-def decompose(state: FourierState, branches: dict, n0: int):
-    """Split into (low, parabolic, hyperbolic) parts.
-
-    Low keeps |n| <= n0 untouched; for n0 < |n| <= nmax the parabolic
-    part carries Pp(i/n) fhat(n) and the hyperbolic part Ph(i/n) fhat(n).
-    The three parts sum back to the input exactly.
-    """
-    low = FourierState.zeros(state.nmax, state.d)
-    par = FourierState.zeros(state.nmax, state.d)
-    hyp = FourierState.zeros(state.nmax, state.d)
-    for n in range(-state.nmax, state.nmax + 1):
-        v = state.get(n)
-        if abs(n) <= n0:
-            low.set(n, v)
-        else:
-            if n not in branches:
-                raise KeyError(f"branch table missing frequency {n}")
-            br = branches[n]
-            par.set(n, br.Pp @ v)
-            hyp.set(n, br.Ph @ v)
-    return low, par, hyp
 
 
 def project_branch(state: FourierState, branches: dict, n0: int,
@@ -397,23 +423,6 @@ def project_low(state: FourierState, n0: int):
     for n in range(-min(n0, state.nmax), min(n0, state.nmax) + 1):
         out.set(n, state.get(n))
     return out
-
-
-def sobolev_norm(state: FourierState, s: float) -> float:
-    """(sum_n (1+n^2)^s |fhat(n)|^2)^(1/2), with the 2 pi factor at s=0
-    left out (this is the plain coefficient-weighted norm; multiply by
-    sqrt(2 pi) for the L2 convention)."""
-    ns = state.modes
-    w = (1.0 + ns.astype(float) ** 2) ** s
-    return float(np.sqrt(np.sum(w[:, None] * np.abs(state.coeffs) ** 2)))
-
-
-def h_minus1_tail_norm(state: FourierState, n0: int) -> float:
-    """The high-frequency H^-1 surrogate (sum_{|n|>n0} |fhat(n)|^2 / n^2)^(1/2)."""
-    ns = state.modes
-    sel = np.abs(ns) > n0
-    w = 1.0 / ns[sel].astype(float) ** 2
-    return float(np.sqrt(np.sum(w[:, None] * np.abs(state.coeffs[sel]) ** 2)))
 
 
 def windowed_l2_norm(times, states, window, omega: TorusSubset) -> float:

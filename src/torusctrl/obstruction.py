@@ -17,7 +17,7 @@ from . import spectral, dynamics
 
 __all__ = [
     "ObstructionWitness", "highpass_profile", "gaussian_profile",
-    "bump_profile", "build_witness", "witness_nmax",
+    "build_witness", "witness_nmax",
     "observability_ratio", "pure_transport_space",
 ]
 
@@ -99,20 +99,6 @@ def gaussian_profile(nmax, center, sigma):
     return dynamics.FourierState(nmax, coeffs[:, None])
 
 
-def bump_profile(nmax, center, width):
-    """Fourier coefficients of the C-infinity bump
-    exp(-1/(1 - ((x - center)/width)^2)) supported on |x-center| < width."""
-    ngrid = max(8 * nmax, 256)
-    xs = TWO_PI * np.arange(ngrid) / ngrid
-    rel = (xs - center + np.pi) % TWO_PI - np.pi
-    rel = rel / width
-    vals = np.zeros(ngrid)
-    inside = np.abs(rel) < 1.0
-    vals[inside] = np.exp(-1.0 / (1.0 - rel[inside] ** 2))
-    coeffs = dynamics.analyze_grid(vals[:, None].astype(complex), xs, nmax)
-    return dynamics.FourierState(nmax, coeffs)
-
-
 @dataclass
 class ObstructionWitness:
     """Witness pair at highpass order N: g_N(t) has the mode-n coefficient
@@ -123,14 +109,11 @@ class ObstructionWitness:
 
     N: int
     mu: float
-    chi: dynamics.FourierState
     chiN: dynamics.FourierState
     phi0: np.ndarray
     sys: SystemMatrices
-    branches: dict
     Rhmu0: np.ndarray
     Phmu_table: dict  # n -> (Phmu(i/n), Rhmu(i/n)) for the chosen mu
-    T: float
 
     def __post_init__(self):
         # per live mode of chiN (a_n != 0, n != 0), stacked once: the
@@ -260,9 +243,8 @@ def build_witness(sys: SystemMatrices, branches: dict, omega: TorusSubset,
         mb = branches[n].mu_branches
         bkey = min(mb, key=lambda m: abs(m - mu))
         table[n] = mb[bkey]
-    return ObstructionWitness(N=N, mu=mu, chi=chi, chiN=chiN, phi0=phi0,
-                              sys=sys, branches=branches, Rhmu0=Rm0,
-                              Phmu_table=table, T=T)
+    return ObstructionWitness(N=N, mu=mu, chiN=chiN, phi0=phi0, sys=sys,
+                              Rhmu0=Rm0, Phmu_table=table)
 
 
 def observability_ratio(witness: ObstructionWitness, omega: TorusSubset,

@@ -8,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 from torusctrl.algebra import TWO_PI
 from torusctrl import dynamics
 from torusctrl.harness import load_scenario
-from torusctrl.dynamics import (FourierState, ControlSignal, ModeBasis,
+from torusctrl.dynamics import (ControlSignal, ModeBasis,
                                 gauss_legendre, synth_grid,
                                 analyze_grid, mode_generator,
                                 evolve, evolve_adjoint,
-                                decompose, project_branch, project_low,
-                                sobolev_norm, h_minus1_tail_norm,
+                                project_branch, project_low,
                                 windowed_l2_norm)
 from conftest import (nscl_system, moving_wave_system, damped_wave_system,
                       decoupled_heat_system, random_state)
 
+import mpmath
 import scipy.linalg
 
 
@@ -189,6 +189,129 @@ def test_evolve_refuses_sample_times_outside_horizon():
     assert _close(states[1].coeffs, evolve(sys, f0, u, 1.0).coeffs)
 
 
+def test_evolve_adjoint_refuses_sample_times_outside_horizon():
+    sys = load_scenario("heat-memory").sys
+    rng = np.random.default_rng(6)
+    g0 = random_state(rng, 6, sys.d)
+    for times in ([0.5, 3.0], [-0.5, 1.0]):
+        with pytest.raises(ValueError, match=r"\[0, T"):
+            evolve_adjoint(sys, g0, 1.0, sample_times=times)
+    _, states = evolve_adjoint(sys, g0, 1.0, sample_times=[0.0, 1.0])
+    assert _close(states[0].coeffs, g0.coeffs)
+    assert _close(states[1].coeffs, evolve_adjoint(sys, g0, 1.0).coeffs)
+
+
+def _rel_errors(got, ref):
+    """Normwise (Frobenius) relative error of each matrix of a stack."""
+    return (np.linalg.norm(got - ref, axis=(-2, -1))
+            / np.linalg.norm(ref, axis=(-2, -1)))
+
+
+def _scipy_expm(stack):
+    return np.array([scipy.linalg.expm(a) for a in stack.reshape(
+        (-1,) + stack.shape[-2:])]).reshape(stack.shape)
+
+
+def _jordan_stack():
+    """e^{-s G} arguments of the generators that take ModeBasis's expm
+    path: moving-wave |n| = 1 and nscl |n| = 2, at scales 0..3."""
+    mw, nscl = moving_wave_system(), nscl_system()
+    gens = np.array([mode_generator(mw, -1), mode_generator(mw, 1),
+                     mode_generator(nscl, -2), mode_generator(nscl, 2)])
+    return -np.linspace(0.0, 3.0, 7)[None, :, None, None] * gens[:, None]
+
+
+def _dissipative_stack(systems):
+    """-s n^2 E(i/n) for n in (1, 3, 10, 40, 120, 224) at three scales
+    each, rescaled so that the largest 1-norm is 1e5: (K, 3, 2, 2)."""
+    ns = np.array([1, 3, 10, 40, 120, 224])
+    gens = np.concatenate([mode_generator(s_, ns) for s_ in systems])
+    A = -np.array([0.01, 0.3, 2.0])[None, :, None, None] * gens[:, None]
+    return A * (1e5 / np.abs(A).sum(axis=-2).max())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_expm_pade13_random_stacks_match_scipy(d):
+    rng = np.random.default_rng(30 + d)
+    A = (rng.standard_normal((12, 3, d, d))
+         + 1j * rng.standard_normal((12, 3, d, d)))
+    # 1-norms from 1e-3 to 30: no squaring up to THETA13, up to three above
+    A *= np.geomspace(1e-3, 30.0, 12)[:, None, None, None] / np.abs(
+        A).sum(axis=-2).max(axis=-1)[..., None, None]
+    got = dynamics._expm_pade13(A)
+    assert got.shape == A.shape
+    assert _rel_errors(got, _scipy_expm(A)).max() <= 1e-12
+
+
+def test_expm_pade13_jordan_generators_match_scipy():
+    A = _jordan_stack()
+    assert _rel_errors(dynamics._expm_pade13(A),
+                       _scipy_expm(A)).max() <= 1e-12
+
+
+def test_expm_pade13_large_dissipative_norms():
+    """n^2-scaled generators up to 1-norm 1e5, fifteen squarings: against
+    scipy to 1e-12 on nscl, moving-wave and heat.  Damped-wave is left to
+    the mpmath test: scipy's own error there is 1.8e-12."""
+    A = _dissipative_stack([nscl_system(), moving_wave_system(),
+                            decoupled_heat_system()])
+    assert np.abs(A).sum(axis=-2).max() == pytest.approx(1e5)
+    got = dynamics._expm_pade13(A)
+    assert _rel_errors(got, _scipy_expm(A)).max() <= 1e-12
+    # each matrix is scaled and squared on its own: stacking does not
+    # change a single bit of its exponential
+    single = np.array([dynamics._expm_pade13(a[None])[0]
+                       for a in A.reshape(-1, 2, 2)])
+    assert np.array_equal(got.reshape(-1, 2, 2), single)
+
+
+def test_expm_pade13_zero_and_empty():
+    assert np.array_equal(dynamics._expm_pade13(np.zeros((3, 4, 2, 2))),
+                          np.broadcast_to(np.eye(2), (3, 4, 2, 2)))
+    assert dynamics._expm_pade13(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+    assert dynamics._expm_pade13(np.zeros((2, 0, 3, 3))).shape == (2, 0, 3, 3)
+    # zero scales on the expm path give the identity exactly
+    jordan = ModeBasis(_jordan_stack()[:, -1])
+    assert not jordan.eig.any()
+    assert np.array_equal(jordan.expm(np.zeros((4, 2))),
+                          np.broadcast_to(np.eye(2), (4, 2, 2, 2)))
+    # an all-eig basis has an empty expm-path set
+    rng = np.random.default_rng(8)
+    eig = ModeBasis(rng.standard_normal((3, 2, 2)))
+    assert eig.eig.all()
+    assert _close(eig.expm([0.0, 0.5]), _dense(eig.gens, np.broadcast_to(
+        [0.0, 0.5], (3, 2))))
+
+
+def _mp_expm(a):
+    """e^a to 40 significant digits, rounded to complex128."""
+    with mpmath.workdps(40):
+        E = mpmath.expm(mpmath.matrix(a.tolist()))
+        return np.array([[complex(E[i, j]) for j in range(a.shape[1])]
+                         for i in range(a.shape[0])])
+
+
+def test_expm_pade13_against_mpmath():
+    """30 matrices against a 40-digit reference: the n^2-scaled stack at
+    its largest scale (1-norms up to 1e5), the Jordan generators decayed
+    to |e^{-30 G}| ~ 1e-24, and two random ones.  The error is at most
+    twice scipy's, and below 1e-13 on the dissipative stack."""
+    rng = np.random.default_rng(12)
+    mats = list(_dissipative_stack([
+        nscl_system(), moving_wave_system(), damped_wave_system(),
+        decoupled_heat_system()])[:, -1])
+    mats += list(10.0 * _jordan_stack()[:, -1])
+    mats += [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+             for d in (3, 4)]
+    assert len(mats) == 30
+    exact = [_mp_expm(a) for a in mats]
+    ours = [_rel_errors(dynamics._expm_pade13(a), e)
+            for a, e in zip(mats, exact)]
+    ref = [_rel_errors(scipy.linalg.expm(a), e) for a, e in zip(mats, exact)]
+    assert max(ours) <= 2.0 * max(ref) + 1e-15
+    assert max(ours[:24]) <= 1e-13
+
+
 def _expm_references(path):
     """(qualified scope, line) of every reference to scipy.linalg.expm in
     the module at path: the attribute through any alias of scipy.linalg,
@@ -228,14 +351,14 @@ def _expm_references(path):
     return found
 
 
-def test_only_mode_basis_calls_scipy_expm():
-    """ModeBasis is the package's one matrix exponential: a second
-    scipy.linalg.expm anywhere in src/torusctrl fails here."""
+def test_no_scipy_expm_in_src():
+    """ModeBasis, through _expm_pade13, is the package's one matrix
+    exponential: any scipy.linalg.expm in src/torusctrl fails here."""
     src = os.path.dirname(dynamics.__file__)
     refs = {(name[:-3], scope)
             for name in sorted(os.listdir(src)) if name.endswith(".py")
             for scope, _ in _expm_references(os.path.join(src, name))}
-    assert refs == {("dynamics", "ModeBasis._expm_slow")}
+    assert refs == set()
 
 
 def test_adjoint_duality_free():
@@ -251,26 +374,18 @@ def test_adjoint_duality_free():
 
 
 def test_decompose_partition(nscl_branches24):
+    """The low, parabolic and hyperbolic projections split a state:
+    they sum back to it, and the branch projections are idempotent."""
     sys, consts, branches = nscl_branches24
     rng = np.random.default_rng(1)
     st_ = random_state(rng, 24, 2)
-    low, par, hyp = decompose(st_, branches, consts.n0)
+    low = project_low(st_, consts.n0)
+    par = project_branch(st_, branches, consts.n0, "p")
+    hyp = project_branch(st_, branches, consts.n0, "h")
     assert (low.coeffs + par.coeffs + hyp.coeffs) == \
         pytest.approx(st_.coeffs, abs=1e-10)
-    # projections are idempotent through project_branch
     again = project_branch(par, branches, consts.n0, "p")
     assert again.coeffs == pytest.approx(par.coeffs, abs=1e-10)
-    assert project_low(st_, consts.n0).coeffs == \
-        pytest.approx(low.coeffs)
-
-
-def test_sobolev_and_tail_norms():
-    st_ = FourierState.zeros(8, 1)
-    st_.set(4, np.array([2.0 + 0j]))
-    assert sobolev_norm(st_, 0.0) == pytest.approx(2.0)
-    assert sobolev_norm(st_, 1.0) == pytest.approx(2.0 * np.sqrt(17.0))
-    assert h_minus1_tail_norm(st_, 2) == pytest.approx(0.5)
-    assert h_minus1_tail_norm(st_, 4) == 0.0
 
 
 def test_windowed_l2_norm_full_torus_matches_parseval():

@@ -5,9 +5,8 @@ import scipy.linalg
 from torusctrl.algebra import TorusSubset, TWO_PI
 from torusctrl import spectral, obstruction
 from torusctrl.obstruction import (highpass_profile, gaussian_profile,
-                                   bump_profile, build_witness,
-                                   observability_ratio, witness_nmax,
-                                   pure_transport_space)
+                                   build_witness, observability_ratio,
+                                   witness_nmax, pure_transport_space)
 from torusctrl.dynamics import FourierState, synth_grid
 from conftest import (nscl_system, damped_wave_system, moving_wave_system,
                       HALF_TORUS)
@@ -45,16 +44,6 @@ def test_gaussian_profile_matches_periodized_gaussian():
     for k in range(-4, 5):
         direct += np.exp(-((xs - 2.0 + TWO_PI * k) / 0.8) ** 2)
     assert vals[:, 0] == pytest.approx(direct, abs=1e-10)
-
-
-def test_bump_profile_support():
-    chi = bump_profile(64, np.pi, 0.5)
-    xs, vals = synth_grid(chi, ngrid=1024)
-    rel = np.abs((xs - np.pi + np.pi) % TWO_PI - np.pi)
-    outside = rel > 0.6
-    # spectral truncation leaves small ripple outside the true support
-    assert np.max(np.abs(vals[outside])) < 1e-3
-    assert np.max(np.abs(vals[~outside])) > 0.3
 
 
 def test_build_witness_rejects_large_T():
