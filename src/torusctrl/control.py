@@ -39,6 +39,7 @@ from .algebra import SystemMatrices, TorusSubset, TWO_PI
 from .dynamics import (FourierState, ControlSignal, ModeBasis, evolve,
                        gauss_legendre, mode_generator, project_branch,
                        project_low, analyze_grid)
+from .spectral import BranchTable
 
 __all__ = [
     "MomentProblem", "LRSchedule", "cutoff_eta", "transport_control",
@@ -97,11 +98,6 @@ class SpatialWeight:
             for off in (0.0, TWO_PI, -TWO_PI):
                 out = np.maximum(out, window_fn(x + off, a, b, ramp))
         return out
-
-    def coeff(self, n):
-        if abs(n) > self.bandwidth:
-            return 0.0 + 0.0j
-        return self.coeffs[n + self.bandwidth]
 
     def toeplitz(self, rows, cols):
         """W[i, j] = rho2hat(rows[i] - cols[j]), zero beyond the bandwidth:
@@ -243,8 +239,8 @@ def transport_control(f0, fT, mu, omega: TorusSubset, Tprime,
 
 # ------------------------------------------- shared reduced-dual machinery
 
-def build_E2(sys: SystemMatrices, branches: dict, n: int) -> np.ndarray:
-    """Reduced parabolic dual generator at mode n:
+def build_E2(sys: SystemMatrices, branches: BranchTable, modes):
+    """Reduced parabolic dual generators, a (K, d2, d2) stack over modes n:
     E2(n) = D* - (i/n) A22* + (1/n^2) K22*
             - ((i/n) A12* - (1/n^2) K12*) G(i/n).
 
@@ -252,20 +248,21 @@ def build_E2(sys: SystemMatrices, branches: dict, n: int) -> np.ndarray:
     E(i/n)* acts on it through E2(n) in the phi2 coordinate.  The
     conjugate transposes reduce to plain transposes for real systems.
     """
+    n = np.asarray(modes, dtype=float)[:, None, None]
     z = 1j / n
-    G = branches[n].G
+    G = branches.G[branches.rows(modes)]
     return (sys.D.conj().T - z * sys.A22.conj().T
             + (1.0 / n ** 2) * sys.K22.conj().T
             - (z * sys.A12.conj().T - (1.0 / n ** 2) * sys.K12.conj().T) @ G)
 
 
-def observation_matrix(sys: SystemMatrices, branches: dict, n: int):
-    """C(n) = M1* G(i/n) + M2*: the reduced parabolic dual observation,
-    mapping the phi2 coordinate to the control space (M* applied to the
-    graph vector (G phi2, phi2))."""
+def observation_matrix(sys: SystemMatrices, branches: BranchTable, modes):
+    """C(n) = M1* G(i/n) + M2* at the modes n, a (K, m, d2) stack: the
+    reduced parabolic dual observation, mapping the phi2 coordinate to
+    the control space (M* applied to the graph vector (G phi2, phi2))."""
     d1 = sys.d1
     Mh = sys.M.conj().T
-    return Mh[:, :d1] @ branches[n].G + Mh[:, d1:]
+    return Mh[:, :d1] @ branches.G[branches.rows(modes)] + Mh[:, d1:]
 
 
 def _emit_modes(modes, basis, obs, rates, vecs, T, window, nodes, weight,
@@ -321,7 +318,7 @@ class MomentProblem:
     N: int
     T: float
     modes: np.ndarray
-    E2: dict
+    E2: np.ndarray  # (K, d2, d2), row k for modes[k]
     gram: np.ndarray
     rhs: np.ndarray
     weight: SpatialWeight
@@ -330,7 +327,7 @@ class MomentProblem:
     cond_scaled: float = np.nan
 
 
-def parabolic_moment_control(sys: SystemMatrices, branches: dict,
+def parabolic_moment_control(sys: SystemMatrices, branches: BranchTable,
                              f0p: FourierState, T: float, N: int,
                              omega: TorusSubset, n0: int,
                              weight: SpatialWeight = None, cond_max=1e14):
@@ -356,9 +353,9 @@ def parabolic_moment_control(sys: SystemMatrices, branches: dict,
     rhs = -_pairings(sys, branches, blk, evolve(sys, f0p, None, T))
     (u,), gram, _, eigs, cond = _joint_solve(
         sys, branches, [blk], [rhs], T, weight, f0p.nmax, cond_max=cond_max)
-    modes = np.array([n for n in range(-N, N + 1) if abs(n) > n0])
-    E2 = {int(n): build_E2(sys, branches, int(n)) for n in modes}
-    return u, MomentProblem(N=N, T=T, modes=modes, E2=E2, gram=gram,
+    modes = np.setdiff1d(np.arange(-N, N + 1), np.arange(-n0, n0 + 1))
+    return u, MomentProblem(N=N, T=T, modes=modes,
+                            E2=build_E2(sys, branches, modes), gram=gram,
                             rhs=rhs, weight=weight,
                             cond=float(eigs[-1] / max(eigs[0], 1e-300)),
                             min_eig=float(eigs[0]), cond_scaled=cond)
@@ -396,9 +393,10 @@ class LRSchedule:
         return cls(T=T, delta=delta, rho=rho, A_const=A, stages=stages)
 
 
-def lebeau_robbiano(sys: SystemMatrices, branches: dict, f0p: FourierState,
-                    T: float, delta: float, rho: float, nmax: int, n0: int,
-                    omega: TorusSubset, weight: SpatialWeight = None):
+def lebeau_robbiano(sys: SystemMatrices, branches: BranchTable,
+                    f0p: FourierState, T: float, delta: float, rho: float,
+                    nmax: int, n0: int, omega: TorusSubset,
+                    weight: SpatialWeight = None):
     """Dyadic active/passive parabolic control on (0, T).
 
     Stage l solves the moment problem for the band n0 < |n| <= 2^l on a
@@ -515,9 +513,8 @@ def _block_modes(sys, branches, block: DualBlock):
         obs = np.broadcast_to(sys.M.conj().T, (len(modes), sys.m, sys.d))
         rates = np.ones(len(modes))
     elif block.kind == "parabolic":
-        gens = [build_E2(sys, branches, int(n)) for n in modes]
-        obs = np.array([observation_matrix(sys, branches, int(n))
-                        for n in modes]).reshape(len(modes), sys.m, sys.d2)
+        gens = build_E2(sys, branches, modes)
+        obs = observation_matrix(sys, branches, modes)
         rates = modes.astype(float) ** 2
     else:
         raise ValueError(f"unknown dual kind {block.kind!r}")
@@ -536,16 +533,14 @@ def _block_observations(block: DualBlock, setup, T, taus):
 
 
 def _pairings(sys, branches, block: DualBlock, state: FourierState):
-    """c_j = <dual_j, fhat(n_j)> for each entry of the block."""
-    d1 = sys.d1
-    out = np.zeros(len(block.entries), dtype=complex)
-    for j, (n, vec) in enumerate(block.entries):
-        fn = state.get(n)
-        if block.kind == "full":
-            out[j] = np.vdot(vec, fn)
-        else:
-            out[j] = np.vdot(vec, branches[n].G.conj().T @ fn[:d1] + fn[d1:])
-    return out
+    """c_j = <dual_j, fhat(n_j)> (phi2 pairs with G(i/n)* fhat_1 + fhat_2)."""
+    ns = np.array([n for n, _ in block.entries], dtype=int)
+    vecs = np.array([vec for _, vec in block.entries])
+    fn = state.coeffs[ns + state.nmax]
+    if block.kind != "full":
+        G = branches.G[branches.rows(ns)]
+        fn = np.einsum("kab,ka->kb", G.conj(), fn[:, :sys.d1]) + fn[:, sys.d1:]
+    return np.einsum("ka,ka->k", vecs.conj(), fn)
 
 
 def _joint_solve(sys, branches, blocks, targets, T, weight, nmax,
@@ -629,22 +624,18 @@ def _target_entries(sys, branches, n0, nmax, target):
     phi2 coordinate of Ima Pp(i/n)* for n0 < |n| <= nband.
     """
     kind = target[0]
-    entries = []
     if kind == "low":
         eye = np.eye(sys.d, dtype=complex)
-        for n in range(-n0, n0 + 1):
-            for j in range(sys.d):
-                entries.append((n, eye[:, j].copy()))
-        return "full", entries
+        return "full", [(n, eye[:, j].copy())
+                        for n in range(-n0, n0 + 1) for j in range(sys.d)]
     if kind == "hyperbolic":
         nband = target[1] if len(target) > 1 else nmax
-        for n in range(-nband, nband + 1):
-            if abs(n) <= n0:
-                continue
-            U, s, _ = np.linalg.svd(branches[n].Ph.conj().T)
-            for j in range(int(np.sum(s > 1e-8))):
-                entries.append((n, U[:, j]))
-        return "full", entries
+        ns = np.setdiff1d(np.arange(-nband, nband + 1), np.arange(-n0, n0 + 1))
+        U, s, _ = np.linalg.svd(
+            np.swapaxes(branches.Ph[branches.rows(ns)], -1, -2).conj())
+        # singular values decrease: each mode keeps a leading run of U
+        return "full", [(int(ns[k]), U[k, :, j])
+                        for k, j in zip(*np.nonzero(s > 1e-8))]
     if kind == "parabolic":
         eye = np.eye(sys.d2, dtype=complex)
         return "parabolic", [(n, eye[:, j].copy())
@@ -653,7 +644,7 @@ def _target_entries(sys, branches, n0, nmax, target):
     raise ValueError(f"unknown target kind {kind!r}")
 
 
-def hum_gramian_control(sys: SystemMatrices, branches: dict, n0: int,
+def hum_gramian_control(sys: SystemMatrices, branches: BranchTable, n0: int,
                         target, fstar: FourierState, T: float,
                         omega: TorusSubset, window=None,
                         weight: SpatialWeight = None, Tstar=None,
@@ -723,7 +714,7 @@ def merge_controls(controls, nmax, m, T) -> ControlSignal:
                                    t_window=(0.0, T), spatial=spatial)
 
 
-def full_pipeline(sys: SystemMatrices, branches: dict, n0: int,
+def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
                   f0: FourierState, T: float, Tprime: float,
                   omega: TorusSubset, Tstar: float = None,
                   max_sweeps=5):
@@ -745,6 +736,8 @@ def full_pipeline(sys: SystemMatrices, branches: dict, n0: int,
         raise ValueError(
             f"need T* < T' < T, got T* = {Tstar}, T' = {Tprime}, T = {T}")
     nmax = f0.nmax
+    if nmax <= n0:
+        raise ValueError(f"need nmax > n0 = {n0}, got nmax = {nmax}")
     d1, m = sys.d1, sys.m
     split = m == sys.d
     weight = plateau_weight(omega)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SystemMatrices, TorusSubset, TWO_PI
-from .spectral import eval_symbol
+from .spectral import BranchTable, eval_symbol
 from . import kernels
 
 __all__ = [
@@ -81,10 +81,6 @@ class FourierState:
     def norm(self):
         """L2 norm: sqrt(2 pi sum |fhat(n)|^2)."""
         return float(np.sqrt(TWO_PI) * np.linalg.norm(self.coeffs))
-
-    def is_real_valued(self, tol=1e-10):
-        return bool(np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1])))
-                    <= tol * (1.0 + np.max(np.abs(self.coeffs))))
 
     def __add__(self, other):
         if other.nmax != self.nmax:
@@ -403,18 +399,16 @@ def evolve_adjoint(sys: SystemMatrices, g0: FourierState, T: float,
     return states[-1] if sample_times is None else (times, states)
 
 
-def project_branch(state: FourierState, branches: dict, n0: int,
+def project_branch(state: FourierState, branches: BranchTable, n0: int,
                    which="p", nband=None):
-    """Projection onto the parabolic ("p") or hyperbolic ("h") part,
-    optionally restricted to n0 < |n| <= nband."""
+    """Projection onto the parabolic ("p") or hyperbolic ("h") part of a
+    BranchTable, optionally restricted to n0 < |n| <= nband."""
+    n = np.abs(state.modes)
+    band = (n > n0) & (n <= (state.nmax if nband is None else nband))
+    P = (branches.Pp if which == "p" else branches.Ph)[
+        branches.rows(state.modes[band])]
     out = FourierState.zeros(state.nmax, state.d)
-    hi = state.nmax if nband is None else min(nband, state.nmax)
-    for n in range(-hi, hi + 1):
-        if abs(n) <= n0:
-            continue
-        br = branches[n]
-        P = br.Pp if which == "p" else br.Ph
-        out.set(n, P @ state.get(n))
+    out.coeffs[band] = np.einsum("kab,kb->ka", P, state.coeffs[band])
     return out
 
 

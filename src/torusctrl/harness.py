@@ -374,23 +374,21 @@ def _exp_simulate(scn, rng, out_dir):
 def _exp_spectrum(scn, rng, out_dir):
     consts, _ = _branch_setup(scn)
     sys = scn.sys
-    rows = []
-    worst = np.zeros(4)
     zs = np.array([rng.uniform(0, 1.0 / consts.n0)
                    * np.exp(1j * rng.uniform(0, TWO_PI)) for _ in range(200)])
-    Phs, _ = spectral.projection_split(sys, zs, consts.R)
-    for z, Ph in zip(zs, Phs):
-        E = spectral.eval_symbol(sys, z)
-        scale = max(np.linalg.norm(E), 1.0)
-        r_idem = np.linalg.norm(Ph @ Ph - Ph)
-        r_comm = np.linalg.norm(Ph @ E - E @ Ph) / scale
-        mu_branches = spectral.hyperbolic_branches(sys, z, Ph)
-        r_sum = np.linalg.norm(
-            sum(P for P, _ in mu_branches.values()) - Ph)
-        r_eq = max(np.linalg.norm(E @ P - mu * z * P - z ** 2 * R) / scale
-                   for mu, (P, R) in mu_branches.items())
-        worst = np.maximum(worst, [r_idem, r_comm, r_sum, r_eq])
-        rows.append([z.real, z.imag, r_idem, r_comm, r_sum, r_eq])
+    Ph, _ = spectral.projection_split(sys, zs, consts.R)
+    per_speed = spectral.hyperbolic_branches(sys, zs, Ph)
+    E = spectral.eval_symbol(sys, zs)
+    zz = zs[:, None, None]
+    fro = lambda a: np.linalg.norm(a, axis=(1, 2))  # noqa: E731
+    scale = np.maximum(fro(E), 1.0)
+    res = np.column_stack([
+        fro(Ph @ Ph - Ph), fro(Ph @ E - E @ Ph) / scale,
+        fro(sum(P for P, _ in per_speed.values()) - Ph),
+        np.max([fro(E @ P - mu * zz * P - zz ** 2 * R) / scale
+                for mu, (P, R) in per_speed.items()], axis=0)])
+    worst = res.max(axis=0)
+    rows = np.column_stack([zs.real, zs.imag, res]).tolist()
     csv = _write_csv(out_dir, "spectrum_residuals.csv",
                      ["re_z", "im_z", "idempotent", "commutator",
                       "branch_sum", "branch_eq"], rows)
@@ -456,11 +454,7 @@ def _exp_control(scn, rng, out_dir):
         scn.sys, branches, f0p, scn.T, N, scn.omega, consts.n0)
     fT = evolve(scn.sys, f0p, u, scn.T)
     fTp = project_branch(fT, branches, consts.n0, "p")
-    rows = []
-    for n in range(-N, N + 1):
-        if abs(n) <= consts.n0:
-            continue
-        rows.append([n, float(np.linalg.norm(fTp.get(n)))])
+    rows = [[int(n), float(np.linalg.norm(fTp.get(n)))] for n in mp.modes]
     res = max(r[1] for r in rows)
     csv = _write_csv(out_dir, "control_residuals.csv",
                      ["mode", "parabolic_residual"], rows)

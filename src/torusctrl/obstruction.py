@@ -113,24 +113,15 @@ class ObstructionWitness:
     phi0: np.ndarray
     sys: SystemMatrices
     Rhmu0: np.ndarray
-    Phmu_table: dict  # n -> (Phmu(i/n), Rhmu(i/n)) for the chosen mu
+    Phmu: np.ndarray  # (L, d, d): Phmu(i/n) for the chosen mu, n live
+    Rhmu: np.ndarray  # (L, d, d): Rhmu(i/n) likewise
 
     def __post_init__(self):
-        # per live mode of chiN (a_n != 0, n != 0), stacked once: the
-        # semigroup of Rhmu(i/n)* and its start vector Phmu(i/n)* phi0
-        modes = self.chiN.modes
-        self._live = np.where((self.chiN.coeffs[:, 0] != 0) & (modes != 0))[0]
-        missing = [int(n) for n in modes[self._live]
-                   if int(n) not in self.Phmu_table]
-        if missing:
-            raise KeyError(
-                f"branch table missing modes {missing}; the highpass order "
-                "N must be at least the frequency cutoff n0")
-        d = self.sys.d
-        pairs = [self.Phmu_table[int(n)] for n in modes[self._live]]
-        Rstar = np.array([Rm.conj().T for _, Rm in pairs]).reshape(-1, d, d)
-        start = np.array([Pm.conj().T @ self.phi0 for Pm, _ in pairs]
-                         ).reshape(-1, d)
+        # the L live modes of chiN (a_n != 0, n != 0), in order, stacked
+        # once: the semigroup of Rhmu(i/n)* and its start Phmu(i/n)* phi0
+        self._live = _live_rows(self.chiN)
+        Rstar = np.swapaxes(self.Rhmu, -1, -2).conj()
+        start = np.swapaxes(self.Phmu, -1, -2).conj() @ self.phi0
         self._gN = dynamics.ModeBasis(-Rstar).action(start)
         self._gNtilde = dynamics.ModeBasis(
             -self.Rhmu0.conj().T[None]).action(self.phi0[None])
@@ -161,6 +152,10 @@ class ObstructionWitness:
                             lambda ts: self._gNtilde(ts)[0][:, None])
 
 
+def _live_rows(chiN):
+    return np.flatnonzero((chiN.coeffs[:, 0] != 0) & (chiN.modes != 0))
+
+
 def _slowest_speed(sys):
     mus = np.linalg.eigvals(sys.Aprime).real
     mus = mus[np.abs(mus) > 1e-12]
@@ -178,8 +173,9 @@ def witness_nmax(N: int, peak_factor=2.5) -> int:
     return int(np.ceil(peak_factor * N + 6.0 / sigma)) + 4
 
 
-def build_witness(sys: SystemMatrices, branches: dict, omega: TorusSubset,
-                  T: float, N: int, chi: dynamics.FourierState = None,
+def build_witness(sys: SystemMatrices, branches: spectral.BranchTable,
+                  omega: TorusSubset, T: float, N: int,
+                  chi: dynamics.FourierState = None,
                   consts=None, margin=0.05 * TWO_PI,
                   peak_factor=2.5) -> ObstructionWitness:
     """Construct the witness pair (g_N, gtilde_N) for T below minimal time.
@@ -217,7 +213,7 @@ def build_witness(sys: SystemMatrices, branches: dict, omega: TorusSubset,
         raise ValueError("T >= T* for this geometry (margins leave no room)")
     if not branches:
         raise ValueError("empty branch table")
-    nmax = max(abs(k) for k in branches)
+    nmax = int(np.max(np.abs(branches.modes)))
     log_abs = phase = None
     if chi is None:
         sigma = np.sqrt(2.0 * (2 * N + 1)) / (peak_factor * N)
@@ -238,13 +234,12 @@ def build_witness(sys: SystemMatrices, branches: dict, omega: TorusSubset,
     u, s, vh = np.linalg.svd(Pm0.conj().T)
     phi0 = u[:, 0]
 
-    table = {}
-    for n in branches:
-        mb = branches[n].mu_branches
-        bkey = min(mb, key=lambda m: abs(m - mu))
-        table[n] = mb[bkey]
+    k = int(np.argmin(np.abs(branches.speeds - mu)))
+    # a KeyError here means the highpass order N is below the cutoff n0
+    rows = branches.rows(chiN.modes[_live_rows(chiN)])
     return ObstructionWitness(N=N, mu=mu, chiN=chiN, phi0=phi0, sys=sys,
-                              Rhmu0=Rm0, Phmu_table=table)
+                              Rhmu0=Rm0, Phmu=branches.Phmu[k, rows],
+                              Rhmu=branches.Rhmu[k, rows])
 
 
 def observability_ratio(witness: ObstructionWitness, omega: TorusSubset,

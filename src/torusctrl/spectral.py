@@ -7,6 +7,9 @@ near Sp(D).  The splitting is realized by resolvent contour integrals on
 the circle |zeta| = R with R = min|Sp(D)|/2, and the hyperbolic group is
 further resolved per transport speed mu through the rescaled symbol
 E1(z) = E(z) Ph(z) / z (Kato's reduction process).
+
+Functions of z take a scalar or a 1-D array of z; build_branch_table
+splits all modes n0 < |n| <= nmax at once into one stacked BranchTable.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ import numpy as np
 from .algebra import SystemMatrices
 
 __all__ = [
-    "SpectralBranch", "BranchConstants", "eval_symbol", "separation_radius",
+    "BranchTable", "BranchConstants", "eval_symbol", "separation_radius",
     "projection_split", "hyperbolic_branches", "graph_map",
     "build_branch_table", "limit_projections",
 ]
@@ -45,15 +48,17 @@ def eval_symbol(sys: SystemMatrices, z) -> np.ndarray:
 
 def _resolvent_projection(mats, center, radius, tol=CONTOUR_TOL):
     """Riesz projections -(1/2 pi i) oint (M - zeta I)^-1 d zeta over the
-    circle |zeta - center| = radius for every M in a (K, d, d) stack, by
-    the trapezoidal rule.
+    circle |zeta - center| = radius for every M in a stack (..., d, d), by
+    the trapezoidal rule; `members` of a ContourError index the flattened
+    stack.
 
     Each doubling keeps the previous node sum and adds only the odd nodes
     of the new resolution.  Matrix k stops at the first resolution where
     ||cur_k - prev_k||_2 < tol * max(1, ||cur_k||_2); the others go on, up
     to CONTOUR_MAX_NODES nodes.
     """
-    mats = np.asarray(mats, dtype=complex)
+    shape = np.shape(mats)
+    mats = np.asarray(mats, dtype=complex).reshape(-1, *shape[-2:])
     K, d, _ = mats.shape
     gap = np.abs(np.abs(np.linalg.eigvals(mats) - center) - radius)
     bad = np.flatnonzero(np.min(gap, axis=-1) < 1e-12 * max(1.0, radius))
@@ -87,7 +92,7 @@ def _resolvent_projection(mats, center, radius, tol=CONTOUR_TOL):
         raise ContourError(
             f"contour quadrature did not converge below {tol} (relative) "
             f"at {m} nodes (stack members {live.tolist()})", live)
-    return out
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -100,15 +105,33 @@ class BranchConstants:
     R: float
 
 
-@dataclass(frozen=True)
-class SpectralBranch:
-    """Per-frequency branch data at z = i/n."""
+@dataclass(frozen=True, eq=False)
+class BranchTable:
+    """Branch data at z = i/n for the modes n0 < |n| <= nmax, row k for
+    mode modes[k]: projections Ph, Pp (K, d, d), graph map G (K, d1, d2),
+    the distinct speeds mu in Sp(Aprime) (S,), increasing, and per speed
+    Phmu, Rhmu (S, K, d, d) with E(i/n) Phmu = mu (i/n) Phmu + (i/n)^2 Rhmu.
+    """
 
-    n: int
+    modes: np.ndarray
     Ph: np.ndarray
     Pp: np.ndarray
-    mu_branches: dict  # mu -> (Phmu, Rhmu)
     G: np.ndarray
+    speeds: np.ndarray
+    Phmu: np.ndarray
+    Rhmu: np.ndarray
+
+    def __len__(self):
+        return len(self.modes)
+
+    def rows(self, ns):
+        """Row indices of the modes ns, an int or an array of them; a
+        KeyError names every mode the table lacks."""
+        hit = np.asarray(ns, dtype=int)[..., None] == self.modes
+        missing = np.unique(np.asarray(ns)[~hit.any(axis=-1)]).tolist()
+        if missing:
+            raise KeyError(f"branch table missing modes {missing}")
+        return hit.argmax(axis=-1)
 
 
 def separation_radius(sys: SystemMatrices, n0_override=None,
@@ -153,9 +176,7 @@ def projection_split(sys: SystemMatrices, z, R: float):
     |zeta| < R; Pp = I - Ph.  A 1-D array of z gives (len(z), d, d)
     stacks, all from one stacked quadrature.
     """
-    E = eval_symbol(sys, z)
-    Ph = _resolvent_projection(E.reshape(-1, sys.d, sys.d), 0.0, R)
-    Ph = Ph.reshape(E.shape)
+    Ph = _resolvent_projection(eval_symbol(sys, z), 0.0, R)
     return Ph, np.eye(sys.d) - Ph
 
 
@@ -169,7 +190,7 @@ def _distinct_real_eigs(Aprime, tol=1e-8):
     return groups
 
 
-def hyperbolic_branches(sys: SystemMatrices, z: complex, Ph: np.ndarray):
+def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray):
     """Split Ph into per-speed projections: mu -> (Phmu, Rhmu).
 
     Works on the rescaled symbol E1(z) = E(z) Ph(z) / z whose spectrum on
@@ -180,17 +201,20 @@ def hyperbolic_branches(sys: SystemMatrices, z: complex, Ph: np.ndarray):
     the shifted symbol E(z) + alpha z I (alpha = 1 + max|Sp(Aprime)|) is
     used; it has the same invariant subspaces with speeds mu + alpha.
     The remainder satisfies E(z) Phmu = mu z Phmu + z^2 Rhmu.
+    A 1-D array of z with the stack Ph gives stacks, one contour per
+    speed; a ContourError then carries the stack indices that failed.
     """
-    if z == 0:
+    z = np.asarray(z)
+    if np.any(z == 0):
         raise ValueError("z must be nonzero (use limit_projections for z=0)")
     mus = _distinct_real_eigs(sys.Aprime)
     alpha = 0.0
     if any(abs(mu) <= 1e-8 for mu in mus):
         alpha = 1.0 + max(abs(mu) for mu in mus)
     shifted = [mu + alpha for mu in mus]
+    zz = z[..., None, None]
     E = eval_symbol(sys, z)
-    Es = E + alpha * z * np.eye(sys.d)
-    E1 = (Es @ Ph) / z
+    E1 = ((E + alpha * zz * np.eye(sys.d)) @ Ph) / zz
     if len(mus) == 1:
         gap = max(1.0, abs(shifted[0]))
     else:
@@ -200,36 +224,41 @@ def hyperbolic_branches(sys: SystemMatrices, z: complex, Ph: np.ndarray):
     # rescaled symbol carries on the range of Pp
     radius = min(gap / 3.0, 0.5 * min(abs(m) for m in shifted))
     out = {}
-    total = np.zeros_like(Ph)
     for mu, mus_ in zip(mus, shifted):
         if len(mus) == 1:
             Phmu = Ph.copy()
         else:
             try:
-                Phmu = _resolvent_projection(E1[None], mus_, radius)[0]
+                Phmu = _resolvent_projection(E1, mus_, radius)
             except ContourError as exc:
-                raise ContourError(
-                    f"mu-groups not separated at |z| = {abs(z):.3g}; "
-                    "increase n0") from exc
-        Rhmu = (E @ Phmu - mu * z * Phmu) / (z * z)
+                at = np.abs(np.ravel(z))[list(exc.members)].round(4).tolist()
+                raise ContourError(f"mu-groups not separated at |z| = {at}; "
+                                   "increase n0", exc.members) from exc
+        Rhmu = (E @ Phmu - mu * zz * Phmu) / (zz * zz)
         out[mu] = (Phmu, Rhmu)
-        total = total + Phmu
-    if np.linalg.norm(total - Ph, ord=2) > 1e-8 * max(1.0, np.linalg.norm(Ph, ord=2)):
-        raise ContourError("mu-group projections do not sum to Ph; increase n0")
+    total = sum(P for P, _ in out.values())
+    bad = np.flatnonzero(
+        np.linalg.norm(total - Ph, ord=2, axis=(-2, -1))
+        > 1e-8 * np.maximum(1.0, np.linalg.norm(Ph, ord=2, axis=(-2, -1))))
+    if bad.size:
+        raise ContourError("mu-group projections do not sum to Ph (stack "
+                           f"members {bad.tolist()}); increase n0", bad)
     return out
 
 
-def graph_map(sys: SystemMatrices, z: complex, Pp: np.ndarray) -> np.ndarray:
+def graph_map(sys: SystemMatrices, z, Pp: np.ndarray) -> np.ndarray:
     """G(z) with phi in range(Pp(z)*) iff phi_1 = G(z) phi_2.
 
-    G(z) = (I - p11)^-1 p12 where p11, p12 are the top blocks of Pp(z)*.
+    G(z) = (I - p11)^-1 p12 where p11, p12 are the top blocks of Pp(z)*;
+    a 1-D array of z with the stack Pp gives the (len(z), d1, d2) stack.
     """
     d1 = sys.d1
-    Pstar = Pp.conj().T
-    p11 = Pstar[:d1, :d1]
-    p12 = Pstar[:d1, d1:]
-    if np.linalg.norm(p11, ord=2) >= 1.0:
-        raise ValueError("graph map undefined: ||p11(z)|| >= 1 at this z")
+    top = np.swapaxes(Pp, -1, -2).conj()[..., :d1, :]
+    p11, p12 = top[..., :d1], top[..., d1:]
+    bad = np.flatnonzero(np.linalg.norm(p11, ord=2, axis=(-2, -1)) >= 1.0)
+    if bad.size:
+        raise ValueError("graph map undefined: ||p11(z)|| >= 1 at z = "
+                         f"{np.ravel(z)[bad].tolist()}")
     return np.linalg.solve(np.eye(d1) - p11, p12)
 
 
@@ -245,7 +274,7 @@ def limit_projections(sys: SystemMatrices):
         proj = {mus[0]: np.eye(d1, dtype=complex)}
     else:
         gap = min(abs(a - b) for i, a in enumerate(mus) for b in mus[:i])
-        proj = {mu: _resolvent_projection(sys.Aprime[None], mu, gap / 3.0)[0]
+        proj = {mu: _resolvent_projection(sys.Aprime, mu, gap / 3.0)
                 for mu in mus}
     for mu, pm in proj.items():
         block = np.zeros((d, d), dtype=complex)
@@ -258,33 +287,28 @@ def remainder_at_zero(sys: SystemMatrices, R: float, n_base=512):
     """Richardson-extrapolated limits mu -> (Phmu(0), Rhmu(0)) from
     z = i/n_base and i/(2 n_base); the branch data is first order in z so
     the extrapolant is O(1/n^2) accurate."""
-    zs = [1j / (n_base * factor) for factor in (1, 2)]
-    Ph, _ = projection_split(sys, np.array(zs), R)
-    out = [hyperbolic_branches(sys, z, P) for z, P in zip(zs, Ph)]
-    result = {}
-    for mu in out[0]:
-        P1, R1 = out[0][mu]
-        P2, R2 = out[1][mu]
-        result[mu] = (2.0 * P2 - P1, 2.0 * R2 - R1)
-    return result
+    zs = 1j / (n_base * np.array([1.0, 2.0]))
+    Ph, _ = projection_split(sys, zs, R)
+    return {mu: (2.0 * P[1] - P[0], 2.0 * Rm[1] - Rm[0])
+            for mu, (P, Rm) in hyperbolic_branches(sys, zs, Ph).items()}
 
 
 def build_branch_table(sys: SystemMatrices, consts: BranchConstants,
-                       nmax: int):
-    """SpectralBranch for every n0 < |n| <= nmax, keyed by n.
-
-    One stacked projection_split serves every mode; a ContourError names
-    the modes that failed.
+                       nmax: int) -> BranchTable:
+    """The branch split at z = i/n for every mode n0 < |n| <= nmax, as one
+    BranchTable with rows n0+1, -(n0+1), n0+2, ...: one stacked call each
+    of projection_split, hyperbolic_branches and graph_map.  A
+    ContourError names the modes that failed.
     """
-    ns = [sign * n for n in range(consts.n0 + 1, nmax + 1)
-          for sign in (1, -1)]
-    zs = [1j / nn for nn in ns]
+    ns = np.outer(np.arange(consts.n0 + 1, nmax + 1), [1, -1]).ravel()
+    zs = 1j / ns
     try:
-        Ph, Pp = projection_split(sys, np.array(zs, dtype=complex), consts.R)
+        Ph, Pp = projection_split(sys, zs, consts.R)
+        per_speed = hyperbolic_branches(sys, zs, Ph)
     except ContourError as exc:
-        modes = [ns[k] for k in exc.members]
+        modes = ns[list(exc.members)].tolist()
         raise ContourError(f"modes n = {modes}: {exc}", exc.members) from exc
-    return {nn: SpectralBranch(n=nn, Ph=Ph[k], Pp=Pp[k],
-                               mu_branches=hyperbolic_branches(sys, z, Ph[k]),
-                               G=graph_map(sys, z, Pp[k]))
-            for k, (nn, z) in enumerate(zip(ns, zs))}
+    return BranchTable(modes=ns, Ph=Ph, Pp=Pp, G=graph_map(sys, zs, Pp),
+                       speeds=np.array(list(per_speed)),
+                       Phmu=np.array([P for P, _ in per_speed.values()]),
+                       Rhmu=np.array([Rm for _, Rm in per_speed.values()]))

@@ -44,6 +44,18 @@ def decoupled_heat_system():
         M=np.eye(2))
 
 
+def two_speed_system(speeds=(1.0, -2.0)):
+    # d1 = 2 transport components with two distinct speeds (a non-normal
+    # Aprime), coupled to one heat component
+    A = np.array([[speeds[0], 0.3, 0.5],
+                  [0.0, speeds[1], 0.2],
+                  [0.4, -0.3, 0.7]])
+    K = np.array([[0.0, 0.0, -0.2],
+                  [0.0, 0.1, 0.0],
+                  [0.3, 0.0, 0.0]])
+    return SystemMatrices(2, 1, A=A, D=np.array([[1.5]]), K=K, M=np.eye(3))
+
+
 HALF_TORUS = TorusSubset(((0.0, np.pi),))
 
 

@@ -83,6 +83,23 @@ def test_traced_moment_solve_records_headroom(tracing):
     assert tracer.counters[0, "control._joint_solve.size"] == 6
 
 
+def test_traced_branch_table_counts_modes_and_splits_inside(tracing):
+    """The tracer reads len() of the table as its mode count, and the
+    stacked split still runs through the module's hyperbolic_branches."""
+    sys = decoupled_heat_system()
+    consts = spectral.separation_radius(sys, n0_override=1)
+    tracer = tracing.Tracer()
+    with tracer.solving(0):
+        spectral.build_branch_table(sys, consts, 8)
+    assert tracer.counters[0, "spectral.build_branch_table.modes"] == \
+        2 * (8 - consts.n0)
+    names = [rec[0] for rec in tracer.spans]
+    table = names.index("spectral.build_branch_table")
+    inside = [rec[0] for rec in tracer.spans if rec[3] == table]
+    assert inside.count("spectral.projection_split") == 1
+    assert inside.count("spectral.hyperbolic_branches") == 1
+
+
 def test_scalar_at_keeps_its_shape(tracing):
     """A float time gives one (2*nmax+1, m) coefficient array, on an
     interpolated and on a lazy signal, also through the tracer's wrapper:

@@ -50,9 +50,9 @@ class TestSmoothBits:
         assert np.all(vals[HALF_TORUS.indicator(xs) == 0.0] == 0.0)
         mid = (xs > 0.35 * np.pi) & (xs < 0.65 * np.pi)
         assert np.all(vals[mid] == 1.0)
-        # coeff uses the (1/2 pi) Fourier normalization
+        # coefficients use the (1/2 pi) Fourier normalization
         quad = np.sum(vals) / 2000
-        assert w.coeff(0) == pytest.approx(quad, rel=1e-6)
+        assert w.toeplitz([0], [0])[0, 0] == pytest.approx(quad, rel=1e-6)
 
 
 class TestTransport:
@@ -160,25 +160,26 @@ class TestMomentControl:
         ss = T - taus
         d1, d2 = sys.d1, sys.d2
         fam = {}  # (n, i) -> observations C(n) e^{-s n^2 E2(n)} e_i, (Q, m)
-        for n in (int(k) for k in mp.modes):
-            C = ctl.observation_matrix(sys, branches, n)
+        for r, n in enumerate(int(k) for k in mp.modes):
+            C = ctl.observation_matrix(sys, branches, [n])[0]
             for i in range(d2):
                 fam[n, i] = np.array([
-                    C @ scipy.linalg.expm(-s * n * n * mp.E2[n])[:, i]
+                    C @ scipy.linalg.expm(-s * n * n * mp.E2[r])[:, i]
                     for s in ss])
         keys = list(fam)
         ref = np.zeros((len(keys), len(keys)), dtype=complex)
         for a, (n, i) in enumerate(keys):
             for b, (k, j) in enumerate(keys):
-                ref[a, b] = mp.weight.coeff(n - k) * np.sum(
+                ref[a, b] = mp.weight.toeplitz([n], [k])[0, 0] * np.sum(
                     wts * rho1(ss / T)
                     * np.sum(fam[n, i].conj() * fam[k, j], axis=1))
         assert np.linalg.norm(mp.gram - ref) <= 1e-12 * np.linalg.norm(ref)
 
         rhs = np.concatenate([
-            -scipy.linalg.expm(-T * n * n * mp.E2[n]).conj().T
-            @ (branches[n].G.conj().T @ f0p.get(n)[:d1] + f0p.get(n)[d1:])
-            for n in (int(k) for k in mp.modes)])
+            -scipy.linalg.expm(-T * n * n * mp.E2[r]).conj().T
+            @ (branches.G[branches.rows(n)].conj().T @ f0p.get(n)[:d1]
+               + f0p.get(n)[d1:])
+            for r, n in enumerate(int(k) for k in mp.modes)])
         np.testing.assert_allclose(mp.rhs, rhs, rtol=1e-12, atol=0)
 
 
@@ -314,7 +315,7 @@ def _loop_coeffs(weight, nmax, m, vecs):
     out = np.zeros((2 * nmax + 1, m), dtype=complex)
     for k, v in vecs:
         for nprime in range(-nmax, nmax + 1):
-            out[nprime + nmax, :] += weight.coeff(nprime - k) * v
+            out[nprime + nmax, :] += weight.toeplitz([nprime], [k])[0, 0] * v
     return out
 
 
@@ -326,8 +327,10 @@ def _block_vectors(sys, branches, blk, lam, T, t):
             v = sys.M.conj().T @ scipy.linalg.expm(
                 -(T - t) * mode_generator(sys, n, adjoint=True)) @ vec
         else:
-            v = ctl.observation_matrix(sys, branches, n) @ scipy.linalg.expm(
-                -(T - t) * n * n * ctl.build_E2(sys, branches, n)) @ vec
+            v = ctl.observation_matrix(sys, branches, [n])[0] @ (
+                scipy.linalg.expm(-(T - t) * n * n
+                                  * ctl.build_E2(sys, branches, [n])[0])
+                @ vec)
         out.append((n, lj * (blk.mask * v)))
     return out
 
@@ -348,7 +351,8 @@ class TestEmission:
         rows, cols = np.arange(-10, 11), np.array([-3, 0, 2, 9])
         W = w.toeplitz(rows, cols)
         assert np.array_equal(
-            W, np.array([[w.coeff(r - c) for c in cols] for r in rows]))
+            W, np.array([[w.coeffs[r - c + 6] if abs(r - c) <= 6 else 0.0
+                          for c in cols] for r in rows]))
         beyond = np.abs(np.subtract.outer(rows, cols)) > 6
         assert np.all(W[beyond] == 0.0) and np.all(W[~beyond] != 0.0)
 
@@ -422,8 +426,8 @@ class TestEmission:
         for t in (0.0, 0.35, 0.8, T):
             s = T - t
             vecs = [(n, rho1(np.array([s / T]))[0]
-                     * ctl.observation_matrix(sys, branches, n)
-                     @ scipy.linalg.expm(-s * n * n * mp.E2[n])
+                     * ctl.observation_matrix(sys, branches, [n])[0]
+                     @ scipy.linalg.expm(-s * n * n * mp.E2[i])
                      @ V.reshape(len(mp.modes), -1)[i])
                     for i, n in enumerate(int(k) for k in mp.modes)]
             ref = _loop_coeffs(mp.weight, 24, sys.m, vecs)

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from torusctrl.algebra import TWO_PI
 from torusctrl import dynamics
 from torusctrl.harness import load_scenario
+from torusctrl.spectral import (build_branch_table, projection_split,
+                                separation_radius)
 from torusctrl.dynamics import (ControlSignal, ModeBasis,
                                 gauss_legendre, synth_grid,
                                 analyze_grid, mode_generator,
@@ -15,7 +17,7 @@ from torusctrl.dynamics import (ControlSignal, ModeBasis,
                                 project_branch, project_low,
                                 windowed_l2_norm)
 from conftest import (nscl_system, moving_wave_system, damped_wave_system,
-                      decoupled_heat_system, random_state)
+                      decoupled_heat_system, two_speed_system, random_state)
 
 import mpmath
 import scipy.linalg
@@ -146,11 +148,11 @@ def test_evolve_against_rk4_oracle():
                       t_window=(0.0, 0.5))
     times, traj = evolve(sys, f0, u, 0.5, sample_times=[0.25, 0.5])
 
+    # every mode's generator, stacked once; one u.at per RK4 stage
+    gens = mode_generator(sys, np.arange(-nmax, nmax + 1))
+
     def rhs(t, c):
-        out = np.zeros_like(c)
-        for i, n in enumerate(range(-nmax, nmax + 1)):
-            out[i] = -mode_generator(sys, n) @ c[i] + u.at(t)[i] @ sys.M.T
-        return out
+        return -np.einsum("kab,kb->ka", gens, c) + u.at(t) @ sys.M.T
 
     c = f0.coeffs.copy()
     # step count divisible by the node count so no RK4 step straddles a
@@ -386,6 +388,23 @@ def test_decompose_partition(nscl_branches24):
         pytest.approx(st_.coeffs, abs=1e-10)
     again = project_branch(par, branches, consts.n0, "p")
     assert again.coeffs == pytest.approx(par.coeffs, abs=1e-10)
+
+
+def test_project_branch_matches_per_mode_loop():
+    # a non-normal symbol: its projections are not complex symmetric
+    sys = two_speed_system()
+    consts = separation_radius(sys)
+    branches = build_branch_table(sys, consts, 12)
+    st_ = random_state(np.random.default_rng(21), 12, sys.d)
+    for which, part in (("h", 0), ("p", 1)):
+        for nband in (None, 9):
+            got = project_branch(st_, branches, consts.n0, which, nband)
+            ref = np.zeros_like(st_.coeffs)
+            for n in range(-(nband or 12), (nband or 12) + 1):
+                if abs(n) > consts.n0:
+                    P = projection_split(sys, 1j / n, consts.R)[part]
+                    ref[n + 12] = P @ st_.get(n)
+            np.testing.assert_allclose(got.coeffs, ref, rtol=0, atol=1e-13)
 
 
 def test_windowed_l2_norm_full_torus_matches_parseval():

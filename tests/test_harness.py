@@ -236,6 +236,19 @@ class TestCli:
         assert rc == 2
         assert "REFUSED (precondition)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("nmax", ["2", "3"])
+    def test_pipeline_at_or_below_cutoff_exits_2(self, tmp_path, capsys,
+                                                 nmax):
+        # nscl has n0 = 3: no branch-resolved mode to control
+        out = tmp_path / "run"
+        rc = cli.main(["pipeline", "--scenario", "nscl(1, 1, 1, 2, 1)",
+                       "--nmax", nmax, "--out-dir", str(out)])
+        assert rc == 2
+        text = capsys.readouterr().out
+        assert "REFUSED (precondition)" in text
+        assert f"need nmax > n0 = 3, got nmax = {nmax}" in text
+        assert (out / "summary.txt").exists()
+
     @pytest.mark.parametrize("error", [
         np.linalg.LinAlgError("Gramian condition 2.41e+300"),
         spectral.ContourError("contour quadrature did not converge")])

@@ -88,6 +88,7 @@ def test_witness_coeffs_batched_and_match_dense_expm(N):
     T = 0.5 * np.pi
     branches = spectral.build_branch_table(sys, consts, witness_nmax(N))
     wit = build_witness(sys, branches, HALF_TORUS, T, N, consts=consts)
+    s = int(np.argmin(np.abs(branches.speeds - wit.mu)))
     ts = np.linspace(0.0, T, 5)
     a = wit.chiN.coeffs[:, 0]
     for method, rate in ((wit.gN_coeffs, None),
@@ -103,7 +104,8 @@ def test_witness_coeffs_batched_and_match_dense_expm(N):
                 if a[i] == 0 or (rate is None and n == 0):
                     continue
                 P, R = ((np.eye(sys.d), rate) if rate is not None
-                        else wit.Phmu_table[int(n)])
+                        else (branches.Phmu[s, branches.rows(n)],
+                              branches.Rhmu[s, branches.rows(n)]))
                 ref[i] = (a[i] * np.exp(1j * wit.mu * n * t)
                           * scipy.linalg.expm(t * R.conj().T)
                           @ P.conj().T @ wit.phi0)

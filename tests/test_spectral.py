@@ -7,13 +7,15 @@ from torusctrl.spectral import (eval_symbol, projection_split,
                                 limit_projections, separation_radius,
                                 build_branch_table)
 from conftest import (nscl_system, damped_wave_system, moving_wave_system,
-                      decoupled_heat_system)
+                      decoupled_heat_system, two_speed_system)
 
 
 SYSTEMS = {
     "nscl": nscl_system(),
     "damped-wave": damped_wave_system(0.5),
     "moving-wave": moving_wave_system(),
+    "two-speed": two_speed_system(),
+    "zero-speed": two_speed_system((0.0, 1.5)),
 }
 
 
@@ -89,15 +91,18 @@ def test_n0_override():
 
 def test_branch_table_keys_and_graph_map(nscl_branches24):
     sys, consts, branches = nscl_branches24
-    keys = sorted(branches)
+    keys = sorted(branches.modes)
+    assert len(branches) == 2 * (24 - consts.n0)
     assert keys[0] == -24 and keys[-1] == 24
     assert all(abs(n) > consts.n0 for n in keys)
-    for n in (consts.n0 + 1, 24, -7):
-        br = branches[n]
-        assert br.Pp @ br.Pp == pytest.approx(br.Pp, abs=1e-10)
-        assert br.Ph @ br.Pp == pytest.approx(np.zeros((sys.d, sys.d)),
-                                              abs=1e-10)
-        assert np.all(np.isfinite(br.G))
+    k = branches.rows([consts.n0 + 1, 24, -7])
+    assert branches.modes[k].tolist() == [consts.n0 + 1, 24, -7]
+    Ph, Pp = branches.Ph[k], branches.Pp[k]
+    assert Pp @ Pp == pytest.approx(Pp, abs=1e-10)
+    assert Ph @ Pp == pytest.approx(np.zeros((3, sys.d, sys.d)), abs=1e-10)
+    assert np.all(np.isfinite(branches.G[k]))
+    with pytest.raises(KeyError, match=r"missing modes \[0, 25\]"):
+        branches.rows([25, 4, 0, 25])
 
 
 def test_graph_map_vanishes_with_coupling():
@@ -247,11 +252,11 @@ def test_on_contour_eigenvalue_in_any_member_raises():
 
 def test_branch_table_matches_per_mode_projection_split(nscl_branches24):
     sys, consts, branches = nscl_branches24
-    for n, br in branches.items():
+    for k, n in enumerate(branches.modes):
         Ph, Pp = projection_split(sys, 1j / n, consts.R)
-        np.testing.assert_allclose(br.Ph, Ph, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(br.Pp, Pp, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(br.G, graph_map(sys, 1j / n, Pp),
+        np.testing.assert_allclose(branches.Ph[k], Ph, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(branches.Pp[k], Pp, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(branches.G[k], graph_map(sys, 1j / n, Pp),
                                    rtol=0, atol=1e-13)
 
 
@@ -265,3 +270,59 @@ def test_branch_table_names_the_failing_mode():
     bad = spectral.BranchConstants(r=consts.r, n0=consts.n0, R=R)
     with pytest.raises(spectral.ContourError, match=r"modes n = \[5, -5\]"):
         build_branch_table(sys, bad, 8)
+
+
+# ------------------------------------------------- several transport speeds
+
+@pytest.mark.parametrize("speeds", [(1.0, -2.0), (0.0, 1.5)])
+def test_multi_speed_table_matches_scalar_split(speeds):
+    # (0, 1.5) takes the alpha shift of hyperbolic_branches
+    sys = two_speed_system(speeds)
+    consts = separation_radius(sys)
+    table = build_branch_table(sys, consts, 16)
+    K = len(table)
+    assert table.speeds == pytest.approx(sorted(speeds), abs=1e-12)
+    assert table.Phmu.shape == table.Rhmu.shape == (2, K, 3, 3)
+    assert table.G.shape == (K, 2, 1)
+    for k, n in enumerate(table.modes):
+        z = 1j / n
+        Ph, Pp = projection_split(sys, z, consts.R)
+        per_speed = hyperbolic_branches(sys, z, Ph)
+        assert list(per_speed) == table.speeds.tolist()
+        for s, (P, R) in enumerate(per_speed.values()):
+            np.testing.assert_allclose(table.Phmu[s, k], P, rtol=0,
+                                       atol=1e-13)
+            np.testing.assert_allclose(table.Rhmu[s, k], R, rtol=0,
+                                       atol=1e-13)
+        np.testing.assert_allclose(table.G[k], graph_map(sys, z, Pp),
+                                   rtol=0, atol=1e-13)
+    # identities over the whole stack: the speeds split Ph into rank-one
+    # spectral projections of E(i/n), and the remainder closes the
+    # branch equation
+    zs = 1j / table.modes
+    z = zs[:, None, None]
+    E = eval_symbol(sys, zs)
+    np.testing.assert_allclose(table.Phmu.sum(axis=0), table.Ph, rtol=0,
+                               atol=1e-12)
+    for mu, P, R in zip(table.speeds, table.Phmu, table.Rhmu):
+        np.testing.assert_allclose(P @ P, P, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(P @ E, E @ P, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(np.trace(P, axis1=1, axis2=2), 1.0,
+                                   rtol=0, atol=1e-11)
+        np.testing.assert_allclose(E @ P, mu * z * P + z ** 2 * R, rtol=0,
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("gap, match", [
+    # the speed contours (radius gap/3) lose an eigenvalue at |n| <= 6
+    (0.1, r"modes n = \[4, -4, 5, -5, 6, -6\]: mu-group projections do "
+          r"not sum to Ph"),
+    # an eigenvalue of E1(i/8) sits next to a speed contour
+    (0.05, r"modes n = \[8, -8\]: mu-groups not separated at "
+           r"\|z\| = \[0.125, 0.125\]")])
+def test_branch_table_names_the_modes_of_a_speed_split_failure(gap, match):
+    sys = two_speed_system((1.0, 1.0 + gap))
+    consts = separation_radius(sys)
+    assert consts.n0 == 3
+    with pytest.raises(spectral.ContourError, match=match):
+        build_branch_table(sys, consts, 12)
