@@ -1,6 +1,6 @@
 """Constructive control synthesis.
 
-Four mechanisms, combined by full_pipeline:
+Four mechanisms:
 
 * transport_control: exact steering of the scalar transport equation
   through a space-time cut-off eta and the characteristic integrals Q_x;
@@ -24,7 +24,9 @@ Stage contributions are all expressed at the common final time: the
 per-mode generators commute with the branch projections, so free
 evolution never mixes the low/parabolic/hyperbolic blocks and only the
 controls' spectral leakage couples them.  full_pipeline removes that
-coupling with a joint dual-pairing solve over the three families.
+coupling with sweeps of one joint dual-pairing solve over the three
+families; its parabolic block is the pipeline's only parabolic
+mechanism, and lebeau_robbiano stands alone.
 _joint_solve is the one Gram assembly, conditioning check and solve:
 the moment method, the HUM Gramian and the pipeline sweeps each pose
 their families as DualBlocks and call it.
@@ -342,11 +344,10 @@ def parabolic_moment_control(sys: SystemMatrices, branches: BranchTable,
     u(t, x) = rho1((T-t)/T) rho2(x) sum_k C(k) e^{-k^2 (T-t) E2(k)} V_k
     e^{ikx}.  Returns (ControlSignal, MomentProblem).
     """
-    if not n0 < N:
-        raise ValueError("need n0 < N")
+    kind, entries = _target_entries(sys, branches, n0, f0p.nmax,
+                                    ("parabolic", N))
     if weight is None:
         weight = plateau_weight(omega)
-    kind, entries = _target_entries(sys, branches, n0, N, ("parabolic", N))
     blk = DualBlock(kind=kind, entries=entries, window=(0.0, T),
                     mask=np.ones(sys.m, dtype=bool), time_panels=128,
                     profile=lambda s: rho1(s / T))
@@ -621,27 +622,34 @@ def _target_entries(sys, branches, n0, nmax, target):
     low block vanishes).  ("hyperbolic", nband): orthonormal basis of
     Ima Ph(i/n)* for n0 < |n| <= nband (pairings zero iff
     Ph(i/n) fhat(n) = 0).  ("parabolic", nband): canonical basis of the
-    phi2 coordinate of Ima Pp(i/n)* for n0 < |n| <= nband.
+    phi2 coordinate of Ima Pp(i/n)* for n0 < |n| <= nband.  nband
+    defaults to nmax, the state's truncation; a band that holds no mode
+    or reaches past nmax is refused.
     """
     kind = target[0]
+    if kind not in ("low", "hyperbolic", "parabolic"):
+        raise ValueError(f"unknown target kind {kind!r}")
+    top = n0 if kind == "low" else (target[1] if len(target) > 1 else nmax)
+    band = f"|n| <= {n0}" if kind == "low" else f"{n0} < |n| <= {top}"
+    if kind != "low" and top <= n0:
+        raise ValueError(f"{kind} target band {band} holds no mode")
+    if top > nmax:
+        raise ValueError(f"{kind} target band {band} reaches past the "
+                         f"state's nmax = {nmax}")
     if kind == "low":
         eye = np.eye(sys.d, dtype=complex)
         return "full", [(n, eye[:, j].copy())
                         for n in range(-n0, n0 + 1) for j in range(sys.d)]
+    ns = np.setdiff1d(np.arange(-top, top + 1), np.arange(-n0, n0 + 1))
     if kind == "hyperbolic":
-        nband = target[1] if len(target) > 1 else nmax
-        ns = np.setdiff1d(np.arange(-nband, nband + 1), np.arange(-n0, n0 + 1))
         U, s, _ = np.linalg.svd(
             np.swapaxes(branches.Ph[branches.rows(ns)], -1, -2).conj())
         # singular values decrease: each mode keeps a leading run of U
         return "full", [(int(ns[k]), U[k, :, j])
                         for k, j in zip(*np.nonzero(s > 1e-8))]
-    if kind == "parabolic":
-        eye = np.eye(sys.d2, dtype=complex)
-        return "parabolic", [(n, eye[:, j].copy())
-                             for n in range(-target[1], target[1] + 1)
-                             if abs(n) > n0 for j in range(sys.d2)]
-    raise ValueError(f"unknown target kind {kind!r}")
+    eye = np.eye(sys.d2, dtype=complex)
+    return "parabolic", [(int(n), eye[:, j].copy())
+                         for n in ns for j in range(sys.d2)]
 
 
 def hum_gramian_control(sys: SystemMatrices, branches: BranchTable, n0: int,
@@ -718,19 +726,21 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
                   f0: FourierState, T: float, Tprime: float,
                   omega: TorusSubset, Tstar: float = None,
                   max_sweeps=5):
-    """Compose the three control mechanisms into a null control on (0,T).
+    """Null control on (0, T) from sweeps of one joint dual-pairing solve.
 
-    First lebeau_robbiano on (T', T) kills the bulk of the parabolic
-    part of the freely evolved data.  The remaining cross-coupling
-    (every control leaks into every band through its omega cut-off) is
-    removed by sweeps of a joint dual-pairing solve over three families:
+    Each sweep evolves f0 under the controls found so far and solves one
+    joint problem over three families, the projections of the dynamics
+    on the hyperbolic, low-frequency and parabolic eigenspaces:
     hyperbolic duals controlled on (0, T') through the first d1 control
     channels, low modes over a trailing window near T, and parabolic
     duals over the same trailing window through the remaining channels
-    (all channels when the control space is not C^d).  No block carries a
-    time profile.  Sweeps stop at relative residual 1e-9, on a stall, or
-    after max_sweeps.  Certificate reports the sweep residual chain and
-    the final relative norm, the last sweep's unless max_sweeps ran out.
+    (all channels when the control space is not C^d).  No block carries
+    a time profile.  Every control leaks into every band through its
+    omega cut-off; the next sweep removes that coupling.  Sweeps stop at
+    relative residual 1e-9, on a stall, or after max_sweeps.  The
+    certificate reports the path, the sweep residual chain, the last
+    joint condition and the final relative norm, the last sweep's unless
+    max_sweeps ran out.
     """
     if Tstar is not None and not (Tstar < Tprime < T):
         raise ValueError(
@@ -741,8 +751,7 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
     d1, m = sys.d1, sys.m
     split = m == sys.d
     weight = plateau_weight(omega)
-    Tp = T - Tprime
-    Tlow = min(0.1 * T, Tp) / 2.0
+    Tlow = min(0.1 * T, T - Tprime) / 2.0
 
     blocks = []
     for target, window, mask in (
@@ -757,8 +766,7 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
 
     controls = []
     sweep_log = []
-    path = "lr+joint-sweeps"
-    lr_report = None
+    path = "joint-sweeps"
     joint_cond = None
     f0norm = max(f0.norm(), 1e-300)
     for sweep in range(max_sweeps):
@@ -772,20 +780,8 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
         if res <= 1e-9:
             break
         if sweep >= 2 and res > 0.5 * sweep_log[-2]["relative_residual"]:
-            path = "lr+joint-sweeps (stalled)"
+            path = "joint-sweeps (stalled)"
             break
-        if sweep == 0:
-            f_mid = evolve(sys, f0, None, Tprime)
-            fp_mid = project_branch(f_mid, branches, n0, "p")
-            if fp_mid.norm() > 1e-12 * f0norm:
-                lr_controls, lr_report = lebeau_robbiano(
-                    sys, branches, fp_mid, Tp, Tp / 8.0, 0.5, nmax, n0,
-                    omega, weight=weight)
-                controls.extend(_shift_control(u, Tprime)
-                                for u in lr_controls)
-                continue
-            # parabolic part already below the working precision at T':
-            # go straight to the joint dual solve
         targets = [-_pairings(sys, branches, blk, fT) for blk in blocks]
         corr, J, lam, eigs, joint_cond = _joint_solve(
             sys, branches, blocks, targets, T, weight, nmax)
@@ -797,7 +793,6 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
     cert = {
         "path": path,
         "sweeps": sweep_log,
-        "lr": lr_report,
         "joint_cond": joint_cond,
         "final_norm": fT.norm(),
         "relative": fT.norm() / f0norm,

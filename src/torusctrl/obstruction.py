@@ -24,16 +24,6 @@ __all__ = [
 MAX_EXP = 700.0  # log-magnitude ceiling of float64
 
 
-def _log_poly_factors(n, N):
-    """log |P_N(n)| and sign for integer n, P_N(X) = prod_{j=-N..N}(X-j)."""
-    js = np.arange(-N, N + 1)
-    diffs = n - js
-    if np.any(diffs == 0):
-        return -np.inf, 1.0
-    sign = 1.0 if np.sum(diffs < 0) % 2 == 0 else -1.0
-    return float(np.sum(np.log(np.abs(diffs).astype(float)))), sign
-
-
 def highpass_profile(chi: dynamics.FourierState, N: int,
                      normalize=False, log_abs=None, phase=None):
     """Apply the highpass polynomial: a_n -> P_N(n) a_n (zero for |n| <= N).
@@ -52,16 +42,11 @@ def highpass_profile(chi: dynamics.FourierState, N: int,
         phase = np.where(mags > 0, chi.coeffs[:, 0] / np.where(mags > 0, mags, 1.0), 1.0)
     log_abs = np.asarray(log_abs, dtype=float)
     phase = np.asarray(phase, dtype=complex)
-    logs = np.full(2 * chi.nmax + 1, -np.inf)
-    signs = np.ones(2 * chi.nmax + 1)
-    for i, n in enumerate(chi.modes):
-        if not np.isfinite(log_abs[i]):
-            continue
-        lp, sg = _log_poly_factors(int(n), N)
-        if lp == -np.inf:
-            continue
-        logs[i] = lp + log_abs[i]
-        signs[i] = sg
+    # log |P_N(n)| and its sign over all modes at once: -inf for |n| <= N
+    diffs = chi.modes[:, None] - np.arange(-N, N + 1)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(diffs)).sum(axis=1) + log_abs
+    signs = np.where((diffs < 0).sum(axis=1) % 2 == 0, 1.0, -1.0)
     out = dynamics.FourierState.zeros(chi.nmax, 1)
     finite = np.isfinite(logs)
     if not np.any(finite):
@@ -74,8 +59,8 @@ def highpass_profile(chi: dynamics.FourierState, N: int,
             raise OverflowError(
                 "highpassed coefficients exceed float range; "
                 "pass normalize=True or reduce N")
-    for i in np.where(finite)[0]:
-        out.coeffs[i, 0] = phase[i] * signs[i] * np.exp(logs[i] - shift)
+    out.coeffs[finite, 0] = (phase[finite] * signs[finite]
+                             * np.exp(logs[finite] - shift))
     if normalize:
         nrm = out.norm()
         if nrm > 0:

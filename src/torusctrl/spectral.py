@@ -131,7 +131,8 @@ class BranchTable:
         missing = np.unique(np.asarray(ns)[~hit.any(axis=-1)]).tolist()
         if missing:
             raise KeyError(f"branch table missing modes {missing}")
-        return hit.argmax(axis=-1)
+        # each row of hit holds exactly one True; an empty table has none
+        return hit @ np.arange(len(self.modes))
 
 
 def separation_radius(sys: SystemMatrices, n0_override=None,

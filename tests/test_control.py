@@ -145,6 +145,16 @@ class TestMomentControl:
                                      HALF_TORUS, consts.n0,
                                      cond_max=1e1)
 
+    def test_band_past_the_state_refused(self, nscl_branches24):
+        # a state at nmax 12 has no modes for the band 3 < |n| <= 40
+        sys, consts, branches = nscl_branches24
+        f0p = project_branch(random_state(np.random.default_rng(4), 12, 2),
+                             branches, consts.n0, "p")
+        with pytest.raises(ValueError, match=r"parabolic target band "
+                           r"3 < \|n\| <= 40 reaches past the state's "
+                           r"nmax = 12"):
+            parabolic_moment_control(sys, branches, f0p, 1.0, 40,
+                                     HALF_TORUS, consts.n0)
 
     def test_gram_and_rhs_match_entry_loop(self, nscl_branches24):
         # the moment block's Gram and right-hand side against their
@@ -200,6 +210,33 @@ class TestLebeauRobbiano:
         assert report["final_parabolic_norm"] < 1e-6
         assert controls
 
+    def test_passive_stage_below_the_cutoff(self):
+        # nscl has n0 = 3: stage 1 (N = 2) controls nothing and only lets
+        # the state decay; stages 2-4 solve moment problems
+        sys = nscl_system()
+        consts = spectral.separation_radius(sys)
+        nmax, T, delta = 16, 4.0, 0.5
+        branches = spectral.build_branch_table(sys, consts, nmax)
+        f0p = project_branch(random_state(np.random.default_rng(4), nmax, 2),
+                             branches, consts.n0, "p")
+        controls, report = lebeau_robbiano(
+            sys, branches, f0p, T=T, delta=delta, rho=0.5, nmax=nmax,
+            n0=consts.n0, omega=HALF_TORUS)
+        stages = report["schedule"].stages
+        assert [s[1] for s in stages] == [2, 4, 8, 16]
+        assert [s["N"] for s in report["stages"]] == [4, 8, 16]
+        assert len(controls) == 3
+        # norms: after the free decay to delta, then one per stage, the
+        # passive one included
+        norms = report["norms"]
+        assert len(norms) == len(stages) + 1
+        free = evolve(sys, f0p, None, delta + 2.0 * stages[0][2])
+        assert norms[1] == pytest.approx(
+            project_branch(free, branches, consts.n0, "p").norm(),
+            rel=1e-10)
+        assert norms[1] < norms[0]
+        assert report["final_parabolic_norm"] < 1e-25
+
 
 class TestHUM:
 
@@ -213,6 +250,15 @@ class TestHUM:
                                 ("hyperbolic", 8), fstar, 1.5 * np.pi,
                                 HALF_TORUS, window=(0.0, 0.5 * Tstar),
                                 Tstar=Tstar, refuse=False)
+
+    @pytest.mark.parametrize("kind", ["hyperbolic", "parabolic"])
+    def test_empty_band_refused(self, nscl_branches24, kind):
+        sys, consts, branches = nscl_branches24
+        fstar = random_state(np.random.default_rng(7), 24, 2)
+        with pytest.raises(ValueError, match=rf"{kind} target band "
+                           r"3 < \|n\| <= 3 holds no mode"):
+            hum_gramian_control(sys, branches, consts.n0,
+                                (kind, consts.n0), fstar, 1.0, HALF_TORUS)
 
     def test_report_energy_nonnegative(self, nscl_branches24):
         sys, consts, branches = nscl_branches24
@@ -287,6 +333,56 @@ class TestPipeline:
         assert len(cert["sweeps"]) == 1 and n == 1
         assert cert["sweeps"][0]["relative_residual"] > 1e-6
         assert cert["relative"] <= 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_near_full_torus_is_one_joint_mechanism(self, monkeypatch,
+                                                    seed):
+        # omega = (0, 6.0) leaves a parabolic mass at T' far above
+        # roundoff; the joint parabolic block alone removes it
+        omega = TorusSubset(((0.0, 6.0),))
+        scn = harness.Scenario("nscl", nscl_system(), omega, nmax=12,
+                               experiment="pipeline")
+        assert (scn.T, scn.Tprime) == (1.5 * scn.Tstar, 1.25 * scn.Tstar)
+        consts = spectral.separation_radius(scn.sys)
+        branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
+        f0 = random_state(np.random.default_rng(seed), scn.nmax, 2)
+        calls = {"evolve": 0, "lebeau_robbiano": 0}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(ctl, name, wrapped)
+
+        spy("evolve", evolve)
+        spy("lebeau_robbiano", lebeau_robbiano)
+        _, cert = full_pipeline(scn.sys, branches, consts.n0, f0, scn.T,
+                                scn.Tprime, omega, Tstar=scn.Tstar)
+        assert calls == {"evolve": 2, "lebeau_robbiano": 0}
+        assert len(cert["sweeps"]) == 2
+        assert cert["relative"] <= 1e-9
+        assert cert["path"] == "joint-sweeps" and "lr" not in cert
+
+    def test_control_vanishes_outside_omega(self):
+        # the merged control's spatial form sums each correction's exact
+        # rho2-weighted mode sum: exactly zero off omega = (0, pi)
+        scn = harness.load_scenario("nscl(1, 1, 1, 2, 1)",
+                                    experiment="pipeline", nmax=10)
+        consts = spectral.separation_radius(scn.sys)
+        branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
+        f0 = random_state(np.random.default_rng(41), scn.nmax, scn.sys.d)
+        u, _ = full_pipeline(scn.sys, branches, consts.n0, f0, scn.T,
+                             scn.Tprime, scn.omega, Tstar=scn.Tstar)
+        xs = np.linspace(0.0, TWO_PI, 97, endpoint=False)
+        off = ~scn.omega.indicator(xs).astype(bool)
+        live = 0
+        for t in np.linspace(0.0, scn.T, 41):
+            vals = u.spatial(t, xs)
+            assert vals.shape == (len(xs), scn.sys.m)
+            assert not np.any(vals[off]), t
+            live += bool(np.any(vals[~off]))
+        # both windows emit: (0, T') and the trailing one near T
+        assert live >= 30
 
     def test_severed_coupling_refused(self):
         # moving-wave with K21 forced to zero: the second component is

@@ -218,6 +218,29 @@ class TestCli:
         assert rc == 0
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv, line", [
+        (["obstruct", "--scenario", "nscl(1, 1, 1, 2, 1)", "--T", "1.5",
+          "--nmax", "16"],
+         r"fitted log-log slope of the observability ratio: -\d+\.\d{4} "),
+        (["pipeline", "--scenario", "nscl(1, 1, 1, 2, 1)", "--nmax", "10"],
+         r"path: joint-sweeps$"),
+        (["counterexample", "--scenario", "heat-memory"],
+         r"non-H1 law energy-sum doubling ratios .* \(divergence\)$"),
+        (["appendix-a", "--scenario", "moving-wave(1, 1)"],
+         r"count stable under nmax doubling: True ")],
+        ids=["obstruct", "pipeline", "counterexample", "appendixA"])
+    def test_experiment_succeeds(self, tmp_path, capsys, argv, line):
+        out = tmp_path / "run"
+        rc = cli.main(argv + ["--out-dir", str(out)])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert re.search(line, text, re.MULTILINE), text
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["outputs"]
+        for fname in man["outputs"]:
+            assert (out / fname).exists(), fname
+        assert (out / "summary.txt").read_text() == text
+
     def test_scenario_error_exits_2(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--scenario", "no-such-model",
                        "--out-dir", str(tmp_path)])

@@ -29,6 +29,39 @@ def test_highpass_matches_direct_product():
                                               rel=1e-12)
 
 
+def _highpass_loop(chi, N, log_abs, phase):
+    """Per-mode reference: log |P_N(n)| and its sign one mode at a time,
+    then the normalized output."""
+    logs = np.full(len(chi.modes), -np.inf)
+    signs = np.ones(len(chi.modes))
+    for i, n in enumerate(chi.modes):
+        diffs = n - np.arange(-N, N + 1)
+        if np.any(diffs == 0) or not np.isfinite(log_abs[i]):
+            continue
+        logs[i] = np.sum(np.log(np.abs(diffs).astype(float))) + log_abs[i]
+        signs[i] = -1.0 if np.sum(diffs < 0) % 2 else 1.0
+    shift = np.max(logs[np.isfinite(logs)])
+    ref = FourierState.zeros(chi.nmax, 1)
+    for i in np.flatnonzero(np.isfinite(logs)):
+        ref.coeffs[i, 0] = phase[i] * signs[i] * np.exp(logs[i] - shift)
+    return ref * (1.0 / ref.norm())
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64])
+def test_highpass_matches_per_mode_loop(N):
+    # the witness's path: analytic log magnitudes, one zero coefficient
+    nmax = witness_nmax(N)
+    chi = gaussian_profile(nmax, 1.0, 0.3)
+    ns = chi.modes.astype(float)
+    log_abs = np.log(0.3 / (2.0 * np.sqrt(np.pi))) - 0.0225 * ns ** 2
+    log_abs[-1] = -np.inf
+    phase = np.exp(-1j * ns)
+    out = highpass_profile(chi, N, normalize=True, log_abs=log_abs,
+                           phase=phase)
+    assert np.array_equal(out.coeffs,
+                          _highpass_loop(chi, N, log_abs, phase).coeffs)
+
+
 def test_highpass_overflow_raises_without_normalize():
     chi = gaussian_profile(300, np.pi, 0.05)
     with pytest.raises(OverflowError):

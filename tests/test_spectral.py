@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from torusctrl import spectral
+from torusctrl.dynamics import project_branch
 from torusctrl.spectral import (eval_symbol, projection_split,
                                 hyperbolic_branches, graph_map,
                                 limit_projections, separation_radius,
                                 build_branch_table)
 from conftest import (nscl_system, damped_wave_system, moving_wave_system,
-                      decoupled_heat_system, two_speed_system)
+                      decoupled_heat_system, two_speed_system, random_state)
 
 
 SYSTEMS = {
@@ -103,6 +106,20 @@ def test_branch_table_keys_and_graph_map(nscl_branches24):
     assert np.all(np.isfinite(branches.G[k]))
     with pytest.raises(KeyError, match=r"missing modes \[0, 25\]"):
         branches.rows([25, 4, 0, 25])
+    assert branches.rows([]).shape == (0,)
+    # nscl with vbar = 5 has n0 = 13: at nmax 12 the table has no row
+    sys5 = nscl_system(vbar=5.0)
+    consts5 = separation_radius(sys5)
+    empty = build_branch_table(sys5, consts5, 12)
+    assert consts5.n0 == 13 and len(empty) == 0
+    rows = empty.rows([])
+    assert rows.shape == (0,) and rows.dtype.kind == "i"
+    for ns, named in (([5], "[5]"), (-14, "[-14]"), ([2, 0, 2], "[0, 2]")):
+        with pytest.raises(KeyError, match=re.escape(named)):
+            empty.rows(ns)
+    f = random_state(np.random.default_rng(1), 12, 2)
+    for which in ("p", "h"):
+        assert project_branch(f, empty, consts5.n0, which).norm() == 0.0
 
 
 def test_graph_map_vanishes_with_coupling():
