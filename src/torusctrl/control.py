@@ -40,7 +40,7 @@ import numpy as np
 from .algebra import SystemMatrices, TorusSubset, TWO_PI
 from .dynamics import (FourierState, ControlSignal, ModeBasis, evolve,
                        gauss_legendre, mode_generator, project_branch,
-                       project_low, analyze_grid)
+                       project_low, analyze_grid, _small_matmul)
 from .spectral import BranchTable
 
 __all__ = [
@@ -524,13 +524,13 @@ def _block_modes(sys, branches, block: DualBlock):
 
 def _block_observations(block: DualBlock, setup, T, taus):
     """Unmasked observations v_j(tau_q) in C^m: array (J, Q, m).  The
-    observed propagators are formed per mode; entries are linear in their
-    vectors."""
+    observed propagators obs[k] e^{-s rates[k] G_k} are formed per mode;
+    entries are linear in their vectors."""
     modes, basis, obs, rates = setup
-    per_mode = obs[:, None] @ basis.expm(np.outer(rates, T - taus))
+    per_mode = basis.expm(np.outer(rates, T - taus), obs)
     k = np.searchsorted(modes, [n for n, _ in block.entries])
     vecs = np.array([vec for _, vec in block.entries])
-    return (per_mode[k] @ vecs[:, None, :, None])[..., 0]
+    return _small_matmul(per_mode[k], vecs[:, None, :, None])[..., 0]
 
 
 def _pairings(sys, branches, block: DualBlock, state: FourierState):
@@ -574,7 +574,9 @@ def _joint_solve(sys, branches, blocks, targets, T, weight, nmax,
         Vc = obs_col[bj] * blk_col.mask[None, None, :]
         cols = [n for n, _ in blk_col.entries]
         for bi, blk_row in enumerate(blocks):
-            Vr = (obs_col[bj] if bi == bj
+            # a row block on the same quadrature nodes observes there
+            # what its own column already holds
+            Vr = (obs_col[bi] if np.array_equal(quad[bi][0], taus)
                   else _block_observations(blk_row, setups[bi], T, taus))
             tint = np.einsum("q,jqa,kqa->jk", wts, Vr.conj(), Vc)
             rows = [n for n, _ in blk_row.entries]

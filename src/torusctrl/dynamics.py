@@ -3,7 +3,11 @@
 Conventions: f(x) = sum_n fhat(n) e^{inx} and ||f||^2_{L2} = 2 pi
 sum_n |fhat(n)|^2.  The mode-n generator is n^2 E(i/n) for n != 0 and K
 for n = 0 (the formal limit).  Every per-mode semigroup e^{-s G_n} is
-evaluated by ModeBasis, the one matrix exponential of the package.  Time
+evaluated by ModeBasis, the one matrix exponential of the package.  Its
+d x d products, and those of the Pade exponential behind it, are d-term
+broadcast contractions (_small_matmul) over the whole stack of modes and
+times in place of one matmul per matrix; being elementwise, they give a
+batch of times the same bits as one time at a time.  Time
 integrals in the Duhamel formula use per-panel Gauss-Legendre of order 8
 (gauss_legendre) with panels aligned to the control's time nodes.  A
 control enters through its coefficients as they stand: a signal carries
@@ -213,6 +217,19 @@ def gauss_legendre(edges, order=GL_ORDER):
     return (mid + half * x).ravel(), (half * w).ravel()
 
 
+def _small_matmul(a, b):
+    """a @ b for stacks of small matrices, (..., p, d) by (..., d, r): the
+    d-term sum of the broadcast products a[..., :, j] b[..., j, :], taken
+    in the order j = 0..d-1.  NumPy's matmul pays a fixed cost per matrix
+    of a stack, which dominates at d <= 4 (2x2 complex: about four times
+    this sum).  The sum is elementwise, so each matrix of a stack gets the
+    same arithmetic whatever stack it sits in."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
+
+
 def _expm_pade13(A):
     """e^A for a stack A of shape (..., d, d): scaling and squaring with
     the degree-13 Pade approximant r = (V - U)^{-1} (V + U) (Higham 2005).
@@ -224,7 +241,7 @@ def _expm_pade13(A):
     c = 1 the entries of R near 1 keep the accuracy of their small
     increments, where squaring R itself loses about 2^s ulps; a matrix
     whose R has decayed below 1-norm 1/2 goes on with c = 0, because
-    R - I would cancel.
+    R - I would cancel.  Every product is _small_matmul's.
     """
     A = np.asarray(A, dtype=complex)
     norm1 = np.abs(A).sum(axis=-2).max(axis=-1, initial=0.0)
@@ -233,12 +250,13 @@ def _expm_pade13(A):
     A = A * np.ldexp(1.0, -s)[..., None, None]
     b = PADE13_B
     eye = np.eye(A.shape[-1])
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+    A2 = _small_matmul(A, A)
+    A4 = _small_matmul(A2, A2)
+    A6 = _small_matmul(A4, A2)
+    U = _small_matmul(A, _small_matmul(A6, b[13] * A6 + b[11] * A4
+                                       + b[9] * A2)
+                      + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (_small_matmul(A6, b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
     X = np.linalg.solve(V - U, 2.0 * U)
     c = np.ones(s.shape + (1, 1))
@@ -249,7 +267,7 @@ def _expm_pade13(A):
                         < 0.5)[:, None, None]
         w += decayed * eye
         cw -= decayed
-        X[sq] = w @ w + 2.0 * cw * w
+        X[sq] = _small_matmul(w, w) + 2.0 * cw * w
         c[sq] = cw
     return X + c * eye
 
@@ -260,9 +278,14 @@ class ModeBasis:
     One stacked eigendecomposition is taken at construction.  Mode k takes
     the eig path V_k e^{-s w_k} V_k^{-1} when cond(V_k) < EIG_COND_MAX, and
     the scaling-and-squaring Pade-13 exponential _expm_pade13 otherwise;
-    eig[k] records the path.  All eig-path modes are evaluated in one
-    stacked product, and all expm-path modes at all their scales in one
-    _expm_pade13 call.  Scales are (K, Q) arrays, or anything that
+    eig[k] records the path.  On the eig path the factors that do not
+    depend on the scale (V_k, V_k^{-1}, and obs_k V_k or V_k^{-1} vecs_k)
+    are formed once, and each scale costs the d-term contraction
+    sum_j e^{-s w_kj} (factor_kj), taken by _small_matmul as elementwise
+    products over the whole (K, Q) grid; all expm-path modes at all their
+    scales go through one _expm_pade13 call.  No product couples two
+    scales, so a (K, Q) call gives, bit for bit, the columns of Q
+    single-scale calls.  Scales are (K, Q) arrays, or anything that
     broadcasts to one: (Q,) shares the scales across modes, (K, 1) gives
     one scale per mode.
     """
@@ -288,15 +311,31 @@ class ModeBasis:
         return _expm_pade13(-s[self._slow, :, None, None]
                             * self.gens[self._slow, None])
 
-    def expm(self, scales):
-        """e^{-scales[k, q] G_k}: array (K, Q, d, d)."""
+    def _lead(self, obs):
+        """obs_k V_k of the eig-path modes (V_k when obs is None)."""
+        return (self._V if obs is None
+                else _small_matmul(obs[self._fast], self._V))
+
+    def expm(self, scales, obs=None):
+        """obs[k] e^{-scales[k, q] G_k}: array (K, Q, m, d), for
+        observations obs of shape (K, m, d) (the identity when None).  An
+        eig-path mode sums the d rank-one terms (obs_k V_k)[:, j]
+        V_k^{-1}[j, :], each weighted by its e^{-s w_kj}."""
+        d = self.gens.shape[1]
+        m = d if obs is None else obs.shape[1]
         s = self._scales(scales)
-        out = np.empty(s.shape + self.gens.shape[1:], dtype=complex)
+        out = np.empty(s.shape + (m, d), dtype=complex)
         if len(self._fast):
-            out[self._fast] = ((self._V[:, None] * self._decay(s)[:, :, None])
-                               @ self._Vinv[:, None])
+            lead = self._lead(obs)
+            terms = (lead.swapaxes(1, 2)[..., None]
+                     * self._Vinv[:, :, None, :]).reshape(-1, 1, d, m * d)
+            out[self._fast] = _small_matmul(
+                self._decay(s)[..., None, :], terms).reshape(-1, s.shape[1],
+                                                             m, d)
         if len(self._slow):
-            out[self._slow] = self._expm_slow(s)
+            P = self._expm_slow(s)
+            out[self._slow] = (P if obs is None
+                               else _small_matmul(obs[self._slow, None], P))
         return out
 
     def action(self, vecs, obs=None):
@@ -305,25 +344,26 @@ class ModeBasis:
         per scale, and observations obs of shape (K, m, d) (the identity
         when None).  The factors that do not depend on the scales,
         obs_k V_k and V_k^{-1} vecs_k, are formed once."""
-        K, d = self.gens.shape[:2]
-        vecs = np.asarray(vecs, dtype=complex)[..., None]
-        if vecs.ndim == 3:
+        vecs = np.asarray(vecs, dtype=complex)
+        if vecs.ndim == 2:
             vecs = vecs[:, None]
-        if obs is None:
-            obs = np.broadcast_to(np.eye(d), (K, d, d))
-        lead = obs[self._fast, None] @ self._V[:, None]
-        coef = self._Vinv[:, None] @ vecs[self._fast]
-        slow_obs, slow_vecs = obs[self._slow, None], vecs[self._slow]
+        vecs = vecs[..., None]
+        lead = self._lead(obs)[:, None]
+        coef = _small_matmul(self._Vinv[:, None], vecs[self._fast])
+        slow_vecs = vecs[self._slow]
+        m = self.gens.shape[1] if obs is None else obs.shape[1]
 
         def at(scales):
             s = self._scales(scales)
-            out = np.empty(s.shape + obs.shape[1:2], dtype=complex)
+            out = np.empty(s.shape + (m,), dtype=complex)
             if len(self._fast):
-                out[self._fast] = (
-                    lead @ (self._decay(s)[..., None] * coef))[..., 0]
+                out[self._fast] = _small_matmul(
+                    lead, self._decay(s)[..., None] * coef)[..., 0]
             if len(self._slow):
-                out[self._slow] = (
-                    slow_obs @ self._expm_slow(s) @ slow_vecs)[..., 0]
+                y = _small_matmul(self._expm_slow(s), slow_vecs)
+                if obs is not None:
+                    y = _small_matmul(obs[self._slow, None], y)
+                out[self._slow] = y[..., 0]
             return out
 
         return at

@@ -36,10 +36,14 @@ def highpass_profile(chi: dynamics.FourierState, N: int,
     underflow floor of the stored float values.
     """
     if log_abs is None:
+        a = chi.coeffs[:, 0]
+        mags = np.abs(a)
         with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(chi.coeffs[:, 0]))
-        mags = np.abs(chi.coeffs[:, 0])
-        phase = np.where(mags > 0, chi.coeffs[:, 0] / np.where(mags > 0, mags, 1.0), 1.0)
+            log_abs = np.log(mags)
+        # part by part: complex division takes 1/|a_n| first, which
+        # overflows where |a_n| is subnormal
+        safe = np.where(mags > 0, mags, 1.0)
+        phase = np.where(mags > 0, a.real / safe + 1j * (a.imag / safe), 1.0)
     log_abs = np.asarray(log_abs, dtype=float)
     phase = np.asarray(phase, dtype=complex)
     # log |P_N(n)| and its sign over all modes at once: -inf for |n| <= N

@@ -384,6 +384,50 @@ class TestPipeline:
         # both windows emit: (0, T') and the trailing one near T
         assert live >= 30
 
+    def test_shared_nodes_observed_once(self, monkeypatch):
+        """The low and parabolic blocks share their window and panel
+        count: each observes the other's nodes through its own column, so
+        one joint solve makes 3 + 4 observation stacks, not 3 + 6.  The
+        pairing matrix is bit for bit the one assembled pair by pair."""
+        scn = harness.load_scenario("nscl(1, 1, 1, 2, 1)",
+                                    experiment="pipeline", nmax=10)
+        consts = spectral.separation_radius(scn.sys)
+        branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
+        f0 = random_state(np.random.default_rng(41), scn.nmax, scn.sys.d)
+        observe, solve = ctl._block_observations, ctl._joint_solve
+        calls, solves = [], []
+
+        def spy_observe(*args):
+            calls.append(args[0].kind)
+            return observe(*args)
+
+        def spy_solve(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            solves.append((args, out[1]))
+            return out
+
+        monkeypatch.setattr(ctl, "_block_observations", spy_observe)
+        monkeypatch.setattr(ctl, "_joint_solve", spy_solve)
+        full_pipeline(scn.sys, branches, consts.n0, f0, scn.T, scn.Tprime,
+                      scn.omega, Tstar=scn.Tstar)
+        assert len(solves) == 1 and len(calls) == 7
+        (sys, branches, blocks, _, T, weight, _), J = solves[0]
+        assert [b.kind for b in blocks] == ["full", "full", "parabolic"]
+        assert blocks[1].window == blocks[2].window
+        setups = [ctl._block_modes(sys, branches, b) for b in blocks]
+        ref = []
+        for bc, sc in zip(blocks, setups):
+            taus, wts = gauss_legendre(
+                np.linspace(*bc.window, bc.time_panels + 1))
+            Vc = observe(bc, sc, T, taus) * bc.mask
+            ref.append(np.vstack([
+                weight.toeplitz([n for n, _ in br.entries],
+                                [n for n, _ in bc.entries])
+                * np.einsum("q,jqa,kqa->jk", wts,
+                            observe(br, sr, T, taus).conj(), Vc)
+                for br, sr in zip(blocks, setups)]))
+        assert np.array_equal(J, np.hstack(ref))
+
     def test_severed_coupling_refused(self):
         # moving-wave with K21 forced to zero: the second component is
         # unreachable from a first-component control

@@ -105,6 +105,78 @@ def test_mode_basis_jordan_modes_take_expm_path():
                   np.einsum("kqij,kj->kqi", ref, vecs))
 
 
+def _mixed_basis():
+    """nscl's generators at |n| <= 5: modes +-2 take the expm path, the
+    other nine the eig path."""
+    sys = nscl_system()
+    basis = ModeBasis(mode_generator(sys, np.arange(-5, 6)))
+    assert np.flatnonzero(~basis.eig).tolist() == [3, 7]
+    return sys, basis
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_small_matmul_matches_matmul(d):
+    """The d-term broadcast sum against NumPy's matmul, normwise per
+    matrix, over square and rectangular stacks, (K, Q) leading dimensions
+    that broadcast against each other, and empty stacks."""
+    rng = np.random.default_rng(40 + d)
+
+    def rand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for a, b in [(rand(5, 7, d, d), rand(5, 7, d, d)),
+                 (rand(5, 1, 3, d), rand(5, 7, d, 1)),
+                 (rand(7, d, d), rand(d, 2)),
+                 (rand(0, d, d), rand(0, d, d)),
+                 (rand(2, 0, d, d), rand(2, 0, d, d))]:
+        got, ref = dynamics._small_matmul(a, b), a @ b
+        assert got.shape == ref.shape
+        if ref.size:
+            assert _rel_errors(got, ref).max() <= 1e-15
+
+
+def test_mode_basis_batches_bit_for_bit():
+    """A (K, Q) call to expm or action gives exactly the columns of Q
+    single-scale calls, on both paths: emission relies on it, so at(ts)
+    and at(t) agree bit for bit."""
+    sys, basis = _mixed_basis()
+    rng = np.random.default_rng(44)
+    scales = rng.uniform(0.0, 2.0, (11, 6))
+    obs = rng.standard_normal((11, 3, 2)) + 1j * rng.standard_normal(
+        (11, 3, 2))
+    vecs = rng.standard_normal((11, 2)) + 1j * rng.standard_normal((11, 2))
+    per_scale = rng.standard_normal((11, 6, 2)) + 0.5j
+    calls = [lambda s, q: basis.expm(s),
+             lambda s, q: basis.expm(s, obs),
+             lambda s, q: basis.action(vecs)(s),
+             lambda s, q: basis.action(vecs, obs)(s),
+             lambda s, q: basis.action(per_scale[:, q])(s)]
+    for call in calls:
+        whole = call(scales, slice(None))
+        for q in range(scales.shape[1]):
+            assert np.array_equal(whole[:, q],
+                                  call(scales[:, q:q + 1], slice(q, q + 1))[:, 0])
+
+
+def test_mode_basis_observed_forms_match_products():
+    """The obs arguments of expm and action against obs @ expm(...) (and
+    its product with the vectors), on both paths, to 1e-14."""
+    sys, basis = _mixed_basis()
+    rng = np.random.default_rng(45)
+    scales = rng.uniform(0.0, 2.0, (11, 5))
+    obs = rng.standard_normal((11, 3, 2)) + 1j * rng.standard_normal(
+        (11, 3, 2))
+    vecs = rng.standard_normal((11, 2)) + 1j * rng.standard_normal((11, 2))
+    ref = obs[:, None] @ basis.expm(scales)
+    assert _close(basis.expm(scales, obs), ref, rel=1e-14)
+    assert _close(basis.action(vecs, obs)(scales),
+                  (ref @ vecs[:, None, :, None])[..., 0], rel=1e-14)
+    # the M* observation of the hyperbolic dual block, a broadcast view
+    Mh = np.broadcast_to(sys.M.conj().T, (11, sys.m, sys.d))
+    assert _close(basis.expm(scales, Mh), Mh[:, None] @ basis.expm(scales),
+                  rel=1e-14)
+
+
 def test_evolve_adjoint_matches_dense_expm():
     sys = nscl_system()  # modes +-2 on the expm path
     rng = np.random.default_rng(22)

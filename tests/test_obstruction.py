@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -60,6 +62,28 @@ def test_highpass_matches_per_mode_loop(N):
                            phase=phase)
     assert np.array_equal(out.coeffs,
                           _highpass_loop(chi, N, log_abs, phase).coeffs)
+
+
+def test_highpass_float_path_subnormal_coefficients():
+    # at N = 64 the stored Gaussian coefficients reach the subnormal
+    # range: no warning, no NaN, and the analytic path's output wherever
+    # the stored coefficients are normal
+    nmax = witness_nmax(64)
+    chi = gaussian_profile(nmax, 1.0, 0.3)
+    mags = np.abs(chi.coeffs[:, 0])
+    assert np.any((mags > 0) & (mags < np.finfo(float).tiny))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = highpass_profile(chi, 64, normalize=True)
+    assert np.all(np.isfinite(out.coeffs))
+    assert out.norm() == pytest.approx(1.0, rel=1e-13)
+    ns = chi.modes.astype(float)
+    ref = highpass_profile(
+        chi, 64, normalize=True,
+        log_abs=np.log(0.3 / (2.0 * np.sqrt(np.pi))) - 0.0225 * ns ** 2,
+        phase=np.exp(-1j * ns))
+    normal = mags >= np.finfo(float).tiny
+    assert np.max(np.abs(out.coeffs[normal] - ref.coeffs[normal])) <= 1e-12
 
 
 def test_highpass_overflow_raises_without_normalize():
