@@ -248,20 +248,17 @@ def pure_transport_space(sys: SystemMatrices, mu: float, nmax: int,
     """Scan for modes carrying exact speed-mu transport solutions.
 
     For each 0 < |n| <= nmax, tests whether i*mu is an eigenvalue of
-    n E(i/n)* within |lambda - i mu| < tol_scale*(1+|n|); also evaluates
-    the rank of (B | AB | ... | A^{d-1} B), whose fullness predicts the
-    matched set stays finite.
+    n E(i/n)* within |lambda - i mu| < tol_scale*(1+|n|), all modes in one
+    stacked eig; matches come in order of n, then of eigenvalue index.
+    Also evaluates the rank of (B | AB | ... | A^{d-1} B), whose fullness
+    predicts the matched set stays finite.
     """
     d = sys.d
-    matches = []
-    for n in range(-nmax, nmax + 1):
-        if n == 0:
-            continue
-        mat = n * spectral.eval_symbol(sys, 1j / n)
-        w, V = np.linalg.eig(mat.conj().T)
-        hits = np.where(np.abs(w - 1j * mu) < tol_scale * (1.0 + abs(n)))[0]
-        for h in hits:
-            matches.append((n, V[:, h]))
+    ns = np.concatenate([np.arange(-nmax, 0), np.arange(1, nmax + 1)])
+    mats = ns[:, None, None] * spectral.eval_symbol(sys, 1j / ns)
+    w, V = np.linalg.eig(np.swapaxes(mats, -1, -2).conj())
+    hit = np.abs(w - 1j * mu) < tol_scale * (1.0 + np.abs(ns))[:, None]
+    matches = [(int(ns[k]), V[k, :, h]) for k, h in zip(*np.nonzero(hit))]
     blocks = [sys.B]
     for _ in range(d - 1):
         blocks.append(sys.A @ blocks[-1])

@@ -6,7 +6,10 @@ near 0 (eigenvalues ~ mu z for mu in Sp(Aprime)) and a "parabolic" group
 near Sp(D).  The splitting is realized by resolvent contour integrals on
 the circle |zeta| = R with R = min|Sp(D)|/2, and the hyperbolic group is
 further resolved per transport speed mu through the rescaled symbol
-E1(z) = E(z) Ph(z) / z (Kato's reduction process).
+E1(z) = E(z) Ph(z) / z (Kato's reduction process).  Every contour
+integral is the trapezoidal rule, and its node sums invert the d x d
+resolvents elementwise over the whole (matrix, node) grid in one
+Gauss-Jordan sweep (_resolvent_sum), not one LAPACK call per node.
 
 Functions of z take a scalar or a 1-D array of z; build_branch_table
 splits all modes n0 < |n| <= nmax at once into one stacked BranchTable.
@@ -46,14 +49,63 @@ def eval_symbol(sys: SystemMatrices, z) -> np.ndarray:
     return sys.B + z * sys.A - z * z * sys.K
 
 
+def _resolvent_sum(N, xi):
+    """sum_j xi_j (N_k - xi_j I)^-1 for a stack N (K, d, d) and nodes xi
+    (m,), as a (K, d, d) stack.
+
+    Gauss-Jordan with partial pivoting on [N_k - xi_j I | I], with each
+    matrix entry held as one (K, m) array: every step is elementwise over
+    the whole (matrix, node) grid, where a stacked LAPACK inverse pays a
+    fixed cost per tiny matrix.  As in LAPACK's getrf, the pivot is the
+    entry of largest |re| + |im| on or below the diagonal, and a row is
+    scaled by the pivot's reciprocal.  Being elementwise, a matrix gets
+    the same bits whatever stack it sits in.  An exactly zero pivot raises
+    a ContourError whose `members` index the stack.
+    """
+    K, d, _ = N.shape
+    # g[r, c]: entry (r, c) of [N - xi I | I] over the (K, m) grid
+    g = np.zeros((d, 2 * d, K, xi.size), dtype=complex)
+    g[:, :d] = np.moveaxis(N, 0, -1)[..., None]
+    for r in range(d):
+        g[r, r] -= xi
+        g[r, d + r] = 1.0
+    held = np.empty((2 * d, K, xi.size), dtype=complex)
+    for c in range(d):
+        for r in range(c + 1, d):
+            # swap rows c and r where row r holds the larger entry in
+            # column c; both rows are zero left of it
+            a, b = g[c, c], g[r, c]
+            swap = (np.abs(b.real) + np.abs(b.imag)
+                    > np.abs(a.real) + np.abs(a.imag))
+            np.copyto(held[c:], g[c, c:])
+            np.copyto(g[c, c:], g[r, c:], where=swap)
+            np.copyto(g[r, c:], held[c:], where=swap)
+        if not np.all(g[c, c]):
+            bad = np.flatnonzero(np.any(g[c, c] == 0, axis=1))
+            raise ContourError("singular resolvent at a contour node "
+                               f"(stack members {bad.tolist()})", bad)
+        g[c, c + 1:] *= 1.0 / g[c, c]
+        for r in range(d):
+            if r != c:
+                g[r, c + 1:] -= g[r, c] * g[c, c + 1:]
+    out = np.empty((K, d, d), dtype=complex)
+    for r in range(d):
+        for c in range(d):
+            out[:, r, c] = np.einsum("km,m->k", g[r, d + c], xi)
+    return out
+
+
 def _resolvent_projection(mats, center, radius, tol=CONTOUR_TOL):
     """Riesz projections -(1/2 pi i) oint (M - zeta I)^-1 d zeta over the
     circle |zeta - center| = radius for every M in a stack (..., d, d), by
     the trapezoidal rule; `members` of a ContourError index the flattened
     stack.
 
-    Each doubling keeps the previous node sum and adds only the odd nodes
-    of the new resolution.  Matrix k stops at the first resolution where
+    With N = M - center I and zeta = center + xi, the node sum
+    sum_j (N - xi_j I)^-1 xi_j is one _resolvent_sum over the live
+    matrices and the new nodes, with no LAPACK call per node.  Each
+    doubling keeps the previous node sum and adds only the odd nodes of
+    the new resolution.  Matrix k stops at the first resolution where
     ||cur_k - prev_k||_2 < tol * max(1, ||cur_k||_2); the others go on, up
     to CONTOUR_MAX_NODES nodes.
     """
@@ -65,13 +117,17 @@ def _resolvent_projection(mats, center, radius, tol=CONTOUR_TOL):
     if bad.size:
         raise ContourError("eigenvalue on the integration contour "
                            f"(stack members {bad.tolist()})", bad)
-    eye = np.eye(d)
+    shifted = mats - center * np.eye(d)
 
     def node_sum(live, j, m):
         # sum_j (M - zeta_j I)^-1 (zeta_j - center), zeta_j on m nodes
-        zeta = center + radius * np.exp(1j * (2.0 * np.pi * j / m))
-        res = np.linalg.inv(mats[live, None] - zeta[:, None, None] * eye)
-        return np.einsum("kjab,j->kab", res, zeta - center)
+        xi = radius * np.exp(1j * (2.0 * np.pi * j / m))
+        try:
+            return _resolvent_sum(shifted[live], xi)
+        except ContourError as exc:
+            bad = live[list(exc.members)]
+            raise ContourError("singular resolvent at a contour node "
+                               f"(stack members {bad.tolist()})", bad) from exc
 
     out = np.empty_like(mats)
     live = np.arange(K)

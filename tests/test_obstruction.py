@@ -11,7 +11,7 @@ from torusctrl.obstruction import (highpass_profile, gaussian_profile,
                                    witness_nmax, pure_transport_space)
 from torusctrl.dynamics import FourierState, synth_grid
 from conftest import (nscl_system, damped_wave_system, moving_wave_system,
-                      HALF_TORUS)
+                      decoupled_heat_system, two_speed_system, HALF_TORUS)
 
 
 def test_highpass_zeroes_low_modes():
@@ -180,6 +180,36 @@ def test_pure_transport_space_rank_dichotomy():
     dw = pure_transport_space(damped_wave_system(0.5), 0.0, 16)
     assert dw["kalman_rank_AB"] == 1
     assert not dw["finite_dimensional_expected"]
+
+
+def _pure_transport_matches_loop(sys, mu, nmax, tol_scale=1e-8):
+    """The per-mode reference: one eig of n E(i/n)* per mode."""
+    matches = []
+    for n in range(-nmax, nmax + 1):
+        if n == 0:
+            continue
+        mat = n * spectral.eval_symbol(sys, 1j / n)
+        w, V = np.linalg.eig(mat.conj().T)
+        hits = np.where(np.abs(w - 1j * mu) < tol_scale * (1.0 + abs(n)))[0]
+        for h in hits:
+            matches.append((n, V[:, h]))
+    return matches
+
+
+@pytest.mark.parametrize("system, mu", [
+    (decoupled_heat_system, 0.0), (nscl_system, 1.0),
+    (moving_wave_system, -1.0), (two_speed_system, -2.0)])
+def test_pure_transport_space_matches_per_mode_loop(system, mu):
+    sys = system()
+    got = pure_transport_space(sys, mu, 32)["matches"]
+    ref = _pure_transport_matches_loop(sys, mu, 32)
+    assert [n for n, _ in got] == [n for n, _ in ref]
+    for (_, v), (_, v_ref) in zip(got, ref):
+        np.testing.assert_array_equal(v, v_ref)
+    # decoupled heat carries a transport solution on every mode
+    if system is decoupled_heat_system:
+        assert len(got) == 64
+    assert pure_transport_space(sys, mu, 0)["count"] == 0
 
 
 def test_pure_transport_counts_stable():

@@ -1,9 +1,11 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from torusctrl import spectral
+from torusctrl.algebra import SystemMatrices
 from torusctrl.dynamics import project_branch
 from torusctrl.spectral import (eval_symbol, projection_split,
                                 hyperbolic_branches, graph_map,
@@ -214,19 +216,26 @@ def test_mixed_stack_members_stop_on_their_own(monkeypatch):
     # rule needs thousands of nodes there; the diagonal 0.2/3 needs few
     slow = np.array([[0.0, 1.0], [0.0, 1.02]], dtype=complex)
     fast = np.diag([0.2, 3.0]).astype(complex)
-    inv = np.linalg.inv
-    stacks = []
+    kernel, inv = spectral._resolvent_sum, np.linalg.inv
+    stacks, inverses = [], []
 
-    def spy(a):
-        stacks.append(a.shape[0])
+    def spy(N, xi):
+        stacks.append(N.shape[0])
+        return kernel(N, xi)
+
+    def inv_spy(a):
+        inverses.append(a.shape)
         return inv(a)
 
-    monkeypatch.setattr(np.linalg, "inv", spy)
+    monkeypatch.setattr(spectral, "_resolvent_sum", spy)
+    monkeypatch.setattr(np.linalg, "inv", inv_spy)
     got = spectral._resolvent_projection(np.stack([fast, slow]), 0.0, 1.0)
     monkeypatch.undo()
     # both members at the first resolutions, then the slow one alone
     assert stacks[:2] == [2, 2] and set(stacks[2:]) == {1}
     assert len(stacks) > 6
+    # the node sums make no LAPACK inverse
+    assert inverses == []
     assert got[0] == pytest.approx(np.diag([1.0, 0.0]), abs=1e-13)
     # projection onto the eigenvalue 0 of slow: v = e1, w = (1, -1/1.02)
     expect = np.array([[1.0, -1.0 / 1.02], [0.0, 0.0]])
@@ -287,6 +296,194 @@ def test_branch_table_names_the_failing_mode():
     bad = spectral.BranchConstants(r=consts.r, n0=consts.n0, R=R)
     with pytest.raises(spectral.ContourError, match=r"modes n = \[5, -5\]"):
         build_branch_table(sys, bad, 8)
+
+
+# ------------------------------------------------- elementwise node sums
+
+def _lapack_node_sum(N, xi):
+    """The node sum the contour made before _resolvent_sum: one stacked
+    LAPACK inverse over every (matrix, node) pair."""
+    res = np.linalg.inv(N[:, None] - xi[:, None, None] * np.eye(N.shape[-1]))
+    return np.einsum("kjab,j->kab", res, xi)
+
+
+def _lapack_projection(mats, center, radius):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_resolvent_sum", _lapack_node_sum)
+        return spectral._resolvent_projection(mats, center, radius)
+
+
+def _rel_err(P, ref):
+    """||P - ref||_2 / max(1, ||ref||_2) per member: the contour's stop."""
+    return (np.linalg.norm(P - ref, ord=2, axis=(-2, -1))
+            / np.maximum(1.0, np.linalg.norm(ref, ord=2, axis=(-2, -1))))
+
+
+def _nonnormal_stack(rng, k, d, scale, center, radius):
+    """Q T Q* + center I: T upper triangular with eigenvalues inside
+    radius/2 or beyond 2 radius and complex off-diagonal entries of size
+    scale, Q unitary."""
+    inside = rng.random((k, d)) < 0.5
+    dist = np.where(inside, rng.uniform(0.0, 0.5, (k, d)),
+                    rng.uniform(2.0, 3.0, (k, d))) * radius
+    T = np.triu(_random_stack(rng, k, d, scale), 1)
+    T[:, np.arange(d), np.arange(d)] = dist * np.exp(
+        2j * np.pi * rng.random((k, d)))
+    Q, _ = np.linalg.qr(_random_stack(rng, k, d, 1.0))
+    return Q @ T @ Q.conj().swapaxes(-1, -2) + center * np.eye(d)
+
+
+def _nodes(radius, m):
+    return radius * np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_resolvent_sum_matches_lapack_node_sum(d):
+    # P_m = -S / m is the contour's projection at m nodes.  Where the
+    # resolvents are well conditioned the two routes agree to 1e-13
+    # relative; at scale 30 cond(N - xi I) reaches 1e8, and no two
+    # inversions agree better than the roundoff model
+    # eps * radius * mean_j cond_j ||R_j||, which bounds the difference
+    center, radius, m = 0.3 - 0.2j, 0.8, 64
+    xi = _nodes(radius, m)
+    rng = np.random.default_rng(40 + d)
+    mats = np.concatenate([_nonnormal_stack(rng, 20, d, scale, center,
+                                            radius)
+                           for scale in (1.0, 10.0, 30.0)])
+    N = mats - center * np.eye(d)
+    got = -spectral._resolvent_sum(N, xi) / m
+    ref = -_lapack_node_sum(N, xi) / m
+    shifted = N[:, None] - xi[:, None, None] * np.eye(d)
+    model = (np.finfo(float).eps * radius
+             * np.mean(np.linalg.cond(shifted)
+                       * np.linalg.norm(np.linalg.inv(shifted), ord=2,
+                                        axis=(-2, -1)), axis=1)
+             / np.maximum(1.0, np.linalg.norm(ref, ord=2, axis=(1, 2))))
+    err = _rel_err(got, ref)
+    assert np.all(err <= np.maximum(1e-13, model))
+    # the well-conditioned scale-1 members meet the plain bound
+    assert np.all(err[:20] <= 1e-13)
+
+
+def test_resolvent_sum_against_mpmath():
+    # 40-digit Riesz projections from mp.eig: V[:, in] V^-1[in, :].  At
+    # 512 nodes the trapezoid error is far below roundoff, so the two
+    # routes differ only in their inversions.  Their roundoff is random,
+    # so the worst member of each route is compared, not member by member
+    import mpmath
+    center, radius, m = 0.3 - 0.2j, 0.8, 512
+    xi = _nodes(radius, m)
+    rng = np.random.default_rng(29)
+    errs = []
+    for d in (2, 3, 4):
+        mats = _nonnormal_stack(rng, 4 if d == 4 else 3, d, 30.0, center,
+                                radius)
+        with mpmath.workdps(40):
+            exact = []
+            for M in mats:
+                w, V = mpmath.eig(mpmath.matrix(M.tolist()))
+                Vi = mpmath.inverse(V)
+                P = mpmath.zeros(d, d)
+                for j in range(d):
+                    if abs(w[j] - center) < radius:
+                        P += V[:, j] * Vi[j, :]
+                exact.append([[complex(P[a, b]) for b in range(d)]
+                              for a in range(d)])
+        N = mats - center * np.eye(d)
+        errs.append([_rel_err(-f(N, xi) / m, np.array(exact))
+                     for f in (spectral._resolvent_sum, _lapack_node_sum)])
+    new = max(e[0].max() for e in errs)
+    lapack = max(e[1].max() for e in errs)
+    assert new <= 2.0 * lapack
+
+
+@pytest.mark.parametrize("spread", [1e3, 1e5])
+def test_contour_on_spread_diffusion_symbols(spread):
+    # d2 = 2 with D = diag(1, spread): the parabolic eigenvalues of E(z)
+    # spread over five decades outside the contour
+    sys = SystemMatrices(
+        1, 2, A=np.array([[1.0, 0.5, -0.4], [0.3, 0.2, 0.6],
+                          [-0.5, 0.1, 0.4]]),
+        D=np.diag([1.0, spread]),
+        K=np.array([[0.0, 0.2, 0.1], [0.1, 0.0, 0.3], [-0.2, 0.4, 0.0]]),
+        M=np.eye(3))
+    consts = separation_radius(sys)
+    ns = np.outer(np.arange(consts.n0 + 1, 129), [1, -1]).ravel()
+    mats = eval_symbol(sys, 1j / ns)
+    got = spectral._resolvent_projection(mats, 0.0, consts.R)
+    assert np.all(_rel_err(got, _lapack_projection(mats, 0.0, consts.R))
+                  <= 1e-13)
+    np.testing.assert_allclose(np.trace(got, axis1=1, axis2=2), 1.0,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e50, 1e100, 1e160])
+def test_contour_with_huge_entries(c):
+    # ||P|| = c / 2, exact
+    A = np.array([[1.0, c], [0.0, 3.0]], dtype=complex)
+    P = spectral._resolvent_projection(A[None], 1.0, 1.0)
+    assert np.all(np.isfinite(P))
+    assert _rel_err(P[0], np.array([[1.0, -c / 2.0], [0.0, 0.0]])) <= 1e-13
+    # dense: every eigenvalue is far outside the contour, so P = 0
+    mats = _random_stack(np.random.default_rng(5), 3, 4, c)
+    P = spectral._resolvent_projection(mats, 0.0, 1.0)
+    assert np.all(np.isfinite(P)) and np.abs(P).max() <= 1e-13
+
+
+def test_contour_with_huge_triangular_entries_at_d4():
+    # off-diagonal entries of size 1e50: P holds products of three
+    rng = np.random.default_rng(5)
+    T = np.triu(1e50 * np.exp(2j * np.pi * rng.random((4, 4))), 1)
+    T += np.diag([0.2, -0.3j, 2.5, -3.0])
+    P = spectral._resolvent_projection(T[None], 0.0, 1.0)
+    assert np.all(np.isfinite(P)) and np.abs(P).max() > 1e140
+    assert _rel_err(P, _lapack_projection(T[None], 0.0, 1.0)) <= 1e-13
+    assert _rel_err(P[0] @ P[0], P[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_resolvent_sum_stack_is_bit_identical_to_single_calls(d):
+    rng = np.random.default_rng(d)
+    N = _random_stack(rng, 9, d, 2.0)
+    xi = _nodes(0.9, 64)
+    got = spectral._resolvent_sum(N, xi)
+    for k in range(len(N)):
+        np.testing.assert_array_equal(
+            got[k], spectral._resolvent_sum(N[k:k + 1], xi)[0])
+
+
+def test_resolvent_sum_zero_pivot_raises():
+    # N_1 - xi_0 I = diag(0, 4): column 0 has no nonzero pivot
+    N = np.stack([np.diag([0.2, 3.0]), np.diag([1.0, 5.0])]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(spectral.ContourError, match=r"singular resolvent"
+                           r" at a contour node \(stack members \[1\]\)"
+                           ) as exc:
+            spectral._resolvent_sum(N, _nodes(1.0, 8))
+    assert exc.value.members == (1,)
+
+
+def test_resolvent_sum_pivots_past_a_zero_diagonal():
+    # at xi_0 = 1, N - xi_0 I = [[0, 1], [1, 4]]: column 0 pivots on row 1
+    N = np.array([[[1.0, 1.0], [1.0, 5.0]]], dtype=complex)
+    xi = _nodes(1.0, 8)
+    assert _rel_err(spectral._resolvent_sum(N, xi),
+                    _lapack_node_sum(N, xi)) <= 1e-15
+
+
+def test_singular_node_names_the_flattened_member(monkeypatch):
+    # an eigenvalue exactly on the first odd node at 256 nodes, with the
+    # on-contour check blinded: by then member 0 has stopped, and the
+    # error names member 1 of the stack, not of the live set
+    node = 1.0 * np.exp(1j * (2.0 * np.pi * 1 / 256))
+    mats = np.stack([np.diag([0.2, 3.0]), np.diag([node, 3.0])])
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: np.full(a.shape[:-1], 5.0))
+    with pytest.raises(spectral.ContourError, match=r"stack members \[1\]"
+                       ) as exc:
+        spectral._resolvent_projection(mats, 0.0, 1.0)
+    assert exc.value.members == (1,)
 
 
 # ------------------------------------------------- several transport speeds
