@@ -5,6 +5,7 @@ time for pipeline), 1 numerical failure.
 """
 
 import argparse
+import functools
 import sys as _sys
 
 from .harness import (load_scenario, run_experiment, ScenarioError,
@@ -23,7 +24,10 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The parser, built once per process: parse_args keeps no state
+    between calls."""
     p = argparse.ArgumentParser(
         prog="torusctrl",
         description="experiments on transport-diffusion control systems "

@@ -42,6 +42,7 @@ from .dynamics import (FourierState, ControlSignal, ModeBasis, evolve,
                        gauss_legendre, mode_generator, project_branch,
                        project_low, analyze_grid, _small_matmul)
 from .spectral import BranchTable
+from . import kernels
 
 __all__ = [
     "MomentProblem", "LRSchedule", "cutoff_eta", "transport_control",
@@ -307,7 +308,7 @@ def _emit_modes(modes, basis, obs, rates, vecs, T, window, nodes, weight,
     def spatial(t, xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         vs = stacked(np.array([t], dtype=float))[0]
-        return (np.exp(1j * np.outer(xs, modes)) @ vs) * weight(xs)[:, None]
+        return kernels.synthesize(vs, modes, xs) * weight(xs)[:, None]
 
     return ControlSignal.from_func(coeff_fn, nodes, nmax, m,
                                    t_window=window, spatial=spatial)

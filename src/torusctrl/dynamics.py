@@ -12,7 +12,9 @@ integrals in the Duhamel formula use per-panel Gauss-Legendre of order 8
 (gauss_legendre) with panels aligned to the control's time nodes.  A
 control enters through its coefficients as they stand: a signal carries
 its own support (the emitters build the spatial cut-off into them), and
-evolve applies no mask of its own.
+evolve applies no mask of its own.  States go to and from the uniform
+grid 2 pi j / ngrid by FFT (synth_grid, analyze_grid); the windowed
+observation norm synthesizes all its states in one inverse FFT.
 """
 
 import functools
@@ -22,7 +24,6 @@ import numpy as np
 
 from .algebra import SystemMatrices, TorusSubset, TWO_PI
 from .spectral import BranchTable, eval_symbol
-from . import kernels
 
 __all__ = [
     "FourierState", "ControlSignal", "ModeBasis", "gauss_legendre",
@@ -100,16 +101,29 @@ class FourierState:
     __rmul__ = __mul__
 
 
+def _synth_uniform(coeffs, modes, ngrid):
+    """sum_a coeffs[a] e^{i modes[a] x} at x_j = 2 pi j / ngrid, along
+    axis 0: ngrid * ifft of the coefficients binned at modes mod ngrid,
+    where modes sharing a bin add up.  analyze_grid's DFT inverts it on
+    the modes that keep a bin of their own.
+    """
+    spec = np.zeros((ngrid,) + coeffs.shape[1:], dtype=complex)
+    np.add.at(spec, np.asarray(modes) % ngrid, coeffs)
+    return ngrid * np.fft.ifft(spec, axis=0)
+
+
 def synth_grid(state: FourierState, ngrid=None):
-    """(xs, values) with values[j] = sum_n fhat(n) e^{i n xs[j]} on a
-    uniform grid of at least 4*nmax points."""
+    """(xs, values) with values[j] = sum_n fhat(n) e^{i n xs[j]} on the
+    uniform grid xs[j] = 2 pi j / ngrid, by inverse FFT; ngrid defaults
+    to max(4*nmax, 16) and must be at least 2*nmax, where the modes -nmax
+    and nmax share a bin."""
     if ngrid is None:
         ngrid = max(4 * state.nmax, 16)
     if ngrid < 2 * state.nmax:
         raise ValueError(f"grid of {ngrid} points under Nyquist "
                          f"(need >= {2 * state.nmax})")
     xs = TWO_PI * np.arange(ngrid) / ngrid
-    return xs, kernels.synthesize(state.coeffs, state.modes, xs)
+    return xs, _synth_uniform(state.coeffs, state.modes, ngrid)
 
 
 def analyze_grid(values, xs, nmax):
@@ -460,8 +474,10 @@ def project_low(state: FourierState, n0: int):
 
 
 def windowed_l2_norm(times, states, window, omega: TorusSubset) -> float:
-    """L2 norm over (time window) x omega: spatial synthesis on a uniform
-    grid of max(4*nmax, 64) points, composite trapezoid in time."""
+    """L2 norm over (time window) x omega: one inverse-FFT synthesis of
+    all the states in the window on a uniform grid of max(4*nmax, 64)
+    points, a rectangle rule over omega on that grid, and the composite
+    trapezoid in time."""
     times = np.asarray(times, dtype=float)
     ngrid = max(4 * states[0].nmax, 64)
     xs = TWO_PI * np.arange(ngrid) / ngrid
@@ -474,7 +490,7 @@ def windowed_l2_norm(times, states, window, omega: TorusSubset) -> float:
     kept = [s for s, keep in zip(states, sel) if keep]
     # kept states side by side as columns: one synthesis for all of them
     cols = np.stack([st.coeffs for st in kept], axis=1)
-    v = kernels.synthesize(cols.reshape(cols.shape[0], -1), kept[0].modes, xs)
+    v = _synth_uniform(cols.reshape(cols.shape[0], -1), kept[0].modes, ngrid)
     dens = np.sum(np.abs(v.reshape(ngrid, len(kept), -1)) ** 2, axis=2)
     vals = ind @ dens * TWO_PI / ngrid
     return float(np.sqrt(np.trapezoid(vals, ts)))

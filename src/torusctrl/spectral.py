@@ -95,6 +95,51 @@ def _resolvent_sum(N, xi):
     return out
 
 
+# relative slack on both sides of a bracketed norm test: far above the
+# rounding of a computed 2-norm or Frobenius norm of a small matrix, far
+# below the sqrt(rank) width of the bracket
+NORM_SLACK = 1e-12
+
+
+def _frobenius(X):
+    """Frobenius norms of a stack (K, p, q), each member scaled by its
+    largest |re| or |im| so that squaring cannot overflow."""
+    s = np.max(np.maximum(np.abs(X.real), np.abs(X.imag)), axis=(1, 2))
+    s = np.where(s > 0, s, 1.0)
+    Y = X / s[:, None, None]
+    return s * np.sqrt(np.sum(Y.real ** 2 + Y.imag ** 2, axis=(1, 2)))
+
+
+def _norm2_below(X, tol, Y=None):
+    """Per member of stacks X, Y of one shape (..., p, q): is
+    ||X||_2 < tol * max(1, ||Y||_2) (tol alone when Y is None)?
+
+    The bracket ||X||_F / sqrt(r) <= ||X||_2 <= ||X||_F, r = min(p, q),
+    settles every member whose answer it fixes with NORM_SLACK to spare;
+    only the members left in between take a stacked SVD.  The answers are
+    those of the SVD 2-norms for every member.
+    """
+    shape = np.shape(X)[:-2]
+    X = np.reshape(X, (-1,) + np.shape(X)[-2:])
+    r = np.sqrt(min(X.shape[1:]))
+    fx = _frobenius(X)
+    lo_b = hi_b = tol
+    if Y is not None:
+        Y = np.reshape(Y, X.shape)
+        fy = _frobenius(Y)
+        lo_b = tol * np.maximum(1.0, fy / r)
+        hi_b = tol * np.maximum(1.0, fy)
+    below = fx * (1.0 + NORM_SLACK) < lo_b * (1.0 - NORM_SLACK)
+    above = fx / r * (1.0 - NORM_SLACK) > hi_b * (1.0 + NORM_SLACK)
+    amb = np.flatnonzero(~(below | above))
+    if amb.size:
+        bound = (tol if Y is None else
+                 tol * np.maximum(1.0, np.linalg.norm(Y[amb], ord=2,
+                                                      axis=(1, 2))))
+        below[amb] = np.linalg.norm(X[amb], ord=2, axis=(1, 2)) < bound
+    return below.reshape(shape)
+
+
 def _resolvent_projection(mats, center, radius, tol=CONTOUR_TOL):
     """Riesz projections -(1/2 pi i) oint (M - zeta I)^-1 d zeta over the
     circle |zeta - center| = radius for every M in a stack (..., d, d), by
@@ -107,7 +152,8 @@ def _resolvent_projection(mats, center, radius, tol=CONTOUR_TOL):
     doubling keeps the previous node sum and adds only the odd nodes of
     the new resolution.  Matrix k stops at the first resolution where
     ||cur_k - prev_k||_2 < tol * max(1, ||cur_k||_2); the others go on, up
-    to CONTOUR_MAX_NODES nodes.
+    to CONTOUR_MAX_NODES nodes; _norm2_below settles that test from
+    Frobenius norms where it can, with the decisions of the 2-norms.
     """
     shape = np.shape(mats)
     mats = np.asarray(mats, dtype=complex).reshape(-1, *shape[-2:])
@@ -139,9 +185,7 @@ def _resolvent_projection(mats, center, radius, tol=CONTOUR_TOL):
         acc = acc + node_sum(live, np.arange(1, 2 * m, 2), 2 * m)
         m *= 2
         cur = -acc / m
-        done = (np.linalg.norm(cur - prev, ord=2, axis=(1, 2))
-                < tol * np.maximum(1.0, np.linalg.norm(cur, ord=2,
-                                                       axis=(1, 2))))
+        done = _norm2_below(cur - prev, tol, cur)
         out[live[done]] = cur[done]
         live, acc, prev = live[~done], acc[~done], cur[~done]
     if live.size:
@@ -257,46 +301,41 @@ def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray):
     enclose the spurious zero eigenvalues carried by the range of Pp, so
     the shifted symbol E(z) + alpha z I (alpha = 1 + max|Sp(Aprime)|) is
     used; it has the same invariant subspaces with speeds mu + alpha.
-    The remainder satisfies E(z) Phmu = mu z Phmu + z^2 Rhmu.
+    The remainder satisfies E(z) Phmu = mu z Phmu + z^2 Rhmu.  With one
+    speed Phmu is Ph itself: no contour runs, and the check that the
+    projections sum to Ph, which could not fail, is skipped.
     A 1-D array of z with the stack Ph gives stacks, one contour per
     speed; a ContourError then carries the stack indices that failed.
     """
     z = np.asarray(z)
     if np.any(z == 0):
         raise ValueError("z must be nonzero (use limit_projections for z=0)")
+    zz = z[..., None, None]
+    E = eval_symbol(sys, z)
     mus = _distinct_real_eigs(sys.Aprime)
+    if len(mus) == 1:
+        return {mus[0]: (Ph.copy(), (E @ Ph - mus[0] * zz * Ph) / (zz * zz))}
     alpha = 0.0
     if any(abs(mu) <= 1e-8 for mu in mus):
         alpha = 1.0 + max(abs(mu) for mu in mus)
     shifted = [mu + alpha for mu in mus]
-    zz = z[..., None, None]
-    E = eval_symbol(sys, z)
     E1 = ((E + alpha * zz * np.eye(sys.d)) @ Ph) / zz
-    if len(mus) == 1:
-        gap = max(1.0, abs(shifted[0]))
-    else:
-        gap = min(abs(a - b) for i, a in enumerate(shifted)
-                  for b in shifted[:i])
+    gap = min(abs(a - b) for i, a in enumerate(shifted) for b in shifted[:i])
     # keep the contour away from the spurious zero eigenvalues that the
     # rescaled symbol carries on the range of Pp
     radius = min(gap / 3.0, 0.5 * min(abs(m) for m in shifted))
     out = {}
     for mu, mus_ in zip(mus, shifted):
-        if len(mus) == 1:
-            Phmu = Ph.copy()
-        else:
-            try:
-                Phmu = _resolvent_projection(E1, mus_, radius)
-            except ContourError as exc:
-                at = np.abs(np.ravel(z))[list(exc.members)].round(4).tolist()
-                raise ContourError(f"mu-groups not separated at |z| = {at}; "
-                                   "increase n0", exc.members) from exc
+        try:
+            Phmu = _resolvent_projection(E1, mus_, radius)
+        except ContourError as exc:
+            at = np.abs(np.ravel(z))[list(exc.members)].round(4).tolist()
+            raise ContourError(f"mu-groups not separated at |z| = {at}; "
+                               "increase n0", exc.members) from exc
         Rhmu = (E @ Phmu - mu * zz * Phmu) / (zz * zz)
         out[mu] = (Phmu, Rhmu)
     total = sum(P for P, _ in out.values())
-    bad = np.flatnonzero(
-        np.linalg.norm(total - Ph, ord=2, axis=(-2, -1))
-        > 1e-8 * np.maximum(1.0, np.linalg.norm(Ph, ord=2, axis=(-2, -1))))
+    bad = np.flatnonzero(~_norm2_below(total - Ph, 1e-8, Ph))
     if bad.size:
         raise ContourError("mu-group projections do not sum to Ph (stack "
                            f"members {bad.tolist()}); increase n0", bad)
@@ -312,7 +351,7 @@ def graph_map(sys: SystemMatrices, z, Pp: np.ndarray) -> np.ndarray:
     d1 = sys.d1
     top = np.swapaxes(Pp, -1, -2).conj()[..., :d1, :]
     p11, p12 = top[..., :d1], top[..., d1:]
-    bad = np.flatnonzero(np.linalg.norm(p11, ord=2, axis=(-2, -1)) >= 1.0)
+    bad = np.flatnonzero(~_norm2_below(p11, 1.0))
     if bad.size:
         raise ValueError("graph map undefined: ||p11(z)|| >= 1 at z = "
                          f"{np.ravel(z)[bad].tolist()}")

@@ -41,6 +41,40 @@ def test_norm_is_grid_l2():
     assert st_.norm() == pytest.approx(grid, rel=1e-12)
 
 
+@pytest.mark.parametrize("nmax", [1, 5, 16])
+@pytest.mark.parametrize("factor", [2, 4])
+def test_fft_synthesis_matches_arbitrary_point_synthesis(nmax, factor):
+    # at ngrid = 2 nmax the modes -nmax and nmax share a bin: both
+    # coefficients must add into it
+    from torusctrl import kernels
+    rng = np.random.default_rng(nmax)
+    st_ = random_state(rng, nmax, 3, decay=0.0)
+    assert np.all(st_.get(nmax) != 0) and np.all(st_.get(-nmax) != 0)
+    xs, got = synth_grid(st_, ngrid=factor * nmax)
+    want = kernels.synthesize(st_.coeffs, st_.modes, xs)
+    scale = np.abs(st_.coeffs).sum()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+
+
+def test_windowed_l2_norm_makes_no_arbitrary_point_synthesis(monkeypatch):
+    from torusctrl import kernels
+    from torusctrl.algebra import TorusSubset
+    calls = []
+    real = kernels.synthesize
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "synthesize", spy)
+    rng = np.random.default_rng(6)
+    ts = np.linspace(0.0, 1.0, 5)
+    states = [random_state(rng, 20, 2) for _ in ts]
+    got = windowed_l2_norm(ts, states, (0.0, 1.0),
+                           TorusSubset(((0.5, 2.0),)))
+    assert calls == [] and got > 0
+
+
 def test_mode_generator_matches_symbol():
     sys = nscl_system()
     for n in (1, -3, 7):

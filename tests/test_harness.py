@@ -288,3 +288,45 @@ class TestCli:
         assert rc == 1
         out = capsys.readouterr().out
         assert "NUMERICAL FAILURE" in out and str(error) in out
+
+
+class TestParser:
+
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_options_do_not_leak_between_calls(self, monkeypatch, capsys):
+        seen = []
+
+        def loader(name, **kwargs):
+            seen.append(kwargs)
+            return name
+
+        def runner(scenario, out_dir, seed):
+            seen[-1].update(out_dir=out_dir, seed=seed)
+            return 0, ""
+
+        monkeypatch.setattr(cli, "load_scenario", loader)
+        monkeypatch.setattr(cli, "run_experiment", runner)
+        assert cli.main(["obstruct", "--scenario", "heat-memory",
+                         "--T", "2.5", "--nmax", "6", "--seed", "7",
+                         "--out-dir", "elsewhere"]) == 0
+        assert cli.main(["simulate", "--scenario", "heat-memory"]) == 0
+        assert seen[0] == dict(experiment="obstruct", nmax=6, T=2.5,
+                               Tprime=None, n0=None, out_dir="elsewhere",
+                               seed=7)
+        assert seen[1] == dict(experiment="simulate", nmax=None, T=None,
+                               Tprime=None, n0=None,
+                               out_dir="runs/simulate", seed=0)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["simulate"],
+        ["simulate", "--scenario", "heat-memory", "--nmax", "x"]])
+    def test_bad_argv_exits_2_after_a_good_call(self, tmp_path, capsys,
+                                                argv):
+        assert cli.main(["kalman", "--scenario", "moving-wave(1, 1)",
+                         "--out-dir", str(tmp_path)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "usage: torusctrl" in capsys.readouterr().err

@@ -540,3 +540,125 @@ def test_branch_table_names_the_modes_of_a_speed_split_failure(gap, match):
     assert consts.n0 == 3
     with pytest.raises(spectral.ContourError, match=match):
         build_branch_table(sys, consts, 12)
+
+
+# ------------------------------------------ Frobenius-bracketed norm tests
+
+def _svd_rule(X, tol, Y=None):
+    """The stop rule with 2-norms taken by SVD on every member."""
+    bound = tol if Y is None else tol * np.maximum(
+        1.0, np.linalg.norm(Y, ord=2, axis=(-2, -1)))
+    return np.linalg.norm(X, ord=2, axis=(-2, -1)) < bound
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1e-300, 1e-11, 1.0, 1e160])
+def test_bracketed_norm_test_matches_svd_rule(d, scale):
+    # ||X||_2 placed at ratios to the bound from far below to far above,
+    # through the ambiguous band and the slack next to equality
+    rng = np.random.default_rng(d)
+    ratios = np.concatenate([np.logspace(-3, 3, 61),
+                             1.0 + np.linspace(-1e-11, 1e-11, 41)])
+    Y = scale * _random_stack(rng, ratios.size, d, 1.0)
+    X = _random_stack(rng, ratios.size, d, 1.0)
+    X /= np.linalg.norm(X, ord=2, axis=(1, 2))[:, None, None]
+    bound = 1e-11 * np.maximum(1.0, np.linalg.norm(Y, ord=2, axis=(1, 2)))
+    X *= (ratios * bound)[:, None, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spectral._norm2_below(X, 1e-11, Y)
+        solo = spectral._norm2_below(X / bound[:, None, None], 1.0)
+    np.testing.assert_array_equal(got, _svd_rule(X, 1e-11, Y))
+    np.testing.assert_array_equal(
+        solo, _svd_rule(X / bound[:, None, None], 1.0))
+    assert got[ratios < 0.5].all() and not got[ratios > 2.0].any()
+
+
+@pytest.mark.parametrize("system", [
+    nscl_system, moving_wave_system, two_speed_system,
+    lambda: two_speed_system((0.0, 1.5))])
+def test_branch_table_is_bit_identical_to_the_svd_stop_rule(system,
+                                                            monkeypatch):
+    sys = system()
+    consts = separation_radius(sys)
+    got = build_branch_table(sys, consts, 64)
+    monkeypatch.setattr(spectral, "_norm2_below", _svd_rule)
+    want = build_branch_table(sys, consts, 64)
+    for field in ("modes", "Ph", "Pp", "G", "speeds", "Phmu", "Rhmu"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("c", [1e50, 1e100, 1e160])
+def test_huge_entry_contours_are_bit_identical_to_the_svd_stop_rule(
+        c, monkeypatch):
+    A = np.array([[1.0, c], [0.0, 3.0]], dtype=complex)
+    dense = _random_stack(np.random.default_rng(5), 3, 4, c)
+    rng = np.random.default_rng(5)
+    T = np.triu(1e50 * np.exp(2j * np.pi * rng.random((4, 4))), 1)
+    T += np.diag([0.2, -0.3j, 2.5, -3.0])
+    calls = [(A[None], 1.0, 1.0), (dense, 0.0, 1.0), (T[None], 0.0, 1.0)]
+    got = [spectral._resolvent_projection(*a) for a in calls]
+    monkeypatch.setattr(spectral, "_norm2_below", _svd_rule)
+    for g, a in zip(got, calls):
+        assert np.array_equal(g, spectral._resolvent_projection(*a))
+
+
+def test_contour_and_graph_map_take_no_svd_on_a_builtin(monkeypatch):
+    # every stop of the nscl table, and its d1 = 1 graph map, is settled
+    # by the Frobenius bracket
+    sys = nscl_system()
+    consts = separation_radius(sys)
+    norms = []
+    real = np.linalg.norm
+
+    def spy(x, *args, **kwargs):
+        norms.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    build_branch_table(sys, consts, 128)
+    assert norms == []
+
+
+def test_one_speed_split_runs_no_contour_and_no_sum_check(monkeypatch):
+    sys = nscl_system()
+    consts = separation_radius(sys)
+    zs = 1j / np.arange(consts.n0 + 1, 40)
+    Ph, _ = projection_split(sys, zs, consts.R)
+    called = []
+    monkeypatch.setattr(spectral, "_resolvent_projection",
+                        lambda *a: called.append("contour"))
+    monkeypatch.setattr(spectral, "_norm2_below",
+                        lambda *a: called.append("check"))
+    (mu, (Phmu, Rhmu)), = hyperbolic_branches(sys, zs, Ph).items()
+    assert called == []
+    assert np.array_equal(Phmu, Ph) and Phmu is not Ph
+
+
+def test_perturbed_speed_projection_trips_the_sum_check(monkeypatch):
+    sys = two_speed_system()
+    consts = separation_radius(sys)
+    zs = 1j / np.arange(consts.n0 + 1, 20)
+    Ph, _ = projection_split(sys, zs, consts.R)
+    real = spectral._resolvent_projection
+
+    def perturbed(mats, center, radius):
+        P = real(mats, center, radius)
+        P[4] += 1e-6 * np.eye(3)
+        return P
+
+    monkeypatch.setattr(spectral, "_resolvent_projection", perturbed)
+    with pytest.raises(spectral.ContourError,
+                       match=r"do not sum to Ph \(stack members \[4\]\)"):
+        hyperbolic_branches(sys, zs, Ph)
+
+
+def test_graph_map_refuses_where_p11_reaches_one():
+    sys = two_speed_system()
+    Pp = np.zeros((3, 3, 3), dtype=complex)
+    Pp[:, :2, :2] = np.diag([0.5, 0.999])
+    Pp[1, 1, 1] = 1.0
+    Pp[2, :2, :2] = [[0.7, 0.7], [0.0, 0.2]]
+    with pytest.raises(ValueError, match="graph map undefined") as exc:
+        graph_map(sys, np.array([1j, 2j, 3j]), Pp)
+    assert "[2j, 3j]" in str(exc.value)
