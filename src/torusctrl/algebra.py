@@ -87,16 +87,8 @@ class SystemMatrices:
         return self.A[:self.d1, self.d1:]
 
     @property
-    def A21(self):
-        return self.A[self.d1:, :self.d1]
-
-    @property
     def A22(self):
         return self.A[self.d1:, self.d1:]
-
-    @property
-    def K11(self):
-        return self.K[:self.d1, :self.d1]
 
     @property
     def K12(self):
@@ -109,14 +101,6 @@ class SystemMatrices:
     @property
     def K22(self):
         return self.K[self.d1:, self.d1:]
-
-    @property
-    def M1(self):
-        return self.M[:self.d1, :]
-
-    @property
-    def M2(self):
-        return self.M[self.d1:, :]
 
     def transport_speeds(self):
         """Eigenvalues of Aprime (real up to tolerance when H.4 holds)."""
@@ -338,10 +322,10 @@ def cascade_transform(M22, M21) -> CascadeForm:
         if len(cols) == d2:
             break
     P = np.column_stack(cols)
-    Khat22 = np.linalg.solve(P, M22 @ P)
-    Khat21 = np.linalg.solve(P, M21)
-
-    if M21.shape[1] == 1:
+    if M21.shape[1] > 1:
+        Khat22 = np.linalg.solve(P, M22 @ P)
+        Khat21 = np.linalg.solve(P, M21)
+    else:
         # exact companion structure from the Hamilton-Cayley coefficients
         powers = np.column_stack(
             [np.linalg.matrix_power(M22, i).reshape(-1) for i in range(d2)])

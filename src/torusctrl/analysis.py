@@ -1,90 +1,17 @@
-"""Observability diagnostics and boundary-of-theory probes.
+"""The transport + heat counterexample at the H1 regularity threshold.
 
-Three independent tools: the spectral-inequality constant for
-band-limited functions observed on a sub-arc (smallest eigenvalue of the
-arc-restricted Fourier Gram matrix), the explicit moment-method control
-for the transport + heat model showing that H1 regularity of the first
-component is exactly the price of an L2 control, and a surrogate check
-of the level-by-level cascade elimination argument.
+memory_counterexample_control builds the explicit moment-method control
+for d_t f1 = d_x f2, d_t f2 = d_xx f2 + u, showing that H1 regularity of
+the first component is exactly the price of an L2 control;
+counterexample_energy_sums gives the closed-form partial sums of its
+per-mode control energies for monitoring their divergence.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SystemMatrices, TorusSubset, TWO_PI
-from .dynamics import (FourierState, ControlSignal, evolve_adjoint,
-                       gauss_legendre, synth_grid, analyze_grid)
-from .control import plateau_weight
+from .dynamics import FourierState, ControlSignal, gauss_legendre
 
-__all__ = [
-    "spectral_inequality_constant", "memory_counterexample_control",
-    "counterexample_energy_sums", "cascade_elimination_check",
-    "arc_gram_matrix",
-]
-
-
-def arc_gram_matrix(N, omegahat: TorusSubset):
-    """Hermitian (2N+1)x(2N+1) matrix M_{nk} = int_{omegahat} e^{i(k-n)x} dx
-    with closed-form arc integrals."""
-    ns = np.arange(-N, N + 1)
-    M = np.zeros((2 * N + 1, 2 * N + 1), dtype=complex)
-    length = sum(b - a for a, b in omegahat.arcs)
-    for i, n in enumerate(ns):
-        for j, k in enumerate(ns):
-            d = k - n
-            if d == 0:
-                M[i, j] = length
-            else:
-                M[i, j] = sum((np.exp(1j * d * b) - np.exp(1j * d * a))
-                              / (1j * d) for a, b in omegahat.arcs)
-    return M
-
-
-def spectral_inequality_constant(N, omegahat: TorusSubset, gridsize=None):
-    """Smallest eigenvalue of the arc Gram matrix and the implied
-    exponential constant.
-
-    lambda_min bounds int_omegahat |p|^2 >= lambda_min sum |a_n|^2 for
-    trigonometric polynomials p of degree N; the constant estimate comes
-    from fitting log(1/lambda_min) ~ C1*N + log(C1) over a sweep of
-    degrees up to N.  gridsize only sets the resolution of a quadrature
-    cross-check of the closed-form entries.
-    """
-    if gridsize is None:
-        gridsize = 8 * N
-    if gridsize < 8 * N:
-        raise ValueError(f"gridsize {gridsize} < 8N = {8 * N}")
-    M = arc_gram_matrix(N, omegahat)
-    # quadrature cross-check of a couple of entries (row n = 0)
-    xs = TWO_PI * np.arange(gridsize) / gridsize
-    ind = omegahat.indicator(xs)
-    for d in (1, N):
-        quad = np.sum(ind * np.exp(1j * d * xs)) * TWO_PI / gridsize
-        # rectangle rule on a sharp indicator is only O(h) accurate
-        if abs(quad - M[N, N + d]) > 4.0 * TWO_PI / gridsize:
-            raise AssertionError("closed-form arc integral mismatch")
-    lam = float(np.linalg.eigvalsh(M)[0])
-
-    degrees = sorted({max(1, N // 8), max(2, N // 4), max(3, N // 2),
-                      max(4, 3 * N // 4), N})
-    lams = [float(np.linalg.eigvalsh(arc_gram_matrix(d, omegahat))[0])
-            for d in degrees]
-    # the eigensolver floor is eps * lambda_max; degrees whose true
-    # minimum sits below it carry no slope information
-    floor = 1e3 * np.finfo(float).eps * TWO_PI
-    keep = [i for i, v in enumerate(lams) if v > floor]
-    if len(keep) >= 2:
-        ds = [degrees[i] for i in keep]
-        logs = [np.log(1.0 / lams[i]) for i in keep]
-        slope, intercept = np.polyfit(ds, logs, 1)
-    else:
-        slope, intercept = np.nan, np.nan
-    return lam, {
-        "degrees": degrees, "lambda_min": lams,
-        "slope": float(slope), "C1_estimate": float(max(slope, 0.0)),
-        "intercept": float(intercept), "floor": float(floor),
-    }
+__all__ = ["memory_counterexample_control", "counterexample_energy_sums"]
 
 
 def _memory_gram(n, T):
@@ -221,64 +148,3 @@ def counterexample_energy_sums(f01_coeff, f02_coeff, T, nmax_list):
         out.append(running)
     order = np.argsort(np.argsort(nmax_list))
     return [out[i] for i in order]
-
-
-def _mollified_level_norm(traj, times, component, weight, s):
-    """Surrogate window norm (int_0^T || (g_c * rho) ||_{H^{-s}}^2 dt)^{1/2}
-    with a fixed smooth mollifier rho of the observation set.
-
-    This replaces the space-time negative norm of the eliminated levels;
-    it is a surrogate, not the dual norm itself.
-    """
-    nmax = traj[0].nmax
-    ns = np.arange(-nmax, nmax + 1).astype(float)
-    wts = (1.0 + ns ** 2) ** (-s)
-    vals = []
-    for st in traj:
-        xs, v = synth_grid(st, ngrid=max(4 * nmax, 256))
-        masked = (v[:, component] * weight(xs))[:, None]
-        coeffs = analyze_grid(masked, xs, nmax)[:, 0]
-        vals.append(float(np.sum(wts * np.abs(coeffs) ** 2)))
-    return float(np.sqrt(np.trapezoid(vals, times)))
-
-
-def cascade_elimination_check(sys: SystemMatrices, g0: FourierState,
-                              T: float, omega: TorusSubset, nt=65):
-    """Empirical check of the level-by-level elimination chain on the
-    adjoint of a cascade-structured system.
-
-    Evolves the homogeneous adjoint and computes surrogate window norms
-    (see _mollified_level_norm) for the observed component block g1 (L2
-    weight) and each cascade level g2^i (H^{-(2i-1)} weight), then
-    reports the constants linking consecutive levels.  A level whose
-    constant exceeds 1e12 is flagged as broken (its denominator vanishes
-    when the coupling into the observed chain is absent, which is the
-    Kalman-violating signature).
-    """
-    d1 = sys.d1
-    times = np.linspace(0.0, T, nt)
-    _, traj = evolve_adjoint(sys, g0, T, sample_times=times)
-    weight = plateau_weight(omega, shrink=0.05,
-                            bandwidth=min(4 * g0.nmax, 256))
-    level_norms = []
-    # observed block: plain L2 surrogate, combined over the d1 components
-    g1 = float(np.sqrt(sum(
-        _mollified_level_norm(traj, times, c, weight, 0.0) ** 2
-        for c in range(d1))))
-    level_norms.append(("g1", g1))
-    for i in range(1, sys.d2 + 1):
-        s = 2 * i - 1
-        v = _mollified_level_norm(traj, times, d1 + i - 1, weight, s)
-        level_norms.append((f"g2^{i}", v))
-    constants = []
-    for i in range(1, len(level_norms)):
-        num = level_norms[i][1]
-        den = max(level_norms[i - 1][1], 1e-300)
-        constants.append(num / den)
-    return {
-        "level_norms": level_norms,
-        "chain_constants": constants,
-        "flagged": [i + 1 for i, c in enumerate(constants) if c > 1e12],
-        "norm_kind": "mollified windowed Sobolev surrogate (not the "
-                     "space-time dual norm)",
-    }

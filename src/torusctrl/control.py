@@ -50,6 +50,11 @@ __all__ = [
     "full_pipeline", "plateau_weight", "rho1", "smoothstep",
 ]
 
+# omegahat trims this fraction of each arc of omega per side
+PLATEAU_SHRINK = 0.1
+# rho2's Fourier coefficients are kept on |n| <= PLATEAU_BANDWIDTH
+PLATEAU_BANDWIDTH = 256
+
 
 # ---------------------------------------------------------------- smooth bits
 
@@ -75,6 +80,15 @@ def window_fn(x, lo, hi, ramp):
     return smoothstep((x - lo) / ramp) * smoothstep((hi - x) / ramp)
 
 
+def _periodic_window(x, lo, hi, ramp):
+    """window_fn on the torus, for x already reduced mod 2 pi: the
+    pointwise maximum over the shifts x and x +- 2 pi."""
+    out = np.zeros(x.shape)
+    for off in (0.0, TWO_PI, -TWO_PI):
+        out = np.maximum(out, window_fn(x + off, lo, hi, ramp))
+    return out
+
+
 def rho1(tau):
     """Symmetric C-infinity time profile on (0,1): e^{-1/tau} near 0,
     mirrored near 1, blended by a smooth partition on (1/4, 3/4)."""
@@ -97,9 +111,7 @@ class SpatialWeight:
         x = np.asarray(x, dtype=float) % TWO_PI
         out = np.zeros(x.shape)
         for (a, b), (ah, bh) in zip(self.omega.arcs, self.omegahat.arcs):
-            ramp = ah - a
-            for off in (0.0, TWO_PI, -TWO_PI):
-                out = np.maximum(out, window_fn(x + off, a, b, ramp))
+            out = np.maximum(out, _periodic_window(x, a, b, ah - a))
         return out
 
     def toeplitz(self, rows, cols):
@@ -113,18 +125,19 @@ class SpatialWeight:
                                     + self.bandwidth], 0.0)
 
 
-def plateau_weight(omega: TorusSubset, shrink=0.1,
-                   bandwidth=256) -> SpatialWeight:
-    """Build rho2 for omega; omegahat has each arc shrunk by `shrink` of
-    its length per side."""
-    omegahat = omega.shrunk(shrink)
-    w = SpatialWeight(omega=omega, omegahat=omegahat,
-                      coeffs=np.zeros(2 * bandwidth + 1, dtype=complex),
-                      bandwidth=bandwidth)
-    ngrid = max(16 * bandwidth, 4096)
+def plateau_weight(omega: TorusSubset) -> SpatialWeight:
+    """Build rho2 for omega; omegahat has each arc shrunk by
+    PLATEAU_SHRINK of its length per side, and the coefficients stop at
+    PLATEAU_BANDWIDTH."""
+    omegahat = omega.shrunk(PLATEAU_SHRINK)
+    w = SpatialWeight(
+        omega=omega, omegahat=omegahat,
+        coeffs=np.zeros(2 * PLATEAU_BANDWIDTH + 1, dtype=complex),
+        bandwidth=PLATEAU_BANDWIDTH)
+    ngrid = max(16 * PLATEAU_BANDWIDTH, 4096)
     xs = TWO_PI * np.arange(ngrid) / ngrid
     vals = w(xs).astype(complex)[:, None]
-    w.coeffs = analyze_grid(vals, xs, bandwidth)[:, 0]
+    w.coeffs = analyze_grid(vals, xs, PLATEAU_BANDWIDTH)[:, 0]
     return w
 
 
@@ -148,10 +161,8 @@ class CutoffEta:
         ramp_t = 0.25 * (self.Tprime - 2.0 * self.delta)
         wt = window_fn(t, self.delta, self.Tprime - self.delta, ramp_t)
         ramp_x = 0.25 * (self.b - self.a - 2.0 * self.delta)
-        wx = np.zeros(x.shape)
-        for off in (0.0, TWO_PI, -TWO_PI):
-            wx = np.maximum(wx, window_fn(
-                x + off, self.a + self.delta, self.b - self.delta, ramp_x))
+        wx = _periodic_window(x, self.a + self.delta, self.b - self.delta,
+                              ramp_x)
         return wt * wx
 
     def _Q_exact(self, x):
@@ -266,52 +277,6 @@ def observation_matrix(sys: SystemMatrices, branches: BranchTable, modes):
     d1 = sys.d1
     Mh = sys.M.conj().T
     return Mh[:, :d1] @ branches.G[branches.rows(modes)] + Mh[:, d1:]
-
-
-def _emit_modes(modes, basis, obs, rates, vecs, T, window, nodes, weight,
-                nmax, profile=None, mask=None):
-    """Lazy control u(t, x) = r(T-t) rho2(x) sum_k (mask v_k(T-t)) e^{ikx}
-    on the window, zero outside it, where
-    v_k(s) = obs[k] e^{-s rates[k] G_k} vecs[k]
-    and G_k is the generator of mode k in the ModeBasis basis.
-
-    The coefficients on |n'| <= nmax are W @ V(t), with V(t) the stacked
-    (K, m) per-mode vectors and W[n', k] = rho2hat(n' - k) built once.
-    r is the time profile (1 when None), evaluated at the time to go
-    clipped to [0, T].  The coefficients take a float or a 1-D array of
-    times (the ControlSignal.at contract).
-    """
-    m = obs.shape[1]
-    observe = basis.action(vecs, obs)
-    keep = np.ones(m) if mask is None else np.asarray(mask, dtype=float)
-    W = weight.toeplitz(np.arange(-nmax, nmax + 1), modes)
-    t0, t1 = window
-
-    def stacked(ts):
-        """(Q, K, m) per-mode vectors at the 1-D times ts, zero off the
-        window and where the profile vanishes."""
-        s = T - ts
-        r = (np.ones(len(ts)) if profile is None
-             else profile(np.clip(s, 0.0, T)))
-        r = np.where((ts >= t0 - 1e-12) & (ts <= t1 + 1e-12), r, 0.0)
-        on = np.flatnonzero(r)
-        out = np.zeros((len(ts), len(modes), m), dtype=complex)
-        if len(on):
-            vs = observe(s[None, on] * rates[:, None]).transpose(1, 0, 2)
-            out[on] = vs * (r[on, None, None] * keep)
-        return out
-
-    def coeff_fn(t):
-        out = W @ stacked(np.atleast_1d(np.asarray(t, dtype=float)))
-        return out if np.ndim(t) else out[0]
-
-    def spatial(t, xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        vs = stacked(np.array([t], dtype=float))[0]
-        return kernels.synthesize(vs, modes, xs) * weight(xs)[:, None]
-
-    return ControlSignal.from_func(coeff_fn, nodes, nmax, m,
-                                   t_window=window, spatial=spatial)
 
 
 # ------------------------------------------------------------- moment method
@@ -606,16 +571,55 @@ def _joint_solve(sys, branches, blocks, targets, T, weight, nmax,
 
 
 def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges):
-    """u = rho2 sum_j lambda_j (mask v_j) e^{i n_j x} on the block's
-    window, for the block's _block_modes setup; entries sharing a mode
-    are summed before propagation."""
+    """Lazy control u = rho2 sum_j lambda_j (mask v_j) e^{i n_j x} on the
+    block's window, zero outside it, for the block's _block_modes setup
+    (modes, basis, obs, rates); entries sharing a mode are summed before
+    propagation.  Mode k carries r(T-t) obs[k] e^{-(T-t) rates[k] G_k}
+    vecs[k], with G_k its generator in the ModeBasis and r the block's
+    time profile (1 when None), evaluated at the time to go clipped to
+    [0, T].
+
+    The coefficients on |n'| <= nmax are W @ V(t), with V(t) the stacked
+    (K, m) per-mode vectors and W[n', k] = rho2hat(n' - k) built once.
+    They take a float or a 1-D array of times (the ControlSignal.at
+    contract); the signal's sample nodes are the block's panel edges.
+    """
     modes, basis, obs, rates = setup
     vecs = np.zeros((len(modes), obs.shape[2]), dtype=complex)
     for (n, vec), lj in zip(blk.entries, lam):
         vecs[np.searchsorted(modes, n)] += lj * vec
-    return _emit_modes(modes, basis, obs, rates, vecs, T, blk.window,
-                       np.asarray(edges, dtype=float), weight, nmax,
-                       profile=blk.profile, mask=blk.mask)
+    m = obs.shape[1]
+    observe = basis.action(vecs, obs)
+    keep = np.asarray(blk.mask, dtype=float)
+    W = weight.toeplitz(np.arange(-nmax, nmax + 1), modes)
+    t0, t1 = blk.window
+
+    def stacked(ts):
+        """(Q, K, m) per-mode vectors at the 1-D times ts, zero off the
+        window and where the profile vanishes."""
+        s = T - ts
+        r = (np.ones(len(ts)) if blk.profile is None
+             else blk.profile(np.clip(s, 0.0, T)))
+        r = np.where((ts >= t0 - 1e-12) & (ts <= t1 + 1e-12), r, 0.0)
+        on = np.flatnonzero(r)
+        out = np.zeros((len(ts), len(modes), m), dtype=complex)
+        if len(on):
+            vs = observe(s[None, on] * rates[:, None]).transpose(1, 0, 2)
+            out[on] = vs * (r[on, None, None] * keep)
+        return out
+
+    def coeff_fn(t):
+        out = W @ stacked(np.atleast_1d(np.asarray(t, dtype=float)))
+        return out if np.ndim(t) else out[0]
+
+    def spatial(t, xs):
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        vs = stacked(np.array([t], dtype=float))[0]
+        return kernels.synthesize(vs, modes, xs) * weight(xs)[:, None]
+
+    return ControlSignal.from_func(coeff_fn, np.asarray(edges, dtype=float),
+                                   nmax, m, t_window=blk.window,
+                                   spatial=spatial)
 
 
 def _target_entries(sys, branches, n0, nmax, target):

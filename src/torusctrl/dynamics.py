@@ -468,8 +468,9 @@ def project_branch(state: FourierState, branches: BranchTable, n0: int,
 
 def project_low(state: FourierState, n0: int):
     out = FourierState.zeros(state.nmax, state.d)
-    for n in range(-min(n0, state.nmax), min(n0, state.nmax) + 1):
-        out.set(n, state.get(n))
+    k = min(n0, state.nmax)
+    low = slice(state.nmax - k, state.nmax + k + 1)
+    out.coeffs[low] = state.coeffs[low]
     return out
 
 

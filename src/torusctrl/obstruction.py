@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SystemMatrices, TorusSubset, TWO_PI, numerical_rank
+from .algebra import (SystemMatrices, TorusSubset, TWO_PI, REAL_SPEC_TOL,
+                      numerical_rank)
 from . import spectral, dynamics
 
 __all__ = [
@@ -22,6 +23,15 @@ __all__ = [
 ]
 
 MAX_EXP = 700.0  # log-magnitude ceiling of float64
+# clearance between the swept witness profile and omega
+WITNESS_MARGIN = 0.05 * TWO_PI
+# the highpassed witness profile peaks near PEAK_FACTOR * N
+PEAK_FACTOR = 2.5
+# time samples of the observability ratio's trapezoid over (0, T)
+RATIO_TIMES = 33
+# eigenvalue match of pure_transport_space: |lambda - i mu| below this
+# times 1 + |n|
+TRANSPORT_TOL = 1e-8
 
 
 def highpass_profile(chi: dynamics.FourierState, N: int,
@@ -146,35 +156,41 @@ def _live_rows(chiN):
 
 
 def _slowest_speed(sys):
+    # the zero-speed threshold of algebra.minimal_time: a witness exists
+    # exactly when the minimal time is finite
     mus = np.linalg.eigvals(sys.Aprime).real
-    mus = mus[np.abs(mus) > 1e-12]
+    mus = mus[np.abs(mus) > REAL_SPEC_TOL]
     if mus.size == 0:
         raise ValueError("all transport speeds vanish: minimal time is "
                          "infinite and no witness exists")
     return float(mus[np.argmin(np.abs(mus))])
 
 
-def witness_nmax(N: int, peak_factor=2.5) -> int:
-    """Truncation order large enough to hold the default highpassed
-    profile at order N (peak modes near peak_factor*N plus the Gaussian
+def _witness_sigma(N):
+    """Width of the Gaussian whose highpass at order N peaks near
+    PEAK_FACTOR * N."""
+    return np.sqrt(2.0 * (2 * N + 1)) / (PEAK_FACTOR * N)
+
+
+def witness_nmax(N: int) -> int:
+    """Truncation order large enough to hold the highpassed witness
+    profile at order N (peak modes near PEAK_FACTOR*N plus the Gaussian
     envelope width)."""
-    sigma = np.sqrt(2.0 * (2 * N + 1)) / (peak_factor * N)
-    return int(np.ceil(peak_factor * N + 6.0 / sigma)) + 4
+    return int(np.ceil(PEAK_FACTOR * N + 6.0 / _witness_sigma(N))) + 4
 
 
 def build_witness(sys: SystemMatrices, branches: spectral.BranchTable,
                   omega: TorusSubset, T: float, N: int,
-                  chi: dynamics.FourierState = None,
-                  consts=None, margin=0.05 * TWO_PI,
-                  peak_factor=2.5) -> ObstructionWitness:
+                  consts=None) -> ObstructionWitness:
     """Construct the witness pair (g_N, gtilde_N) for T below minimal time.
 
-    chi defaults to a periodized Gaussian placed in the largest complement
-    gap so that its transport over [0, T] misses omega by `margin`; its
-    width is tied to N so the highpassed profile peaks near
-    peak_factor*N (keeping the per-mode branch deviation, hence the
-    approximation error, of order 1/N).  phi0 is the leading
-    right-singular vector of Phmu(0)*.
+    The profile chi is a periodized Gaussian placed in the largest
+    complement gap so that its transport over [0, T] misses omega by
+    WITNESS_MARGIN; its width is tied to N so the highpassed profile peaks
+    near PEAK_FACTOR*N (keeping the per-mode branch deviation, hence the
+    approximation error, of order 1/N).  Its coefficients enter the
+    highpass in closed form.  phi0 is the leading right-singular vector
+    of Phmu(0)*.
     """
     mu = _slowest_speed(sys)
     gaps = omega.gap_intervals()
@@ -184,18 +200,18 @@ def build_witness(sys: SystemMatrices, branches: spectral.BranchTable,
     a, b = max(gaps, key=lambda g: g[1] - g[0])
     ell = b - a
     swept = abs(mu) * T
-    free = ell - swept - 2.0 * margin
+    free = ell - swept - 2.0 * WITNESS_MARGIN
     if free <= 0:
         raise ValueError(
             f"T >= T* for this geometry: gap {ell:.3f} cannot hide a "
             f"profile swept over {swept:.3f}")
     # support of chi(. + mu t) at time t is supp(chi) - mu t
     if mu > 0:
-        lo = a + margin + swept
-        hi = b - margin
+        lo = a + WITNESS_MARGIN + swept
+        hi = b - WITNESS_MARGIN
     else:
-        lo = a + margin
-        hi = b - margin - swept
+        lo = a + WITNESS_MARGIN
+        hi = b - WITNESS_MARGIN - swept
     center = 0.5 * (lo + hi)
     half_free = 0.5 * (hi - lo)
     if half_free <= 0:
@@ -203,16 +219,13 @@ def build_witness(sys: SystemMatrices, branches: spectral.BranchTable,
     if not branches:
         raise ValueError("empty branch table")
     nmax = int(np.max(np.abs(branches.modes)))
-    log_abs = phase = None
-    if chi is None:
-        sigma = np.sqrt(2.0 * (2 * N + 1)) / (peak_factor * N)
-        chi = gaussian_profile(nmax, center, sigma)
-        ns = chi.modes.astype(float)
-        log_abs = (np.log(sigma / (2.0 * np.sqrt(np.pi)))
-                   - 0.25 * sigma ** 2 * ns ** 2)
-        phase = np.exp(-1j * ns * center)
-    chiN = highpass_profile(chi, N, normalize=True,
-                            log_abs=log_abs, phase=phase)
+    sigma = _witness_sigma(N)
+    chi = gaussian_profile(nmax, center, sigma)
+    ns = chi.modes.astype(float)
+    log_abs = (np.log(sigma / (2.0 * np.sqrt(np.pi)))
+               - 0.25 * sigma ** 2 * ns ** 2)
+    chiN = highpass_profile(chi, N, normalize=True, log_abs=log_abs,
+                            phase=np.exp(-1j * ns * center))
 
     if consts is None:
         consts = spectral.separation_radius(sys)
@@ -232,9 +245,9 @@ def build_witness(sys: SystemMatrices, branches: spectral.BranchTable,
 
 
 def observability_ratio(witness: ObstructionWitness, omega: TorusSubset,
-                        T: float, nt=33) -> float:
+                        T: float) -> float:
     """||g_N||^2 over (0,T) x omega divided by ||g_N(T)||^2 over the torus."""
-    ts = np.linspace(0.0, T, nt)
+    ts = np.linspace(0.0, T, RATIO_TIMES)
     states = witness.gN_coeffs(ts)
     num = dynamics.windowed_l2_norm(ts, states, (0.0, T), omega) ** 2
     den = states[-1].norm() ** 2
@@ -243,21 +256,20 @@ def observability_ratio(witness: ObstructionWitness, omega: TorusSubset,
     return num / den
 
 
-def pure_transport_space(sys: SystemMatrices, mu: float, nmax: int,
-                         tol_scale=1e-8):
+def pure_transport_space(sys: SystemMatrices, mu: float, nmax: int):
     """Scan for modes carrying exact speed-mu transport solutions.
 
     For each 0 < |n| <= nmax, tests whether i*mu is an eigenvalue of
-    n E(i/n)* within |lambda - i mu| < tol_scale*(1+|n|), all modes in one
-    stacked eig; matches come in order of n, then of eigenvalue index.
-    Also evaluates the rank of (B | AB | ... | A^{d-1} B), whose fullness
-    predicts the matched set stays finite.
+    n E(i/n)* within |lambda - i mu| < TRANSPORT_TOL*(1+|n|), all modes
+    in one stacked eig; matches come in order of n, then of eigenvalue
+    index.  Also evaluates the rank of (B | AB | ... | A^{d-1} B), whose
+    fullness predicts the matched set stays finite.
     """
     d = sys.d
     ns = np.concatenate([np.arange(-nmax, 0), np.arange(1, nmax + 1)])
     mats = ns[:, None, None] * spectral.eval_symbol(sys, 1j / ns)
     w, V = np.linalg.eig(np.swapaxes(mats, -1, -2).conj())
-    hit = np.abs(w - 1j * mu) < tol_scale * (1.0 + np.abs(ns))[:, None]
+    hit = np.abs(w - 1j * mu) < TRANSPORT_TOL * (1.0 + np.abs(ns))[:, None]
     matches = [(int(ns[k]), V[k, :, h]) for k, h in zip(*np.nonzero(hit))]
     blocks = [sys.B]
     for _ in range(d - 1):

@@ -30,6 +30,10 @@ __all__ = [
 CONTOUR_TOL = 1e-11
 CONTOUR_NODES = 64
 CONTOUR_MAX_NODES = 4096
+# separation_radius refuses below this radius
+RADIUS_FLOOR = 1e-6
+# remainder_at_zero extrapolates from z = i/REMAINDER_N and i/(2 REMAINDER_N)
+REMAINDER_N = 512
 
 
 class ContourError(RuntimeError):
@@ -235,8 +239,8 @@ class BranchTable:
         return hit @ np.arange(len(self.modes))
 
 
-def separation_radius(sys: SystemMatrices, n0_override=None,
-                      floor=1e-6) -> BranchConstants:
+def separation_radius(sys: SystemMatrices,
+                      n0_override=None) -> BranchConstants:
     """Find (r, n0, R): R = min|Sp(D)|/2; r is the largest radius in a
     geometric grid such that on a sampled disk |z| <= r every eigenvalue
     of E(z) keeps distance >= R/10 from the circle |zeta| = R."""
@@ -254,13 +258,13 @@ def separation_radius(sys: SystemMatrices, n0_override=None,
         return not np.any(np.abs(np.abs(w) - R) < margin)
 
     r = 1.0
-    while r >= floor:
+    while r >= RADIUS_FLOOR:
         if clears(r):
             break
         r *= 0.7
     else:
         raise ValueError(
-            f"no separation radius above {floor}: eigenvalues of E(z) "
+            f"no separation radius above {RADIUS_FLOOR}: eigenvalues of E(z) "
             f"approach the circle |zeta| = {R} at |z| = {r / 0.7}")
     n0 = int(np.ceil(1.0 / r))
     if n0_override is not None:
@@ -379,11 +383,11 @@ def limit_projections(sys: SystemMatrices):
     return Ph0, out
 
 
-def remainder_at_zero(sys: SystemMatrices, R: float, n_base=512):
+def remainder_at_zero(sys: SystemMatrices, R: float):
     """Richardson-extrapolated limits mu -> (Phmu(0), Rhmu(0)) from
-    z = i/n_base and i/(2 n_base); the branch data is first order in z so
-    the extrapolant is O(1/n^2) accurate."""
-    zs = 1j / (n_base * np.array([1.0, 2.0]))
+    z = i/REMAINDER_N and i/(2 REMAINDER_N); the branch data is first
+    order in z so the extrapolant is O(1/n^2) accurate."""
+    zs = 1j / (REMAINDER_N * np.array([1.0, 2.0]))
     Ph, _ = projection_split(sys, zs, R)
     return {mu: (2.0 * P[1] - P[0], 2.0 * Rm[1] - Rm[0])
             for mu, (P, Rm) in hyperbolic_branches(sys, zs, Ph).items()}

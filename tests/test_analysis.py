@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from torusctrl.algebra import SystemMatrices, TorusSubset, TWO_PI
-from torusctrl import analysis
-from torusctrl.analysis import (arc_gram_matrix,
-                                spectral_inequality_constant,
-                                memory_counterexample_control,
-                                counterexample_energy_sums,
-                                cascade_elimination_check)
+from torusctrl.algebra import SystemMatrices
+from torusctrl.analysis import (memory_counterexample_control,
+                                counterexample_energy_sums)
 from torusctrl.dynamics import FourierState, evolve
-from conftest import moving_wave_system, HALF_TORUS
 
 
 # first-order form of d_t f1 = d_x f2, d_t f2 = d_xx f2 + u
@@ -18,36 +13,6 @@ MEMORY_SYS = SystemMatrices(1, 1,
                             D=np.array([[1.0]]),
                             K=np.zeros((2, 2)),
                             M=np.array([[0.0], [1.0]]))
-
-
-class TestSpectralInequality:
-
-    def test_full_torus_is_parseval(self):
-        full = TorusSubset(((0.0, TWO_PI),))
-        lam, fit = spectral_inequality_constant(4, full)
-        assert lam == pytest.approx(TWO_PI, rel=1e-10)
-
-    def test_arc_gram_closed_form(self):
-        M = arc_gram_matrix(3, HALF_TORUS)
-        assert M == pytest.approx(M.conj().T)
-        assert M[3, 3] == pytest.approx(np.pi)
-        # quadrature oracle for one off-diagonal entry
-        xs = np.linspace(0, TWO_PI, 200_000, endpoint=False)
-        ind = HALF_TORUS.indicator(xs)
-        quad = np.sum(ind * np.exp(2j * xs)) * TWO_PI / len(xs)
-        assert M[3, 5] == pytest.approx(quad, abs=1e-4)
-
-    def test_monotone_in_degree_and_arc(self):
-        lam4, _ = spectral_inequality_constant(4, HALF_TORUS)
-        lam8, _ = spectral_inequality_constant(8, HALF_TORUS)
-        assert 0 < lam8 < lam4
-        big = TorusSubset(((0.0, 5.5),))
-        lam8_big, _ = spectral_inequality_constant(8, big)
-        assert lam8_big > lam8
-
-    def test_gridsize_validation(self):
-        with pytest.raises(ValueError):
-            spectral_inequality_constant(8, HALF_TORUS, gridsize=16)
 
 
 class TestMemoryCounterexample:
@@ -148,31 +113,3 @@ class TestMemoryCounterexample:
         # order of the returned list follows the requested order
         rev = counterexample_energy_sums(law01, law02, 1.0, Ns[::-1])
         assert rev == pytest.approx(sums[::-1])
-
-
-class TestCascadeCheck:
-
-    def _seed(self, nmax, d, comp):
-        rng = np.random.default_rng(7)
-        g0 = FourierState.zeros(nmax, d)
-        env = np.exp(-0.05 * np.arange(-nmax, nmax + 1) ** 2)
-        g0.coeffs[:, comp] = env * (rng.standard_normal(2 * nmax + 1)
-                                    + 1j * rng.standard_normal(2 * nmax + 1))
-        return g0
-
-    def test_coupled_chain_has_moderate_constants(self):
-        sys = moving_wave_system(1.0, 1.0)
-        rep = cascade_elimination_check(sys, self._seed(16, 2, 1), 1.0,
-                                        HALF_TORUS)
-        assert not rep["flagged"]
-        assert all(c < 1e3 for c in rep["chain_constants"])
-
-    def test_severed_chain_flagged(self):
-        K = np.array([[1.0, 0.0], [0.0, 0.0]])
-        sys = SystemMatrices(1, 1,
-                             A=np.array([[-1.0, 0.0], [0.0, -1.0]]),
-                             D=np.array([[1.0]]), K=K,
-                             M=np.array([[1.0], [0.0]]))
-        rep = cascade_elimination_check(sys, self._seed(16, 2, 1), 1.0,
-                                        HALF_TORUS)
-        assert rep["flagged"] == [1]

@@ -237,6 +237,24 @@ class TestLebeauRobbiano:
         assert norms[1] < norms[0]
         assert report["final_parabolic_norm"] < 1e-25
 
+    @pytest.mark.parametrize("system", [decoupled_heat_system, nscl_system])
+    def test_merged_controls_replay_the_final_state(self, system):
+        """The returned controls, merged and replayed from the datum by
+        evolve, reach the report's final state."""
+        sys = system()
+        consts = spectral.separation_radius(sys)
+        nmax, T = 12, 4.0
+        branches = spectral.build_branch_table(sys, consts, nmax)
+        f0p = project_branch(random_state(np.random.default_rng(41), nmax,
+                                          2), branches, consts.n0, "p")
+        controls, report = lebeau_robbiano(
+            sys, branches, f0p, T=T, delta=T / 8.0, rho=0.5, nmax=nmax,
+            n0=consts.n0, omega=HALF_TORUS)
+        u = ctl.merge_controls(controls, nmax, sys.m, T)
+        fT = evolve(sys, f0p, u, T)
+        assert ((fT - report["final_state"]).norm()
+                <= 1e-12 * f0p.norm())
+
 
 class TestHUM:
 
@@ -487,13 +505,16 @@ class TestEmission:
     Tprime = 1.25 * np.pi
 
     def test_toeplitz_is_the_coefficient_lookup(self):
-        w = plateau_weight(HALF_TORUS, bandwidth=6)
-        rows, cols = np.arange(-10, 11), np.array([-3, 0, 2, 9])
+        w = plateau_weight(HALF_TORUS)
+        bw = w.bandwidth
+        # rows reach past the bandwidth from every column
+        rows, cols = np.arange(-300, 301), np.array([-3, 0, 2, 9])
         W = w.toeplitz(rows, cols)
         assert np.array_equal(
-            W, np.array([[w.coeffs[r - c + 6] if abs(r - c) <= 6 else 0.0
+            W, np.array([[w.coeffs[r - c + bw] if abs(r - c) <= bw else 0.0
                           for c in cols] for r in rows]))
-        beyond = np.abs(np.subtract.outer(rows, cols)) > 6
+        beyond = np.abs(np.subtract.outer(rows, cols)) > bw
+        assert beyond.any(axis=0).all()
         assert np.all(W[beyond] == 0.0) and np.all(W[~beyond] != 0.0)
 
     def _blocks(self, nscl_branches24):

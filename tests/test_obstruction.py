@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from torusctrl.algebra import TorusSubset, TWO_PI
+from torusctrl.algebra import (SystemMatrices, TorusSubset, TWO_PI,
+                              minimal_time)
 from torusctrl import spectral, obstruction
 from torusctrl.obstruction import (highpass_profile, gaussian_profile,
                                    build_witness, observability_ratio,
@@ -117,6 +118,20 @@ def test_build_witness_rejects_zero_speed():
     consts = spectral.separation_radius(sys)
     branches = spectral.build_branch_table(sys, consts, 30)
     with pytest.raises(ValueError):
+        build_witness(sys, branches, HALF_TORUS, T=1.0, N=8,
+                      consts=consts)
+
+
+def test_build_witness_rejects_speed_below_minimal_time_tolerance():
+    """A speed that minimal_time counts as zero (T* infinite) leaves no
+    witness either."""
+    sys = SystemMatrices(1, 1, A=np.array([[1e-10, 1.0], [1.0, 0.0]]),
+                         D=np.array([[1.0]]), K=np.zeros((2, 2)),
+                         M=np.eye(2))
+    assert minimal_time(sys, HALF_TORUS) == np.inf
+    consts = spectral.separation_radius(sys)
+    branches = spectral.build_branch_table(sys, consts, 30)
+    with pytest.raises(ValueError, match="speeds vanish"):
         build_witness(sys, branches, HALF_TORUS, T=1.0, N=8,
                       consts=consts)
 
