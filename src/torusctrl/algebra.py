@@ -34,12 +34,14 @@ def _as_complex(a, name, shape=None):
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemMatrices:
     """The tuple (d1, d2, A, D, K, M) defining the system.
 
     A and K are (d x d) with d = d1 + d2; D is the (d2 x d2) diffusion
-    block; M is (d x m).  Block views follow the d1/d2 split.
+    block; M is (d x m).  Block views follow the d1/d2 split.  The arrays
+    are read-only and a system compares and hashes by identity, so caches
+    can key on it.
     """
 
     d1: int

@@ -9,7 +9,10 @@ broadcast contractions (_small_matmul) over the whole stack of modes and
 times in place of one matmul per matrix; being elementwise, they give a
 batch of times the same bits as one time at a time.  Time
 integrals in the Duhamel formula use per-panel Gauss-Legendre of order 8
-(gauss_legendre) with panels aligned to the control's time nodes.  A
+(gauss_legendre) with panels aligned to the control's time nodes, and
+their node sums run in each mode's eigen-coordinates (ModeBasis.duhamel),
+so V_k^{-1} M and V_k apply once per mode, not once per node.  evolve
+and evolve_adjoint share one ModeBasis per system and truncation.  A
 control enters through its coefficients as they stand: a signal carries
 its own support (the emitters build the spatial cut-off into them), and
 evolve applies no mask of its own.  States go to and from the uniform
@@ -45,6 +48,8 @@ PADE13_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
             670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
             960960.0, 16380.0, 182.0, 1.0)
 THETA13 = 5.371920351148152
+# state bases kept by _state_basis: (system, nmax, adjoint) triples
+STATE_BASES = 8
 
 
 @dataclass
@@ -301,17 +306,21 @@ class ModeBasis:
     scales, so a (K, Q) call gives, bit for bit, the columns of Q
     single-scale calls.  Scales are (K, Q) arrays, or anything that
     broadcasts to one: (Q,) shares the scales across modes, (K, 1) gives
-    one scale per mode.
+    one scale per mode.  A basis is read-only once built, so one can
+    serve every evolution of its system.
     """
 
     def __init__(self, gens):
-        self.gens = np.asarray(gens, dtype=complex)
+        self.gens = np.array(gens, dtype=complex)
         w, V = np.linalg.eig(self.gens)
         self.eig = np.linalg.cond(V) < EIG_COND_MAX
         self._fast = np.flatnonzero(self.eig)
         self._slow = np.flatnonzero(~self.eig)
         self._negw, self._V = -w[self._fast], V[self._fast]
         self._Vinv = np.linalg.inv(self._V)
+        for a in (self.gens, self.eig, self._fast, self._slow, self._negw,
+                  self._V, self._Vinv):
+            a.flags.writeable = False
 
     def _scales(self, scales):
         return np.zeros((len(self.gens), 1)) + scales
@@ -354,14 +363,11 @@ class ModeBasis:
 
     def action(self, vecs, obs=None):
         """The map scales -> obs[k] e^{-scales[k, q] G_k} vecs[k], an array
-        (K, Q, m), for vecs of shape (K, d), or (K, Q, d) with one vector
-        per scale, and observations obs of shape (K, m, d) (the identity
-        when None).  The factors that do not depend on the scales,
-        obs_k V_k and V_k^{-1} vecs_k, are formed once."""
-        vecs = np.asarray(vecs, dtype=complex)
-        if vecs.ndim == 2:
-            vecs = vecs[:, None]
-        vecs = vecs[..., None]
+        (K, Q, m), for vecs of shape (K, d) and observations obs of shape
+        (K, m, d) (the identity when None).  The factors that do not
+        depend on the scales, obs_k V_k and V_k^{-1} vecs_k, are formed
+        once."""
+        vecs = np.asarray(vecs, dtype=complex)[:, None, :, None]
         lead = self._lead(obs)[:, None]
         coef = _small_matmul(self._Vinv[:, None], vecs[self._fast])
         slow_vecs = vecs[self._slow]
@@ -382,6 +388,32 @@ class ModeBasis:
 
         return at
 
+    def duhamel(self, srcs, lift, scales, wts):
+        """sum_q wts[q] e^{-scales[k, q] G_k} lift srcs[k, q]: array (K, d),
+        for sources srcs of shape (K, Q, m) and a lift of shape (d, m).
+
+        An eig-path mode takes the sum in its eigen-coordinates, where
+        e^{-s G_k} is the diagonal e^{-s w_k}: one (d, Q) @ (Q, m) product
+        sums the sources against the weights wts[q] e^{-scales[k, q] w_kj},
+        the rows of V_k^{-1} lift map the result into eigen-coordinates,
+        and V_k applies once, not once per node.  Expm-path modes apply
+        their Pade-13 propagators to lift srcs[k, q] and take the weighted
+        sum.
+        """
+        srcs = np.asarray(srcs, dtype=complex)
+        s = self._scales(scales)
+        out = np.empty((len(self.gens), self.gens.shape[1]), dtype=complex)
+        if len(self._fast):
+            decayed = (self._decay(s) * wts[:, None]).swapaxes(1, 2)
+            coef = (_small_matmul(self._Vinv, lift)
+                    * (decayed @ srcs[self._fast])).sum(axis=2)
+            out[self._fast] = _small_matmul(self._V, coef[..., None])[..., 0]
+        if len(self._slow):
+            lifted = _small_matmul(srcs[self._slow], lift.T)
+            y = _small_matmul(self._expm_slow(s), lifted[..., None])[..., 0]
+            out[self._slow] = np.einsum("q,kqi->ki", wts, y)
+        return out
+
 
 def mode_generator(sys: SystemMatrices, n, adjoint=False):
     """n^2 E(i/n) for n != 0, K for n = 0; conjugate-transposed when
@@ -397,15 +429,27 @@ def mode_generator(sys: SystemMatrices, n, adjoint=False):
     return G if np.ndim(n) else G[0]
 
 
+@functools.lru_cache(maxsize=STATE_BASES)
+def _state_basis(sys: SystemMatrices, nmax, adjoint):
+    """The ModeBasis of sys's generators on |n| <= nmax (their adjoints
+    when adjoint), built once per system: a solve evolves the same system
+    many times, and each build is a stacked eig, cond and inv.  Systems
+    hash by identity."""
+    return ModeBasis(mode_generator(sys, np.arange(-nmax, nmax + 1),
+                                    adjoint=adjoint))
+
+
 def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
            T: float = 1.0, sample_times=None):
     """Exact per-mode evolution with Duhamel source term.
 
-    The control's coefficients are mapped through M and enter the mode
-    ODEs as they stand (the signal carries its own support).  Duhamel
-    integrals use Gauss-Legendre panels between control time nodes; the
-    control is asked for all of them in one u.at(taus) call, so a lazy
-    signal's func must accept a 1-D array of times (see ControlSignal).
+    The control's coefficients enter the mode ODEs through M as they
+    stand (the signal carries its own support).  Duhamel integrals use
+    Gauss-Legendre panels between control time nodes; the control is
+    asked for all of them in one u.at(taus) call, so a lazy signal's func
+    must accept a 1-D array of times (see ControlSignal).  Each sample
+    time's integral is one ModeBasis.duhamel contraction of the raw
+    coefficients, summed over the nodes in each mode's eigen-coordinates.
     Returns the state at T, or (times, states) at sample_times, which
     must lie in [0, T].
     """
@@ -420,19 +464,19 @@ def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
         if u.nmax != nmax:
             raise ValueError("control truncation differs from state")
 
-    basis = ModeBasis(mode_generator(sys, f0.modes))
+    basis = _state_basis(sys, nmax, False)
     traj = basis.action(f0.coeffs)(times)
     if u is not None:
         edges = np.unique(np.clip(u.time_nodes, 0.0, T))
         if edges[-1] < T:
             edges = np.append(edges, T)
         taus, wts = gauss_legendre(edges)
-        # src[k, q] is the M-mapped mode-k source at taus[q]
-        src = (u.at(taus) @ sys.M.T).transpose(1, 0, 2)
+        # src[k, q] is the mode-k control coefficient at taus[q]
+        src = u.at(taus).transpose(1, 0, 2)
         for k, t in enumerate(times):
             sel = taus <= t + 1e-14
-            duhamel = basis.action(src[:, sel])(t - taus[sel])
-            traj[:, k] += np.einsum("q,nqi->ni", wts[sel], duhamel)
+            traj[:, k] += basis.duhamel(src[:, sel], sys.M, t - taus[sel],
+                                        wts[sel])
     states = [FourierState(nmax, c) for c in traj.transpose(1, 0, 2).copy()]
     return states[-1] if sample_times is None else (times, states)
 
@@ -446,8 +490,7 @@ def evolve_adjoint(sys: SystemMatrices, g0: FourierState, T: float,
              else np.asarray(sample_times, dtype=float))
     if np.any(times < 0) or np.any(times > T):
         raise ValueError(f"sample times must lie in [0, T = {T}]")
-    basis = ModeBasis(mode_generator(sys, g0.modes, adjoint=True))
-    traj = basis.action(g0.coeffs)(times)
+    traj = _state_basis(sys, g0.nmax, True).action(g0.coeffs)(times)
     states = [FourierState(g0.nmax, c)
               for c in traj.transpose(1, 0, 2).copy()]
     return states[-1] if sample_times is None else (times, states)

@@ -32,6 +32,8 @@ EXPERIMENT_KINDS = ("simulate", "spectrum", "obstruct", "control",
 
 BUILTIN_NAMES = ("damped-wave(b)", "moving-wave(c,b)", "heat-memory",
                  "nscl(rhobar,vbar,a,gamma,mu)")
+# seeded data carry the envelope e^{-RANDOM_STATE_DECAY n^2}
+RANDOM_STATE_DECAY = 0.05
 
 
 class ScenarioError(ValueError):
@@ -333,9 +335,10 @@ def _write_summary(out_dir, lines):
     return text
 
 
-def _random_state(rng, nmax, d, decay=0.05):
+def _random_state(rng, nmax, d):
     st = FourierState.zeros(nmax, d)
-    env = np.exp(-decay * np.arange(-nmax, nmax + 1) ** 2)[:, None]
+    env = np.exp(-RANDOM_STATE_DECAY
+                 * np.arange(-nmax, nmax + 1) ** 2)[:, None]
     st.coeffs[:] = env * (rng.standard_normal((2 * nmax + 1, d))
                           + 1j * rng.standard_normal((2 * nmax + 1, d)))
     return st

@@ -30,6 +30,8 @@ __all__ = [
 CONTOUR_TOL = 1e-11
 CONTOUR_NODES = 64
 CONTOUR_MAX_NODES = 4096
+# transport speeds closer than this (relative) count as one speed
+SPEED_MERGE_TOL = 1e-8
 # separation_radius refuses below this radius
 RADIUS_FLOOR = 1e-6
 # remainder_at_zero extrapolates from z = i/REMAINDER_N and i/(2 REMAINDER_N)
@@ -144,7 +146,7 @@ def _norm2_below(X, tol, Y=None):
     return below.reshape(shape)
 
 
-def _resolvent_projection(mats, center, radius, tol=CONTOUR_TOL):
+def _resolvent_projection(mats, center, radius):
     """Riesz projections -(1/2 pi i) oint (M - zeta I)^-1 d zeta over the
     circle |zeta - center| = radius for every M in a stack (..., d, d), by
     the trapezoidal rule; `members` of a ContourError index the flattened
@@ -155,8 +157,8 @@ def _resolvent_projection(mats, center, radius, tol=CONTOUR_TOL):
     matrices and the new nodes, with no LAPACK call per node.  Each
     doubling keeps the previous node sum and adds only the odd nodes of
     the new resolution.  Matrix k stops at the first resolution where
-    ||cur_k - prev_k||_2 < tol * max(1, ||cur_k||_2); the others go on, up
-    to CONTOUR_MAX_NODES nodes; _norm2_below settles that test from
+    ||cur_k - prev_k||_2 < CONTOUR_TOL * max(1, ||cur_k||_2); the others go
+    on, up to CONTOUR_MAX_NODES nodes; _norm2_below settles that test from
     Frobenius norms where it can, with the decisions of the 2-norms.
     """
     shape = np.shape(mats)
@@ -189,13 +191,13 @@ def _resolvent_projection(mats, center, radius, tol=CONTOUR_TOL):
         acc = acc + node_sum(live, np.arange(1, 2 * m, 2), 2 * m)
         m *= 2
         cur = -acc / m
-        done = _norm2_below(cur - prev, tol, cur)
+        done = _norm2_below(cur - prev, CONTOUR_TOL, cur)
         out[live[done]] = cur[done]
         live, acc, prev = live[~done], acc[~done], cur[~done]
     if live.size:
         raise ContourError(
-            f"contour quadrature did not converge below {tol} (relative) "
-            f"at {m} nodes (stack members {live.tolist()})", live)
+            f"contour quadrature did not converge below {CONTOUR_TOL} "
+            f"(relative) at {m} nodes (stack members {live.tolist()})", live)
     return out.reshape(shape)
 
 
@@ -285,11 +287,12 @@ def projection_split(sys: SystemMatrices, z, R: float):
     return Ph, np.eye(sys.d) - Ph
 
 
-def _distinct_real_eigs(Aprime, tol=1e-8):
+def _distinct_real_eigs(Aprime):
     w = np.sort(np.linalg.eigvals(Aprime).real)
     groups = []
     for mu in w:
-        if groups and abs(mu - groups[-1]) <= tol * (1.0 + abs(mu)):
+        if (groups and abs(mu - groups[-1])
+                <= SPEED_MERGE_TOL * (1.0 + abs(mu))):
             continue
         groups.append(float(mu))
     return groups

@@ -23,11 +23,18 @@ import mpmath
 import scipy.linalg
 
 
+def _flat_state(rng, nmax, d):
+    """Standard complex normal coefficients on every mode |n| <= nmax."""
+    shape = (2 * nmax + 1, d)
+    return dynamics.FourierState(nmax, rng.standard_normal(shape)
+                                 + 1j * rng.standard_normal(shape))
+
+
 @given(st.integers(1, 12), st.integers(1, 3), st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_synth_analyze_roundtrip(nmax, d, seed):
     rng = np.random.default_rng(seed)
-    st_ = random_state(rng, nmax, d, decay=0.0)
+    st_ = _flat_state(rng, nmax, d)
     xs, vals = synth_grid(st_)
     back = analyze_grid(vals, xs, nmax)
     assert back == pytest.approx(st_.coeffs, abs=1e-10)
@@ -48,7 +55,7 @@ def test_fft_synthesis_matches_arbitrary_point_synthesis(nmax, factor):
     # coefficients must add into it
     from torusctrl import kernels
     rng = np.random.default_rng(nmax)
-    st_ = random_state(rng, nmax, 3, decay=0.0)
+    st_ = _flat_state(rng, nmax, 3)
     assert np.all(st_.get(nmax) != 0) and np.all(st_.get(-nmax) != 0)
     xs, got = synth_grid(st_, ngrid=factor * nmax)
     want = kernels.synthesize(st_.coeffs, st_.modes, xs)
@@ -118,9 +125,6 @@ def test_mode_basis_eig_path_matches_dense_expm():
     vecs = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     assert _close(basis.action(vecs)(scales),
                   np.einsum("kqij,kj->kqi", ref, vecs))
-    per_scale = rng.standard_normal((6, 4, 3))
-    assert _close(basis.action(per_scale)(scales),
-                  np.einsum("kqij,kqj->kqi", ref, per_scale))
 
 
 def test_mode_basis_jordan_modes_take_expm_path():
@@ -179,17 +183,12 @@ def test_mode_basis_batches_bit_for_bit():
     obs = rng.standard_normal((11, 3, 2)) + 1j * rng.standard_normal(
         (11, 3, 2))
     vecs = rng.standard_normal((11, 2)) + 1j * rng.standard_normal((11, 2))
-    per_scale = rng.standard_normal((11, 6, 2)) + 0.5j
-    calls = [lambda s, q: basis.expm(s),
-             lambda s, q: basis.expm(s, obs),
-             lambda s, q: basis.action(vecs)(s),
-             lambda s, q: basis.action(vecs, obs)(s),
-             lambda s, q: basis.action(per_scale[:, q])(s)]
+    calls = [basis.expm, lambda s: basis.expm(s, obs),
+             basis.action(vecs), basis.action(vecs, obs)]
     for call in calls:
-        whole = call(scales, slice(None))
+        whole = call(scales)
         for q in range(scales.shape[1]):
-            assert np.array_equal(whole[:, q],
-                                  call(scales[:, q:q + 1], slice(q, q + 1))[:, 0])
+            assert np.array_equal(whole[:, q], call(scales[:, q:q + 1])[:, 0])
 
 
 def test_mode_basis_observed_forms_match_products():
@@ -209,6 +208,58 @@ def test_mode_basis_observed_forms_match_products():
     Mh = np.broadcast_to(sys.M.conj().T, (11, sys.m, sys.d))
     assert _close(basis.expm(scales, Mh), Mh[:, None] @ basis.expm(scales),
                   rel=1e-14)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_mode_basis_duhamel_matches_dense_reference(m):
+    """duhamel's weighted sum against sum_q w_q e^{-s_q G_k} lift src[k, q]
+    built from expm and from scipy's expm, on both paths, for a lift
+    with m < d (M = (1; 0)) and one with m = d, with shared (Q,) and
+    per-mode (K, Q) scales, to 1e-12."""
+    _, basis = _mixed_basis()
+    rng = np.random.default_rng(46 + m)
+    lift = (np.array([[1.0], [0.0]]) if m == 1
+            else rng.standard_normal((2, 2)) + 1j * rng.standard_normal(
+                (2, 2)))
+    srcs = rng.standard_normal((11, 7, m)) + 1j * rng.standard_normal(
+        (11, 7, m))
+    wts = rng.uniform(0.0, 0.3, 7)
+    for scales in (rng.uniform(0.0, 1.5, 7), rng.uniform(0.0, 1.5, (11, 7))):
+        full = np.broadcast_to(scales, (11, 7))
+        lifted = srcs @ lift.T
+        ref = np.einsum("q,kqij,kqj->ki", wts, basis.expm(full), lifted)
+        dense = np.einsum("q,kqij,kqj->ki", wts, _dense(basis.gens, full),
+                          lifted)
+        got = basis.duhamel(srcs, lift, scales, wts)
+        assert _close(got, ref) and _close(got, dense)
+
+
+def test_state_basis_is_built_once_per_system(monkeypatch):
+    """Evolutions of one system at one truncation share one ModeBasis; a
+    system that differs only in D gets its own, and evolves as a freshly
+    built basis of its generators does."""
+    built = []
+
+    class Counting(ModeBasis):
+        def __init__(self, gens):
+            built.append(len(gens))
+            super().__init__(gens)
+
+    monkeypatch.setattr(dynamics, "ModeBasis", Counting)
+    sys = nscl_system()
+    rng = np.random.default_rng(47)
+    f0 = random_state(rng, 6, 2)
+    first = evolve(sys, f0, None, 0.7)
+    assert np.array_equal(evolve(sys, f0, None, 0.7).coeffs, first.coeffs)
+    assert built == [13]
+    other = nscl_system(mu=3.0)
+    assert np.array_equal(other.A, sys.A) and not np.array_equal(other.D,
+                                                                 sys.D)
+    got = evolve(other, f0, None, 0.7)
+    assert built == [13, 13]
+    fresh = ModeBasis(mode_generator(other, f0.modes)).action(f0.coeffs)(0.7)
+    assert np.array_equal(got.coeffs, fresh[:, 0])
+    assert not np.allclose(got.coeffs, first.coeffs)
 
 
 def test_evolve_adjoint_matches_dense_expm():
