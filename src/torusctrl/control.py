@@ -29,7 +29,11 @@ families; its parabolic block is the pipeline's only parabolic
 mechanism, and lebeau_robbiano stands alone.
 _joint_solve is the one Gram assembly, conditioning check and solve:
 the moment method, the HUM Gramian and the pipeline sweeps each pose
-their families as DualBlocks and call it.
+their families as DualBlocks and call it.  It observes each block once,
+on the union of all blocks' quadrature nodes, pairs each pair of blocks
+with one weighted GEMM, and hands each block's stack on its own nodes
+to the control it emits: the evolution that integrates that control on
+those nodes reads the stack and propagates nothing again.
 """
 
 import warnings
@@ -519,35 +523,40 @@ def _joint_solve(sys, branches, blocks, targets, T, weight, nmax,
     The pairing matrix J_{jk} = rho2hat(n_j - n_k) int_{W_k} r_k(T - tau)
     v_j* mask_k v_k dtau, with r_k the column block's profile; for a
     single block it is the Gram matrix of the weighted observations
-    (Hermitian positive semidefinite).
+    (Hermitian positive semidefinite).  Each block is observed once, on
+    the union of all blocks' quadrature nodes; the block pair (i, j) is
+    one weighted GEMM over block j's nodes, V_i* (w_j mask_j V_j)^T with
+    the (node, channel) pairs flattened.  The propagators are elementwise
+    per scale, so each slice holds the bits of observing there alone.
+    Each block's emitted control keeps its stack on its own nodes.
     """
     setups = [_block_modes(sys, branches, blk) for blk in blocks]
     edges = [np.linspace(*blk.window, blk.time_panels + 1) for blk in blocks]
-    quad = []
-    for blk, e in zip(blocks, edges):
-        taus, wts = gauss_legendre(e)
-        if blk.profile is not None:
-            wts = wts * blk.profile(T - taus)
-        quad.append((taus, wts))
-    obs_col = [_block_observations(blk, setup, T, taus)
-               for blk, setup, (taus, _) in zip(blocks, setups, quad)]
+    quad = [gauss_legendre(e) for e in edges]
+    union = np.unique(np.concatenate([taus for taus, _ in quad]))
+    at = [np.searchsorted(union, taus) for taus, _ in quad]
+    obs = [_block_observations(blk, setup, T, union)
+           for blk, setup in zip(blocks, setups)]
+    # each block's stack on its own nodes; one observed on the union
+    # alone (a single block, or blocks sharing their nodes) needs no copy
+    own = [v if len(i) == len(union) else v[:, i] for v, i in zip(obs, at)]
 
     sizes = [len(b.entries) for b in blocks]
     offs = np.concatenate(([0], np.cumsum(sizes)))
     J = np.zeros((offs[-1], offs[-1]), dtype=complex)
     for bj, blk_col in enumerate(blocks):
         taus, wts = quad[bj]
-        Vc = obs_col[bj] * blk_col.mask[None, None, :]
+        if blk_col.profile is not None:
+            wts = wts * blk_col.profile(T - taus)
+        Vc = (own[bj] * (wts[:, None] * blk_col.mask)).reshape(sizes[bj],
+                                                                 -1)
         cols = [n for n, _ in blk_col.entries]
         for bi, blk_row in enumerate(blocks):
-            # a row block on the same quadrature nodes observes there
-            # what its own column already holds
-            Vr = (obs_col[bi] if np.array_equal(quad[bi][0], taus)
-                  else _block_observations(blk_row, setups[bi], T, taus))
-            tint = np.einsum("q,jqa,kqa->jk", wts, Vr.conj(), Vc)
+            Vr = (own[bj] if bi == bj else obs[bi][:, at[bj]]).conj()
+            Vr = Vr.reshape(sizes[bi], -1)
             rows = [n for n, _ in blk_row.entries]
             J[offs[bi]:offs[bi + 1], offs[bj]:offs[bj + 1]] = (
-                weight.toeplitz(rows, cols) * tint)
+                weight.toeplitz(rows, cols) * (Vr @ Vc.T))
 
     c = np.concatenate(targets)
     eigs = np.linalg.eigvalsh(0.5 * (J + J.conj().T))
@@ -565,47 +574,54 @@ def _joint_solve(sys, branches, blocks, targets, T, weight, nmax,
 
     controls = [
         _emit_block(blk, setups[b], lam[offs[b]:offs[b + 1]], T, weight,
-                    nmax, edges[b])
+                    nmax, edges[b], (quad[b][0], own[b]))
         for b, blk in enumerate(blocks)]
     return controls, J, lam, eigs, cond
 
 
-def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges):
+def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges,
+                observed=None):
     """Lazy control u = rho2 sum_j lambda_j (mask v_j) e^{i n_j x} on the
-    block's window, zero outside it, for the block's _block_modes setup
-    (modes, basis, obs, rates); entries sharing a mode are summed before
-    propagation.  Mode k carries r(T-t) obs[k] e^{-(T-t) rates[k] G_k}
-    vecs[k], with G_k its generator in the ModeBasis and r the block's
-    time profile (1 when None), evaluated at the time to go clipped to
-    [0, T].
+    block's window, zero outside it, for the block's _block_modes setup.
+    Entry j carries r(T-t) mask v_j(t), its _block_observations
+    observation scaled by the block's time profile r (1 when None) at the
+    time to go clipped to [0, T].
 
-    The coefficients on |n'| <= nmax are W @ V(t), with V(t) the stacked
-    (K, m) per-mode vectors and W[n', k] = rho2hat(n' - k) built once.
-    They take a float or a 1-D array of times (the ControlSignal.at
-    contract); the signal's sample nodes are the block's panel edges.
+    The coefficients on |n'| <= nmax are (W diag lambda) @ V(t), with
+    V(t) the (J, m) per-entry stack and W[n', j] = rho2hat(n' - n_j)
+    built once.  They take a float or a 1-D array of times (the
+    ControlSignal.at contract); a batch takes one such product per time,
+    so it gives the bits of its times taken one at a time.  The signal's
+    sample nodes are the block's panel edges.  The spatial evaluator
+    synthesizes the lambda-weighted stack over the entries' modes.
+
+    observed, when given, is (taus, stack): the (J, Q, m) observations
+    at the block's quadrature nodes taus, made by the joint solve.  A
+    call at exactly those times reads the stack; any other call observes
+    the entries anew, with the same bits.
     """
-    modes, basis, obs, rates = setup
-    vecs = np.zeros((len(modes), obs.shape[2]), dtype=complex)
-    for (n, vec), lj in zip(blk.entries, lam):
-        vecs[np.searchsorted(modes, n)] += lj * vec
-    m = obs.shape[1]
-    observe = basis.action(vecs, obs)
+    lam = np.asarray(lam, dtype=complex)
+    ns = [n for n, _ in blk.entries]
     keep = np.asarray(blk.mask, dtype=float)
-    W = weight.toeplitz(np.arange(-nmax, nmax + 1), modes)
+    m = len(keep)
+    W = weight.toeplitz(np.arange(-nmax, nmax + 1), ns) * lam
     t0, t1 = blk.window
 
     def stacked(ts):
-        """(Q, K, m) per-mode vectors at the 1-D times ts, zero off the
-        window and where the profile vanishes."""
+        """(Q, J, m) per-entry r mask v_j at the 1-D times ts, zero off
+        the window and where the profile vanishes."""
         s = T - ts
         r = (np.ones(len(ts)) if blk.profile is None
              else blk.profile(np.clip(s, 0.0, T)))
         r = np.where((ts >= t0 - 1e-12) & (ts <= t1 + 1e-12), r, 0.0)
         on = np.flatnonzero(r)
-        out = np.zeros((len(ts), len(modes), m), dtype=complex)
+        out = np.zeros((len(ts), len(ns), m), dtype=complex)
         if len(on):
-            vs = observe(s[None, on] * rates[:, None]).transpose(1, 0, 2)
-            out[on] = vs * (r[on, None, None] * keep)
+            if observed is not None and np.array_equal(ts, observed[0]):
+                vs = observed[1][:, on]
+            else:
+                vs = _block_observations(blk, setup, T, ts[on])
+            out[on] = vs.transpose(1, 0, 2) * (r[on, None, None] * keep)
         return out
 
     def coeff_fn(t):
@@ -615,7 +631,8 @@ def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges):
     def spatial(t, xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         vs = stacked(np.array([t], dtype=float))[0]
-        return kernels.synthesize(vs, modes, xs) * weight(xs)[:, None]
+        return (kernels.synthesize(lam[:, None] * vs, ns, xs)
+                * weight(xs)[:, None])
 
     return ControlSignal.from_func(coeff_fn, np.asarray(edges, dtype=float),
                                    nmax, m, t_window=blk.window,

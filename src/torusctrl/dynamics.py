@@ -7,7 +7,10 @@ evaluated by ModeBasis, the one matrix exponential of the package.  Its
 d x d products, and those of the Pade exponential behind it, are d-term
 broadcast contractions (_small_matmul) over the whole stack of modes and
 times in place of one matmul per matrix; being elementwise, they give a
-batch of times the same bits as one time at a time.  Time
+batch of times the same bits as one time at a time.  Emission relies on
+it: the joint dual solve observes each block once on all blocks' nodes,
+and a control it emits reads that stack on its own nodes and observes
+anew elsewhere, with the same bits either way.  Time
 integrals in the Duhamel formula use per-panel Gauss-Legendre of order 8
 (gauss_legendre) with panels aligned to the control's time nodes, and
 their node sums run in each mode's eigen-coordinates (ModeBasis.duhamel),
@@ -301,7 +304,9 @@ class ModeBasis:
     depend on the scale (V_k, V_k^{-1}, and obs_k V_k or V_k^{-1} vecs_k)
     are formed once, and each scale costs the d-term contraction
     sum_j e^{-s w_kj} (factor_kj), taken by _small_matmul as elementwise
-    products over the whole (K, Q) grid; all expm-path modes at all their
+    products over the whole (K, Q) grid; the exponentials e^{-s w_kj} are
+    real ones when every eig-path eigenvalue has a zero imaginary part
+    (decoupled heat, for one).  All expm-path modes at all their
     scales go through one _expm_pade13 call.  No product couples two
     scales, so a (K, Q) call gives, bit for bit, the columns of Q
     single-scale calls.  Scales are (K, Q) arrays, or anything that
@@ -317,6 +322,10 @@ class ModeBasis:
         self._fast = np.flatnonzero(self.eig)
         self._slow = np.flatnonzero(~self.eig)
         self._negw, self._V = -w[self._fast], V[self._fast]
+        if not np.any(self._negw.imag):
+            # a real spectrum decays through real exponentials, which cost
+            # a tenth of complex ones
+            self._negw = self._negw.real.copy()
         self._Vinv = np.linalg.inv(self._V)
         for a in (self.gens, self.eig, self._fast, self._slow, self._negw,
                   self._V, self._Vinv):
@@ -326,18 +335,14 @@ class ModeBasis:
         return np.zeros((len(self.gens), 1)) + scales
 
     def _decay(self, s):
-        """e^{-s w} of the eig-path modes: (Ke, Q, d)."""
+        """e^{-s w} of the eig-path modes: (Ke, Q, d), real when their
+        spectrum is."""
         return np.exp(s[self._fast, :, None] * self._negw[:, None, :])
 
     def _expm_slow(self, s):
         """e^{-s G} of the expm-path modes: (Ks, Q, d, d)."""
         return _expm_pade13(-s[self._slow, :, None, None]
                             * self.gens[self._slow, None])
-
-    def _lead(self, obs):
-        """obs_k V_k of the eig-path modes (V_k when obs is None)."""
-        return (self._V if obs is None
-                else _small_matmul(obs[self._fast], self._V))
 
     def expm(self, scales, obs=None):
         """obs[k] e^{-scales[k, q] G_k}: array (K, Q, m, d), for
@@ -349,7 +354,8 @@ class ModeBasis:
         s = self._scales(scales)
         out = np.empty(s.shape + (m, d), dtype=complex)
         if len(self._fast):
-            lead = self._lead(obs)
+            lead = (self._V if obs is None
+                    else _small_matmul(obs[self._fast], self._V))
             terms = (lead.swapaxes(1, 2)[..., None]
                      * self._Vinv[:, :, None, :]).reshape(-1, 1, d, m * d)
             out[self._fast] = _small_matmul(
@@ -361,29 +367,24 @@ class ModeBasis:
                                else _small_matmul(obs[self._slow, None], P))
         return out
 
-    def action(self, vecs, obs=None):
-        """The map scales -> obs[k] e^{-scales[k, q] G_k} vecs[k], an array
-        (K, Q, m), for vecs of shape (K, d) and observations obs of shape
-        (K, m, d) (the identity when None).  The factors that do not
-        depend on the scales, obs_k V_k and V_k^{-1} vecs_k, are formed
-        once."""
+    def action(self, vecs):
+        """The map scales -> e^{-scales[k, q] G_k} vecs[k], an array
+        (K, Q, d), for vecs of shape (K, d).  The factors that do not
+        depend on the scales, V_k and V_k^{-1} vecs_k, are formed once."""
         vecs = np.asarray(vecs, dtype=complex)[:, None, :, None]
-        lead = self._lead(obs)[:, None]
+        lead = self._V[:, None]
         coef = _small_matmul(self._Vinv[:, None], vecs[self._fast])
         slow_vecs = vecs[self._slow]
-        m = self.gens.shape[1] if obs is None else obs.shape[1]
 
         def at(scales):
             s = self._scales(scales)
-            out = np.empty(s.shape + (m,), dtype=complex)
+            out = np.empty(s.shape + (self.gens.shape[1],), dtype=complex)
             if len(self._fast):
                 out[self._fast] = _small_matmul(
                     lead, self._decay(s)[..., None] * coef)[..., 0]
             if len(self._slow):
-                y = _small_matmul(self._expm_slow(s), slow_vecs)
-                if obs is not None:
-                    y = _small_matmul(obs[self._slow, None], y)
-                out[self._slow] = y[..., 0]
+                out[self._slow] = _small_matmul(self._expm_slow(s),
+                                                slow_vecs)[..., 0]
             return out
 
         return at

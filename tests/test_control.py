@@ -403,10 +403,10 @@ class TestPipeline:
         assert live >= 30
 
     def test_shared_nodes_observed_once(self, monkeypatch):
-        """The low and parabolic blocks share their window and panel
-        count: each observes the other's nodes through its own column, so
-        one joint solve makes 3 + 4 observation stacks, not 3 + 6.  The
-        pairing matrix is bit for bit the one assembled pair by pair."""
+        """One joint solve observes each of its 3 blocks once, on the
+        union of their nodes.  The pairing matrix is bit for bit the
+        weighted GEMM of each block pair observed on the column block's
+        own nodes alone, and the einsum pairing to roundoff."""
         scn = harness.load_scenario("nscl(1, 1, 1, 2, 1)",
                                     experiment="pipeline", nmax=10)
         consts = spectral.separation_radius(scn.sys)
@@ -420,31 +420,73 @@ class TestPipeline:
             return observe(*args)
 
         def spy_solve(*args, **kwargs):
+            before = len(calls)
             out = solve(*args, **kwargs)
-            solves.append((args, out[1]))
+            solves.append((args, out[1], calls[before:]))
             return out
 
         monkeypatch.setattr(ctl, "_block_observations", spy_observe)
         monkeypatch.setattr(ctl, "_joint_solve", spy_solve)
         full_pipeline(scn.sys, branches, consts.n0, f0, scn.T, scn.Tprime,
                       scn.omega, Tstar=scn.Tstar)
-        assert len(solves) == 1 and len(calls) == 7
-        (sys, branches, blocks, _, T, weight, _), J = solves[0]
+        assert len(solves) == 1
+        (sys, branches, blocks, _, T, weight, _), J, inside = solves[0]
+        assert inside == ["full", "full", "parabolic"]
         assert [b.kind for b in blocks] == ["full", "full", "parabolic"]
         assert blocks[1].window == blocks[2].window
         setups = [ctl._block_modes(sys, branches, b) for b in blocks]
-        ref = []
+        ref, loop = [], []
         for bc, sc in zip(blocks, setups):
             taus, wts = gauss_legendre(
                 np.linspace(*bc.window, bc.time_panels + 1))
-            Vc = observe(bc, sc, T, taus) * bc.mask
+            Vc = observe(bc, sc, T, taus) * (wts[:, None] * bc.mask)
+            rows = [observe(br, sr, T, taus) for br, sr in zip(blocks, setups)]
+            tw = [weight.toeplitz([n for n, _ in br.entries],
+                                  [n for n, _ in bc.entries])
+                  for br in blocks]
             ref.append(np.vstack([
-                weight.toeplitz([n for n, _ in br.entries],
-                                [n for n, _ in bc.entries])
-                * np.einsum("q,jqa,kqa->jk", wts,
-                            observe(br, sr, T, taus).conj(), Vc)
-                for br, sr in zip(blocks, setups)]))
+                w * (Vr.conj().reshape(len(Vr), -1)
+                     @ Vc.reshape(len(Vc), -1).T)
+                for w, Vr in zip(tw, rows)]))
+            loop.append(np.vstack([
+                w * np.einsum("jqa,kqa->jk", Vr.conj(), Vc)
+                for w, Vr in zip(tw, rows)]))
         assert np.array_equal(J, np.hstack(ref))
+        assert _close(J, np.hstack(loop), rel=1e-14)
+
+    def test_one_observation_per_block(self, monkeypatch):
+        """A one-sweep full_pipeline datum observes its 3 blocks 3 times
+        in all: the evolution that checks the sweep reads the emitted
+        controls on the blocks' own nodes from the joint solve's stacks.
+        Each active LR stage observes its one block once."""
+        observe = ctl._block_observations
+        calls = []
+
+        def spy_observe(*args):
+            calls.append(args[0].kind)
+            return observe(*args)
+
+        monkeypatch.setattr(ctl, "_block_observations", spy_observe)
+        scn = harness.load_scenario("nscl(1, 1, 1, 2, 1)",
+                                    experiment="pipeline", nmax=10)
+        consts = spectral.separation_radius(scn.sys)
+        branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
+        f0 = random_state(np.random.default_rng(41), scn.nmax, scn.sys.d)
+        _, cert = full_pipeline(scn.sys, branches, consts.n0, f0, scn.T,
+                                scn.Tprime, scn.omega, Tstar=scn.Tstar)
+        assert len(cert["sweeps"]) == 2 and cert["relative"] <= 1e-9
+        assert calls == ["full", "full", "parabolic"]
+
+        calls.clear()
+        sys = decoupled_heat_system()
+        consts = spectral.separation_radius(sys, n0_override=1)
+        branches = spectral.build_branch_table(sys, consts, 8)
+        f0p = project_branch(random_state(np.random.default_rng(5), 8, 2),
+                             branches, 1, "p")
+        _, report = lebeau_robbiano(sys, branches, f0p, T=2.0, delta=0.25,
+                                    rho=0.5, nmax=8, n0=1, omega=HALF_TORUS)
+        assert len(report["stages"]) == 3
+        assert calls == ["parabolic"] * 3
 
     def test_severed_coupling_refused(self):
         # moving-wave with K21 forced to zero: the second component is
@@ -712,3 +754,50 @@ class TestEmission:
             assert np.max(np.abs(row - ref)) <= 1e-14 * scale, t
             assert np.max(np.abs(row - merged.at(t))) <= 1e-14 * scale, t
         assert overlap > 10
+
+    def test_joint_emission_reads_its_stack_bit_for_bit(self, monkeypatch):
+        """Controls emitted by _joint_solve, for the pipeline's three
+        blocks and for a moment block with its time profile: at(taus) on
+        the block's own nodes, read from the joint solve's stack, equals
+        at(t) node by node and _emit_block called without the stack, bit
+        for bit; so does the spatial form."""
+        solve, solves = ctl._joint_solve, []
+
+        def spy_solve(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            solves.append((args, out))
+            return out
+
+        monkeypatch.setattr(ctl, "_joint_solve", spy_solve)
+        scn = harness.load_scenario("nscl(1, 1, 1, 2, 1)",
+                                    experiment="pipeline", nmax=10)
+        consts = spectral.separation_radius(scn.sys)
+        branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
+        f0 = random_state(np.random.default_rng(41), scn.nmax, scn.sys.d)
+        full_pipeline(scn.sys, branches, consts.n0, f0, scn.T, scn.Tprime,
+                      scn.omega, Tstar=scn.Tstar)
+        f0p = project_branch(f0, branches, consts.n0, "p")
+        parabolic_moment_control(scn.sys, branches, f0p, 1.0, 8, scn.omega,
+                                 consts.n0)
+        assert len(solves) == 2
+        xs = np.linspace(0.0, TWO_PI, 29, endpoint=False)
+        profiled = 0
+        for (sys, branches, blocks, _, T, weight, nmax), out in solves:
+            controls, lam = out[0], out[2]
+            offs = np.cumsum([0] + [len(b.entries) for b in blocks])
+            for b, (blk, u) in enumerate(zip(blocks, controls)):
+                edges = np.linspace(*blk.window, blk.time_panels + 1)
+                taus, _ = gauss_legendre(edges)
+                fresh = ctl._emit_block(
+                    blk, ctl._block_modes(sys, branches, blk),
+                    lam[offs[b]:offs[b + 1]], T, weight, nmax, edges)
+                batched = u.at(taus)
+                assert np.any(batched)
+                assert np.array_equal(batched, fresh.at(taus))
+                for t, row in zip(taus, batched):
+                    assert np.array_equal(row, u.at(t))
+                for t in taus[[0, len(taus) // 2, -1]]:
+                    assert np.array_equal(u.spatial(t, xs),
+                                          fresh.spatial(t, xs))
+                profiled += blk.profile is not None
+        assert profiled == 1

@@ -175,35 +175,53 @@ def test_small_matmul_matches_matmul(d):
 
 def test_mode_basis_batches_bit_for_bit():
     """A (K, Q) call to expm or action gives exactly the columns of Q
-    single-scale calls, on both paths: emission relies on it, so at(ts)
-    and at(t) agree bit for bit."""
+    single-scale calls, on both paths: the joint solve slices its block
+    observations from one stack over all blocks' nodes, and emission
+    reads them there or observes anew, so both rely on it."""
     sys, basis = _mixed_basis()
     rng = np.random.default_rng(44)
     scales = rng.uniform(0.0, 2.0, (11, 6))
     obs = rng.standard_normal((11, 3, 2)) + 1j * rng.standard_normal(
         (11, 3, 2))
     vecs = rng.standard_normal((11, 2)) + 1j * rng.standard_normal((11, 2))
-    calls = [basis.expm, lambda s: basis.expm(s, obs),
-             basis.action(vecs), basis.action(vecs, obs)]
+    calls = [basis.expm, lambda s: basis.expm(s, obs), basis.action(vecs)]
     for call in calls:
         whole = call(scales)
         for q in range(scales.shape[1]):
             assert np.array_equal(whole[:, q], call(scales[:, q:q + 1])[:, 0])
 
 
+def test_mode_basis_real_spectrum_decays_in_reals():
+    """Decoupled heat's generators have eigenvalues with exactly zero
+    imaginary parts: their exponentials are taken in reals, within an
+    ulp of the complex ones, and the semigroup still matches the dense
+    expm.  A complex spectrum keeps complex exponentials."""
+    basis = ModeBasis(mode_generator(decoupled_heat_system(),
+                                     np.arange(-6, 7)))
+    assert basis.eig.all() and basis._negw.dtype == float
+    scales = np.linspace(0.0, 2.0, 9)
+    s = basis._scales(scales)
+    real = basis._decay(s)
+    cplx = np.exp(s[:, :, None] * (basis._negw + 0j)[:, None, :])
+    assert real.dtype == float
+    assert np.all(np.abs(real - cplx) <= np.spacing(np.abs(cplx)))
+    assert _close(basis.expm(scales),
+                  _dense(basis.gens, np.broadcast_to(scales, (13, 9))),
+                  rel=1e-14)
+    _, mixed = _mixed_basis()
+    assert np.iscomplexobj(mixed._decay(mixed._scales(scales)))
+
+
 def test_mode_basis_observed_forms_match_products():
-    """The obs arguments of expm and action against obs @ expm(...) (and
-    its product with the vectors), on both paths, to 1e-14."""
+    """The obs argument of expm against obs @ expm(...), on both paths,
+    to 1e-14."""
     sys, basis = _mixed_basis()
     rng = np.random.default_rng(45)
     scales = rng.uniform(0.0, 2.0, (11, 5))
     obs = rng.standard_normal((11, 3, 2)) + 1j * rng.standard_normal(
         (11, 3, 2))
-    vecs = rng.standard_normal((11, 2)) + 1j * rng.standard_normal((11, 2))
     ref = obs[:, None] @ basis.expm(scales)
     assert _close(basis.expm(scales, obs), ref, rel=1e-14)
-    assert _close(basis.action(vecs, obs)(scales),
-                  (ref @ vecs[:, None, :, None])[..., 0], rel=1e-14)
     # the M* observation of the hyperbolic dual block, a broadcast view
     Mh = np.broadcast_to(sys.M.conj().T, (11, sys.m, sys.d))
     assert _close(basis.expm(scales, Mh), Mh[:, None] @ basis.expm(scales),
