@@ -29,11 +29,15 @@ families; its parabolic block is the pipeline's only parabolic
 mechanism, and lebeau_robbiano stands alone.
 _joint_solve is the one Gram assembly, conditioning check and solve:
 the moment method, the HUM Gramian and the pipeline sweeps each pose
-their families as DualBlocks and call it.  It observes each block once,
-on the union of all blocks' quadrature nodes, pairs each pair of blocks
-with one weighted GEMM, and hands each block's stack on its own nodes
-to the control it emits: the evolution that integrates that control on
-those nodes reads the stack and propagates nothing again.
+their families as DualBlocks and call it.  The joint dual operator
+depends on the system, T, rho2 and the blocks, never on the datum, so
+it is assembled once (_joint_operator) and kept in the branch table's
+memo: each block observed once, on the union of all blocks' quadrature
+nodes, each pair of blocks paired with one weighted GEMM, the
+conditioning taken once.  A call then only tests its own cond_max,
+solves against its pairings and hands each block's stack on its own
+nodes to the control it emits: the evolution that integrates that
+control on those nodes reads the stack and propagates nothing again.
 """
 
 import warnings
@@ -42,9 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SystemMatrices, TorusSubset, TWO_PI
-from .dynamics import (FourierState, ControlSignal, ModeBasis, evolve,
-                       gauss_legendre, mode_generator, project_branch,
-                       project_low, analyze_grid, _small_matmul)
+from .dynamics import (FourierState, ControlSignal, ModeBasis, OwnerMemo,
+                       evolve, gauss_legendre, mode_generator,
+                       project_branch, project_low, analyze_grid,
+                       _small_matmul)
 from .spectral import BranchTable
 from . import kernels
 
@@ -58,6 +63,8 @@ __all__ = [
 PLATEAU_SHRINK = 0.1
 # rho2's Fourier coefficients are kept on |n| <= PLATEAU_BANDWIDTH
 PLATEAU_BANDWIDTH = 256
+# scaled Gram condition beyond which a dual solve refuses by default
+COND_MAX = 1e14
 
 
 # ---------------------------------------------------------------- smooth bits
@@ -99,6 +106,18 @@ def rho1(tau):
     tau = np.asarray(tau, dtype=float)
     w = smoothstep((0.75 - tau) / 0.5)
     return _f_exp(tau) * w + _f_exp(1.0 - tau) * (1.0 - w)
+
+
+@dataclass(frozen=True)
+class Rho1Profile:
+    """The time profile rho1(s / length) of the time to go s.  It compares
+    and hashes by value, so blocks carrying it key the joint-operator
+    memo."""
+
+    length: float
+
+    def __call__(self, s):
+        return rho1(s / self.length)
 
 
 @dataclass
@@ -302,7 +321,8 @@ class MomentProblem:
 def parabolic_moment_control(sys: SystemMatrices, branches: BranchTable,
                              f0p: FourierState, T: float, N: int,
                              omega: TorusSubset, n0: int,
-                             weight: SpatialWeight = None, cond_max=1e14):
+                             weight: SpatialWeight = None,
+                             cond_max=COND_MAX):
     """Moment-method control nulling the parabolic band n0 < |n| <= N.
 
     One parabolic DualBlock, entries (n, e_j) on the window (0, T) with
@@ -320,13 +340,14 @@ def parabolic_moment_control(sys: SystemMatrices, branches: BranchTable,
         weight = plateau_weight(omega)
     blk = DualBlock(kind=kind, entries=entries, window=(0.0, T),
                     mask=np.ones(sys.m, dtype=bool), time_panels=128,
-                    profile=lambda s: rho1(s / T))
+                    profile=Rho1Profile(T))
     rhs = -_pairings(sys, branches, blk, evolve(sys, f0p, None, T))
     (u,), gram, _, eigs, cond = _joint_solve(
         sys, branches, [blk], [rhs], T, weight, f0p.nmax, cond_max=cond_max)
     modes = np.setdiff1d(np.arange(-N, N + 1), np.arange(-n0, n0 + 1))
-    return u, MomentProblem(N=N, T=T, modes=modes,
-                            E2=build_E2(sys, branches, modes), gram=gram,
+    # the generators of the block's basis, from the memo _joint_solve filled
+    E2 = _joint_operator(sys, branches, [blk], T, weight).setups[0][1].gens
+    return u, MomentProblem(N=N, T=T, modes=modes, E2=E2, gram=gram,
                             rhs=rhs, weight=weight,
                             cond=float(eigs[-1] / max(eigs[0], 1e-300)),
                             min_eig=float(eigs[0]), cond_scaled=cond)
@@ -373,8 +394,9 @@ def lebeau_robbiano(sys: SystemMatrices, branches: BranchTable,
     Stage l solves the moment problem for the band n0 < |n| <= 2^l on a
     window of length T_l, then lets dissipation act for another T_l.
     The concatenated control vanishes outside (delta, T-delta) x omega.
-    Returns (controls in global time, report with the stage norm chain
-    and the final state).
+    Returns (controls in global time, report with the stage norm chain,
+    each stage's condition and its headroom log10(COND_MAX / cond_scaled)
+    to refusal, and the final state).
     """
     if weight is None:
         weight = plateau_weight(omega)
@@ -412,6 +434,8 @@ def lebeau_robbiano(sys: SystemMatrices, branches: BranchTable,
         stage_reports.append({"level": level, "N": Nl, "T": Tl,
                               "cond": prob.cond,
                               "cond_scaled": prob.cond_scaled,
+                              "cond_headroom_log10": float(
+                                  np.log10(COND_MAX / prob.cond_scaled)),
                               "min_eig": prob.min_eig,
                               "norm_after": norms[-1],
                               "total_norm": state.norm()})
@@ -452,7 +476,9 @@ class DualBlock:
     (n, phi2 in C^d2), observation C(n) e^{-(T-tau) n^2 E2(n)} phi2
     (the same object written in the graph coordinate of Ima Pp*).
     profile, a function of the time to go T - tau, weights the block's
-    Gram quadrature and its emitted control (None for weight 1).
+    Gram quadrature and its emitted control (None for weight 1).  The
+    joint-operator memo keys a profile by its equality: a Rho1Profile by
+    value, any other callable by identity.
     """
 
     kind: str
@@ -514,22 +540,65 @@ def _pairings(sys, branches, block: DualBlock, state: FourierState):
     return np.einsum("ka,ka->k", vecs.conj(), fn)
 
 
-def _joint_solve(sys, branches, blocks, targets, T, weight, nmax,
-                 cond_max=1e14, refuse=True):
-    """Choose controls u_b = rho2 sum_k lambda_k (mask v_k) e^{i n_k x}
-    on the blocks' windows so the summed contribution at time T matches
-    the prescribed dual pairings.
+@dataclass
+class _JointOperator:
+    """The datum-independent part of a joint solve: the blocks'
+    _block_modes setups, panel edges, (own quadrature nodes, observation
+    stack on them) pairs observed, the block offsets offs into the pairing
+    matrix J, its Hermitian part's eigenvalues eigs, the diagonal scaling
+    dscale, the scaled matrix Js and its condition cond.  The arrays are
+    read-only, and nothing here references the branch table."""
 
-    The pairing matrix J_{jk} = rho2hat(n_j - n_k) int_{W_k} r_k(T - tau)
-    v_j* mask_k v_k dtau, with r_k the column block's profile; for a
-    single block it is the Gram matrix of the weighted observations
-    (Hermitian positive semidefinite).  Each block is observed once, on
-    the union of all blocks' quadrature nodes; the block pair (i, j) is
-    one weighted GEMM over block j's nodes, V_i* (w_j mask_j V_j)^T with
-    the (node, channel) pairs flattened.  The propagators are elementwise
-    per scale, so each slice holds the bits of observing there alone.
-    Each block's emitted control keeps its stack on its own nodes.
-    """
+    setups: list
+    edges: list
+    observed: list
+    offs: np.ndarray
+    J: np.ndarray
+    eigs: np.ndarray
+    dscale: np.ndarray
+    Js: np.ndarray
+    cond: float
+
+
+# joint operators kept per branch table, by the value of the problem
+_JOINT_OPERATORS = OwnerMemo()
+
+
+def _block_key(blk: DualBlock):
+    """A block by value: kind, modes, vector bytes, window, mask bytes,
+    panels and profile (a Rho1Profile, or None, compares by value).  The
+    vectors and the mask enter the operator as complex and float factors,
+    so they are keyed in those types."""
+    vecs = np.array([vec for _, vec in blk.entries], dtype=complex)
+    return (blk.kind, tuple(int(n) for n, _ in blk.entries), vecs.tobytes(),
+            tuple(float(t) for t in blk.window),
+            np.asarray(blk.mask, dtype=float).tobytes(), blk.time_panels,
+            blk.profile)
+
+
+def _joint_operator(sys, branches, blocks, T, weight) -> _JointOperator:
+    """The joint operator of the blocks, assembled once per problem and
+    kept in branches's memo, keyed on the system, T, rho2 by value
+    (omega, bandwidth, coefficient bytes) and each block's _block_key."""
+    key = (sys, float(T),
+           (weight.omega, weight.bandwidth, weight.coeffs.tobytes()),
+           tuple(_block_key(blk) for blk in blocks))
+    return _JOINT_OPERATORS.get(
+        branches, key,
+        lambda: _assemble_joint(sys, branches, blocks, T, weight))
+
+
+def _assemble_joint(sys, branches, blocks, T, weight) -> _JointOperator:
+    """The pairing matrix J_{jk} = rho2hat(n_j - n_k) int_{W_k}
+    r_k(T - tau) v_j* mask_k v_k dtau, with r_k the column block's
+    profile; for a single block it is the Gram matrix of the weighted
+    observations (Hermitian positive semidefinite).  Each block is
+    observed once, on the union of all blocks' quadrature nodes; the
+    block pair (i, j) is one weighted GEMM over block j's nodes,
+    V_i* (w_j mask_j V_j)^T with the (node, channel) pairs flattened.  The
+    propagators are elementwise per scale, so each slice holds the bits
+    of observing there alone.  Each block keeps its stack on its own
+    nodes for the controls it emits."""
     setups = [_block_modes(sys, branches, blk) for blk in blocks]
     edges = [np.linspace(*blk.window, blk.time_panels + 1) for blk in blocks]
     quad = [gauss_legendre(e) for e in edges]
@@ -558,25 +627,50 @@ def _joint_solve(sys, branches, blocks, targets, T, weight, nmax,
             J[offs[bi]:offs[bi + 1], offs[bj]:offs[bj + 1]] = (
                 weight.toeplitz(rows, cols) * (Vr @ Vc.T))
 
-    c = np.concatenate(targets)
     eigs = np.linalg.eigvalsh(0.5 * (J + J.conj().T))
     # solve and refusal run in the diagonally normalized basis (the raw
     # diagonal range only reflects the per-entry dissipation scales)
     dscale = np.sqrt(np.abs(np.diagonal(J)).clip(1e-300))
     Js = J / np.outer(dscale, dscale)
     sv = np.linalg.svd(Js, compute_uv=False)
-    cond = float(sv[0] / max(sv[-1], 1e-300))
-    if refuse and not 0.0 < cond <= cond_max:
-        raise np.linalg.LinAlgError(
-            f"Gram condition {cond:.2e} beyond {cond_max:.0e}: target too "
-            f"high-dimensional for this (T, omega)")
-    lam = np.linalg.solve(Js, c / dscale) / dscale
+    observed = [(taus, v) for (taus, _), v in zip(quad, own)]
+    for a in [a for pair in observed for a in pair] + edges + [
+            offs, J, eigs, dscale, Js]:
+        a.flags.writeable = False
+    return _JointOperator(setups=setups, edges=edges, observed=observed,
+                          offs=offs, J=J, eigs=eigs, dscale=dscale, Js=Js,
+                          cond=float(sv[0] / max(sv[-1], 1e-300)))
 
+
+def _joint_solve(sys, branches, blocks, targets, T, weight, nmax,
+                 cond_max=COND_MAX, refuse=True):
+    """Choose controls u_b = rho2 sum_k lambda_k (mask v_k) e^{i n_k x}
+    on the blocks' windows so the summed contribution at time T matches
+    the prescribed dual pairings.  Returns (controls, J, lambda, eigs,
+    cond) with J the pairing matrix (_assemble_joint), eigs its
+    Hermitian part's eigenvalues and cond the condition of its diagonal
+    scaling.
+
+    The operator comes from _joint_operator, so data and sweeps that pose
+    the same blocks share one assembly; J and eigs are its read-only
+    arrays.  This call tests cond against its own cond_max (refusing
+    unless refuse is False), solves the scaled system against the
+    pairings, and emits each block's control from the operator's stack
+    on the block's own nodes.
+    """
+    op = _joint_operator(sys, branches, blocks, T, weight)
+    if refuse and not 0.0 < op.cond <= cond_max:
+        raise np.linalg.LinAlgError(
+            f"Gram condition {op.cond:.2e} beyond {cond_max:.0e}: target "
+            f"too high-dimensional for this (T, omega)")
+    c = np.concatenate(targets)
+    lam = np.linalg.solve(op.Js, c / op.dscale) / op.dscale
+    offs = op.offs
     controls = [
-        _emit_block(blk, setups[b], lam[offs[b]:offs[b + 1]], T, weight,
-                    nmax, edges[b], (quad[b][0], own[b]))
+        _emit_block(blk, op.setups[b], lam[offs[b]:offs[b + 1]], T, weight,
+                    nmax, op.edges[b], op.observed[b])
         for b, blk in enumerate(blocks)]
-    return controls, J, lam, eigs, cond
+    return controls, op.J, lam, op.eigs, op.cond
 
 
 def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges,
@@ -680,7 +774,7 @@ def hum_gramian_control(sys: SystemMatrices, branches: BranchTable, n0: int,
                         target, fstar: FourierState, T: float,
                         omega: TorusSubset, window=None,
                         weight: SpatialWeight = None, Tstar=None,
-                        cond_max=1e14, refuse=True):
+                        cond_max=COND_MAX, refuse=True):
     """Minimum-energy control whose contribution at time T has the same
     dual pairings as fstar on the declared target subspace.
 
@@ -764,7 +858,10 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
     relative residual 1e-9, on a stall, or after max_sweeps.  The
     certificate reports the path, the sweep residual chain, the last
     joint condition and the final relative norm, the last sweep's unless
-    max_sweeps ran out.
+    max_sweeps ran out.  joint_cond_headroom_log10 is the last joint
+    solve's headroom log10(COND_MAX / joint_cond) to refusal (None, as
+    joint_cond, when no solve ran).  The sweeps pose the same blocks, so
+    they share one joint operator.
     """
     if Tstar is not None and not (Tstar < Tprime < T):
         raise ValueError(
@@ -818,6 +915,9 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
         "path": path,
         "sweeps": sweep_log,
         "joint_cond": joint_cond,
+        "joint_cond_headroom_log10": (
+            None if joint_cond is None
+            else float(np.log10(COND_MAX / joint_cond))),
         "final_norm": fT.norm(),
         "relative": fT.norm() / f0norm,
         "final_state": fT,

@@ -15,7 +15,8 @@ integrals in the Duhamel formula use per-panel Gauss-Legendre of order 8
 (gauss_legendre) with panels aligned to the control's time nodes, and
 their node sums run in each mode's eigen-coordinates (ModeBasis.duhamel),
 so V_k^{-1} M and V_k apply once per mode, not once per node.  evolve
-and evolve_adjoint share one ModeBasis per system and truncation.  A
+and evolve_adjoint share one ModeBasis per system and truncation, kept
+in an OwnerMemo: a bounded memo that lives and dies with its owner.  A
 control enters through its coefficients as they stand: a signal carries
 its own support (the emitters build the spatial cut-off into them), and
 evolve applies no mask of its own.  States go to and from the uniform
@@ -24,6 +25,8 @@ observation norm synthesizes all its states in one inverse FFT.
 """
 
 import functools
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +54,8 @@ PADE13_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
             670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
             960960.0, 16380.0, 182.0, 1.0)
 THETA13 = 5.371920351148152
-# state bases kept by _state_basis: (system, nmax, adjoint) triples
-STATE_BASES = 8
+# values an OwnerMemo keeps per owner, least recently used dropped first
+MEMO_SIZE = 8
 
 
 @dataclass
@@ -430,14 +433,37 @@ def mode_generator(sys: SystemMatrices, n, adjoint=False):
     return G if np.ndim(n) else G[0]
 
 
-@functools.lru_cache(maxsize=STATE_BASES)
+class OwnerMemo:
+    """Values built for an owner object and freed with it: a weakly keyed
+    map from each owner to its MEMO_SIZE most recently used values.  The
+    owner must hash by identity, and no value may reference it, or its
+    weak entry never dies."""
+
+    def __init__(self):
+        self._owners = weakref.WeakKeyDictionary()
+
+    def get(self, owner, key, build):
+        """The value under key for owner, made by build() on a miss."""
+        memo = self._owners.setdefault(owner, OrderedDict())
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+        value = memo[key] = build()
+        if len(memo) > MEMO_SIZE:
+            memo.popitem(last=False)
+        return value
+
+
+_STATE_BASES = OwnerMemo()
+
+
 def _state_basis(sys: SystemMatrices, nmax, adjoint):
     """The ModeBasis of sys's generators on |n| <= nmax (their adjoints
-    when adjoint), built once per system: a solve evolves the same system
-    many times, and each build is a stacked eig, cond and inv.  Systems
-    hash by identity."""
-    return ModeBasis(mode_generator(sys, np.arange(-nmax, nmax + 1),
-                                    adjoint=adjoint))
+    when adjoint), built once per system and kept while it lives: a solve
+    evolves the same system many times, and each build is a stacked eig,
+    cond and inv.  Systems hash by identity."""
+    return _STATE_BASES.get(sys, (nmax, adjoint), lambda: ModeBasis(
+        mode_generator(sys, np.arange(-nmax, nmax + 1), adjoint=adjoint)))
 
 
 def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,

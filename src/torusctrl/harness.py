@@ -465,6 +465,8 @@ def _exp_control(scn, rng, out_dir):
              f"N = {N}, T = {scn.T:.6g}",
              f"Gram condition (scaled) {mp.cond_scaled:.3e}, "
              f"min eigenvalue {mp.min_eig:.3e}",
+             f"headroom to refusal: log10(cond_max / cond) = "
+             f"{np.log10(control.COND_MAX / mp.cond_scaled):.2f}",
              f"max per-mode parabolic residual at T: {res:.3e}"]
     _write_gnuplot_stub(out_dir, os.path.basename(csv), "mode", "residual")
     return lines
@@ -501,6 +503,8 @@ def _exp_pipeline(scn, rng, out_dir):
     if cert["joint_cond"] is not None:
         lines.append(f"joint Gramian condition (scaled): "
                      f"{cert['joint_cond']:.3e}")
+        lines.append(f"headroom to refusal: log10(cond_max / cond) = "
+                     f"{cert['joint_cond_headroom_log10']:.2f}")
     _write_gnuplot_stub(out_dir, os.path.basename(csv), "sweep",
                         "relative residual")
     if cert["relative"] > 1e-3:

@@ -801,3 +801,192 @@ class TestEmission:
                                           fresh.spatial(t, xs))
                 profiled += blk.profile is not None
         assert profiled == 1
+
+
+class TestJointOperatorMemo:
+    """The joint dual operator depends on the system, T, rho2 and the
+    blocks, never on the datum: it is assembled once per problem and kept
+    in the branch table's memo, and a call only refuses, solves and
+    emits."""
+
+    @staticmethod
+    def _pipeline(nmax):
+        scn = harness.load_scenario("nscl(1, 1, 1, 2, 1)",
+                                    experiment="pipeline", nmax=nmax)
+        consts = spectral.separation_radius(scn.sys)
+        branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
+
+        def run(branches, seed):
+            f0 = random_state(np.random.default_rng(seed), nmax, 2)
+            return full_pipeline(scn.sys, branches, consts.n0, f0, scn.T,
+                                 scn.Tprime, scn.omega, Tstar=scn.Tstar)
+
+        return scn, consts, branches, run
+
+    @staticmethod
+    def _spy(monkeypatch, *names):
+        """The results of every call of the named control functions."""
+        calls = {name: [] for name in names}
+        for name in names:
+            def wrapped(*args, _fn=getattr(ctl, name), _out=calls[name],
+                        **kwargs):
+                _out.append(_fn(*args, **kwargs))
+                return _out[-1]
+            monkeypatch.setattr(ctl, name, wrapped)
+        return calls
+
+    def test_second_datum_reuses_the_operator_bit_for_bit(self,
+                                                           monkeypatch):
+        scn, consts, warm, run = self._pipeline(10)
+        run(warm, 41)
+        calls = self._spy(monkeypatch, "_block_observations", "_block_modes",
+                          "_joint_solve")
+        u, cert = run(warm, 42)
+        assert calls["_block_observations"] == []
+        assert calls["_block_modes"] == []
+        cold = spectral.build_branch_table(scn.sys, consts, scn.nmax)
+        u_cold, cert_cold = run(cold, 42)
+        assert len(calls["_block_modes"]) == 3
+        (_, J, lam, eigs, cond), (_, J_cold, lam_cold, eigs_cold,
+                                  cond_cold) = calls["_joint_solve"]
+        assert np.array_equal(J, J_cold) and np.array_equal(lam, lam_cold)
+        assert np.array_equal(eigs, eigs_cold) and cond == cond_cold
+        assert np.array_equal(cert["final_state"].coeffs,
+                              cert_cold["final_state"].coeffs)
+        assert cert["relative"] == cert_cold["relative"] <= 1e-9
+        ts = np.linspace(0.0, scn.T, 37)
+        assert np.array_equal(u.at(ts), u_cold.at(ts))
+        assert cert["joint_cond_headroom_log10"] == np.log10(
+            ctl.COND_MAX / cond)
+
+    def test_sweeps_share_one_operator(self, monkeypatch):
+        # this nmax 12 datum needs two joint solves (three sweep entries)
+        _, _, branches, run = self._pipeline(12)
+        calls = self._spy(monkeypatch, "_assemble_joint", "_joint_solve")
+        _, cert = run(branches, 0)
+        assert len(cert["sweeps"]) == 3 and cert["relative"] <= 1e-9
+        assert len(calls["_joint_solve"]) == 2
+        assert len(calls["_assemble_joint"]) == 1
+
+    def test_lr_stages_reuse_their_operators(self, monkeypatch):
+        sys = decoupled_heat_system()
+        consts = spectral.separation_radius(sys, n0_override=1)
+        branches = spectral.build_branch_table(sys, consts, 8)
+        calls = self._spy(monkeypatch, "_assemble_joint", "build_E2")
+        for seed, built in ((5, 3), (6, 0)):
+            f0p = project_branch(random_state(np.random.default_rng(seed),
+                                              8, 2), branches, 1, "p")
+            _, report = lebeau_robbiano(sys, branches, f0p, T=2.0,
+                                        delta=0.25, rho=0.5, nmax=8, n0=1,
+                                        omega=HALF_TORUS)
+            assert len(calls["_assemble_joint"]) == built
+            # MomentProblem.E2 reads the block basis: one build per stage
+            assert len(calls["build_E2"]) == built
+            calls["_assemble_joint"].clear()
+            calls["build_E2"].clear()
+            assert len(report["stages"]) == 3
+            for stage in report["stages"]:
+                assert stage["cond_headroom_log10"] == np.log10(
+                    ctl.COND_MAX / stage["cond_scaled"]) > 0.0
+
+    def test_moment_E2_is_the_block_basis(self, nscl_branches24):
+        sys, consts, branches = nscl_branches24
+        f0p = project_branch(random_state(np.random.default_rng(3), 24, 2),
+                             branches, consts.n0, "p")
+        _, mp = parabolic_moment_control(sys, branches, f0p, 1.0, 8,
+                                         HALF_TORUS, consts.n0)
+        assert np.array_equal(mp.E2, ctl.build_E2(sys, branches, mp.modes))
+
+    def test_refusal_is_per_call(self, monkeypatch, nscl_branches24):
+        sys, consts, branches = nscl_branches24
+        fstar = random_state(np.random.default_rng(7), 24, 2)
+        calls = self._spy(monkeypatch, "_assemble_joint")
+
+        def hum(**kwargs):
+            return hum_gramian_control(sys, branches, consts.n0, ("low",),
+                                       fstar, 1.0, HALF_TORUS,
+                                       window=(0.8, 1.0), **kwargs)
+
+        _, rep = hum(cond_max=1.0, refuse=False)
+        assert rep.cond > 1.0
+        with pytest.raises(np.linalg.LinAlgError, match="Gram condition"):
+            hum(cond_max=1.0)
+        _, again = hum(cond_max=rep.cond)
+        assert again.cond == rep.cond
+        with pytest.raises(np.linalg.LinAlgError, match="Gram condition"):
+            hum(cond_max=0.5 * rep.cond)
+        # one problem: built at most once here (the session table may
+        # already hold it)
+        assert len(calls["_assemble_joint"]) <= 1
+
+    def test_returned_operator_is_read_only(self, nscl_branches24):
+        sys, consts, branches = nscl_branches24
+        fstar = random_state(np.random.default_rng(7), 24, 2)
+        _, rep = hum_gramian_control(sys, branches, consts.n0, ("low",),
+                                     fstar, 1.0, HALF_TORUS,
+                                     window=(0.8, 1.0))
+        for a in (rep.gram, rep.eigs):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_short_window_warns_on_every_call(self, nscl_branches24):
+        sys, consts, branches = nscl_branches24
+        fstar = random_state(np.random.default_rng(6), 24, 2)
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="near-singular"):
+                hum_gramian_control(sys, branches, consts.n0,
+                                    ("hyperbolic", 8), fstar, 1.5 * np.pi,
+                                    HALF_TORUS, window=(0.0, 0.5 * np.pi),
+                                    Tstar=np.pi, refuse=False)
+
+    def test_memo_keeps_at_most_eight_per_table(self, monkeypatch):
+        sys = decoupled_heat_system()
+        consts = spectral.separation_radius(sys, n0_override=1)
+        branches = spectral.build_branch_table(sys, consts, 4)
+        fstar = random_state(np.random.default_rng(8), 4, 2)
+        calls = self._spy(monkeypatch, "_assemble_joint")
+
+        def hum(T):
+            hum_gramian_control(sys, branches, 1, ("low",), fstar, T,
+                                HALF_TORUS, window=(0.5, 1.0))
+
+        Ts = [1.0 + 0.1 * k for k in range(10)]
+        for T in Ts:
+            hum(T)
+        assert len(calls["_assemble_joint"]) == 10
+        # the 8 most recent are kept, and using them keeps them
+        for T in Ts[2:]:
+            hum(T)
+        assert len(calls["_assemble_joint"]) == 10
+        # a ninth would have been the next most recent
+        hum(Ts[1])
+        assert len(calls["_assemble_joint"]) == 11
+
+    def test_memos_die_with_their_owner(self, monkeypatch):
+        """A state basis is freed with its system, a joint operator with
+        its branch table, even while the emitted control lives."""
+        import gc
+        import weakref
+        from torusctrl import dynamics
+        sys = decoupled_heat_system()
+        consts = spectral.separation_radius(sys, n0_override=1)
+        branches = spectral.build_branch_table(sys, consts, 4)
+        fstar = random_state(np.random.default_rng(9), 4, 2)
+        built, assemble = [], ctl._assemble_joint
+
+        def spy(*args):
+            op = assemble(*args)
+            built.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(ctl, "_assemble_joint", spy)
+        u, _ = hum_gramian_control(sys, branches, 1, ("low",), fstar, 1.0,
+                                   HALF_TORUS)
+        basis = weakref.ref(dynamics._state_basis(sys, 4, False))
+        (op,) = built
+        gc.collect()
+        assert op() is not None and basis() is not None
+        del sys, consts, branches, fstar
+        gc.collect()
+        assert op() is None and basis() is None
+        assert np.any(u.at(0.5))
