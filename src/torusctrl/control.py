@@ -28,26 +28,29 @@ coupling with sweeps of one joint dual-pairing solve over the three
 families; its parabolic block is the pipeline's only parabolic
 mechanism, and lebeau_robbiano stands alone.
 _joint_solve is the one Gram assembly, conditioning check and solve:
-the moment method, the HUM Gramian and the pipeline sweeps each pose
-their families as DualBlocks and call it.  The joint dual operator
-depends on the system, T, rho2 and the blocks, never on the datum, so
-it is assembled once (_joint_operator) and kept in the branch table's
-memo: each block observed once, on the union of all blocks' quadrature
-nodes, each pair of blocks paired with one weighted GEMM, the
-conditioning taken once.  A call then only tests its own cond_max,
-solves against its pairings and hands each block's stack on its own
-nodes to the control it emits: the evolution that integrates that
-control on those nodes reads the stack and propagates nothing again.
+the moment method, the HUM Gramian and the pipeline sweeps each specify
+their families as DualBlocks (target, window, channels) and pass the
+state to match.  The joint dual operator depends on the problem, never
+on the datum, so it is assembled once (_joint_operator) and kept in the
+branch table's memo: each block's entries derived and observed once, on
+the union of all blocks' quadrature nodes, each pair of blocks paired
+with one weighted GEMM, the conditioning taken once.  A call then only
+tests its own cond_max, pairs its state with the kept entries, solves
+and hands each block's stack on its own nodes to the control it emits:
+the evolution that integrates that control on those nodes reads the
+stack and propagates nothing again.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import SystemMatrices, TorusSubset, TWO_PI
 from .dynamics import (FourierState, ControlSignal, ModeBasis, OwnerMemo,
-                       evolve, gauss_legendre, mode_generator,
+                       MEMO_SIZE, evolve, gauss_legendre, mode_generator,
                        project_branch, project_low, analyze_grid,
                        _small_matmul)
 from .spectral import BranchTable
@@ -108,22 +111,18 @@ def rho1(tau):
     return _f_exp(tau) * w + _f_exp(1.0 - tau) * (1.0 - w)
 
 
-@dataclass(frozen=True)
-class Rho1Profile:
-    """The time profile rho1(s / length) of the time to go s.  It compares
-    and hashes by value, so blocks carrying it key the joint-operator
-    memo."""
-
-    length: float
-
-    def __call__(self, s):
-        return rho1(s / self.length)
+def cond_headroom(cond):
+    """log10(COND_MAX / cond): the decades a solve of condition cond left
+    to the default refusal bound."""
+    return float(np.log10(COND_MAX / cond))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SpatialWeight:
     """Smooth plateau cut-off rho2: 1 on omegahat, 0 outside omega, with
-    transitions filling the removed margins."""
+    transitions filling the removed margins.  plateau_weight builds one
+    per omega, so it compares and hashes by identity; its coefficients
+    are read-only."""
 
     omega: TorusSubset
     omegahat: TorusSubset
@@ -148,20 +147,19 @@ class SpatialWeight:
                                     + self.bandwidth], 0.0)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def plateau_weight(omega: TorusSubset) -> SpatialWeight:
-    """Build rho2 for omega; omegahat has each arc shrunk by
-    PLATEAU_SHRINK of its length per side, and the coefficients stop at
-    PLATEAU_BANDWIDTH."""
+    """rho2 for omega, built once per omega: omegahat has each arc shrunk
+    by PLATEAU_SHRINK of its length per side, and the coefficients stop
+    at PLATEAU_BANDWIDTH."""
     omegahat = omega.shrunk(PLATEAU_SHRINK)
-    w = SpatialWeight(
-        omega=omega, omegahat=omegahat,
-        coeffs=np.zeros(2 * PLATEAU_BANDWIDTH + 1, dtype=complex),
-        bandwidth=PLATEAU_BANDWIDTH)
     ngrid = max(16 * PLATEAU_BANDWIDTH, 4096)
     xs = TWO_PI * np.arange(ngrid) / ngrid
-    vals = w(xs).astype(complex)[:, None]
-    w.coeffs = analyze_grid(vals, xs, PLATEAU_BANDWIDTH)[:, 0]
-    return w
+    shape = SpatialWeight(omega, omegahat, None, PLATEAU_BANDWIDTH)
+    vals = shape(xs).astype(complex)[:, None]
+    coeffs = analyze_grid(vals, xs, PLATEAU_BANDWIDTH)[:, 0]
+    coeffs.flags.writeable = False
+    return SpatialWeight(omega, omegahat, coeffs, PLATEAU_BANDWIDTH)
 
 
 # ------------------------------------------------------- transport (cut-off)
@@ -325,32 +323,31 @@ def parabolic_moment_control(sys: SystemMatrices, branches: BranchTable,
                              cond_max=COND_MAX):
     """Moment-method control nulling the parabolic band n0 < |n| <= N.
 
-    One parabolic DualBlock, entries (n, e_j) on the window (0, T) with
-    profile rho1(s/T) of the time to go s, solved by _joint_solve:
+    One ("parabolic", N) DualBlock on the window (0, T) with profile
+    rho1(s/T) of the time to go s, solved by _joint_solve:
     A_{n,k} = rho2hat(n-k) int_0^T rho1(s/T) e^{-s n^2 E2(n)*} C(n)*
               C(k) e^{-s k^2 E2(k)} ds,
     F_n = -e^{-n^2 T E2(n)*} (G(i/n)* f01hat(n) + f02hat(n)) (the dual
-    pairings of the freely evolved data), and the emitted control is
-    u(t, x) = rho1((T-t)/T) rho2(x) sum_k C(k) e^{-k^2 (T-t) E2(k)} V_k
-    e^{ikx}.  Returns (ControlSignal, MomentProblem).
+    pairings of the freely evolved data, negated), and the emitted
+    control is u(t, x) = rho1((T-t)/T) rho2(x) sum_k C(k)
+    e^{-k^2 (T-t) E2(k)} V_k e^{ikx}.  Returns (ControlSignal,
+    MomentProblem).
     """
-    kind, entries = _target_entries(sys, branches, n0, f0p.nmax,
-                                    ("parabolic", N))
     if weight is None:
         weight = plateau_weight(omega)
-    blk = DualBlock(kind=kind, entries=entries, window=(0.0, T),
-                    mask=np.ones(sys.m, dtype=bool), time_panels=128,
-                    profile=Rho1Profile(T))
-    rhs = -_pairings(sys, branches, blk, evolve(sys, f0p, None, T))
-    (u,), gram, _, eigs, cond = _joint_solve(
-        sys, branches, [blk], [rhs], T, weight, f0p.nmax, cond_max=cond_max)
-    modes = np.setdiff1d(np.arange(-N, N + 1), np.arange(-n0, n0 + 1))
-    # the generators of the block's basis, from the memo _joint_solve filled
-    E2 = _joint_operator(sys, branches, [blk], T, weight).setups[0][1].gens
-    return u, MomentProblem(N=N, T=T, modes=modes, E2=E2, gram=gram,
-                            rhs=rhs, weight=weight,
-                            cond=float(eigs[-1] / max(eigs[0], 1e-300)),
-                            min_eig=float(eigs[0]), cond_scaled=cond)
+    blk = DualBlock(("parabolic", N), (0.0, T), (True,) * sys.m,
+                    time_panels=128, rho1_length=T)
+    (u,), gram, _, rhs, cond = _joint_solve(
+        sys, branches, n0, [blk], -evolve(sys, f0p, None, T), T, weight,
+        cond_max=cond_max)
+    # the block's modes, basis and eigenvalues, from the solve's memo
+    op = _joint_operator(sys, branches, n0, [blk], T, weight, f0p.nmax)
+    (setup,) = op.setups
+    return u, MomentProblem(N=N, T=T, modes=setup.modes,
+                            E2=setup.basis.gens, gram=gram, rhs=rhs,
+                            weight=weight,
+                            cond=float(op.eigs[-1] / max(op.eigs[0], 1e-300)),
+                            min_eig=float(op.eigs[0]), cond_scaled=cond)
 
 
 # ---------------------------------------------------------- Lebeau-Robbiano
@@ -434,8 +431,8 @@ def lebeau_robbiano(sys: SystemMatrices, branches: BranchTable,
         stage_reports.append({"level": level, "N": Nl, "T": Tl,
                               "cond": prob.cond,
                               "cond_scaled": prob.cond_scaled,
-                              "cond_headroom_log10": float(
-                                  np.log10(COND_MAX / prob.cond_scaled)),
+                              "cond_headroom_log10": cond_headroom(
+                                  prob.cond_scaled),
                               "min_eig": prob.min_eig,
                               "norm_after": norms[-1],
                               "total_norm": state.norm()})
@@ -467,26 +464,28 @@ def _shift_control(u: ControlSignal, t0: float) -> ControlSignal:
 
 # ------------------------------------------------------------- HUM Gramians
 
-@dataclass
+@dataclass(frozen=True)
 class DualBlock:
-    """One family of dual vectors with its control window and channel mask.
+    """One family of dual vectors, by its specification: the target
+    ("low",), ("hyperbolic", nband) or ("parabolic", nband) (see
+    _target_entries), the control window (t0, t1) inside [0, T], the
+    channel mask (a tuple of bools), the panels on the window, and
+    rho1_length for the time profile rho1(s / rho1_length) of the time to
+    go s that weights the Gram quadrature and the emitted control (None:
+    weight 1).  It compares and hashes by value, so blocks key the
+    joint-operator memo.
 
-    kind "full": entries (n, psi in C^d), observation
-    M* e^{-(T-tau) gen(n)*} psi.  kind "parabolic": entries
-    (n, phi2 in C^d2), observation C(n) e^{-(T-tau) n^2 E2(n)} phi2
-    (the same object written in the graph coordinate of Ima Pp*).
-    profile, a function of the time to go T - tau, weights the block's
-    Gram quadrature and its emitted control (None for weight 1).  The
-    joint-operator memo keys a profile by its equality: a Rho1Profile by
-    value, any other callable by identity.
+    Low and hyperbolic entries (n, psi in C^d) observe
+    M* e^{-(T-tau) gen(n)*} psi; parabolic entries (n, phi2 in C^d2)
+    observe C(n) e^{-(T-tau) n^2 E2(n)} phi2 (the graph coordinate of
+    Ima Pp*).
     """
 
-    kind: str
-    entries: list
+    target: tuple
     window: tuple
-    mask: np.ndarray
+    mask: tuple
     time_panels: int = 32
-    profile: object = None
+    rho1_length: float = None
 
 
 @dataclass
@@ -496,58 +495,69 @@ class HUMReport:
     cond: float
     energy: float
     target_dim: int
+    cond_headroom_log10: float
 
 
-def _block_modes(sys, branches, block: DualBlock):
-    """(modes, basis, obs, rates) of a dual block: its distinct modes in
+class _BlockSetup(NamedTuple):
+    """A dual block's entries (ns[j], vecs[j]); graph, G(i/n_j) per entry
+    of a parabolic block (None otherwise); its distinct modes in
     increasing order, the ModeBasis of their generators G_k, and the
     observation matrices (K, m, dg) and time rates for which an entry
     (modes[k], vec) observes obs[k] e^{-s rates[k] G_k} vec at time to
     go s."""
-    modes = np.array(sorted({n for n, _ in block.entries}), dtype=int)
-    if block.kind == "full":
-        gens = mode_generator(sys, modes, adjoint=True)
-        obs = np.broadcast_to(sys.M.conj().T, (len(modes), sys.m, sys.d))
-        rates = np.ones(len(modes))
-    elif block.kind == "parabolic":
-        gens = build_E2(sys, branches, modes)
-        obs = observation_matrix(sys, branches, modes)
-        rates = modes.astype(float) ** 2
-    else:
-        raise ValueError(f"unknown dual kind {block.kind!r}")
-    return modes, ModeBasis(gens), obs, rates
+
+    ns: np.ndarray
+    vecs: np.ndarray
+    graph: object
+    modes: np.ndarray
+    basis: ModeBasis
+    obs: np.ndarray
+    rates: np.ndarray
 
 
-def _block_observations(block: DualBlock, setup, T, taus):
+def _block_setup(sys, branches, n0, nmax, blk: DualBlock) -> _BlockSetup:
+    """The _BlockSetup of blk's target for a state truncated at nmax."""
+    ns, vecs = _target_entries(sys, branches, n0, nmax, blk.target)
+    modes = np.unique(ns)
+    if blk.target[0] == "parabolic":
+        return _BlockSetup(ns, vecs, branches.G[branches.rows(ns)], modes,
+                           ModeBasis(build_E2(sys, branches, modes)),
+                           observation_matrix(sys, branches, modes),
+                           modes.astype(float) ** 2)
+    obs = np.broadcast_to(sys.M.conj().T, (len(modes), sys.m, sys.d))
+    return _BlockSetup(ns, vecs, None, modes,
+                       ModeBasis(mode_generator(sys, modes, adjoint=True)),
+                       obs, np.ones(len(modes)))
+
+
+def _block_observations(setup: _BlockSetup, T, taus):
     """Unmasked observations v_j(tau_q) in C^m: array (J, Q, m).  The
     observed propagators obs[k] e^{-s rates[k] G_k} are formed per mode;
     entries are linear in their vectors."""
-    modes, basis, obs, rates = setup
-    per_mode = basis.expm(np.outer(rates, T - taus), obs)
-    k = np.searchsorted(modes, [n for n, _ in block.entries])
-    vecs = np.array([vec for _, vec in block.entries])
-    return _small_matmul(per_mode[k], vecs[:, None, :, None])[..., 0]
+    per_mode = setup.basis.expm(np.outer(setup.rates, T - taus), setup.obs)
+    k = np.searchsorted(setup.modes, setup.ns)
+    return _small_matmul(per_mode[k], setup.vecs[:, None, :, None])[..., 0]
 
 
-def _pairings(sys, branches, block: DualBlock, state: FourierState):
+def _pairings(setup: _BlockSetup, state: FourierState):
     """c_j = <dual_j, fhat(n_j)> (phi2 pairs with G(i/n)* fhat_1 + fhat_2)."""
-    ns = np.array([n for n, _ in block.entries], dtype=int)
-    vecs = np.array([vec for _, vec in block.entries])
-    fn = state.coeffs[ns + state.nmax]
-    if block.kind != "full":
-        G = branches.G[branches.rows(ns)]
-        fn = np.einsum("kab,ka->kb", G.conj(), fn[:, :sys.d1]) + fn[:, sys.d1:]
-    return np.einsum("ka,ka->k", vecs.conj(), fn)
+    fn = state.coeffs[setup.ns + state.nmax]
+    if setup.graph is not None:
+        d1 = setup.graph.shape[1]
+        fn = (np.einsum("kab,ka->kb", setup.graph.conj(), fn[:, :d1])
+              + fn[:, d1:])
+    return np.einsum("ka,ka->k", setup.vecs.conj(), fn)
 
 
 @dataclass
 class _JointOperator:
     """The datum-independent part of a joint solve: the blocks'
-    _block_modes setups, panel edges, (own quadrature nodes, observation
-    stack on them) pairs observed, the block offsets offs into the pairing
-    matrix J, its Hermitian part's eigenvalues eigs, the diagonal scaling
-    dscale, the scaled matrix Js and its condition cond.  The arrays are
-    read-only, and nothing here references the branch table."""
+    _block_setup entries and bases, panel edges, (own quadrature nodes,
+    observation stack on them) pairs observed, the block offsets offs
+    into the pairing matrix J, its Hermitian part's eigenvalues eigs, the
+    diagonal scaling dscale, the scaled matrix Js and its condition
+    cond.  The arrays are read-only, and nothing here references the
+    branch table."""
 
     setups: list
     edges: list
@@ -564,68 +574,53 @@ class _JointOperator:
 _JOINT_OPERATORS = OwnerMemo()
 
 
-def _block_key(blk: DualBlock):
-    """A block by value: kind, modes, vector bytes, window, mask bytes,
-    panels and profile (a Rho1Profile, or None, compares by value).  The
-    vectors and the mask enter the operator as complex and float factors,
-    so they are keyed in those types."""
-    vecs = np.array([vec for _, vec in blk.entries], dtype=complex)
-    return (blk.kind, tuple(int(n) for n, _ in blk.entries), vecs.tobytes(),
-            tuple(float(t) for t in blk.window),
-            np.asarray(blk.mask, dtype=float).tobytes(), blk.time_panels,
-            blk.profile)
-
-
-def _joint_operator(sys, branches, blocks, T, weight) -> _JointOperator:
+def _joint_operator(sys, branches, n0, blocks, T, weight,
+                    nmax) -> _JointOperator:
     """The joint operator of the blocks, assembled once per problem and
-    kept in branches's memo, keyed on the system, T, rho2 by value
-    (omega, bandwidth, coefficient bytes) and each block's _block_key."""
-    key = (sys, float(T),
-           (weight.omega, weight.bandwidth, weight.coeffs.tobytes()),
-           tuple(_block_key(blk) for blk in blocks))
+    kept in branches's memo, keyed on the system, T, rho2, n0, the
+    state's nmax and the blocks."""
+    key = (sys, float(T), weight, n0, nmax, tuple(blocks))
     return _JOINT_OPERATORS.get(
         branches, key,
-        lambda: _assemble_joint(sys, branches, blocks, T, weight))
+        lambda: _assemble_joint(sys, branches, n0, blocks, T, weight, nmax))
 
 
-def _assemble_joint(sys, branches, blocks, T, weight) -> _JointOperator:
+def _assemble_joint(sys, branches, n0, blocks, T, weight,
+                    nmax) -> _JointOperator:
     """The pairing matrix J_{jk} = rho2hat(n_j - n_k) int_{W_k}
     r_k(T - tau) v_j* mask_k v_k dtau, with r_k the column block's
     profile; for a single block it is the Gram matrix of the weighted
-    observations (Hermitian positive semidefinite).  Each block is
-    observed once, on the union of all blocks' quadrature nodes; the
-    block pair (i, j) is one weighted GEMM over block j's nodes,
-    V_i* (w_j mask_j V_j)^T with the (node, channel) pairs flattened.  The
-    propagators are elementwise per scale, so each slice holds the bits
-    of observing there alone.  Each block keeps its stack on its own
-    nodes for the controls it emits."""
-    setups = [_block_modes(sys, branches, blk) for blk in blocks]
+    observations (Hermitian positive semidefinite).  Each block's entries
+    are derived once, here, and observed once, on the union of all
+    blocks' quadrature nodes; the block pair (i, j) is one weighted GEMM
+    over block j's nodes, V_i* (w_j mask_j V_j)^T with the (node,
+    channel) pairs flattened.  The propagators are elementwise per scale,
+    so each slice holds the bits of observing there alone.  Each block
+    keeps its stack on its own nodes for the controls it emits."""
+    setups = [_block_setup(sys, branches, n0, nmax, blk) for blk in blocks]
     edges = [np.linspace(*blk.window, blk.time_panels + 1) for blk in blocks]
     quad = [gauss_legendre(e) for e in edges]
     union = np.unique(np.concatenate([taus for taus, _ in quad]))
     at = [np.searchsorted(union, taus) for taus, _ in quad]
-    obs = [_block_observations(blk, setup, T, union)
-           for blk, setup in zip(blocks, setups)]
+    obs = [_block_observations(setup, T, union) for setup in setups]
     # each block's stack on its own nodes; one observed on the union
     # alone (a single block, or blocks sharing their nodes) needs no copy
     own = [v if len(i) == len(union) else v[:, i] for v, i in zip(obs, at)]
 
-    sizes = [len(b.entries) for b in blocks]
+    sizes = [len(setup.ns) for setup in setups]
     offs = np.concatenate(([0], np.cumsum(sizes)))
     J = np.zeros((offs[-1], offs[-1]), dtype=complex)
     for bj, blk_col in enumerate(blocks):
         taus, wts = quad[bj]
-        if blk_col.profile is not None:
-            wts = wts * blk_col.profile(T - taus)
+        if blk_col.rho1_length is not None:
+            wts = wts * rho1((T - taus) / blk_col.rho1_length)
         Vc = (own[bj] * (wts[:, None] * blk_col.mask)).reshape(sizes[bj],
                                                                  -1)
-        cols = [n for n, _ in blk_col.entries]
-        for bi, blk_row in enumerate(blocks):
+        for bi in range(len(blocks)):
             Vr = (own[bj] if bi == bj else obs[bi][:, at[bj]]).conj()
             Vr = Vr.reshape(sizes[bi], -1)
-            rows = [n for n, _ in blk_row.entries]
             J[offs[bi]:offs[bi + 1], offs[bj]:offs[bj + 1]] = (
-                weight.toeplitz(rows, cols) * (Vr @ Vc.T))
+                weight.toeplitz(setups[bi].ns, setups[bj].ns) * (Vr @ Vc.T))
 
     eigs = np.linalg.eigvalsh(0.5 * (J + J.conj().T))
     # solve and refusal run in the diagonally normalized basis (the raw
@@ -635,6 +630,7 @@ def _assemble_joint(sys, branches, blocks, T, weight) -> _JointOperator:
     sv = np.linalg.svd(Js, compute_uv=False)
     observed = [(taus, v) for (taus, _), v in zip(quad, own)]
     for a in [a for pair in observed for a in pair] + edges + [
+            a for st in setups for a in (st.ns, st.vecs, st.modes)] + [
             offs, J, eigs, dscale, Js]:
         a.flags.writeable = False
     return _JointOperator(setups=setups, edges=edges, observed=observed,
@@ -642,41 +638,46 @@ def _assemble_joint(sys, branches, blocks, T, weight) -> _JointOperator:
                           cond=float(sv[0] / max(sv[-1], 1e-300)))
 
 
-def _joint_solve(sys, branches, blocks, targets, T, weight, nmax,
+def _joint_solve(sys, branches, n0, blocks, goal, T, weight,
                  cond_max=COND_MAX, refuse=True):
     """Choose controls u_b = rho2 sum_k lambda_k (mask v_k) e^{i n_k x}
-    on the blocks' windows so the summed contribution at time T matches
-    the prescribed dual pairings.  Returns (controls, J, lambda, eigs,
-    cond) with J the pairing matrix (_assemble_joint), eigs its
-    Hermitian part's eigenvalues and cond the condition of its diagonal
-    scaling.
+    on the blocks' windows, each inside [0, T], whose summed contribution
+    at time T has the dual pairings of the state goal (the negated free
+    evolution to null, or the state to reach).  Returns (controls, J,
+    lambda, rhs, cond): J the pairing matrix (_assemble_joint), rhs
+    goal's pairings, cond the condition of J's diagonal scaling.
 
     The operator comes from _joint_operator, so data and sweeps that pose
-    the same blocks share one assembly; J and eigs are its read-only
-    arrays.  This call tests cond against its own cond_max (refusing
-    unless refuse is False), solves the scaled system against the
-    pairings, and emits each block's control from the operator's stack
-    on the block's own nodes.
+    the same blocks share one assembly; J is its read-only array.  This
+    call tests cond against its own cond_max (refusing unless refuse is
+    False), pairs goal with the kept entries, solves the scaled system
+    and emits each block's control from the operator's stack on the
+    block's own nodes.
     """
-    op = _joint_operator(sys, branches, blocks, T, weight)
+    outside = [blk.window for blk in blocks
+               if not 0.0 <= blk.window[0] < blk.window[1] <= T]
+    if outside:
+        raise ValueError(f"block windows {outside} do not satisfy "
+                         f"0 <= t0 < t1 <= T = {T}")
+    op = _joint_operator(sys, branches, n0, blocks, T, weight, goal.nmax)
     if refuse and not 0.0 < op.cond <= cond_max:
         raise np.linalg.LinAlgError(
             f"Gram condition {op.cond:.2e} beyond {cond_max:.0e}: target "
             f"too high-dimensional for this (T, omega)")
-    c = np.concatenate(targets)
+    c = np.concatenate([_pairings(setup, goal) for setup in op.setups])
     lam = np.linalg.solve(op.Js, c / op.dscale) / op.dscale
     offs = op.offs
     controls = [
         _emit_block(blk, op.setups[b], lam[offs[b]:offs[b + 1]], T, weight,
-                    nmax, op.edges[b], op.observed[b])
+                    goal.nmax, op.edges[b], op.observed[b])
         for b, blk in enumerate(blocks)]
-    return controls, op.J, lam, op.eigs, op.cond
+    return controls, op.J, lam, c, op.cond
 
 
 def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges,
                 observed=None):
     """Lazy control u = rho2 sum_j lambda_j (mask v_j) e^{i n_j x} on the
-    block's window, zero outside it, for the block's _block_modes setup.
+    block's window, zero outside it, for the block's _block_setup.
     Entry j carries r(T-t) mask v_j(t), its _block_observations
     observation scaled by the block's time profile r (1 when None) at the
     time to go clipped to [0, T].
@@ -695,7 +696,7 @@ def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges,
     the entries anew, with the same bits.
     """
     lam = np.asarray(lam, dtype=complex)
-    ns = [n for n, _ in blk.entries]
+    ns = setup.ns
     keep = np.asarray(blk.mask, dtype=float)
     m = len(keep)
     W = weight.toeplitz(np.arange(-nmax, nmax + 1), ns) * lam
@@ -705,8 +706,8 @@ def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges,
         """(Q, J, m) per-entry r mask v_j at the 1-D times ts, zero off
         the window and where the profile vanishes."""
         s = T - ts
-        r = (np.ones(len(ts)) if blk.profile is None
-             else blk.profile(np.clip(s, 0.0, T)))
+        r = (np.ones(len(ts)) if blk.rho1_length is None
+             else rho1(np.clip(s, 0.0, T) / blk.rho1_length))
         r = np.where((ts >= t0 - 1e-12) & (ts <= t1 + 1e-12), r, 0.0)
         on = np.flatnonzero(r)
         out = np.zeros((len(ts), len(ns), m), dtype=complex)
@@ -714,7 +715,7 @@ def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges,
             if observed is not None and np.array_equal(ts, observed[0]):
                 vs = observed[1][:, on]
             else:
-                vs = _block_observations(blk, setup, T, ts[on])
+                vs = _block_observations(setup, T, ts[on])
             out[on] = vs.transpose(1, 0, 2) * (r[on, None, None] * keep)
         return out
 
@@ -734,20 +735,21 @@ def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges,
 
 
 def _target_entries(sys, branches, n0, nmax, target):
-    """Dual entries for a declared target subspace.
+    """Dual entries (ns, vecs), entry j being (ns[j], vecs[j]), for a
+    declared target subspace.
 
     ("low",): canonical basis of C^d on |n| <= n0 (pairings zero iff the
     low block vanishes).  ("hyperbolic", nband): orthonormal basis of
     Ima Ph(i/n)* for n0 < |n| <= nband (pairings zero iff
     Ph(i/n) fhat(n) = 0).  ("parabolic", nband): canonical basis of the
-    phi2 coordinate of Ima Pp(i/n)* for n0 < |n| <= nband.  nband
-    defaults to nmax, the state's truncation; a band that holds no mode
-    or reaches past nmax is refused.
+    phi2 coordinate of Ima Pp(i/n)* for n0 < |n| <= nband.  A band that
+    holds no mode or reaches past nmax, the state's truncation, is
+    refused.
     """
     kind = target[0]
     if kind not in ("low", "hyperbolic", "parabolic"):
         raise ValueError(f"unknown target kind {kind!r}")
-    top = n0 if kind == "low" else (target[1] if len(target) > 1 else nmax)
+    top = n0 if kind == "low" else target[1]
     band = f"|n| <= {n0}" if kind == "low" else f"{n0} < |n| <= {top}"
     if kind != "low" and top <= n0:
         raise ValueError(f"{kind} target band {band} holds no mode")
@@ -755,57 +757,53 @@ def _target_entries(sys, branches, n0, nmax, target):
         raise ValueError(f"{kind} target band {band} reaches past the "
                          f"state's nmax = {nmax}")
     if kind == "low":
-        eye = np.eye(sys.d, dtype=complex)
-        return "full", [(n, eye[:, j].copy())
-                        for n in range(-n0, n0 + 1) for j in range(sys.d)]
-    ns = np.setdiff1d(np.arange(-top, top + 1), np.arange(-n0, n0 + 1))
+        ns, dim = np.arange(-n0, n0 + 1), sys.d
+    else:
+        ns = np.setdiff1d(np.arange(-top, top + 1), np.arange(-n0, n0 + 1))
+        dim = sys.d2
     if kind == "hyperbolic":
         U, s, _ = np.linalg.svd(
             np.swapaxes(branches.Ph[branches.rows(ns)], -1, -2).conj())
         # singular values decrease: each mode keeps a leading run of U
-        return "full", [(int(ns[k]), U[k, :, j])
-                        for k, j in zip(*np.nonzero(s > 1e-8))]
-    eye = np.eye(sys.d2, dtype=complex)
-    return "parabolic", [(int(n), eye[:, j].copy())
-                         for n in ns for j in range(sys.d2)]
+        k, j = np.nonzero(s > 1e-8)
+        return ns[k], U[k, :, j]
+    return (np.repeat(ns, dim),
+            np.tile(np.eye(dim, dtype=complex), (len(ns), 1)))
 
 
 def hum_gramian_control(sys: SystemMatrices, branches: BranchTable, n0: int,
                         target, fstar: FourierState, T: float,
-                        omega: TorusSubset, window=None,
-                        weight: SpatialWeight = None, Tstar=None,
+                        omega: TorusSubset, window=None, Tstar=None,
                         cond_max=COND_MAX, refuse=True):
     """Minimum-energy control whose contribution at time T has the same
     dual pairings as fstar on the declared target subspace.
 
     Solves the weighted controllability Gramian against
     c_j = <psi_j, fstar> and emits u = rho2 sum_k lambda_k (mask v_k)
-    e^{i n_k x} on the window.  A hyperbolic-target window shorter than
-    the minimal time is allowed but warned about: the Gramian is then
-    expected near-singular (pass refuse=False to inspect it).
+    e^{i n_k x} on the window, which must lie inside [0, T].  A
+    hyperbolic-target window shorter than the minimal time is allowed but
+    warned about: the Gramian is then expected near-singular (pass
+    refuse=False to inspect it).
     """
-    nmax = fstar.nmax
-    if window is None:
-        window = (0.0, T)
-    if weight is None:
-        weight = plateau_weight(omega)
+    window = (0.0, T) if window is None else tuple(window)
     if (target[0] == "hyperbolic" and Tstar is not None
             and window[1] - window[0] <= Tstar):
         warnings.warn(
             f"window length {window[1] - window[0]:.3f} <= minimal time "
             f"{Tstar:.3f}: hyperbolic Gramian expected near-singular",
             stacklevel=2)
-    kind, entries = _target_entries(sys, branches, n0, nmax, target)
-    blk = DualBlock(kind=kind, entries=entries, window=window,
-                    mask=np.ones(sys.m, dtype=bool))
-    targets = [_pairings(sys, branches, blk, fstar)]
-    controls, J, lam, eigs, cond = _joint_solve(
-        sys, branches, [blk], targets, T, weight, nmax,
-        cond_max=cond_max, refuse=refuse)
+    weight = plateau_weight(omega)
+    blk = DualBlock(tuple(target), window, (True,) * sys.m)
+    (u,), J, lam, rhs, cond = _joint_solve(
+        sys, branches, n0, [blk], fstar, T, weight, cond_max=cond_max,
+        refuse=refuse)
+    eigs = _joint_operator(sys, branches, n0, [blk], T, weight,
+                           fstar.nmax).eigs
     report = HUMReport(gram=J, eigs=eigs, cond=cond,
-                       energy=float(np.real(np.vdot(lam, targets[0]))),
-                       target_dim=len(entries))
-    return controls[0], report
+                       energy=float(np.real(np.vdot(lam, rhs))),
+                       target_dim=len(rhs),
+                       cond_headroom_log10=cond_headroom(cond))
+    return u, report
 
 
 # ------------------------------------------------------------- combination
@@ -859,31 +857,27 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
     certificate reports the path, the sweep residual chain, the last
     joint condition and the final relative norm, the last sweep's unless
     max_sweeps ran out.  joint_cond_headroom_log10 is the last joint
-    solve's headroom log10(COND_MAX / joint_cond) to refusal (None, as
-    joint_cond, when no solve ran).  The sweeps pose the same blocks, so
-    they share one joint operator.
+    solve's cond_headroom (None, as joint_cond, when no solve ran).  The
+    sweeps pose the same blocks, so they share one joint operator.
+    T' must satisfy max(0, T*) < T' < T, T* taken as 0 when not given.
     """
-    if Tstar is not None and not (Tstar < Tprime < T):
-        raise ValueError(
-            f"need T* < T' < T, got T* = {Tstar}, T' = {Tprime}, T = {T}")
+    lower = 0.0 if Tstar is None else max(Tstar, 0.0)
+    if not lower < Tprime < T:
+        raise ValueError(f"need max(0, T*) < T' < T, got T* = {Tstar}, "
+                         f"T' = {Tprime}, T = {T}")
     nmax = f0.nmax
     if nmax <= n0:
         raise ValueError(f"need nmax > n0 = {n0}, got nmax = {nmax}")
     d1, m = sys.d1, sys.m
     split = m == sys.d
     weight = plateau_weight(omega)
-    Tlow = min(0.1 * T, T - Tprime) / 2.0
-
-    blocks = []
-    for target, window, mask in (
-            (("hyperbolic", nmax), (0.0, Tprime),
-             np.arange(m) < d1 if split else np.ones(m, dtype=bool)),
-            (("low",), (T - Tlow, T), np.ones(m, dtype=bool)),
-            (("parabolic", nmax), (T - Tlow, T),
-             np.arange(m) >= d1 if split else np.ones(m, dtype=bool))):
-        kind, entries = _target_entries(sys, branches, n0, nmax, target)
-        blocks.append(DualBlock(kind=kind, entries=entries, window=window,
-                                mask=mask))
+    trailing = (T - min(0.1 * T, T - Tprime) / 2.0, T)
+    blocks = [
+        DualBlock(("hyperbolic", nmax), (0.0, Tprime),
+                  tuple(c < d1 or not split for c in range(m))),
+        DualBlock(("low",), trailing, (True,) * m),
+        DualBlock(("parabolic", nmax), trailing,
+                  tuple(c >= d1 or not split for c in range(m)))]
 
     controls = []
     sweep_log = []
@@ -903,9 +897,8 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
         if sweep >= 2 and res > 0.5 * sweep_log[-2]["relative_residual"]:
             path = "joint-sweeps (stalled)"
             break
-        targets = [-_pairings(sys, branches, blk, fT) for blk in blocks]
-        corr, J, lam, eigs, joint_cond = _joint_solve(
-            sys, branches, blocks, targets, T, weight, nmax)
+        corr, _, _, _, joint_cond = _joint_solve(
+            sys, branches, n0, blocks, -fT, T, weight)
         controls.extend(corr)
     else:
         # max_sweeps ran out: the last sweep's controls are not yet checked
@@ -916,8 +909,7 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
         "sweeps": sweep_log,
         "joint_cond": joint_cond,
         "joint_cond_headroom_log10": (
-            None if joint_cond is None
-            else float(np.log10(COND_MAX / joint_cond))),
+            None if joint_cond is None else cond_headroom(joint_cond)),
         "final_norm": fT.norm(),
         "relative": fT.norm() / f0norm,
         "final_state": fT,

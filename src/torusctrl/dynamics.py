@@ -103,6 +103,9 @@ class FourierState:
             raise ValueError("truncation orders differ")
         return FourierState(self.nmax, self.coeffs + other.coeffs)
 
+    def __neg__(self):
+        return FourierState(self.nmax, -self.coeffs)
+
     def __sub__(self, other):
         return self + (other * (-1.0))
 

@@ -466,7 +466,7 @@ def _exp_control(scn, rng, out_dir):
              f"Gram condition (scaled) {mp.cond_scaled:.3e}, "
              f"min eigenvalue {mp.min_eig:.3e}",
              f"headroom to refusal: log10(cond_max / cond) = "
-             f"{np.log10(control.COND_MAX / mp.cond_scaled):.2f}",
+             f"{control.cond_headroom(mp.cond_scaled):.2f}",
              f"max per-mode parabolic residual at T: {res:.3e}"]
     _write_gnuplot_stub(out_dir, os.path.basename(csv), "mode", "residual")
     return lines

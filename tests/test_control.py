@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -53,6 +55,16 @@ class TestSmoothBits:
         # coefficients use the (1/2 pi) Fourier normalization
         quad = np.sum(vals) / 2000
         assert w.toeplitz([0], [0])[0, 0] == pytest.approx(quad, rel=1e-6)
+
+    def test_plateau_weight_built_once_per_omega(self):
+        w = plateau_weight(HALF_TORUS)
+        assert plateau_weight(TorusSubset(((0.0, np.pi),))) is w
+        # a weight compares by identity, and nothing in it can change
+        assert dataclasses.replace(w) != w
+        with pytest.raises(ValueError, match="read-only"):
+            w.coeffs[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.coeffs = np.zeros_like(w.coeffs)
 
 
 class TestTransport:
@@ -289,6 +301,27 @@ class TestHUM:
         assert rep.gram == pytest.approx(rep.gram.conj().T, abs=1e-10)
         assert rep.target_dim == 2 * (2 * consts.n0 + 1)
 
+    def test_report_headroom(self, nscl_branches24):
+        sys, consts, branches = nscl_branches24
+        fstar = random_state(np.random.default_rng(7), 24, 2)
+        _, rep = hum_gramian_control(sys, branches, consts.n0, ("low",),
+                                     fstar, 1.0, HALF_TORUS,
+                                     window=(0.8, 1.0))
+        assert rep.cond_headroom_log10 == np.log10(ctl.COND_MAX / rep.cond)
+        assert rep.cond_headroom_log10 > 0.0
+
+    @pytest.mark.parametrize("window", [(0.8, 1.5), (-0.5, 1.0),
+                                        (1.0, 0.5), (0.5, 0.5)])
+    def test_window_outside_the_horizon_refused(self, nscl_branches24,
+                                                window):
+        # a window past T, before 0, reversed or empty: no control
+        sys, consts, branches = nscl_branches24
+        fstar = random_state(np.random.default_rng(7), 10, 2)
+        with pytest.raises(ValueError, match=r"block windows .* do not "
+                           r"satisfy 0 <= t0 < t1 <= T = 1.0"):
+            hum_gramian_control(sys, branches, consts.n0, ("low",), fstar,
+                                1.0, HALF_TORUS, window=window)
+
 
 class TestPipeline:
 
@@ -416,7 +449,7 @@ class TestPipeline:
         calls, solves = [], []
 
         def spy_observe(*args):
-            calls.append(args[0].kind)
+            calls.append(_kind(args[0]))
             return observe(*args)
 
         def spy_solve(*args, **kwargs):
@@ -430,20 +463,20 @@ class TestPipeline:
         full_pipeline(scn.sys, branches, consts.n0, f0, scn.T, scn.Tprime,
                       scn.omega, Tstar=scn.Tstar)
         assert len(solves) == 1
-        (sys, branches, blocks, _, T, weight, _), J, inside = solves[0]
+        (sys, branches, n0, blocks, goal, T, weight), J, inside = solves[0]
         assert inside == ["full", "full", "parabolic"]
-        assert [b.kind for b in blocks] == ["full", "full", "parabolic"]
+        assert [b.target[0] for b in blocks] == ["hyperbolic", "low",
+                                                 "parabolic"]
         assert blocks[1].window == blocks[2].window
-        setups = [ctl._block_modes(sys, branches, b) for b in blocks]
+        setups = [ctl._block_setup(sys, branches, n0, goal.nmax, b)
+                  for b in blocks]
         ref, loop = [], []
         for bc, sc in zip(blocks, setups):
             taus, wts = gauss_legendre(
                 np.linspace(*bc.window, bc.time_panels + 1))
-            Vc = observe(bc, sc, T, taus) * (wts[:, None] * bc.mask)
-            rows = [observe(br, sr, T, taus) for br, sr in zip(blocks, setups)]
-            tw = [weight.toeplitz([n for n, _ in br.entries],
-                                  [n for n, _ in bc.entries])
-                  for br in blocks]
+            Vc = observe(sc, T, taus) * (wts[:, None] * np.array(bc.mask))
+            rows = [observe(sr, T, taus) for sr in setups]
+            tw = [weight.toeplitz(sr.ns, sc.ns) for sr in setups]
             ref.append(np.vstack([
                 w * (Vr.conj().reshape(len(Vr), -1)
                      @ Vc.reshape(len(Vc), -1).T)
@@ -463,7 +496,7 @@ class TestPipeline:
         calls = []
 
         def spy_observe(*args):
-            calls.append(args[0].kind)
+            calls.append(_kind(args[0]))
             return observe(*args)
 
         monkeypatch.setattr(ctl, "_block_observations", spy_observe)
@@ -487,6 +520,17 @@ class TestPipeline:
                                     rho=0.5, nmax=8, n0=1, omega=HALF_TORUS)
         assert len(report["stages"]) == 3
         assert calls == ["parabolic"] * 3
+
+    @pytest.mark.parametrize("factor", [1.0, 1.1, -0.5])
+    def test_tprime_checked_without_tstar(self, nscl_branches24, factor):
+        # T' = T leaves no trailing window, T' > T no room after the
+        # hyperbolic window, T' < 0 no hyperbolic window at all
+        sys, consts, branches = nscl_branches24
+        f0 = random_state(np.random.default_rng(10), 10, 2)
+        T = 1.5 * np.pi
+        with pytest.raises(ValueError, match=r"need max\(0, T\*\) < T' < T"):
+            full_pipeline(sys, branches, consts.n0, f0, T, factor * T,
+                          HALF_TORUS)
 
     def test_severed_coupling_refused(self):
         # moving-wave with K21 forced to zero: the second component is
@@ -519,11 +563,17 @@ def _loop_coeffs(weight, nmax, m, vecs):
     return out
 
 
-def _block_vectors(sys, branches, blk, lam, T, t):
+def _kind(setup):
+    """The observation kind of a block setup: "parabolic" entries live in
+    the graph coordinate, "full" ones in C^d."""
+    return "full" if setup.graph is None else "parabolic"
+
+
+def _block_vectors(sys, branches, setup, blk, lam, T, t):
     """Per-entry masked observations lambda_j (mask v_j(t)), by dense expm."""
     out = []
-    for (n, vec), lj in zip(blk.entries, lam):
-        if blk.kind == "full":
+    for n, vec, lj in zip(setup.ns, setup.vecs, lam):
+        if _kind(setup) == "full":
             v = sys.M.conj().T @ scipy.linalg.expm(
                 -(T - t) * mode_generator(sys, n, adjoint=True)) @ vec
         else:
@@ -531,7 +581,7 @@ def _block_vectors(sys, branches, blk, lam, T, t):
                 scipy.linalg.expm(-(T - t) * n * n
                                   * ctl.build_E2(sys, branches, [n])[0])
                 @ vec)
-        out.append((n, lj * (blk.mask * v)))
+        out.append((n, lj * (np.array(blk.mask) * v)))
     return out
 
 
@@ -560,48 +610,43 @@ class TestEmission:
         assert np.all(W[beyond] == 0.0) and np.all(W[~beyond] != 0.0)
 
     def _blocks(self, nscl_branches24):
-        """(sys, branches, block) for a full hyperbolic block and a
-        parabolic block of nscl, and a full low block of moving-wave whose
-        modes +-1 are Jordan blocks."""
+        """(sys, branches, block, setup) for a full hyperbolic block and a
+        parabolic block of nscl at nmax 10, and a full low block of
+        moving-wave whose modes +-1 are Jordan blocks."""
         sys, consts, branches = nscl_branches24
         nmax, n0 = 10, consts.n0
-        kind, entries = ctl._target_entries(sys, branches, n0, nmax,
-                                            ("hyperbolic", nmax))
-        hyp = ctl.DualBlock(kind=kind, entries=entries,
-                            window=(0.0, self.Tprime),
-                            mask=np.array([True, False]))
-        eye = np.eye(sys.d2, dtype=complex)
-        par = ctl.DualBlock(
-            kind="parabolic", window=(self.T - 0.3, self.T),
-            entries=[(n, eye[:, 0]) for n in range(-nmax, nmax + 1)
-                     if abs(n) > n0],
-            mask=np.array([False, True]))
+        hyp = ctl.DualBlock(("hyperbolic", nmax), (0.0, self.Tprime),
+                            (True, False))
+        par = ctl.DualBlock(("parabolic", nmax), (self.T - 0.3, self.T),
+                            (False, True))
         mw = moving_wave_system()
         mw_branches = spectral.build_branch_table(
             mw, spectral.separation_radius(mw), 6)
-        kind, entries = ctl._target_entries(mw, mw_branches, 5, 6, ("low",))
-        low = ctl.DualBlock(kind=kind, entries=entries,
-                            window=(self.T - 0.3, self.T),
-                            mask=np.ones(1, dtype=bool))
-        return [(sys, branches, hyp), (sys, branches, par),
-                (mw, mw_branches, low)]
+        low = ctl.DualBlock(("low",), (self.T - 0.3, self.T), (True,))
+        setups = [ctl._block_setup(sys, branches, n0, nmax, hyp),
+                  ctl._block_setup(sys, branches, n0, nmax, par),
+                  ctl._block_setup(mw, mw_branches, 5, 6, low)]
+        # the parabolic entries are the canonical phi2 basis, d2 = 1
+        assert np.array_equal(setups[1].vecs, np.ones((len(setups[1].ns), 1)))
+        return [(sys, branches, hyp, setups[0]),
+                (sys, branches, par, setups[1]),
+                (mw, mw_branches, low, setups[2])]
 
     def test_blocks_match_loop(self, nscl_branches24):
         nmax = 10
         weight = plateau_weight(HALF_TORUS)
         rng = np.random.default_rng(11)
-        for sys, branches, blk in self._blocks(nscl_branches24):
-            lam = (rng.standard_normal(len(blk.entries))
-                   + 1j * rng.standard_normal(len(blk.entries)))
+        for sys, branches, blk, setup in self._blocks(nscl_branches24):
+            lam = (rng.standard_normal(len(setup.ns))
+                   + 1j * rng.standard_normal(len(setup.ns)))
             t0, t1 = blk.window
             edges = np.linspace(t0, t1, 5)
-            u = ctl._emit_block(blk, ctl._block_modes(sys, branches, blk),
-                                lam, self.T, weight, nmax, edges)
+            u = ctl._emit_block(blk, setup, lam, self.T, weight, nmax, edges)
             assert u.values.shape == (0, 2 * nmax + 1, sys.m)
             for t in (t0, 0.3 * t0 + 0.7 * t1, t1):
                 ref = _loop_coeffs(weight, nmax, sys.m, _block_vectors(
-                    sys, branches, blk, lam, self.T, t))
-                assert _close(u.at(t), ref), (blk.kind, t)
+                    sys, branches, setup, blk, lam, self.T, t))
+                assert _close(u.at(t), ref), (blk.target, t)
             assert not np.any(u.at(t0 - 0.01)) and not np.any(u.at(t1 + 0.01))
 
     def test_expm_fallback_mode_present(self):
@@ -648,15 +693,15 @@ class TestEmission:
         rho2_band = synth_grid(trunc, ngrid=4 * nmax)[1][:, 0]
         band_err = np.max(np.abs(rho2_band - weight(xs)))
         rng = np.random.default_rng(13)
-        for sys, branches, blk in self._blocks(nscl_branches24):
-            lam = (rng.standard_normal(len(blk.entries))
-                   + 1j * rng.standard_normal(len(blk.entries)))
-            u = ctl._emit_block(blk, ctl._block_modes(sys, branches, blk),
-                                lam, self.T, weight, nmax, blk.window)
+        for sys, branches, blk, setup in self._blocks(nscl_branches24):
+            lam = (rng.standard_normal(len(setup.ns))
+                   + 1j * rng.standard_normal(len(setup.ns)))
+            u = ctl._emit_block(blk, setup, lam, self.T, weight, nmax,
+                                blk.window)
             t = 0.5 * sum(blk.window)
             coeffs = FourierState(nmax, u.at(t))
             synth = synth_grid(coeffs, ngrid=len(xs))[1]
-            vecs = _block_vectors(sys, branches, blk, lam, self.T, t)
+            vecs = _block_vectors(sys, branches, setup, blk, lam, self.T, t)
             bound = band_err * sum(np.max(np.abs(v)) for _, v in vecs)
             assert np.max(np.abs(u.spatial(t, xs) - synth)) <= bound + 1e-12
 
@@ -673,21 +718,18 @@ class TestEmission:
         nmax = 10
         weight = plateau_weight(HALF_TORUS)
         rng = np.random.default_rng(31)
-        blocks = [(sys, branches, blk, None)
-                  for sys, branches, blk in self._blocks(nscl_branches24)]
-        sys, _, branches = nscl_branches24
-        par = blocks[1][2]
+        blocks = [(sys, branches, blk, setup, None)
+                  for sys, branches, blk, setup in self._blocks(
+                      nscl_branches24)]
+        sys, branches, par, setup = blocks[1][:4]
         L = par.window[1] - par.window[0]
-        profile = lambda s: rho1(s / L)  # noqa: E731
-        blocks.append((sys, branches, ctl.DualBlock(
-            kind=par.kind, entries=par.entries, window=par.window,
-            mask=par.mask, profile=profile), profile))
-        for sys, branches, blk, prof in blocks:
-            lam = (rng.standard_normal(len(blk.entries))
-                   + 1j * rng.standard_normal(len(blk.entries)))
+        blocks.append((sys, branches, dataclasses.replace(par, rho1_length=L),
+                       setup, lambda s: rho1(s / L)))
+        for sys, branches, blk, setup, prof in blocks:
+            lam = (rng.standard_normal(len(setup.ns))
+                   + 1j * rng.standard_normal(len(setup.ns)))
             t0, t1 = blk.window
-            u = ctl._emit_block(blk, ctl._block_modes(sys, branches, blk),
-                                lam, self.T, weight, nmax,
+            u = ctl._emit_block(blk, setup, lam, self.T, weight, nmax,
                                 np.linspace(t0, t1, 5))
             ts = self._edge_times(t0, t1)
             if prof is not None:
@@ -700,16 +742,16 @@ class TestEmission:
             for t, row in zip(ts, batched):
                 ref = u.at(t)
                 assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(
-                    np.abs(ref)), (blk.kind, t)
+                    np.abs(ref)), (blk.target, t)
                 r = 1.0 if prof is None else prof(np.clip(self.T - t, 0.0,
                                                           self.T))
                 inside = t0 - 1e-12 <= t <= t1 + 1e-12
                 if not inside or r == 0.0:
-                    assert not np.any(row), (blk.kind, t)
+                    assert not np.any(row), (blk.target, t)
                     continue
                 dense = r * _loop_coeffs(weight, nmax, sys.m, _block_vectors(
-                    sys, branches, blk, lam, self.T, t))
-                assert _close(row, dense), (blk.kind, t)
+                    sys, branches, setup, blk, lam, self.T, t))
+                assert _close(row, dense), (blk.target, t)
 
     def test_shifted_and_merged_batched(self, nscl_branches24):
         """_shift_control and merge_controls over overlapping windows:
@@ -717,11 +759,10 @@ class TestEmission:
         nmax = 10
         weight = plateau_weight(HALF_TORUS)
         rng = np.random.default_rng(32)
-        sys, branches, hyp = self._blocks(nscl_branches24)[0]
-        lam = (rng.standard_normal(len(hyp.entries))
-               + 1j * rng.standard_normal(len(hyp.entries)))
-        u = ctl._emit_block(hyp, ctl._block_modes(sys, branches, hyp), lam,
-                            self.T, weight, nmax,
+        sys, branches, hyp, setup = self._blocks(nscl_branches24)[0]
+        lam = (rng.standard_normal(len(setup.ns))
+               + 1j * rng.standard_normal(len(setup.ns)))
+        u = ctl._emit_block(hyp, setup, lam, self.T, weight, nmax,
                             np.linspace(*hyp.window, 5))
         shifted = ctl._shift_control(u, 0.5)
         ts = self._edge_times(0.5, 0.5 + self.Tprime)
@@ -782,15 +823,17 @@ class TestEmission:
         assert len(solves) == 2
         xs = np.linspace(0.0, TWO_PI, 29, endpoint=False)
         profiled = 0
-        for (sys, branches, blocks, _, T, weight, nmax), out in solves:
+        for (sys, branches, n0, blocks, goal, T, weight), out in solves:
             controls, lam = out[0], out[2]
-            offs = np.cumsum([0] + [len(b.entries) for b in blocks])
+            setups = [ctl._block_setup(sys, branches, n0, goal.nmax, b)
+                      for b in blocks]
+            offs = np.cumsum([0] + [len(st.ns) for st in setups])
             for b, (blk, u) in enumerate(zip(blocks, controls)):
                 edges = np.linspace(*blk.window, blk.time_panels + 1)
                 taus, _ = gauss_legendre(edges)
                 fresh = ctl._emit_block(
-                    blk, ctl._block_modes(sys, branches, blk),
-                    lam[offs[b]:offs[b + 1]], T, weight, nmax, edges)
+                    blk, setups[b], lam[offs[b]:offs[b + 1]], T, weight,
+                    goal.nmax, edges)
                 batched = u.at(taus)
                 assert np.any(batched)
                 assert np.array_equal(batched, fresh.at(taus))
@@ -799,7 +842,7 @@ class TestEmission:
                 for t in taus[[0, len(taus) // 2, -1]]:
                     assert np.array_equal(u.spatial(t, xs),
                                           fresh.spatial(t, xs))
-                profiled += blk.profile is not None
+                profiled += blk.rho1_length is not None
         assert profiled == 1
 
 
@@ -839,17 +882,19 @@ class TestJointOperatorMemo:
                                                            monkeypatch):
         scn, consts, warm, run = self._pipeline(10)
         run(warm, 41)
-        calls = self._spy(monkeypatch, "_block_observations", "_block_modes",
-                          "_joint_solve")
+        calls = self._spy(monkeypatch, "_block_observations", "_block_setup",
+                          "_joint_solve", "_joint_operator")
         u, cert = run(warm, 42)
         assert calls["_block_observations"] == []
-        assert calls["_block_modes"] == []
+        assert calls["_block_setup"] == []
         cold = spectral.build_branch_table(scn.sys, consts, scn.nmax)
         u_cold, cert_cold = run(cold, 42)
-        assert len(calls["_block_modes"]) == 3
-        (_, J, lam, eigs, cond), (_, J_cold, lam_cold, eigs_cold,
-                                  cond_cold) = calls["_joint_solve"]
+        assert len(calls["_block_setup"]) == 3
+        (_, J, lam, rhs, cond), (_, J_cold, lam_cold, rhs_cold,
+                                 cond_cold) = calls["_joint_solve"]
+        eigs, eigs_cold = (op.eigs for op in calls["_joint_operator"])
         assert np.array_equal(J, J_cold) and np.array_equal(lam, lam_cold)
+        assert np.array_equal(rhs, rhs_cold)
         assert np.array_equal(eigs, eigs_cold) and cond == cond_cold
         assert np.array_equal(cert["final_state"].coeffs,
                               cert_cold["final_state"].coeffs)
@@ -858,6 +903,18 @@ class TestJointOperatorMemo:
         assert np.array_equal(u.at(ts), u_cold.at(ts))
         assert cert["joint_cond_headroom_log10"] == np.log10(
             ctl.COND_MAX / cond)
+
+    def test_entries_derived_once_per_table(self, monkeypatch):
+        """The first pipeline datum on a table derives its 3 blocks'
+        entries once each, the second none; neither rebuilds rho2."""
+        scn, _, branches, run = self._pipeline(10)
+        plateau_weight(scn.omega)
+        calls = self._spy(monkeypatch, "_target_entries", "analyze_grid")
+        run(branches, 41)
+        assert len(calls["_target_entries"]) == 3
+        run(branches, 42)
+        assert len(calls["_target_entries"]) == 3
+        assert calls["analyze_grid"] == []
 
     def test_sweeps_share_one_operator(self, monkeypatch):
         # this nmax 12 datum needs two joint solves (three sweep entries)
@@ -918,6 +975,23 @@ class TestJointOperatorMemo:
         # one problem: built at most once here (the session table may
         # already hold it)
         assert len(calls["_assemble_joint"]) <= 1
+
+    def test_band_checked_against_each_state(self, nscl_branches24):
+        """The operator is kept per state truncation: after a state at
+        nmax 24 built the problem, one at nmax 12 is still refused."""
+        sys, consts, branches = nscl_branches24
+        rng = np.random.default_rng(7)
+
+        def hum(nmax):
+            return hum_gramian_control(sys, branches, consts.n0,
+                                       ("hyperbolic", 16),
+                                       random_state(rng, nmax, 2),
+                                       1.5 * np.pi, HALF_TORUS)
+
+        hum(24)
+        with pytest.raises(ValueError, match="reaches past the state's "
+                           "nmax = 12"):
+            hum(12)
 
     def test_returned_operator_is_read_only(self, nscl_branches24):
         sys, consts, branches = nscl_branches24
