@@ -25,6 +25,8 @@ TWO_PI = 2.0 * np.pi
 # eigenvector-matrix condition bound for the diagonalizability check
 DIAG_COND_MAX = 1e8
 REAL_SPEC_TOL = 1e-9
+# sorted speeds closer than this (relative) to their neighbour count as one
+SPEED_MERGE_TOL = 1e-8
 
 
 def _as_complex(a, name, shape=None):
@@ -105,8 +107,14 @@ class SystemMatrices:
         return self.K[self.d1:, self.d1:]
 
     def transport_speeds(self):
-        """Eigenvalues of Aprime (real up to tolerance when H.4 holds)."""
-        return np.linalg.eigvals(self.Aprime)
+        """The distinct transport speeds mu in Sp(Aprime), increasing: the
+        real parts of the eigenvalues (real up to tolerance when H.4
+        holds), a run of them each within SPEED_MERGE_TOL (1 + |mu|) of
+        the one before counting as one speed, its smallest.  Every module
+        reads its speeds from here."""
+        w = np.sort(np.linalg.eigvals(self.Aprime).real)
+        step = np.diff(w) > SPEED_MERGE_TOL * (1.0 + np.abs(w[1:]))
+        return w[np.concatenate(([True], step))]
 
 
 @dataclass(frozen=True)
@@ -225,16 +233,16 @@ def validate_system(sys: SystemMatrices) -> ValidationReport:
 
 
 def minimal_time(sys: SystemMatrices, omega: TorusSubset) -> float:
-    """Geometric minimal control time: largest_gap(omega) / min |Sp(Aprime)|.
+    """Geometric minimal control time: largest_gap(omega) / min |mu| over
+    the transport speeds (SystemMatrices.transport_speeds).
 
-    Returns +inf when the slowest transport speed is zero, and 0.0 when
-    omega covers the whole circle.
+    Returns +inf when the slowest transport speed is zero (|mu| <=
+    REAL_SPEC_TOL), and 0.0 when omega covers the whole circle.
     """
     ell = omega.largest_gap()
     if ell == 0.0:
         return 0.0
-    speeds = np.abs(sys.transport_speeds().real)
-    mu_star = float(np.min(speeds))
+    mu_star = float(np.min(np.abs(sys.transport_speeds())))
     if mu_star <= REAL_SPEC_TOL:
         return np.inf
     return ell / mu_star

@@ -9,7 +9,7 @@ per-mode control energies for monitoring their divergence.
 
 import numpy as np
 
-from .dynamics import FourierState, ControlSignal, gauss_legendre
+from .dynamics import ControlSignal, gauss_legendre
 
 __all__ = ["memory_counterexample_control", "counterexample_energy_sums"]
 
@@ -32,20 +32,15 @@ def memory_counterexample_control(f0, T, Nmax):
     d_t f1 = d_x f2, d_t f2 = d_xx f2 + u, from mode-wise 2x2 moment
     problems with closed-form Gram matrices.
 
-    f0 = (f01, f02) as coefficient arrays of length 2*Nmax+1 (or
-    FourierStates with one component); f01 must have zero mean.  Returns
-    (ControlSignal, report) where the report certifies both moment
-    equations per mode by independent graded quadrature and carries the
-    per-mode control energies e_n = rhs_n^H G_n^{-1} rhs_n, whose sum is
-    ||u||^2 minus the mode-0 term.  Convergence of sum e_n as Nmax grows
+    f0 = (f01, f02) as coefficient arrays of length 2*Nmax+1; f01 must
+    have zero mean.  Returns (ControlSignal, report) where the report
+    certifies both moment equations per mode by independent graded
+    quadrature and carries the per-mode control energies
+    e_n = rhs_n^H G_n^{-1} rhs_n, whose sum is ||u||^2 minus the mode-0
+    term.  Convergence of sum e_n as Nmax grows
     is exactly the H1 condition on f01.
     """
-    def coeffs(f):
-        if isinstance(f, FourierState):
-            return f.coeffs[:, 0]
-        return np.asarray(f, dtype=complex)
-
-    c01, c02 = coeffs(f0[0]), coeffs(f0[1])
+    c01, c02 = (np.asarray(f, dtype=complex) for f in f0)
     if len(c01) != 2 * Nmax + 1 or len(c02) != 2 * Nmax + 1:
         raise ValueError("coefficient arrays must have length 2*Nmax+1")
     if abs(c01[Nmax]) > 1e-12 * (1.0 + np.max(np.abs(c01))):

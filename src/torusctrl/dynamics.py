@@ -88,9 +88,6 @@ class FourierState:
     def get(self, n):
         return self.coeffs[n + self.nmax]
 
-    def set(self, n, v):
-        self.coeffs[n + self.nmax] = v
-
     def copy(self):
         return FourierState(self.nmax, self.coeffs.copy())
 

@@ -195,6 +195,7 @@ def _parse_complex_matrix(section, key, text):
 
 
 def _load_config(path):
+    """(name, system, omega, Scenario keywords) parsed from a config."""
     cp = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -236,9 +237,8 @@ def _load_config(path):
                 kw[key] = cast(exp[key])
             except ValueError:
                 raise ScenarioError(f"[experiment] {key}: not a number")
-    kind = exp.get("kind", "simulate")
-    name = exp.get("name", os.path.basename(path))
-    return Scenario(name, sys, omega, experiment=kind, **kw)
+    kw["experiment"] = exp.get("kind", "simulate")
+    return exp.get("name", os.path.basename(path)), sys, omega, kw
 
 
 def load_scenario(spec_str, experiment=None, nmax=None, T=None,
@@ -257,15 +257,11 @@ def load_scenario(spec_str, experiment=None, nmax=None, T=None,
                        experiment=experiment or "simulate")
         return scn
     if os.path.exists(spec_str):
-        scn = _load_config(spec_str)
-        rebuild = {"T": T, "Tprime": Tprime, "nmax": nmax, "n0": n0,
-                   "experiment": experiment}
-        if any(v is not None for v in rebuild.values()):
-            ser = {"T": scn.T, "Tprime": scn.Tprime, "nmax": scn.nmax,
-                   "n0": scn.n0, "experiment": scn.experiment}
-            ser.update({k: v for k, v in rebuild.items() if v is not None})
-            scn = Scenario(scn.name, scn.sys, scn.omega, **ser)
-        return scn
+        name, sys, omega, kw = _load_config(spec_str)
+        overrides = {"T": T, "Tprime": Tprime, "nmax": nmax, "n0": n0,
+                     "experiment": experiment}
+        kw.update({k: v for k, v in overrides.items() if v is not None})
+        return Scenario(name, sys, omega, **kw)
     raise ScenarioError(
         f"{spec_str!r} is neither a builtin ({', '.join(BUILTIN_NAMES)}) "
         "nor an existing config file")
@@ -408,9 +404,9 @@ def _exp_spectrum(scn, rng, out_dir):
 def _exp_obstruct(scn, rng, out_dir):
     if not np.isfinite(scn.Tstar):
         raise PreconditionError(
-            "all transport speeds vanish (T* infinite): the system is not "
-            "controllable even with an additional control, and the "
-            "high-frequency witness needs a finite sweep time")
+            "one of the transport speeds vanishes (T* infinite): the "
+            "system is not controllable even with an additional control, "
+            "and the high-frequency witness needs a finite sweep time")
     if scn.T >= scn.Tstar:
         raise PreconditionError(
             f"obstruction witnesses need T < T* = {scn.Tstar:.6g}, "
@@ -580,15 +576,14 @@ def _exp_counterexample(scn, rng, out_dir):
 
 def _exp_appendix_a(scn, rng, out_dir):
     sys = scn.sys
-    speeds = [mu for mu in np.unique(np.linalg.eigvals(sys.Aprime).real)]
+    speeds = sys.transport_speeds().tolist()
     rows = []
     counts = {}
     for nmax in (scn.nmax, 2 * scn.nmax):
         for mu in speeds:
-            rep = obstruction.pure_transport_space(sys, float(mu), nmax)
-            rows.append([nmax, float(mu), rep["count"],
-                         rep["kalman_rank_AB"]])
-            counts.setdefault(float(mu), []).append(rep["count"])
+            rep = obstruction.pure_transport_space(sys, mu, nmax)
+            rows.append([nmax, mu, rep["count"], rep["kalman_rank_AB"]])
+            counts.setdefault(mu, []).append(rep["count"])
     csv = _write_csv(out_dir, "appendix_a_scan.csv",
                      ["nmax", "mu", "match_count", "rank_B_AB"], rows)
     stable = all(v[0] == v[1] for v in counts.values())

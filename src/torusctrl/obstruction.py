@@ -22,7 +22,6 @@ __all__ = [
     "observability_ratio", "pure_transport_space",
 ]
 
-MAX_EXP = 700.0  # log-magnitude ceiling of float64
 # clearance between the swept witness profile and omega
 WITNESS_MARGIN = 0.05 * TWO_PI
 # the highpassed witness profile peaks near PEAK_FACTOR * N
@@ -34,56 +33,35 @@ RATIO_TIMES = 33
 TRANSPORT_TOL = 1e-8
 
 
-def highpass_profile(chi: dynamics.FourierState, N: int,
-                     normalize=False, log_abs=None, phase=None):
-    """Apply the highpass polynomial: a_n -> P_N(n) a_n (zero for |n| <= N).
+def highpass_profile(profile, N: int) -> dynamics.FourierState:
+    """Apply the highpass polynomial to a profile given in closed form:
+    a_n -> P_N(n) a_n (zero for |n| <= N), rescaled to unit L2 norm
+    (every quoted bound is scale invariant).
 
-    The product is evaluated in log magnitude with sign tracking.  With
-    normalize=True the output is rescaled to unit L2 norm (every quoted
-    bound is scale invariant); otherwise raw values are returned and
-    overflow raises.  Callers that know the coefficients analytically can
-    pass log_abs/phase arrays (indexed like chi.modes) to avoid the
-    underflow floor of the stored float values.
+    profile is the pair (log |a_n|, a_n / |a_n|) of arrays over the modes
+    -nmax..nmax (see gaussian_profile); the product is evaluated in log
+    magnitude with sign tracking, so coefficients far below the float
+    range still enter exactly.
     """
-    if log_abs is None:
-        a = chi.coeffs[:, 0]
-        mags = np.abs(a)
-        with np.errstate(divide="ignore"):
-            log_abs = np.log(mags)
-        # part by part: complex division takes 1/|a_n| first, which
-        # overflows where |a_n| is subnormal
-        safe = np.where(mags > 0, mags, 1.0)
-        phase = np.where(mags > 0, a.real / safe + 1j * (a.imag / safe), 1.0)
-    log_abs = np.asarray(log_abs, dtype=float)
-    phase = np.asarray(phase, dtype=complex)
+    log_abs, phase = profile
+    nmax = (len(log_abs) - 1) // 2
     # log |P_N(n)| and its sign over all modes at once: -inf for |n| <= N
-    diffs = chi.modes[:, None] - np.arange(-N, N + 1)
+    diffs = np.arange(-nmax, nmax + 1)[:, None] - np.arange(-N, N + 1)
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(diffs)).sum(axis=1) + log_abs
     signs = np.where((diffs < 0).sum(axis=1) % 2 == 0, 1.0, -1.0)
-    out = dynamics.FourierState.zeros(chi.nmax, 1)
+    out = dynamics.FourierState.zeros(nmax, 1)
     finite = np.isfinite(logs)
     if not np.any(finite):
         return out
-    if normalize:
-        shift = float(np.max(logs[finite]))
-    else:
-        shift = 0.0
-        if np.max(logs[finite]) > MAX_EXP:
-            raise OverflowError(
-                "highpassed coefficients exceed float range; "
-                "pass normalize=True or reduce N")
     out.coeffs[finite, 0] = (phase[finite] * signs[finite]
-                             * np.exp(logs[finite] - shift))
-    if normalize:
-        nrm = out.norm()
-        if nrm > 0:
-            out = out * (1.0 / nrm)
-    return out
+                             * np.exp(logs[finite] - np.max(logs[finite])))
+    return out * (1.0 / out.norm())
 
 
 def gaussian_profile(nmax, center, sigma):
-    """Periodized-Gaussian profile with exact closed-form coefficients
+    """Periodized-Gaussian profile in closed form: the pair (log |a_n|,
+    a_n / |a_n|) over the modes -nmax..nmax of
     a_n = (sigma / (2 sqrt(pi))) e^{-sigma^2 n^2 / 4} e^{-i n center}.
 
     Unlike grid analysis of a compactly supported bump, these coefficients
@@ -91,11 +69,10 @@ def gaussian_profile(nmax, center, sigma):
     in log space without a floating-point noise floor.  The spatial tails
     e^{-(d/sigma)^2} are controlled by the placement margin.
     """
-    ns = np.arange(-nmax, nmax + 1)
-    amp = sigma / (2.0 * np.sqrt(np.pi))
-    coeffs = amp * np.exp(-0.25 * sigma ** 2 * ns.astype(float) ** 2
-                          - 1j * ns * center)
-    return dynamics.FourierState(nmax, coeffs[:, None])
+    ns = np.arange(-nmax, nmax + 1).astype(float)
+    log_abs = (np.log(sigma / (2.0 * np.sqrt(np.pi)))
+               - 0.25 * sigma ** 2 * ns ** 2)
+    return log_abs, np.exp(-1j * ns * center)
 
 
 @dataclass
@@ -155,17 +132,6 @@ def _live_rows(chiN):
     return np.flatnonzero((chiN.coeffs[:, 0] != 0) & (chiN.modes != 0))
 
 
-def _slowest_speed(sys):
-    # the zero-speed threshold of algebra.minimal_time: a witness exists
-    # exactly when the minimal time is finite
-    mus = np.linalg.eigvals(sys.Aprime).real
-    mus = mus[np.abs(mus) > REAL_SPEC_TOL]
-    if mus.size == 0:
-        raise ValueError("all transport speeds vanish: minimal time is "
-                         "infinite and no witness exists")
-    return float(mus[np.argmin(np.abs(mus))])
-
-
 def _witness_sigma(N):
     """Width of the Gaussian whose highpass at order N peaks near
     PEAK_FACTOR * N."""
@@ -189,10 +155,16 @@ def build_witness(sys: SystemMatrices, branches: spectral.BranchTable,
     WITNESS_MARGIN; its width is tied to N so the highpassed profile peaks
     near PEAK_FACTOR*N (keeping the per-mode branch deviation, hence the
     approximation error, of order 1/N).  Its coefficients enter the
-    highpass in closed form.  phi0 is the leading right-singular vector
-    of Phmu(0)*.
+    highpass in closed form.  It rides the slowest transport speed, the
+    one minimal_time divides by, and a vanishing one (T* infinite) is
+    refused.  phi0 is the leading right-singular vector of Phmu(0)*.
     """
-    mu = _slowest_speed(sys)
+    speeds = sys.transport_speeds()
+    k = int(np.argmin(np.abs(speeds)))
+    mu = float(speeds[k])
+    if abs(mu) <= REAL_SPEC_TOL:
+        raise ValueError("one of the transport speeds vanishes: minimal "
+                         "time is infinite and no witness exists")
     gaps = omega.gap_intervals()
     if not gaps:
         raise ValueError("omega covers the torus: minimal time is zero, "
@@ -212,31 +184,19 @@ def build_witness(sys: SystemMatrices, branches: spectral.BranchTable,
     else:
         lo = a + WITNESS_MARGIN
         hi = b - WITNESS_MARGIN - swept
-    center = 0.5 * (lo + hi)
-    half_free = 0.5 * (hi - lo)
-    if half_free <= 0:
-        raise ValueError("T >= T* for this geometry (margins leave no room)")
     if not branches:
         raise ValueError("empty branch table")
     nmax = int(np.max(np.abs(branches.modes)))
-    sigma = _witness_sigma(N)
-    chi = gaussian_profile(nmax, center, sigma)
-    ns = chi.modes.astype(float)
-    log_abs = (np.log(sigma / (2.0 * np.sqrt(np.pi)))
-               - 0.25 * sigma ** 2 * ns ** 2)
-    chiN = highpass_profile(chi, N, normalize=True, log_abs=log_abs,
-                            phase=np.exp(-1j * ns * center))
+    chiN = highpass_profile(
+        gaussian_profile(nmax, 0.5 * (lo + hi), _witness_sigma(N)), N)
 
     if consts is None:
         consts = spectral.separation_radius(sys)
-    rz = spectral.remainder_at_zero(sys, consts.R)
-    # match mu to the extrapolated branch key
-    key = min(rz, key=lambda m: abs(m - mu))
-    Pm0, Rm0 = rz[key]
+    # the branch data is keyed and ordered by the transport speeds
+    Pm0, Rm0 = spectral.remainder_at_zero(sys, consts.R)[mu]
     u, s, vh = np.linalg.svd(Pm0.conj().T)
     phi0 = u[:, 0]
 
-    k = int(np.argmin(np.abs(branches.speeds - mu)))
     # a KeyError here means the highpass order N is below the cutoff n0
     rows = branches.rows(chiN.modes[_live_rows(chiN)])
     return ObstructionWitness(N=N, mu=mu, chiN=chiN, phi0=phi0, sys=sys,

@@ -6,10 +6,12 @@ near 0 (eigenvalues ~ mu z for mu in Sp(Aprime)) and a "parabolic" group
 near Sp(D).  The splitting is realized by resolvent contour integrals on
 the circle |zeta| = R with R = min|Sp(D)|/2, and the hyperbolic group is
 further resolved per transport speed mu through the rescaled symbol
-E1(z) = E(z) Ph(z) / z (Kato's reduction process).  Every contour
-integral is the trapezoidal rule, and its node sums invert the d x d
-resolvents elementwise over the whole (matrix, node) grid in one
-Gauss-Jordan sweep (_resolvent_sum), not one LAPACK call per node.
+E1(z) = E(z) Ph(z) / z (Kato's reduction process).  The speeds are those
+of SystemMatrices.transport_speeds, and they key every per-speed result
+here.  Every contour integral is the trapezoidal rule, and its node sums
+invert the d x d resolvents elementwise over the whole (matrix, node)
+grid in one Gauss-Jordan sweep (_resolvent_sum), not one LAPACK call per
+node.
 
 Functions of z take a scalar or a 1-D array of z; build_branch_table
 splits all modes n0 < |n| <= nmax at once into one stacked BranchTable.
@@ -30,8 +32,6 @@ __all__ = [
 CONTOUR_TOL = 1e-11
 CONTOUR_NODES = 64
 CONTOUR_MAX_NODES = 4096
-# transport speeds closer than this (relative) count as one speed
-SPEED_MERGE_TOL = 1e-8
 # separation_radius refuses below this radius
 RADIUS_FLOOR = 1e-6
 # remainder_at_zero extrapolates from z = i/REMAINDER_N and i/(2 REMAINDER_N)
@@ -215,8 +215,9 @@ class BranchConstants:
 class BranchTable:
     """Branch data at z = i/n for the modes n0 < |n| <= nmax, row k for
     mode modes[k]: projections Ph, Pp (K, d, d), graph map G (K, d1, d2),
-    the distinct speeds mu in Sp(Aprime) (S,), increasing, and per speed
-    Phmu, Rhmu (S, K, d, d) with E(i/n) Phmu = mu (i/n) Phmu + (i/n)^2 Rhmu.
+    the transport speeds (S,) of SystemMatrices.transport_speeds, and per
+    speed Phmu, Rhmu (S, K, d, d) with
+    E(i/n) Phmu = mu (i/n) Phmu + (i/n)^2 Rhmu.
     """
 
     modes: np.ndarray
@@ -287,54 +288,39 @@ def projection_split(sys: SystemMatrices, z, R: float):
     return Ph, np.eye(sys.d) - Ph
 
 
-def _distinct_real_eigs(Aprime):
-    w = np.sort(np.linalg.eigvals(Aprime).real)
-    groups = []
-    for mu in w:
-        if (groups and abs(mu - groups[-1])
-                <= SPEED_MERGE_TOL * (1.0 + abs(mu))):
-            continue
-        groups.append(float(mu))
-    return groups
-
-
 def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray):
-    """Split Ph into per-speed projections: mu -> (Phmu, Rhmu).
+    """Split Ph into per-speed projections: mu -> (Phmu, Rhmu), one per
+    transport speed (SystemMatrices.transport_speeds), in its order.
 
-    Works on the rescaled symbol E1(z) = E(z) Ph(z) / z whose spectrum on
-    the range of Ph approaches Sp(Aprime).  Each mu-group projection is a
-    contour integral around mu with radius one third of the minimal gap
-    in Sp(Aprime).  When 0 in Sp(Aprime) the contour around 0 would also
-    enclose the spurious zero eigenvalues carried by the range of Pp, so
-    the shifted symbol E(z) + alpha z I (alpha = 1 + max|Sp(Aprime)|) is
-    used; it has the same invariant subspaces with speeds mu + alpha.
-    The remainder satisfies E(z) Phmu = mu z Phmu + z^2 Rhmu.  With one
-    speed Phmu is Ph itself: no contour runs, and the check that the
-    projections sum to Ph, which could not fail, is skipped.
-    A 1-D array of z with the stack Ph gives stacks, one contour per
-    speed; a ContourError then carries the stack indices that failed.
+    Works on the shifted, rescaled symbol E1(z) = (E(z) + alpha z I) Ph(z)
+    / z, alpha = 1 + max|mu|, whose spectrum on the range of Ph approaches
+    mu + alpha >= 1: the contours around the shifted speeds, of radius a
+    third of the least gap between speeds and at most half the least
+    shifted speed, stay away from the zero eigenvalues E1 carries on the
+    range of Pp.  The shift keeps the invariant subspaces.  The remainder
+    satisfies E(z) Phmu = mu z Phmu + z^2 Rhmu.  With one speed Phmu is
+    Ph itself: no contour runs, and the check that the projections sum to
+    Ph, which could not fail, is skipped.  A 1-D array of z with the
+    stack Ph gives stacks, one contour per speed; a ContourError then
+    carries the stack indices that failed.
     """
     z = np.asarray(z)
     if np.any(z == 0):
         raise ValueError("z must be nonzero (use limit_projections for z=0)")
     zz = z[..., None, None]
     E = eval_symbol(sys, z)
-    mus = _distinct_real_eigs(sys.Aprime)
+    mus = sys.transport_speeds()
     if len(mus) == 1:
-        return {mus[0]: (Ph.copy(), (E @ Ph - mus[0] * zz * Ph) / (zz * zz))}
-    alpha = 0.0
-    if any(abs(mu) <= 1e-8 for mu in mus):
-        alpha = 1.0 + max(abs(mu) for mu in mus)
-    shifted = [mu + alpha for mu in mus]
+        mu = float(mus[0])
+        return {mu: (Ph.copy(), (E @ Ph - mu * zz * Ph) / (zz * zz))}
+    alpha = 1.0 + np.max(np.abs(mus))
+    shifted = mus + alpha
     E1 = ((E + alpha * zz * np.eye(sys.d)) @ Ph) / zz
-    gap = min(abs(a - b) for i, a in enumerate(shifted) for b in shifted[:i])
-    # keep the contour away from the spurious zero eigenvalues that the
-    # rescaled symbol carries on the range of Pp
-    radius = min(gap / 3.0, 0.5 * min(abs(m) for m in shifted))
+    radius = min(np.min(np.diff(mus)) / 3.0, 0.5 * shifted[0])
     out = {}
-    for mu, mus_ in zip(mus, shifted):
+    for mu, center in zip(mus.tolist(), shifted):
         try:
-            Phmu = _resolvent_projection(E1, mus_, radius)
+            Phmu = _resolvent_projection(E1, center, radius)
         except ContourError as exc:
             at = np.abs(np.ravel(z))[list(exc.members)].round(4).tolist()
             raise ContourError(f"mu-groups not separated at |z| = {at}; "
@@ -366,19 +352,19 @@ def graph_map(sys: SystemMatrices, z, Pp: np.ndarray) -> np.ndarray:
 
 
 def limit_projections(sys: SystemMatrices):
-    """z -> 0 limits: Ph(0) = (I 0; 0 0) and the per-speed blocks
-    Phmu(0) = (proj_mu(Aprime) 0; 0 0)."""
+    """z -> 0 limits: Ph(0) = (I 0; 0 0) and, per transport speed, the
+    blocks Phmu(0) = (proj_mu(Aprime) 0; 0 0)."""
     d, d1 = sys.d, sys.d1
     Ph0 = np.zeros((d, d), dtype=complex)
     Ph0[:d1, :d1] = np.eye(d1)
-    mus = _distinct_real_eigs(sys.Aprime)
+    mus = sys.transport_speeds()
     out = {}
     if len(mus) == 1:
-        proj = {mus[0]: np.eye(d1, dtype=complex)}
+        proj = {float(mus[0]): np.eye(d1, dtype=complex)}
     else:
-        gap = min(abs(a - b) for i, a in enumerate(mus) for b in mus[:i])
-        proj = {mu: _resolvent_projection(sys.Aprime, mu, gap / 3.0)
-                for mu in mus}
+        radius = np.min(np.diff(mus)) / 3.0
+        proj = {mu: _resolvent_projection(sys.Aprime, mu, radius)
+                for mu in mus.tolist()}
     for mu, pm in proj.items():
         block = np.zeros((d, d), dtype=complex)
         block[:d1, :d1] = pm

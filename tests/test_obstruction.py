@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,35 +14,38 @@ from conftest import (nscl_system, damped_wave_system, moving_wave_system,
 
 
 def test_highpass_zeroes_low_modes():
-    chi = gaussian_profile(12, np.pi, 0.5)
-    out = highpass_profile(chi, 4, normalize=True)
+    out = highpass_profile(gaussian_profile(12, np.pi, 0.5), 4)
     for n in range(-4, 5):
         assert out.get(n) == pytest.approx(np.zeros(1))
     assert out.norm() == pytest.approx(1.0)
 
 
 def test_highpass_matches_direct_product():
-    chi = gaussian_profile(6, 1.0, 1.0)
-    out = highpass_profile(chi, 2)
+    # P_N(n) a_n, rescaled to unit norm
+    log_abs, phase = gaussian_profile(6, 1.0, 1.0)
+    out = highpass_profile((log_abs, phase), 2)
+    poly = [np.prod([float(n - j) for j in range(-2, 3)])
+            for n in range(-6, 7)]
+    direct = FourierState(6, (poly * np.exp(log_abs) * phase)[:, None])
+    direct = direct * (1.0 / direct.norm())
     for n in (3, -5, 6):
-        poly = np.prod([float(n - j) for j in range(-2, 3)])
-        assert out.get(n)[0] == pytest.approx(poly * chi.get(n)[0],
-                                              rel=1e-12)
+        assert out.get(n)[0] == pytest.approx(direct.get(n)[0], rel=1e-12)
 
 
-def _highpass_loop(chi, N, log_abs, phase):
+def _highpass_loop(nmax, N, log_abs, phase):
     """Per-mode reference: log |P_N(n)| and its sign one mode at a time,
     then the normalized output."""
-    logs = np.full(len(chi.modes), -np.inf)
-    signs = np.ones(len(chi.modes))
-    for i, n in enumerate(chi.modes):
+    modes = np.arange(-nmax, nmax + 1)
+    logs = np.full(len(modes), -np.inf)
+    signs = np.ones(len(modes))
+    for i, n in enumerate(modes):
         diffs = n - np.arange(-N, N + 1)
         if np.any(diffs == 0) or not np.isfinite(log_abs[i]):
             continue
         logs[i] = np.sum(np.log(np.abs(diffs).astype(float))) + log_abs[i]
         signs[i] = -1.0 if np.sum(diffs < 0) % 2 else 1.0
     shift = np.max(logs[np.isfinite(logs)])
-    ref = FourierState.zeros(chi.nmax, 1)
+    ref = FourierState.zeros(nmax, 1)
     for i in np.flatnonzero(np.isfinite(logs)):
         ref.coeffs[i, 0] = phase[i] * signs[i] * np.exp(logs[i] - shift)
     return ref * (1.0 / ref.norm())
@@ -52,51 +53,20 @@ def _highpass_loop(chi, N, log_abs, phase):
 
 @pytest.mark.parametrize("N", [8, 16, 32, 64])
 def test_highpass_matches_per_mode_loop(N):
-    # the witness's path: analytic log magnitudes, one zero coefficient
+    # the witness's closed form, with one zero coefficient
     nmax = witness_nmax(N)
-    chi = gaussian_profile(nmax, 1.0, 0.3)
-    ns = chi.modes.astype(float)
-    log_abs = np.log(0.3 / (2.0 * np.sqrt(np.pi))) - 0.0225 * ns ** 2
+    log_abs, phase = gaussian_profile(nmax, 1.0, 0.3)
     log_abs[-1] = -np.inf
-    phase = np.exp(-1j * ns)
-    out = highpass_profile(chi, N, normalize=True, log_abs=log_abs,
-                           phase=phase)
+    out = highpass_profile((log_abs, phase), N)
     assert np.array_equal(out.coeffs,
-                          _highpass_loop(chi, N, log_abs, phase).coeffs)
-
-
-def test_highpass_float_path_subnormal_coefficients():
-    # at N = 64 the stored Gaussian coefficients reach the subnormal
-    # range: no warning, no NaN, and the analytic path's output wherever
-    # the stored coefficients are normal
-    nmax = witness_nmax(64)
-    chi = gaussian_profile(nmax, 1.0, 0.3)
-    mags = np.abs(chi.coeffs[:, 0])
-    assert np.any((mags > 0) & (mags < np.finfo(float).tiny))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = highpass_profile(chi, 64, normalize=True)
-    assert np.all(np.isfinite(out.coeffs))
-    assert out.norm() == pytest.approx(1.0, rel=1e-13)
-    ns = chi.modes.astype(float)
-    ref = highpass_profile(
-        chi, 64, normalize=True,
-        log_abs=np.log(0.3 / (2.0 * np.sqrt(np.pi))) - 0.0225 * ns ** 2,
-        phase=np.exp(-1j * ns))
-    normal = mags >= np.finfo(float).tiny
-    assert np.max(np.abs(out.coeffs[normal] - ref.coeffs[normal])) <= 1e-12
-
-
-def test_highpass_overflow_raises_without_normalize():
-    chi = gaussian_profile(300, np.pi, 0.05)
-    with pytest.raises(OverflowError):
-        highpass_profile(chi, 128)
+                          _highpass_loop(nmax, N, log_abs, phase).coeffs)
 
 
 def test_gaussian_profile_matches_periodized_gaussian():
     # a_n = (sigma / (2 sqrt(pi))) e^{-sigma^2 n^2/4} e^{-inc} are the
     # Fourier coefficients of sum_k e^{-((x - c + 2 pi k)/sigma)^2}
-    chi = gaussian_profile(16, 2.0, 0.8)
+    log_abs, phase = gaussian_profile(16, 2.0, 0.8)
+    chi = FourierState(16, (np.exp(log_abs) * phase)[:, None])
     xs, vals = synth_grid(chi, ngrid=256)
     direct = np.zeros(256)
     for k in range(-4, 5):

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from torusctrl import spectral
-from torusctrl.algebra import SystemMatrices
+from torusctrl.algebra import SystemMatrices, minimal_time, validate_system
 from torusctrl.dynamics import project_branch
+from torusctrl.harness import Scenario, load_scenario, run_experiment
+from torusctrl.obstruction import build_witness, witness_nmax
 from torusctrl.spectral import (eval_symbol, projection_split,
                                 hyperbolic_branches, graph_map,
                                 limit_projections, separation_radius,
                                 build_branch_table)
 from conftest import (nscl_system, damped_wave_system, moving_wave_system,
-                      decoupled_heat_system, two_speed_system, random_state)
+                      decoupled_heat_system, two_speed_system, random_state,
+                      HALF_TORUS)
 
 
 SYSTEMS = {
@@ -178,7 +181,6 @@ def _separation_radius_loop(sys):
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_separation_radius_matches_per_point_loop(name):
-    from torusctrl.harness import load_scenario
     sys = load_scenario(name).sys
     consts = separation_radius(sys)
     assert (consts.r, consts.n0, consts.R) == _separation_radius_loop(sys)
@@ -540,6 +542,54 @@ def test_branch_table_names_the_modes_of_a_speed_split_failure(gap, match):
     assert consts.n0 == 3
     with pytest.raises(spectral.ContourError, match=match):
         build_branch_table(sys, consts, 12)
+
+
+def _near_pair_system():
+    # Aprime = diag(1, 1 + 1e-10): diagonalizable (H.4 holds) with two
+    # eigenvalues that count as one transport speed
+    base = two_speed_system((1.0, 1.0 + 1e-10))
+    A = base.A.copy()
+    A[0, 1] = 0.0
+    return SystemMatrices(2, 1, A=A, D=base.D, K=base.K, M=base.M)
+
+
+ONE_MODEL_SYSTEMS = {
+    **{name: (lambda name=name: load_scenario(name).sys)
+       for name in BUILTINS},
+    "two-speed": two_speed_system,
+    "zero-speed": lambda: two_speed_system((0.0, 1.5)),
+    "near-pair": _near_pair_system,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_MODEL_SYSTEMS))
+def test_every_module_reads_the_transport_speeds(name, tmp_path):
+    sys = ONE_MODEL_SYSTEMS[name]()
+    assert validate_system(sys).ok
+    speeds = sys.transport_speeds()
+    assert len(speeds) == (2 if name in ("two-speed", "zero-speed") else 1)
+    assert np.all(np.diff(speeds) > 0)
+    consts = separation_radius(sys)
+    table = build_branch_table(sys, consts, witness_nmax(8))
+    assert np.array_equal(table.speeds, speeds)
+    assert list(spectral.remainder_at_zero(sys, consts.R)) == speeds.tolist()
+    assert list(limit_projections(sys)[1]) == speeds.tolist()
+    # the appendix-A scan: one row per nmax and speed
+    scn = Scenario(name, sys, HALF_TORUS, nmax=4, experiment="appendixA")
+    assert run_experiment(scn, str(tmp_path))[0] == 0
+    scan = np.loadtxt(tmp_path / "appendix_a_scan.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert np.array_equal(scan[:, 0], np.repeat([4, 8], len(speeds)))
+    assert np.array_equal(scan[:, 1], np.tile(speeds, 2))
+    # a witness exists exactly when the minimal time is finite
+    Tstar = minimal_time(sys, HALF_TORUS)
+    if np.isfinite(Tstar):
+        wit = build_witness(sys, table, HALF_TORUS, 0.5 * Tstar, 8,
+                            consts=consts)
+        assert wit.mu == speeds[np.argmin(np.abs(speeds))]
+    else:
+        with pytest.raises(ValueError, match="transport speeds vanishes"):
+            build_witness(sys, table, HALF_TORUS, 1.0, 8, consts=consts)
 
 
 # ------------------------------------------ Frobenius-bracketed norm tests
