@@ -17,7 +17,7 @@ import numpy as np
 __all__ = [
     "SystemMatrices", "TorusSubset", "CascadeForm", "ValidationReport",
     "validate_system", "minimal_time", "kalman_rank", "cascade_transform",
-    "numerical_rank",
+    "numerical_rank", "PreconditionError",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -27,6 +27,11 @@ DIAG_COND_MAX = 1e8
 REAL_SPEC_TOL = 1e-9
 # sorted speeds closer than this (relative) to their neighbour count as one
 SPEED_MERGE_TOL = 1e-8
+
+
+class PreconditionError(ValueError):
+    """Inputs outside a hypothesis of the computation, raised where the
+    condition is decided: the CLI exits 2 on it, 1 on other errors."""
 
 
 def _as_complex(a, name, shape=None):
@@ -310,7 +315,7 @@ def cascade_transform(M22, M21) -> CascadeForm:
     d2 = M22.shape[0]
     rank, ok = kalman_rank(M22, M21)
     if not ok:
-        raise ValueError(
+        raise PreconditionError(
             f"Kalman rank {rank} < {d2}: cascade basis would be singular")
 
     cols = []

@@ -1,7 +1,7 @@
 """Command-line entry point: one subcommand per experiment kind.
 
-Exit codes: 0 success, 2 precondition refusal (e.g. T below the minimal
-time for pipeline), 1 numerical failure.
+Exit codes: 0 success, 2 a bad scenario or a precondition refusal, 1 a
+numerical failure or an internal error.
 """
 
 import argparse

@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SystemMatrices, TorusSubset, TWO_PI
+from .algebra import SystemMatrices, TorusSubset, TWO_PI, PreconditionError
 from .dynamics import (FourierState, ControlSignal, ModeBasis, OwnerMemo,
                        MEMO_SIZE, evolve, gauss_legendre, mode_generator,
                        project_branch, project_low, analyze_grid,
@@ -59,7 +59,8 @@ from . import kernels
 __all__ = [
     "MomentProblem", "LRSchedule", "cutoff_eta", "transport_control",
     "parabolic_moment_control", "lebeau_robbiano", "hum_gramian_control",
-    "full_pipeline", "plateau_weight", "rho1", "smoothstep",
+    "full_pipeline", "check_horizons", "plateau_weight", "rho1",
+    "smoothstep",
 ]
 
 # omegahat trims this fraction of each arc of omega per side
@@ -743,8 +744,8 @@ def _target_entries(sys, branches, n0, nmax, target):
     Ima Ph(i/n)* for n0 < |n| <= nband (pairings zero iff
     Ph(i/n) fhat(n) = 0).  ("parabolic", nband): canonical basis of the
     phi2 coordinate of Ima Pp(i/n)* for n0 < |n| <= nband.  A band that
-    holds no mode or reaches past nmax, the state's truncation, is
-    refused.
+    holds no mode or reaches past nmax, the state's truncation, raises
+    PreconditionError.
     """
     kind = target[0]
     if kind not in ("low", "hyperbolic", "parabolic"):
@@ -752,10 +753,10 @@ def _target_entries(sys, branches, n0, nmax, target):
     top = n0 if kind == "low" else target[1]
     band = f"|n| <= {n0}" if kind == "low" else f"{n0} < |n| <= {top}"
     if kind != "low" and top <= n0:
-        raise ValueError(f"{kind} target band {band} holds no mode")
+        raise PreconditionError(f"{kind} target band {band} holds no mode")
     if top > nmax:
-        raise ValueError(f"{kind} target band {band} reaches past the "
-                         f"state's nmax = {nmax}")
+        raise PreconditionError(f"{kind} target band {band} reaches past "
+                                f"the state's nmax = {nmax}")
     if kind == "low":
         ns, dim = np.arange(-n0, n0 + 1), sys.d
     else:
@@ -838,6 +839,16 @@ def merge_controls(controls, nmax, m, T) -> ControlSignal:
                                    t_window=(0.0, T), spatial=spatial)
 
 
+def check_horizons(T, Tprime, Tstar=None):
+    """full_pipeline's horizon condition max(0, T*) < T' < T, T* taken as
+    0 when not given: raises PreconditionError unless it holds."""
+    lower = 0.0 if Tstar is None else max(Tstar, 0.0)
+    if not lower < Tprime < T:
+        raise PreconditionError(
+            f"need max(0, T*) < T' < T, got max(0, T*) = {lower:.6g}, "
+            f"T' = {Tprime:.6g}, T = {T:.6g}")
+
+
 def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
                   f0: FourierState, T: float, Tprime: float,
                   omega: TorusSubset, Tstar: float = None,
@@ -859,15 +870,13 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
     max_sweeps ran out.  joint_cond_headroom_log10 is the last joint
     solve's cond_headroom (None, as joint_cond, when no solve ran).  The
     sweeps pose the same blocks, so they share one joint operator.
-    T' must satisfy max(0, T*) < T' < T, T* taken as 0 when not given.
+    T' must pass check_horizons and f0's nmax must exceed n0, or
+    PreconditionError is raised.
     """
-    lower = 0.0 if Tstar is None else max(Tstar, 0.0)
-    if not lower < Tprime < T:
-        raise ValueError(f"need max(0, T*) < T' < T, got T* = {Tstar}, "
-                         f"T' = {Tprime}, T = {T}")
+    check_horizons(T, Tprime, Tstar)
     nmax = f0.nmax
     if nmax <= n0:
-        raise ValueError(f"need nmax > n0 = {n0}, got nmax = {nmax}")
+        raise PreconditionError(f"need nmax > n0 = {n0}, got nmax = {nmax}")
     d1, m = sys.d1, sys.m
     split = m == sys.d
     weight = plateau_weight(omega)

@@ -472,10 +472,11 @@ def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
 
     The control's coefficients enter the mode ODEs through M as they
     stand (the signal carries its own support).  Duhamel integrals use
-    Gauss-Legendre panels between control time nodes; the control is
-    asked for all of them in one u.at(taus) call, so a lazy signal's func
-    must accept a 1-D array of times (see ControlSignal).  Each sample
-    time's integral is one ModeBasis.duhamel contraction of the raw
+    Gauss-Legendre panels between control time nodes and sample times;
+    the control is asked for all of them in one u.at(taus) call, so a
+    lazy signal's func must accept a 1-D array of times (see
+    ControlSignal).  Each sample time's integral, over whole panels, is
+    one ModeBasis.duhamel contraction of the raw
     coefficients, summed over the nodes in each mode's eigen-coordinates.
     Returns the state at T, or (times, states) at sample_times, which
     must lie in [0, T].
@@ -494,9 +495,8 @@ def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
     basis = _state_basis(sys, nmax, False)
     traj = basis.action(f0.coeffs)(times)
     if u is not None:
-        edges = np.unique(np.clip(u.time_nodes, 0.0, T))
-        if edges[-1] < T:
-            edges = np.append(edges, T)
+        edges = np.unique(np.concatenate([np.clip(u.time_nodes, 0.0, T),
+                                          times]))
         taus, wts = gauss_legendre(edges)
         # src[k, q] is the mode-k control coefficient at taus[q]
         src = u.at(taus).transpose(1, 0, 2)

@@ -17,8 +17,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .algebra import (SystemMatrices, TorusSubset, TWO_PI, validate_system,
-                      minimal_time, kalman_rank, cascade_transform)
+from .algebra import (SystemMatrices, TorusSubset, TWO_PI, PreconditionError,
+                      validate_system, minimal_time, cascade_transform)
 from . import spectral, dynamics, obstruction, control, analysis
 from .dynamics import FourierState, evolve, project_branch, project_low
 
@@ -38,11 +38,6 @@ RANDOM_STATE_DECAY = 0.05
 
 class ScenarioError(ValueError):
     """Configuration parse or validation failure."""
-
-
-class PreconditionError(RuntimeError):
-    """Scenario parameters violate a precondition of the requested
-    experiment (CLI exit code 2)."""
 
 
 class Scenario:
@@ -158,6 +153,7 @@ _DEFAULT_OMEGA = TorusSubset(((0.0, np.pi),))
 
 
 def _parse_builtin(spec_str):
+    """The system of a builtin spec, None if spec_str names no builtin."""
     m = re.fullmatch(r"\s*([a-z-]+)\s*(?:\((.*)\))?\s*", spec_str)
     if not m or m.group(1) not in _BUILTINS:
         return None
@@ -172,7 +168,7 @@ def _parse_builtin(spec_str):
     if len(args) != nargs:
         raise ScenarioError(
             f"builtin {name!r} takes {nargs} argument(s), got {len(args)}")
-    return name, factory(*args)
+    return factory(*args)
 
 
 # -------------------------------------------------------------- configs
@@ -248,20 +244,15 @@ def load_scenario(spec_str, experiment=None, nmax=None, T=None,
     Keyword arguments override the scenario's stored parameters (the CLI
     routes --nmax etc. through here).
     """
-    built = _parse_builtin(spec_str)
-    if built is not None:
-        name, sys = built
-        scn = Scenario(spec_str.strip(), sys, _DEFAULT_OMEGA,
-                       T=T, Tprime=Tprime,
-                       nmax=nmax if nmax is not None else 24, n0=n0,
-                       experiment=experiment or "simulate")
-        return scn
+    overrides = {"T": T, "Tprime": Tprime, "nmax": nmax, "n0": n0,
+                 "experiment": experiment}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    sys = _parse_builtin(spec_str)
+    if sys is not None:
+        return Scenario(spec_str.strip(), sys, _DEFAULT_OMEGA, **overrides)
     if os.path.exists(spec_str):
         name, sys, omega, kw = _load_config(spec_str)
-        overrides = {"T": T, "Tprime": Tprime, "nmax": nmax, "n0": n0,
-                     "experiment": experiment}
-        kw.update({k: v for k, v in overrides.items() if v is not None})
-        return Scenario(name, sys, omega, **kw)
+        return Scenario(name, sys, omega, **{**kw, **overrides})
     raise ScenarioError(
         f"{spec_str!r} is neither a builtin ({', '.join(BUILTIN_NAMES)}) "
         "nor an existing config file")
@@ -340,14 +331,6 @@ def _random_state(rng, nmax, d):
     return st
 
 
-def _branch_setup(scenario):
-    consts = spectral.separation_radius(scenario.sys,
-                                        n0_override=scenario.n0)
-    branches = spectral.build_branch_table(scenario.sys, consts,
-                                           scenario.nmax)
-    return consts, branches
-
-
 # --------------------------------------------------------- experiments
 
 def _exp_simulate(scn, rng, out_dir):
@@ -371,7 +354,7 @@ def _exp_simulate(scn, rng, out_dir):
 
 
 def _exp_spectrum(scn, rng, out_dir):
-    consts, _ = _branch_setup(scn)
+    consts = spectral.separation_radius(scn.sys, n0_override=scn.n0)
     sys = scn.sys
     zs = np.array([rng.uniform(0, 1.0 / consts.n0)
                    * np.exp(1j * rng.uniform(0, TWO_PI)) for _ in range(200)])
@@ -402,15 +385,8 @@ def _exp_spectrum(scn, rng, out_dir):
 
 
 def _exp_obstruct(scn, rng, out_dir):
-    if not np.isfinite(scn.Tstar):
-        raise PreconditionError(
-            "one of the transport speeds vanishes (T* infinite): the "
-            "system is not controllable even with an additional control, "
-            "and the high-frequency witness needs a finite sweep time")
-    if scn.T >= scn.Tstar:
-        raise PreconditionError(
-            f"obstruction witnesses need T < T* = {scn.Tstar:.6g}, "
-            f"got T = {scn.T:.6g}")
+    # build_witness's refusals, before any branch table is built
+    obstruction.witness_track(scn.sys, scn.omega, scn.T)
     consts = spectral.separation_radius(scn.sys, n0_override=scn.n0)
     # highpass order must clear the frequency cutoff so the witness only
     # carries branch-resolved modes
@@ -442,11 +418,9 @@ def _exp_obstruct(scn, rng, out_dir):
 
 
 def _exp_control(scn, rng, out_dir):
-    consts, branches = _branch_setup(scn)
+    consts = spectral.separation_radius(scn.sys, n0_override=scn.n0)
+    branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
     N = min(scn.nmax, 12)
-    if N <= consts.n0:
-        raise PreconditionError(
-            f"moment control needs nmax > n0 = {consts.n0}")
     f0 = _random_state(rng, scn.nmax, scn.sys.d)
     f0p = project_branch(f0, branches, consts.n0, "p")
     u, mp = control.parabolic_moment_control(
@@ -469,19 +443,10 @@ def _exp_control(scn, rng, out_dir):
 
 
 def _exp_pipeline(scn, rng, out_dir):
-    if not np.isfinite(scn.Tstar):
-        raise PreconditionError(
-            "T* is infinite (zero transport speed): not controllable "
-            "even with an additional control")
-    if scn.T <= scn.Tstar:
-        raise PreconditionError(
-            f"pipeline needs T > T* = {scn.Tstar:.6g}, got "
-            f"T = {scn.T:.6g}")
-    if not scn.Tstar < scn.Tprime < scn.T:
-        raise PreconditionError(
-            f"pipeline needs T* < Tprime < T, got Tprime = "
-            f"{scn.Tprime:.6g}")
-    consts, branches = _branch_setup(scn)
+    # full_pipeline's horizon refusal, before the branch table is built
+    control.check_horizons(scn.T, scn.Tprime, scn.Tstar)
+    consts = spectral.separation_radius(scn.sys, n0_override=scn.n0)
+    branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
     f0 = _random_state(rng, scn.nmax, scn.sys.d)
     u, cert = control.full_pipeline(
         scn.sys, branches, consts.n0, f0, scn.T, scn.Tprime, scn.omega,
@@ -512,7 +477,7 @@ def _exp_pipeline(scn, rng, out_dir):
 
 def _exp_kalman(scn, rng, out_dir):
     sys = scn.sys
-    rank, satisfied = kalman_rank(sys.K22, sys.K21)
+    # cascade_transform refuses a Kalman rank below d2: here it is d2
     form = cascade_transform(sys.K22, sys.K21)
     rows = []
     for i in range(sys.d2):
@@ -522,15 +487,10 @@ def _exp_kalman(scn, rng, out_dir):
               + [f"Khat21_{j}" for j in range(sys.d1)])
     csv = _write_csv(out_dir, "kalman_cascade.csv", header, rows)
     lines = [f"kalman: {scn.name}",
-             f"(K22, K21) Kalman rank {rank} of {sys.d2}: "
-             f"{'satisfied' if satisfied else 'VIOLATED'}",
+             f"(K22, K21) Kalman rank {sys.d2} of {sys.d2}: satisfied",
              f"cascade block sizes {form.block_sizes} from columns "
              f"{form.column_indices}"]
     _write_gnuplot_stub(out_dir, os.path.basename(csv), "row", "entry")
-    if not satisfied:
-        raise PreconditionError(
-            "Kalman rank condition on (K22, K21) violated: indirect "
-            "control of the undriven block is impossible")
     return lines
 
 
@@ -618,7 +578,10 @@ def run_experiment(scenario: Scenario, out_dir, seed=0):
 
     The manifest is written before any computation starts; on failure
     the summary flags the partial outputs.  Returns (exit_code, summary
-    text): 0 success, 2 precondition refusal, 1 numerical failure.
+    text): 0 success; 2 a refusal, a PreconditionError raised where the
+    library decides the condition; 1 any other ValueError (LinAlgError
+    included), ArithmeticError or ContourError, a numerical failure or
+    an internal error.
     """
     os.makedirs(out_dir, exist_ok=True)
     runner, csv_names = _DISPATCH[scenario.experiment]
@@ -627,17 +590,12 @@ def run_experiment(scenario: Scenario, out_dir, seed=0):
     try:
         lines = runner(scenario, rng, out_dir)
         code = 0
-    # LinAlgError subclasses ValueError: the numerical branch goes first
-    except (np.linalg.LinAlgError, spectral.ContourError, ArithmeticError,
-            OverflowError) as e:
-        lines = [f"{scenario.experiment}: {scenario.name}",
-                 f"NUMERICAL FAILURE: {e}",
+    except PreconditionError as e:
+        code, verdict = 2, f"REFUSED (precondition): {e}"
+    except (ValueError, ArithmeticError, spectral.ContourError) as e:
+        code, verdict = 1, f"NUMERICAL FAILURE: {e}"
+    if code:
+        lines = [f"{scenario.experiment}: {scenario.name}", verdict,
                  "outputs in this directory are partial"]
-        code = 1
-    except (PreconditionError, ValueError) as e:
-        lines = [f"{scenario.experiment}: {scenario.name}",
-                 f"REFUSED (precondition): {e}",
-                 "outputs in this directory are partial"]
-        code = 2
     text = _write_summary(out_dir, lines)
     return code, text

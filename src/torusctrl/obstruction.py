@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (SystemMatrices, TorusSubset, TWO_PI, REAL_SPEC_TOL,
-                      numerical_rank)
+                      PreconditionError, numerical_rank)
 from . import spectral, dynamics
 
 __all__ = [
     "ObstructionWitness", "highpass_profile", "gaussian_profile",
-    "build_witness", "witness_nmax",
+    "witness_track", "build_witness", "witness_nmax",
     "observability_ratio", "pure_transport_space",
 ]
 
@@ -145,50 +145,53 @@ def witness_nmax(N: int) -> int:
     return int(np.ceil(PEAK_FACTOR * N + 6.0 / _witness_sigma(N))) + 4
 
 
+def witness_track(sys: SystemMatrices, omega: TorusSubset, T: float):
+    """(k, mu, center): the slowest speed mu = transport_speeds()[k], the
+    one minimal_time divides by, and a profile center in the largest gap
+    of omega that stays WITNESS_MARGIN clear of omega while swept over
+    [0, T].  PreconditionError when mu vanishes, omega covers the torus
+    or T leaves no room."""
+    speeds = sys.transport_speeds()
+    k = int(np.argmin(np.abs(speeds)))
+    mu = float(speeds[k])
+    if abs(mu) <= REAL_SPEC_TOL:
+        raise PreconditionError("one of the transport speeds vanishes: "
+                                "minimal time is infinite, no witness exists")
+    gaps = omega.gap_intervals()
+    if not gaps:
+        raise PreconditionError("omega covers the torus: minimal time is "
+                                "zero, no obstruction witness exists")
+    a, b = max(gaps, key=lambda g: g[1] - g[0])
+    bound = (b - a - 2.0 * WITNESS_MARGIN) / abs(mu)
+    if T >= bound:
+        raise PreconditionError(
+            f"no room for a witness at T = {T:.6g}: need T < {bound:.6g} "
+            f"(T* = {(b - a) / abs(mu):.6g})")
+    # support of chi(. + mu t) at time t is supp(chi) - mu t
+    lo = a + WITNESS_MARGIN + max(mu, 0.0) * T
+    hi = b - WITNESS_MARGIN - max(-mu, 0.0) * T
+    return k, mu, 0.5 * (lo + hi)
+
+
 def build_witness(sys: SystemMatrices, branches: spectral.BranchTable,
                   omega: TorusSubset, T: float, N: int,
                   consts=None) -> ObstructionWitness:
     """Construct the witness pair (g_N, gtilde_N) for T below minimal time.
 
-    The profile chi is a periodized Gaussian placed in the largest
-    complement gap so that its transport over [0, T] misses omega by
-    WITNESS_MARGIN; its width is tied to N so the highpassed profile peaks
-    near PEAK_FACTOR*N (keeping the per-mode branch deviation, hence the
+    The profile chi is a periodized Gaussian at witness_track's center,
+    which refuses (PreconditionError) a T that leaves it no room; its
+    width is tied to N so the highpassed profile peaks near
+    PEAK_FACTOR*N (keeping the per-mode branch deviation, hence the
     approximation error, of order 1/N).  Its coefficients enter the
-    highpass in closed form.  It rides the slowest transport speed, the
-    one minimal_time divides by, and a vanishing one (T* infinite) is
-    refused.  phi0 is the leading right-singular vector of Phmu(0)*.
+    highpass in closed form.  phi0 is the leading right-singular vector
+    of Phmu(0)*.
     """
-    speeds = sys.transport_speeds()
-    k = int(np.argmin(np.abs(speeds)))
-    mu = float(speeds[k])
-    if abs(mu) <= REAL_SPEC_TOL:
-        raise ValueError("one of the transport speeds vanishes: minimal "
-                         "time is infinite and no witness exists")
-    gaps = omega.gap_intervals()
-    if not gaps:
-        raise ValueError("omega covers the torus: minimal time is zero, "
-                         "no obstruction witness exists")
-    a, b = max(gaps, key=lambda g: g[1] - g[0])
-    ell = b - a
-    swept = abs(mu) * T
-    free = ell - swept - 2.0 * WITNESS_MARGIN
-    if free <= 0:
-        raise ValueError(
-            f"T >= T* for this geometry: gap {ell:.3f} cannot hide a "
-            f"profile swept over {swept:.3f}")
-    # support of chi(. + mu t) at time t is supp(chi) - mu t
-    if mu > 0:
-        lo = a + WITNESS_MARGIN + swept
-        hi = b - WITNESS_MARGIN
-    else:
-        lo = a + WITNESS_MARGIN
-        hi = b - WITNESS_MARGIN - swept
+    k, mu, center = witness_track(sys, omega, T)
     if not branches:
         raise ValueError("empty branch table")
     nmax = int(np.max(np.abs(branches.modes)))
     chiN = highpass_profile(
-        gaussian_profile(nmax, 0.5 * (lo + hi), _witness_sigma(N)), N)
+        gaussian_profile(nmax, center, _witness_sigma(N)), N)
 
     if consts is None:
         consts = spectral.separation_radius(sys)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SystemMatrices
+from .algebra import SystemMatrices, PreconditionError
 
 __all__ = [
     "BranchTable", "BranchConstants", "eval_symbol", "separation_radius",
@@ -244,9 +244,13 @@ class BranchTable:
 
 def separation_radius(sys: SystemMatrices,
                       n0_override=None) -> BranchConstants:
-    """Find (r, n0, R): R = min|Sp(D)|/2; r is the largest radius in a
-    geometric grid such that on a sampled disk |z| <= r every eigenvalue
-    of E(z) keeps distance >= R/10 from the circle |zeta| = R."""
+    """Find (r, n0 = ceil(1/r), R): R = min|Sp(D)|/2; r is the largest
+    radius in a geometric grid such that on a sampled disk |z| <= r every
+    eigenvalue of E(z) keeps distance >= R/10 from the circle |zeta| = R
+    and, with two or more speeds, at sampled z = +-i s, s <= r, each one
+    inside it, divided by z, stays within 0.9 times hyperbolic_branches'
+    contour radius of the nearest speed.  A smaller n0_override raises
+    PreconditionError."""
     specD = np.linalg.eigvals(sys.D)
     if np.any(specD.real <= 0):
         raise ValueError("H.3 violated: Sp(D) not in the right half plane")
@@ -254,11 +258,20 @@ def separation_radius(sys: SystemMatrices,
     margin = R / 10.0
     phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))
     radii_frac = np.linspace(0.05, 1.0, 12)
+    mus = sys.transport_speeds()
+    axis = 1j * np.concatenate([radii_frac, -radii_frac])
 
     def clears(r):
         zs = ((r * radii_frac)[:, None] * phases).ravel()
         w = np.linalg.eigvals(eval_symbol(sys, zs))
-        return not np.any(np.abs(np.abs(w) - R) < margin)
+        if np.any(np.abs(np.abs(w) - R) < margin):
+            return False
+        if len(mus) == 1:
+            return True
+        z = r * axis
+        w = np.linalg.eigvals(eval_symbol(sys, z))
+        off = np.abs(w[..., None] / z[:, None, None] - mus).min(axis=-1)
+        return np.all(off[np.abs(w) < R] < 0.9 * _speed_contours(mus)[1])
 
     r = 1.0
     while r >= RADIUS_FLOOR:
@@ -272,7 +285,8 @@ def separation_radius(sys: SystemMatrices,
     n0 = int(np.ceil(1.0 / r))
     if n0_override is not None:
         if n0_override < n0:
-            raise ValueError(f"n0 override {n0_override} below certified {n0}")
+            raise PreconditionError(
+                f"n0 override {n0_override} below certified {n0}")
         n0 = int(n0_override)
     return BranchConstants(r=r, n0=n0, R=R)
 
@@ -313,10 +327,9 @@ def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray):
     if len(mus) == 1:
         mu = float(mus[0])
         return {mu: (Ph.copy(), (E @ Ph - mu * zz * Ph) / (zz * zz))}
-    alpha = 1.0 + np.max(np.abs(mus))
+    alpha, radius = _speed_contours(mus)
     shifted = mus + alpha
     E1 = ((E + alpha * zz * np.eye(sys.d)) @ Ph) / zz
-    radius = min(np.min(np.diff(mus)) / 3.0, 0.5 * shifted[0])
     out = {}
     for mu, center in zip(mus.tolist(), shifted):
         try:
@@ -333,6 +346,12 @@ def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray):
         raise ContourError("mu-group projections do not sum to Ph (stack "
                            f"members {bad.tolist()}); increase n0", bad)
     return out
+
+
+def _speed_contours(mus):
+    """hyperbolic_branches' shift alpha and contour radius for speeds mus."""
+    alpha = 1.0 + np.max(np.abs(mus))
+    return alpha, min(np.min(np.diff(mus)) / 3.0, 0.5 * (mus[0] + alpha))
 
 
 def graph_map(sys: SystemMatrices, z, Pp: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from torusctrl.algebra import TorusSubset, TWO_PI
+from torusctrl.algebra import PreconditionError, TorusSubset, TWO_PI
 from torusctrl import control as ctl
 from torusctrl.control import (smoothstep, window_fn, rho1, plateau_weight,
                                cutoff_eta, transport_control,
@@ -162,7 +162,7 @@ class TestMomentControl:
         sys, consts, branches = nscl_branches24
         f0p = project_branch(random_state(np.random.default_rng(4), 12, 2),
                              branches, consts.n0, "p")
-        with pytest.raises(ValueError, match=r"parabolic target band "
+        with pytest.raises(PreconditionError, match=r"parabolic target band "
                            r"3 < \|n\| <= 40 reaches past the state's "
                            r"nmax = 12"):
             parabolic_moment_control(sys, branches, f0p, 1.0, 40,

@@ -347,6 +347,24 @@ def test_evolve_against_rk4_oracle():
         assert np.linalg.norm(st_.coeffs - ref) / np.linalg.norm(ref) < 1e-7
 
 
+@pytest.mark.parametrize("t", [0.25, 0.3])
+def test_evolve_sample_time_inside_a_control_panel(t):
+    # nodes 0, 0.125, ..., 0.5: t = 0.3 falls inside a panel, 0.25 on an
+    # edge; either sample is the evolution stopped at t
+    sys = nscl_system()
+    rng = np.random.default_rng(0)
+    nmax = 6
+    f0 = random_state(rng, nmax, 2)
+    vals = rng.standard_normal((5, 2 * nmax + 1, 2)) \
+        + 1j * rng.standard_normal((5, 2 * nmax + 1, 2))
+    u = ControlSignal(time_nodes=np.linspace(0.0, 0.5, 5), nmax=nmax,
+                      values=vals, t_window=(0.0, 0.5))
+    _, (sampled,) = evolve(sys, f0, u, 0.5, sample_times=[t])
+    ref = evolve(sys, f0, u, t)
+    assert (np.linalg.norm(sampled.coeffs - ref.coeffs)
+            < 1e-13 * np.linalg.norm(ref.coeffs))
+
+
 def test_evolve_refuses_sample_times_outside_horizon():
     sys = load_scenario("heat-memory").sys
     rng = np.random.default_rng(5)

@@ -274,10 +274,12 @@ class TestCli:
 
     @pytest.mark.parametrize("error", [
         np.linalg.LinAlgError("Gramian condition 2.41e+300"),
-        spectral.ContourError("contour quadrature did not converge")])
+        spectral.ContourError("contour quadrature did not converge"),
+        ValueError("truncation orders differ"),
+        ArithmeticError("pipeline failed to converge")])
     def test_numerical_failure_exits_1(self, tmp_path, monkeypatch, capsys,
                                        error):
-        # LinAlgError subclasses ValueError, which alone means refusal
+        # only a PreconditionError is a refusal
         def runner(scn, rng, out_dir):
             raise error
 
@@ -288,6 +290,60 @@ class TestCli:
         assert rc == 1
         out = capsys.readouterr().out
         assert "NUMERICAL FAILURE" in out and str(error) in out
+
+
+NSCL = "nscl(1, 1, 1, 2, 1)"
+
+
+class TestLibraryRefusals:
+    """Each refusal is raised where the library decides it, and exits 2
+    with the library's message."""
+
+    @pytest.mark.parametrize("argv, message, table", [
+        (["pipeline", "--scenario", "heat-memory"],
+         "need max(0, T*) < T' < T, got max(0, T*) = inf, T' = 0.75, T = 1",
+         False),
+        (["pipeline", "--scenario", NSCL, "--Tprime", "2.0"],
+         "need max(0, T*) < T' < T, got max(0, T*) = 3.14159, T' = 2, "
+         "T = 4.71239", False),
+        (["obstruct", "--scenario", NSCL, "--T", "2.8"],
+         "no room for a witness at T = 2.8: need T < 2.51327 "
+         "(T* = 3.14159)", False),
+        (["obstruct", "--scenario", "heat-memory"],
+         "one of the transport speeds vanishes: minimal time is infinite, "
+         "no witness exists", False),
+        (["obstruct", "--scenario", "full-torus.ini"],
+         "omega covers the torus: minimal time is zero, no obstruction "
+         "witness exists", False),
+        (["control", "--scenario", "heat-memory", "--n0", "12"],
+         "parabolic target band 12 < |n| <= 12 holds no mode", True),
+        (["spectrum", "--scenario", NSCL, "--n0", "1"],
+         "n0 override 1 below certified 3", False),
+        (["kalman", "--scenario", "heat-memory"],
+         "Kalman rank 0 < 1: cascade basis would be singular", False)],
+        ids=["pipeline-no-speed", "pipeline-Tprime", "obstruct-no-room",
+             "obstruct-no-speed", "obstruct-full-torus",
+             "control-empty-band", "spectrum-n0", "kalman-rank"])
+    def test_refusal_exits_2(self, tmp_path, monkeypatch, capsys, argv,
+                             message, table):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "full-torus.ini").write_text(GOOD_CONFIG.replace(
+            "omega = [[0, 3.141592653589793]]",
+            "omega = [[0, 6.283185307179586]]"))
+        built = []
+        build = spectral.build_branch_table
+
+        def recording_build(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(spectral, "build_branch_table", recording_build)
+        rc = cli.main(argv + ["--out-dir", "run"])
+        assert rc == 2
+        assert (capsys.readouterr().out.splitlines()[1]
+                == f"REFUSED (precondition): {message}")
+        # a refusal decided without the branch table builds none
+        assert bool(built) == table
 
 
 class TestParser:

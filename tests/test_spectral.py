@@ -539,9 +539,14 @@ def test_multi_speed_table_matches_scalar_split(speeds):
 def test_branch_table_names_the_modes_of_a_speed_split_failure(gap, match):
     sys = two_speed_system((1.0, 1.0 + gap))
     consts = separation_radius(sys)
-    assert consts.n0 == 3
+    # n0 = 3 clears only the hyperbolic/parabolic split; the smallest
+    # cutoff that builds is 6 (gap 0.1) and 21 (gap 0.05)
+    below = spectral.BranchConstants(r=consts.r, n0=3, R=consts.R)
     with pytest.raises(spectral.ContourError, match=match):
-        build_branch_table(sys, consts, 12)
+        build_branch_table(sys, below, 12)
+    # the certified cutoff (9 and 25) also clears the per-speed split
+    table = build_branch_table(sys, consts, consts.n0 + 12)
+    assert len(table) == 24
 
 
 def _near_pair_system():
