@@ -36,9 +36,15 @@ branch table's memo: each block's entries derived and observed once, on
 the union of all blocks' quadrature nodes, each pair of blocks paired
 with one weighted GEMM, the conditioning taken once.  A call then only
 tests its own cond_max, pairs its state with the kept entries, solves
-and hands each block's stack on its own nodes to the control it emits:
-the evolution that integrates that control on those nodes reads the
-stack and propagates nothing again.
+and hands each block's stack on its own nodes to the control it emits.
+The controls are linear in the multipliers lambda, so a datum f0
+reaches F f0 + L lambda at T: F f0 its free evolution, L the
+control-to-state map.  L does not depend on the datum; the operator
+builds it when full_pipeline first asks, from the kept stacks on the
+panels evolve takes for the merged controls, and keeps it.
+full_pipeline certifies its sweeps this way, with one free evolve per
+datum.  evolve of the returned control stays the reference that
+L lambda is tested against.
 """
 
 import functools
@@ -50,17 +56,17 @@ import numpy as np
 
 from .algebra import SystemMatrices, TorusSubset, TWO_PI, PreconditionError
 from .dynamics import (FourierState, ControlSignal, ModeBasis, OwnerMemo,
-                       MEMO_SIZE, evolve, gauss_legendre, mode_generator,
-                       project_branch, project_low, analyze_grid,
-                       _small_matmul)
+                       MEMO_SIZE, evolve, gauss_legendre, duhamel_panels,
+                       mode_generator, project_branch, project_low,
+                       analyze_grid, _small_matmul, _state_basis)
 from .spectral import BranchTable
 from . import kernels
 
 __all__ = [
     "MomentProblem", "LRSchedule", "cutoff_eta", "transport_control",
     "parabolic_moment_control", "lebeau_robbiano", "hum_gramian_control",
-    "full_pipeline", "check_horizons", "plateau_weight", "rho1",
-    "smoothstep",
+    "full_pipeline", "check_horizons", "check_band", "plateau_weight",
+    "rho1", "smoothstep",
 ]
 
 # omegahat trims this fraction of each arc of omega per side
@@ -557,8 +563,8 @@ class _JointOperator:
     observation stack on them) pairs observed, the block offsets offs
     into the pairing matrix J, its Hermitian part's eigenvalues eigs, the
     diagonal scaling dscale, the scaled matrix Js and its condition
-    cond.  The arrays are read-only, and nothing here references the
-    branch table."""
+    cond; build_map makes control_map on its first request.  The arrays
+    are read-only, and nothing here references the branch table."""
 
     setups: list
     edges: list
@@ -569,6 +575,14 @@ class _JointOperator:
     dscale: np.ndarray
     Js: np.ndarray
     cond: float
+    build_map: object
+
+    @functools.cached_property
+    def control_map(self):
+        """L, the control-to-state map at T (_assemble_control_map),
+        built once per operator and only when asked for: moment and HUM
+        solves never pay for it."""
+        return self.build_map()
 
 
 # joint operators kept per branch table, by the value of the problem
@@ -584,6 +598,17 @@ def _joint_operator(sys, branches, n0, blocks, T, weight,
     return _JOINT_OPERATORS.get(
         branches, key,
         lambda: _assemble_joint(sys, branches, n0, blocks, T, weight, nmax))
+
+
+def _control_map(sys, branches, n0, blocks, T, weight, nmax):
+    """The control-to-state map L of the blocks' joint operator
+    (_JointOperator.control_map), from the same memo entry: the operator
+    a solve of the problem assembled, or a fresh assembly when none has
+    posed it yet."""
+    return _JOINT_OPERATORS.get(
+        branches, (sys, float(T), weight, n0, nmax, tuple(blocks)),
+        lambda: _assemble_joint(sys, branches, n0, blocks, T, weight, nmax)
+    ).control_map
 
 
 def _assemble_joint(sys, branches, n0, blocks, T, weight,
@@ -634,9 +659,45 @@ def _assemble_joint(sys, branches, n0, blocks, T, weight,
             a for st in setups for a in (st.ns, st.vecs, st.modes)] + [
             offs, J, eigs, dscale, Js]:
         a.flags.writeable = False
-    return _JointOperator(setups=setups, edges=edges, observed=observed,
-                          offs=offs, J=J, eigs=eigs, dscale=dscale, Js=Js,
-                          cond=float(sv[0] / max(sv[-1], 1e-300)))
+    return _JointOperator(
+        setups=setups, edges=edges, observed=observed, offs=offs, J=J,
+        eigs=eigs, dscale=dscale, Js=Js,
+        cond=float(sv[0] / max(sv[-1], 1e-300)),
+        build_map=lambda: _assemble_control_map(
+            sys, blocks, setups, observed, edges, T, weight, nmax))
+
+
+def _assemble_control_map(sys, blocks, setups, observed, edges, T, weight,
+                          nmax):
+    """L, the (K d, J) control-to-state map at T of the blocks' entries:
+    column j is the state at T on |n| <= nmax, from zero, under entry j's
+    unit control rho2 (mask v_j) e^{i n_j x} with its block's profile, and
+    row k d + a holds mode k - nmax, component a.  A control of
+    multipliers lambda therefore reaches L lambda, and a datum f0
+    reaches F f0 + L lambda.
+
+    It is evolve's Duhamel integral of those controls, reordered by
+    linearity.  The panels are the ones evolve takes for the merged
+    blocks' controls (merge_controls' nodes, duhamel_panels), so each
+    block reads its entries' stack on its own nodes from observed.  All
+    columns go through one ModeBasis.duhamel with sources shared by the
+    modes, and rho2hat(n - n_j) scales mode n after the integral."""
+    taus, wts = duhamel_panels(_merged_nodes(edges, T), T, [T])
+    ns = np.concatenate([setup.ns for setup in setups])
+    # srcs[q, :, j]: entry j's unit control at taus[q], shared by all modes
+    srcs = np.zeros((len(taus), sys.m, len(ns)), dtype=complex)
+    j = 0
+    for blk, setup, obs in zip(blocks, setups, observed):
+        on = _on_window(taus, blk.window)
+        srcs[on, :, j:j + len(setup.ns)] = _entry_stack(
+            blk, setup, T, obs, taus[on]).transpose(0, 2, 1)
+        j += len(setup.ns)
+    per_mode = _state_basis(sys, nmax, False).duhamel(
+        srcs[None], sys.M, T - taus, wts)
+    W = weight.toeplitz(np.arange(-nmax, nmax + 1), ns)
+    L = (per_mode * W[:, None, :]).reshape(-1, len(ns))
+    L.flags.writeable = False
+    return L
 
 
 def _joint_solve(sys, branches, n0, blocks, goal, T, weight,
@@ -691,42 +752,23 @@ def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges,
     sample nodes are the block's panel edges.  The spatial evaluator
     synthesizes the lambda-weighted stack over the entries' modes.
 
-    observed, when given, is (taus, stack): the (J, Q, m) observations
-    at the block's quadrature nodes taus, made by the joint solve.  A
-    call at exactly those times reads the stack; any other call observes
-    the entries anew, with the same bits.
+    observed, when given, is the joint solve's (taus, stack) for the
+    block, which _entry_stack reads at exactly those times.
     """
     lam = np.asarray(lam, dtype=complex)
     ns = setup.ns
-    keep = np.asarray(blk.mask, dtype=float)
-    m = len(keep)
+    m = len(blk.mask)
     W = weight.toeplitz(np.arange(-nmax, nmax + 1), ns) * lam
-    t0, t1 = blk.window
-
-    def stacked(ts):
-        """(Q, J, m) per-entry r mask v_j at the 1-D times ts, zero off
-        the window and where the profile vanishes."""
-        s = T - ts
-        r = (np.ones(len(ts)) if blk.rho1_length is None
-             else rho1(np.clip(s, 0.0, T) / blk.rho1_length))
-        r = np.where((ts >= t0 - 1e-12) & (ts <= t1 + 1e-12), r, 0.0)
-        on = np.flatnonzero(r)
-        out = np.zeros((len(ts), len(ns), m), dtype=complex)
-        if len(on):
-            if observed is not None and np.array_equal(ts, observed[0]):
-                vs = observed[1][:, on]
-            else:
-                vs = _block_observations(setup, T, ts[on])
-            out[on] = vs.transpose(1, 0, 2) * (r[on, None, None] * keep)
-        return out
 
     def coeff_fn(t):
-        out = W @ stacked(np.atleast_1d(np.asarray(t, dtype=float)))
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        out = W @ _entry_stack(blk, setup, T, observed, ts)
         return out if np.ndim(t) else out[0]
 
     def spatial(t, xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        vs = stacked(np.array([t], dtype=float))[0]
+        vs = _entry_stack(blk, setup, T, observed,
+                          np.array([t], dtype=float))[0]
         return (kernels.synthesize(lam[:, None] * vs, ns, xs)
                 * weight(xs)[:, None])
 
@@ -735,18 +777,34 @@ def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges,
                                    spatial=spatial)
 
 
-def _target_entries(sys, branches, n0, nmax, target):
-    """Dual entries (ns, vecs), entry j being (ns[j], vecs[j]), for a
-    declared target subspace.
+def _entry_stack(blk: DualBlock, setup, T, observed, ts):
+    """(Q, J, m) per-entry r(T - t) mask v_j(t) at the 1-D times ts for
+    the block's _block_setup, zero off the window and where the profile r
+    vanishes (r is 1 when the block has none, and is taken at the time to
+    go clipped to [0, T]).  observed, when given, is (taus, stack), the
+    block's (J, Q, m) observations at its quadrature nodes: times equal
+    to taus read the stack, any others observe the entries anew, with
+    the same bits."""
+    r = (np.ones(len(ts)) if blk.rho1_length is None
+         else rho1(np.clip(T - ts, 0.0, T) / blk.rho1_length))
+    r = np.where(_on_window(ts, blk.window), r, 0.0)
+    on = np.flatnonzero(r)
+    out = np.zeros((len(ts), len(setup.ns), len(blk.mask)), dtype=complex)
+    if len(on):
+        if observed is not None and np.array_equal(ts, observed[0]):
+            vs = observed[1][:, on]
+        else:
+            vs = _block_observations(setup, T, ts[on])
+        out[on] = vs.transpose(1, 0, 2) * (
+            r[on, None, None] * np.asarray(blk.mask, dtype=float))
+    return out
 
-    ("low",): canonical basis of C^d on |n| <= n0 (pairings zero iff the
-    low block vanishes).  ("hyperbolic", nband): orthonormal basis of
-    Ima Ph(i/n)* for n0 < |n| <= nband (pairings zero iff
-    Ph(i/n) fhat(n) = 0).  ("parabolic", nband): canonical basis of the
-    phi2 coordinate of Ima Pp(i/n)* for n0 < |n| <= nband.  A band that
-    holds no mode or reaches past nmax, the state's truncation, raises
-    PreconditionError.
-    """
+
+def check_band(target, n0, nmax):
+    """The top |n| of a declared target's band (see _target_entries),
+    for a state truncated at nmax: raises PreconditionError when the band
+    holds no mode or reaches past nmax, and ValueError for an unknown
+    target kind."""
     kind = target[0]
     if kind not in ("low", "hyperbolic", "parabolic"):
         raise ValueError(f"unknown target kind {kind!r}")
@@ -757,6 +815,22 @@ def _target_entries(sys, branches, n0, nmax, target):
     if top > nmax:
         raise PreconditionError(f"{kind} target band {band} reaches past "
                                 f"the state's nmax = {nmax}")
+    return top
+
+
+def _target_entries(sys, branches, n0, nmax, target):
+    """Dual entries (ns, vecs), entry j being (ns[j], vecs[j]), for a
+    declared target subspace.
+
+    ("low",): canonical basis of C^d on |n| <= n0 (pairings zero iff the
+    low block vanishes).  ("hyperbolic", nband): orthonormal basis of
+    Ima Ph(i/n)* for n0 < |n| <= nband (pairings zero iff
+    Ph(i/n) fhat(n) = 0).  ("parabolic", nband): canonical basis of the
+    phi2 coordinate of Ima Pp(i/n)* for n0 < |n| <= nband.  The band
+    must pass check_band.
+    """
+    top = check_band(target, n0, nmax)
+    kind = target[0]
     if kind == "low":
         ns, dim = np.arange(-n0, n0 + 1), sys.d
     else:
@@ -817,26 +891,38 @@ def merge_controls(controls, nmax, m, T) -> ControlSignal:
     def coeff_fn(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros((len(ts), 2 * nmax + 1, m), dtype=complex)
-        for u, (a, b) in items:
-            on = (ts >= a - 1e-12) & (ts <= b + 1e-12)
+        for u, window in items:
+            on = _on_window(ts, window)
             if np.any(on):
                 out[on] += u.at(ts[on])
         return out if np.ndim(t) else out[0]
 
     def spatial(t, xs):
         out = np.zeros((len(np.atleast_1d(xs)), m), dtype=complex)
-        for u, (a, b) in items:
-            if u.spatial is not None and a - 1e-12 <= t <= b + 1e-12:
+        for u, window in items:
+            if u.spatial is not None and _on_window(t, window):
                 out += u.spatial(t, xs)
         return out
 
-    edges = {0.0, T}
-    for u, _ in items:
-        edges.update(np.clip(u.time_nodes, 0.0, T).tolist())
-    nodes = np.array(sorted(edges))
-    nodes = nodes[np.concatenate(([True], np.diff(nodes) > 1e-13))]
+    nodes = _merged_nodes([u.time_nodes for u in controls], T)
     return ControlSignal.from_func(coeff_fn, nodes, nmax, m,
                                    t_window=(0.0, T), spatial=spatial)
+
+
+def _on_window(ts, window):
+    """Whether the times ts lie in the window (t0, t1), to 1e-12."""
+    return (ts >= window[0] - 1e-12) & (ts <= window[1] + 1e-12)
+
+
+def _merged_nodes(node_sets, T):
+    """merge_controls' time nodes: 0, T and every signal's nodes clipped
+    to [0, T], in increasing order, a node within 1e-13 of the one before
+    it dropped."""
+    edges = {0.0, T}
+    for nodes in node_sets:
+        edges.update(np.clip(nodes, 0.0, T).tolist())
+    nodes = np.array(sorted(edges))
+    return nodes[np.concatenate(([True], np.diff(nodes) > 1e-13))]
 
 
 def check_horizons(T, Tprime, Tstar=None):
@@ -855,23 +941,30 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
                   max_sweeps=5):
     """Null control on (0, T) from sweeps of one joint dual-pairing solve.
 
-    Each sweep evolves f0 under the controls found so far and solves one
-    joint problem over three families, the projections of the dynamics
-    on the hyperbolic, low-frequency and parabolic eigenspaces:
-    hyperbolic duals controlled on (0, T') through the first d1 control
-    channels, low modes over a trailing window near T, and parabolic
-    duals over the same trailing window through the remaining channels
-    (all channels when the control space is not C^d).  No block carries
-    a time profile.  Every control leaks into every band through its
-    omega cut-off; the next sweep removes that coupling.  Sweeps stop at
-    relative residual 1e-9, on a stall, or after max_sweeps.  The
-    certificate reports the path, the sweep residual chain, the last
-    joint condition and the final relative norm, the last sweep's unless
-    max_sweeps ran out.  joint_cond_headroom_log10 is the last joint
-    solve's cond_headroom (None, as joint_cond, when no solve ran).  The
-    sweeps pose the same blocks, so they share one joint operator.
-    T' must pass check_horizons and f0's nmax must exceed n0, or
-    PreconditionError is raised.
+    Each sweep solves one joint problem over three families, the
+    projections of the dynamics on the hyperbolic, low-frequency and
+    parabolic eigenspaces: hyperbolic duals controlled on (0, T') through
+    the first d1 control channels, low modes over a trailing window near
+    T, and parabolic duals over the same trailing window through the
+    remaining channels (all channels when the control space is not C^d).
+    No block carries a time profile.  Every control leaks into every band
+    through its omega cut-off; the next sweep removes that coupling.
+
+    The sweeps pose the same blocks, so they share one joint operator,
+    and the controls are linear in the summed multipliers lambda: the
+    state a sweep checks is F f0 + L lambda, with F f0 the free evolution
+    (the one evolve of a datum) and L the operator's control-to-state map
+    at T, built on the first request and kept with the operator.  L lambda
+    is evolve's Duhamel integral of the returned control on evolve's own
+    panels, reordered by linearity, so evolve of that control is the
+    reference it agrees with to roundoff.  Sweeps stop at relative
+    residual 1e-9, on a stall, or after max_sweeps.  The certificate
+    reports the path, the sweep residual chain, the last joint condition
+    and the final relative norm, the last sweep's unless max_sweeps ran
+    out.  joint_cond_headroom_log10 is the last joint solve's
+    cond_headroom (None, as joint_cond, when no solve ran).  T' must pass
+    check_horizons and f0's nmax must exceed n0, or PreconditionError is
+    raised.
     """
     check_horizons(T, Tprime, Tstar)
     nmax = f0.nmax
@@ -887,6 +980,16 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
         DualBlock(("low",), trailing, (True,) * m),
         DualBlock(("parabolic", nmax), trailing,
                   tuple(c >= d1 or not split for c in range(m)))]
+    free = evolve(sys, f0, None, T)
+    L = lam = None
+
+    def reached(lam):
+        """F f0 + L lam, the state at T under the summed multipliers lam
+        (None before the first solve)."""
+        if lam is None:
+            return free
+        return FourierState(nmax, free.coeffs
+                            + (L @ lam).reshape(free.coeffs.shape))
 
     controls = []
     sweep_log = []
@@ -894,8 +997,7 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
     joint_cond = None
     f0norm = max(f0.norm(), 1e-300)
     for sweep in range(max_sweeps):
-        u_total = merge_controls(controls, nmax, m, T) if controls else None
-        fT = evolve(sys, f0, u_total, T)
+        fT = reached(lam)
         res = fT.norm() / f0norm
         sweep_log.append({"sweep": sweep, "relative_residual": res,
                           "h": project_branch(fT, branches, n0, "h").norm(),
@@ -906,13 +1008,15 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
         if sweep >= 2 and res > 0.5 * sweep_log[-2]["relative_residual"]:
             path = "joint-sweeps (stalled)"
             break
-        corr, _, _, _, joint_cond = _joint_solve(
+        corr, _, dlam, _, joint_cond = _joint_solve(
             sys, branches, n0, blocks, -fT, T, weight)
         controls.extend(corr)
+        L = _control_map(sys, branches, n0, blocks, T, weight, nmax)
+        lam = dlam if lam is None else lam + dlam
     else:
         # max_sweeps ran out: the last sweep's controls are not yet checked
-        u_total = merge_controls(controls, nmax, m, T) if controls else None
-        fT = evolve(sys, f0, u_total, T)
+        fT = reached(lam)
+    u_total = merge_controls(controls, nmax, m, T) if controls else None
     cert = {
         "path": path,
         "sweeps": sweep_log,

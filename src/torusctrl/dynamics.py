@@ -12,16 +12,19 @@ it: the joint dual solve observes each block once on all blocks' nodes,
 and a control it emits reads that stack on its own nodes and observes
 anew elsewhere, with the same bits either way.  Time
 integrals in the Duhamel formula use per-panel Gauss-Legendre of order 8
-(gauss_legendre) with panels aligned to the control's time nodes, and
-their node sums run in each mode's eigen-coordinates (ModeBasis.duhamel),
-so V_k^{-1} M and V_k apply once per mode, not once per node.  evolve
-and evolve_adjoint share one ModeBasis per system and truncation, kept
-in an OwnerMemo: a bounded memo that lives and dies with its owner.  A
-control enters through its coefficients as they stand: a signal carries
-its own support (the emitters build the spatial cut-off into them), and
-evolve applies no mask of its own.  States go to and from the uniform
-grid 2 pi j / ngrid by FFT (synth_grid, analyze_grid); the windowed
-observation norm synthesizes all its states in one inverse FFT.
+(gauss_legendre) with panels aligned to the control's time nodes
+(duhamel_panels), and their node sums run in each mode's
+eigen-coordinates (ModeBasis.duhamel), so V_k^{-1} M and V_k apply once
+per mode, not once per node.  The same contraction, over a batch of
+source columns shared by the modes, builds the joint dual operator's
+control-to-state map.  evolve and evolve_adjoint share one ModeBasis per
+system and truncation, kept in an OwnerMemo: a bounded memo that lives
+and dies with its owner.  A control enters through its coefficients as
+they stand: a signal carries its own support (the emitters build the
+spatial cut-off into them), and evolve applies no mask of its own.
+States go to and from the uniform grid 2 pi j / ngrid by FFT
+(synth_grid, analyze_grid); the windowed observation norm synthesizes
+all its states in one inverse FFT.
 """
 
 import functools
@@ -36,7 +39,7 @@ from .spectral import BranchTable, eval_symbol
 
 __all__ = [
     "FourierState", "ControlSignal", "ModeBasis", "gauss_legendre",
-    "evolve", "evolve_adjoint", "windowed_l2_norm",
+    "duhamel_panels", "evolve", "evolve_adjoint", "windowed_l2_norm",
     "project_branch", "project_low", "synth_grid",
 ]
 
@@ -393,30 +396,49 @@ class ModeBasis:
         return at
 
     def duhamel(self, srcs, lift, scales, wts):
-        """sum_q wts[q] e^{-scales[k, q] G_k} lift srcs[k, q]: array (K, d),
-        for sources srcs of shape (K, Q, m) and a lift of shape (d, m).
+        """sum_q wts[q] e^{-scales[k, q] G_k} lift srcs[k, q]: array
+        (K, d, ...), for sources srcs of shape (K, Q, m, ...) and a lift of
+        shape (d, m).  Sources of shape (1, Q, m, ...) are shared by every
+        mode.  Trailing axes are a batch of source columns, each summed
+        alone: evolve passes one control's coefficients, the joint
+        operator's control-to-state map one column per dual entry.
 
         An eig-path mode takes the sum in its eigen-coordinates, where
-        e^{-s G_k} is the diagonal e^{-s w_k}: one (d, Q) @ (Q, m) product
-        sums the sources against the weights wts[q] e^{-scales[k, q] w_kj},
-        the rows of V_k^{-1} lift map the result into eigen-coordinates,
-        and V_k applies once, not once per node.  Expm-path modes apply
-        their Pade-13 propagators to lift srcs[k, q] and take the weighted
-        sum.
+        e^{-s G_k} is the diagonal e^{-s w_k}: one (d, Q) @ (Q, m ...)
+        product sums the sources against the weights wts[q]
+        e^{-scales[k, q] w_kj}, the rows of V_k^{-1} lift map the result
+        into eigen-coordinates, and V_k applies once, not once per node.
+        An expm-path mode weights its Pade-13 propagators times lift and
+        sums them against the sources over the (node, channel) pairs in
+        one product.
         """
         srcs = np.asarray(srcs, dtype=complex)
+        nsrc, nq, m = srcs.shape[:3]
+        nb = int(np.prod(srcs.shape[3:]))
         s = self._scales(scales)
-        out = np.empty((len(self.gens), self.gens.shape[1]), dtype=complex)
+        d = self.gens.shape[1]
+        out = np.empty((len(self.gens), d, nb), dtype=complex)
+
+        def sources(modes, *shape):
+            # a selected copy is used once and freed at once: one held to
+            # the end of the call makes the allocator fault in fresh pages
+            # on every call
+            if nsrc == 1:
+                return srcs.reshape((1,) + shape)
+            return srcs[modes].reshape((len(modes),) + shape)
+
         if len(self._fast):
             decayed = (self._decay(s) * wts[:, None]).swapaxes(1, 2)
-            coef = (_small_matmul(self._Vinv, lift)
-                    * (decayed @ srcs[self._fast])).sum(axis=2)
-            out[self._fast] = _small_matmul(self._V, coef[..., None])[..., 0]
+            summed = decayed @ sources(self._fast, nq, m * nb)
+            coef = (_small_matmul(self._Vinv, lift)[..., None]
+                    * summed.reshape(len(self._fast), d, m, nb)).sum(axis=2)
+            out[self._fast] = _small_matmul(self._V, coef)
         if len(self._slow):
-            lifted = _small_matmul(srcs[self._slow], lift.T)
-            y = _small_matmul(self._expm_slow(s), lifted[..., None])[..., 0]
-            out[self._slow] = np.einsum("q,kqi->ki", wts, y)
-        return out
+            P = _small_matmul(self._expm_slow(s), lift) * wts[:, None, None]
+            out[self._slow] = (
+                P.transpose(0, 2, 1, 3).reshape(len(self._slow), d, nq * m)
+                @ sources(self._slow, nq * m, nb))
+        return out.reshape((len(self.gens), d) + srcs.shape[3:])
 
 
 def mode_generator(sys: SystemMatrices, n, adjoint=False):
@@ -466,18 +488,27 @@ def _state_basis(sys: SystemMatrices, nmax, adjoint):
         mode_generator(sys, np.arange(-nmax, nmax + 1), adjoint=adjoint)))
 
 
+def duhamel_panels(time_nodes, T, times):
+    """Gauss-Legendre nodes and weights (taus, wts) of evolve's Duhamel
+    integrals for a control with these time nodes: panels between the
+    nodes clipped to [0, T] and the sample times, so that every sample
+    time is a panel edge."""
+    return gauss_legendre(np.unique(np.concatenate(
+        [np.clip(time_nodes, 0.0, T), times])))
+
+
 def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
            T: float = 1.0, sample_times=None):
     """Exact per-mode evolution with Duhamel source term.
 
     The control's coefficients enter the mode ODEs through M as they
     stand (the signal carries its own support).  Duhamel integrals use
-    Gauss-Legendre panels between control time nodes and sample times;
-    the control is asked for all of them in one u.at(taus) call, so a
-    lazy signal's func must accept a 1-D array of times (see
-    ControlSignal).  Each sample time's integral, over whole panels, is
-    one ModeBasis.duhamel contraction of the raw
-    coefficients, summed over the nodes in each mode's eigen-coordinates.
+    Gauss-Legendre panels between control time nodes and sample times
+    (duhamel_panels); the control is asked for all of them in one
+    u.at(taus) call, so a lazy signal's func must accept a 1-D array of
+    times (see ControlSignal).  Each sample time's integral, over whole
+    panels, is one ModeBasis.duhamel contraction of the raw coefficients,
+    summed over the nodes in each mode's eigen-coordinates.
     Returns the state at T, or (times, states) at sample_times, which
     must lie in [0, T].
     """
@@ -495,9 +526,7 @@ def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
     basis = _state_basis(sys, nmax, False)
     traj = basis.action(f0.coeffs)(times)
     if u is not None:
-        edges = np.unique(np.concatenate([np.clip(u.time_nodes, 0.0, T),
-                                          times]))
-        taus, wts = gauss_legendre(edges)
+        taus, wts = duhamel_panels(u.time_nodes, T, times)
         # src[k, q] is the mode-k control coefficient at taus[q]
         src = u.at(taus).transpose(1, 0, 2)
         for k, t in enumerate(times):

@@ -419,8 +419,10 @@ def _exp_obstruct(scn, rng, out_dir):
 
 def _exp_control(scn, rng, out_dir):
     consts = spectral.separation_radius(scn.sys, n0_override=scn.n0)
-    branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
     N = min(scn.nmax, 12)
+    # the moment block's band refusal, before the branch table is built
+    control.check_band(("parabolic", N), consts.n0, scn.nmax)
+    branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
     f0 = _random_state(rng, scn.nmax, scn.sys.d)
     f0p = project_branch(f0, branches, consts.n0, "p")
     u, mp = control.parabolic_moment_control(

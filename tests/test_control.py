@@ -15,7 +15,7 @@ from torusctrl.dynamics import (evolve, project_branch, FourierState,
                                 ControlSignal, mode_generator, synth_grid,
                                 ModeBasis, EIG_COND_MAX, gauss_legendre)
 from torusctrl import harness, spectral
-from conftest import (nscl_system, moving_wave_system,
+from conftest import (nscl_system, moving_wave_system, two_speed_system,
                       decoupled_heat_system, random_state, HALF_TORUS)
 
 
@@ -369,19 +369,21 @@ class TestPipeline:
         return sum(controlled), cert
 
     def test_early_stop_certifies_last_sweep(self, monkeypatch):
-        # one free sweep, one joint solve, one controlled sweep that
-        # converges: the certificate reuses that sweep's state
+        # one free sweep, one joint solve, and a second sweep that
+        # converges, checked as F f0 + L lambda with no controlled
+        # evolve: the certificate reuses that sweep's state
         n, cert = self._spy_pipeline(monkeypatch, 5)
         assert [s["sweep"] for s in cert["sweeps"]] == [0, 1]
-        assert n == 1
+        assert n == 0
         assert cert["relative"] == cert["sweeps"][-1]["relative_residual"]
         assert cert["relative"] <= 1e-9
 
     def test_exhausted_sweeps_check_last_correction(self, monkeypatch):
         # max_sweeps = 1: the joint solve's control is emitted after the
-        # only sweep, so one more evolve must check it
+        # only sweep, so F f0 + L lambda must check it, again with no
+        # controlled evolve
         n, cert = self._spy_pipeline(monkeypatch, 1)
-        assert len(cert["sweeps"]) == 1 and n == 1
+        assert len(cert["sweeps"]) == 1 and n == 0
         assert cert["sweeps"][0]["relative_residual"] > 1e-6
         assert cert["relative"] <= 1e-9
 
@@ -409,7 +411,8 @@ class TestPipeline:
         spy("lebeau_robbiano", lebeau_robbiano)
         _, cert = full_pipeline(scn.sys, branches, consts.n0, f0, scn.T,
                                 scn.Tprime, omega, Tstar=scn.Tstar)
-        assert calls == {"evolve": 2, "lebeau_robbiano": 0}
+        # one free evolution; the sweeps are checked through L
+        assert calls == {"evolve": 1, "lebeau_robbiano": 0}
         assert len(cert["sweeps"]) == 2
         assert cert["relative"] <= 1e-9
         assert cert["path"] == "joint-sweeps" and "lr" not in cert
@@ -489,9 +492,9 @@ class TestPipeline:
 
     def test_one_observation_per_block(self, monkeypatch):
         """A one-sweep full_pipeline datum observes its 3 blocks 3 times
-        in all: the evolution that checks the sweep reads the emitted
-        controls on the blocks' own nodes from the joint solve's stacks.
-        Each active LR stage observes its one block once."""
+        in all: the control-to-state map that checks the sweep reads the
+        blocks' stacks on their own nodes from the joint operator.  Each
+        active LR stage observes its one block once."""
         observe = ctl._block_observations
         calls = []
 
@@ -904,6 +907,43 @@ class TestJointOperatorMemo:
         assert cert["joint_cond_headroom_log10"] == np.log10(
             ctl.COND_MAX / cond)
 
+    def test_warm_datum_reads_the_kept_control_map(self, monkeypatch):
+        """The first datum on a table builds L once with its operator; a
+        warm second datum observes no block, builds nothing and evolves
+        no control: its one evolve is the free evolution of f0."""
+        _, _, branches, run = self._pipeline(10)
+        calls = self._spy(monkeypatch, "_assemble_joint",
+                          "_assemble_control_map")
+        run(branches, 41)
+        assert len(calls["_assemble_joint"]) == 1
+        assert len(calls["_assemble_control_map"]) == 1
+        observed = self._spy(monkeypatch, "_block_observations")
+        controlled = []
+
+        def spy(sys, f, u=None, *args, **kwargs):
+            controlled.append(u is not None)
+            return evolve(sys, f, u, *args, **kwargs)
+
+        monkeypatch.setattr(ctl, "evolve", spy)
+        _, cert = run(branches, 42)
+        assert observed["_block_observations"] == []
+        assert controlled == [False]
+        assert len(calls["_assemble_joint"]) == 1
+        assert len(calls["_assemble_control_map"]) == 1
+        assert len(cert["sweeps"]) == 2 and cert["relative"] <= 1e-9
+
+    def test_moment_and_hum_solves_build_no_control_map(self, monkeypatch,
+                                                         nscl_branches24):
+        sys, consts, branches = nscl_branches24
+        calls = self._spy(monkeypatch, "_assemble_control_map")
+        fstar = random_state(np.random.default_rng(4), 24, 2)
+        hum_gramian_control(sys, branches, consts.n0, ("low",), fstar, 1.0,
+                            HALF_TORUS, window=(0.8, 1.0))
+        parabolic_moment_control(
+            sys, branches, project_branch(fstar, branches, consts.n0, "p"),
+            1.0, 8, HALF_TORUS, consts.n0)
+        assert calls["_assemble_control_map"] == []
+
     def test_entries_derived_once_per_table(self, monkeypatch):
         """The first pipeline datum on a table derives its 3 blocks'
         entries once each, the second none; neither rebuilds rho2."""
@@ -1064,3 +1104,85 @@ class TestJointOperatorMemo:
         gc.collect()
         assert op() is None and basis() is None
         assert np.any(u.at(0.5))
+
+
+class TestControlMap:
+    """L, the joint operator's control-to-state map at T, is evolve's
+    Duhamel integral of the emitted controls on evolve's own panels,
+    reordered by linearity; evolve stays the reference it is pinned
+    against.  nscl's modes +-2 take the expm path of the state basis;
+    two-speed has d = m = 3."""
+
+    @staticmethod
+    def _pipeline(monkeypatch, sys, nmax, seed):
+        """full_pipeline on the half torus at T = 1.5 T*, T' = 1.25 T*:
+        (u, cert, f0, problem, L, lam), with problem the first joint
+        solve's positional arguments and lam the summed multipliers."""
+        scn = harness.Scenario("oracle", sys, HALF_TORUS, nmax=nmax,
+                               experiment="pipeline")
+        consts = spectral.separation_radius(sys)
+        branches = spectral.build_branch_table(sys, consts, nmax)
+        f0 = random_state(np.random.default_rng(seed), nmax, sys.d)
+        solve, solves = ctl._joint_solve, []
+
+        def spy(*args, **kwargs):
+            solves.append((args, solve(*args, **kwargs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(ctl, "_joint_solve", spy)
+        u, cert = full_pipeline(sys, branches, consts.n0, f0, scn.T,
+                                scn.Tprime, HALF_TORUS, Tstar=scn.Tstar)
+        problem = solves[0][0]
+        _, branches, n0, blocks, _, T, weight = problem
+        L = ctl._control_map(sys, branches, n0, blocks, T, weight, nmax)
+        lam = sum(out[2] for _, out in solves)
+        return u, cert, f0, problem, L, lam
+
+    @pytest.mark.parametrize("system, nmax", [
+        (nscl_system, 10), (nscl_system, 24), (two_speed_system, 12)],
+        ids=["nscl-10", "nscl-24", "two-speed-12"])
+    def test_map_matches_evolve_of_the_control(self, monkeypatch, system,
+                                               nmax):
+        """L lam against evolve of the returned control from zero, to
+        1e-14 of sum_j |lam_j| |L_j|: |lam| reaches 1e7-1e8, so the gap
+        is the cancellation roundoff of the sum, not a relative one.  The
+        certificate is F f0 + L lam, bit for bit."""
+        sys = system()
+        u, cert, f0, problem, L, lam = self._pipeline(monkeypatch, sys,
+                                                      nmax, 3)
+        T = problem[5]
+        assert L.shape == (sys.d * (2 * nmax + 1), len(lam))
+        assert cert["relative"] <= 1e-9
+        ref = evolve(sys, FourierState.zeros(nmax, sys.d), u, T)
+        scale = np.sum(np.abs(lam) * np.linalg.norm(L, axis=0))
+        gap = np.linalg.norm(L @ lam - ref.coeffs.ravel())
+        assert gap <= 1e-14 * scale
+        free = evolve(sys, f0, None, T)
+        assert np.array_equal(cert["final_state"].coeffs,
+                              free.coeffs + (L @ lam).reshape(-1, sys.d))
+
+    @pytest.mark.parametrize("system", [nscl_system, two_speed_system],
+                             ids=["nscl", "two-speed"])
+    def test_columns_match_one_evolve_per_entry(self, monkeypatch, system):
+        """Column j of L against evolve of entry j's unit control, the
+        blocks emitted with lambda = e_j and merged as full_pipeline
+        merges them, to 1e-13 of max |L| (nmax 8)."""
+        nmax = 8
+        sys = system()
+        _, _, _, problem, L, _ = self._pipeline(monkeypatch, sys, nmax, 4)
+        sys, branches, n0, blocks, _, T, weight = problem
+        op = ctl._joint_operator(sys, branches, n0, blocks, T, weight, nmax)
+        zero = FourierState.zeros(nmax, sys.d)
+        worst = 0.0
+        for j in range(L.shape[1]):
+            unit = np.zeros(L.shape[1])
+            unit[j] = 1.0
+            controls = [
+                ctl._emit_block(blk, op.setups[b],
+                                unit[op.offs[b]:op.offs[b + 1]], T, weight,
+                                nmax, op.edges[b], op.observed[b])
+                for b, blk in enumerate(blocks)]
+            u = ctl.merge_controls(controls, nmax, sys.m, T)
+            col = evolve(sys, zero, u, T).coeffs.ravel()
+            worst = max(worst, np.max(np.abs(L[:, j] - col)))
+        assert worst <= 1e-13 * np.max(np.abs(L))

@@ -252,6 +252,26 @@ def test_mode_basis_duhamel_matches_dense_reference(m):
         assert _close(got, ref) and _close(got, dense)
 
 
+def test_mode_basis_duhamel_batches_source_columns():
+    """Trailing batch axes of the sources are columns summed alone, and
+    sources of leading size 1 are shared by every mode: both against one
+    per-mode call per column, the shared sources broadcast to every
+    mode, on both paths, to 1e-14."""
+    _, basis = _mixed_basis()
+    rng = np.random.default_rng(48)
+    lift = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    scales, wts = rng.uniform(0.0, 1.5, 7), rng.uniform(0.0, 0.3, 7)
+    for lead in (1, 11):
+        srcs = (rng.standard_normal((lead, 7, 2, 3, 2))
+                + 1j * rng.standard_normal((lead, 7, 2, 3, 2)))
+        got = basis.duhamel(srcs, lift, scales, wts)
+        assert got.shape == (11, 2, 3, 2)
+        for col in np.ndindex(3, 2):
+            per_mode = np.broadcast_to(srcs[(...,) + col], (11, 7, 2))
+            ref = basis.duhamel(per_mode, lift, scales, wts)
+            assert _close(got[(...,) + col], ref, rel=1e-14)
+
+
 def test_state_basis_is_built_once_per_system(monkeypatch):
     """Evolutions of one system at one truncation share one ModeBasis; a
     system that differs only in D gets its own, and evolves as a freshly

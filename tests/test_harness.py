@@ -316,7 +316,7 @@ class TestLibraryRefusals:
          "omega covers the torus: minimal time is zero, no obstruction "
          "witness exists", False),
         (["control", "--scenario", "heat-memory", "--n0", "12"],
-         "parabolic target band 12 < |n| <= 12 holds no mode", True),
+         "parabolic target band 12 < |n| <= 12 holds no mode", False),
         (["spectrum", "--scenario", NSCL, "--n0", "1"],
          "n0 override 1 below certified 3", False),
         (["kalman", "--scenario", "heat-memory"],
