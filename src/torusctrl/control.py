@@ -38,13 +38,15 @@ with one weighted GEMM, the conditioning taken once.  A call then only
 tests its own cond_max, pairs its state with the kept entries, solves
 and hands each block's stack on its own nodes to the control it emits.
 The controls are linear in the multipliers lambda, so a datum f0
-reaches F f0 + L lambda at T: F f0 its free evolution, L the
+reaches F f0 + L lambda at T (_reached): F f0 its free evolution, L the
 control-to-state map.  L does not depend on the datum; the operator
-builds it when full_pipeline first asks, from the kept stacks on the
-panels evolve takes for the merged controls, and keeps it.
-full_pipeline certifies its sweeps this way, with one free evolve per
-datum.  evolve of the returned control stays the reference that
-L lambda is tested against.
+builds it on the first request, from the kept stacks on the panels
+evolve takes for the merged controls, and keeps it, so a moment or HUM
+solve alone never builds it.  full_pipeline certifies its sweeps this
+way, with one free evolve per datum, and lebeau_robbiano reaches each
+active stage's state this way from the free evolution its moment solve
+took for a goal: neither evolves a control.  evolve of the returned
+controls stays the reference that L lambda is tested against.
 """
 
 import functools
@@ -215,19 +217,23 @@ class CutoffEta:
 def cutoff_eta(omega_arc, Tprime, mu, delta) -> CutoffEta:
     """Build eta for a single observation arc (a, b).
 
-    Requires T' > (2 pi - (b-a)) / |mu| so every characteristic crosses
-    the cut-off box; min_x |Q_x| is certified on a 720-point grid.
+    Requires a single strict arc, mu != 0, T' > (2 pi - (b-a)) / |mu| so
+    every characteristic crosses the cut-off box, and
+    2 delta < min(T', b - a); an input that breaks one raises
+    PreconditionError.  min_x |Q_x| is certified on a 720-point grid, and
+    a minimum below 1e-8 raises ValueError.
     """
     a, b = omega_arc
     if not 0 < b - a < TWO_PI:
-        raise ValueError("need a single strict arc (a, b)")
+        raise PreconditionError("need a single strict arc (a, b)")
     if mu == 0:
-        raise ValueError("transport speed must be nonzero")
+        raise PreconditionError("transport speed must be nonzero")
     need = (TWO_PI - (b - a)) / abs(mu)
     if Tprime <= need:
-        raise ValueError(f"T' = {Tprime:.4f} too short: need > {need:.4f}")
+        raise PreconditionError(
+            f"T' = {Tprime:.4f} too short: need > {need:.4f}")
     if 2.0 * delta >= min(Tprime, b - a):
-        raise ValueError("delta too large for the box")
+        raise PreconditionError("delta too large for the box")
     eta = CutoffEta(a=a, b=b, Tprime=Tprime, mu=mu, delta=delta)
     xs = TWO_PI * np.arange(720) / 720
     eta.min_Q = float(np.min(np.abs(eta.Q(xs))))
@@ -311,16 +317,34 @@ def observation_matrix(sys: SystemMatrices, branches: BranchTable, modes):
 
 @dataclass
 class MomentProblem:
+    """A moment solve: the band's modes and reduced generators E2, the
+    Gram matrix and right-hand side, the multipliers lam, the datum's free
+    evolution over the window, the DualBlock posed (_moment_block), rho2,
+    the Gram condition and least eigenvalue, and the condition of its
+    diagonal scaling.  free and lam give the state the control reaches,
+    free + L lam (_reached), with L the block's control-to-state map."""
+
     N: int
     T: float
     modes: np.ndarray
     E2: np.ndarray  # (K, d2, d2), row k for modes[k]
     gram: np.ndarray
     rhs: np.ndarray
+    lam: np.ndarray
+    free: FourierState
+    block: "DualBlock"
     weight: SpatialWeight
     cond: float
     min_eig: float
-    cond_scaled: float = np.nan
+    cond_scaled: float
+
+
+def _moment_block(sys: SystemMatrices, N, T) -> "DualBlock":
+    """The moment method's dual block: the parabolic band up to N on the
+    window (0, T), every channel, 128 panels and the profile rho1(s / T)
+    of the time to go s."""
+    return DualBlock(("parabolic", N), (0.0, T), (True,) * sys.m,
+                     time_panels=128, rho1_length=T)
 
 
 def parabolic_moment_control(sys: SystemMatrices, branches: BranchTable,
@@ -330,29 +354,31 @@ def parabolic_moment_control(sys: SystemMatrices, branches: BranchTable,
                              cond_max=COND_MAX):
     """Moment-method control nulling the parabolic band n0 < |n| <= N.
 
-    One ("parabolic", N) DualBlock on the window (0, T) with profile
-    rho1(s/T) of the time to go s, solved by _joint_solve:
+    One _moment_block on the window (0, T) with profile rho1(s/T) of the
+    time to go s, solved by _joint_solve:
     A_{n,k} = rho2hat(n-k) int_0^T rho1(s/T) e^{-s n^2 E2(n)*} C(n)*
               C(k) e^{-s k^2 E2(k)} ds,
     F_n = -e^{-n^2 T E2(n)*} (G(i/n)* f01hat(n) + f02hat(n)) (the dual
     pairings of the freely evolved data, negated), and the emitted
     control is u(t, x) = rho1((T-t)/T) rho2(x) sum_k C(k)
     e^{-k^2 (T-t) E2(k)} V_k e^{ikx}.  Returns (ControlSignal,
-    MomentProblem).
+    MomentProblem); the problem keeps the multipliers, the free evolution
+    and the block, so a caller reaches the controlled state by linearity
+    without evolving the control.  The solve builds no control-to-state
+    map.
     """
     if weight is None:
         weight = plateau_weight(omega)
-    blk = DualBlock(("parabolic", N), (0.0, T), (True,) * sys.m,
-                    time_panels=128, rho1_length=T)
-    (u,), gram, _, rhs, cond = _joint_solve(
-        sys, branches, n0, [blk], -evolve(sys, f0p, None, T), T, weight,
-        cond_max=cond_max)
+    blk = _moment_block(sys, N, T)
+    free = evolve(sys, f0p, None, T)
+    (u,), gram, lam, rhs, cond = _joint_solve(
+        sys, branches, n0, [blk], -free, T, weight, cond_max=cond_max)
     # the block's modes, basis and eigenvalues, from the solve's memo
     op = _joint_operator(sys, branches, n0, [blk], T, weight, f0p.nmax)
     (setup,) = op.setups
     return u, MomentProblem(N=N, T=T, modes=setup.modes,
                             E2=setup.basis.gens, gram=gram, rhs=rhs,
-                            weight=weight,
+                            lam=lam, free=free, block=blk, weight=weight,
                             cond=float(op.eigs[-1] / max(op.eigs[0], 1e-300)),
                             min_eig=float(op.eigs[0]), cond_scaled=cond)
 
@@ -369,10 +395,13 @@ class LRSchedule:
 
     @classmethod
     def build(cls, T, delta, rho, nmax):
+        """The stages 2^l <= nmax of lengths A 2^{-rho l}, each followed by
+        as long a passive stage, from delta on.  PreconditionError unless
+        0 < delta < T/2, 0 < rho < 1 and nmax >= 2."""
         if not 0 < delta < T / 2:
-            raise ValueError("need 0 < delta < T/2")
+            raise PreconditionError("need 0 < delta < T/2")
         if not 0 < rho < 1:
-            raise ValueError("need 0 < rho < 1")
+            raise PreconditionError("need 0 < rho < 1")
         # full-series normalization 2 sum_{l>=1} A 2^{-rho l} = T - 2 delta
         s = 2.0 ** (-rho) / (1.0 - 2.0 ** (-rho))
         A = (T - 2.0 * delta) / (2.0 * s)
@@ -385,7 +414,7 @@ class LRSchedule:
             a += 2.0 * Tl
             level += 1
         if not stages:
-            raise ValueError("nmax < 2: empty schedule")
+            raise PreconditionError("nmax < 2: empty schedule")
         return cls(T=T, delta=delta, rho=rho, A_const=A, stages=stages)
 
 
@@ -398,9 +427,14 @@ def lebeau_robbiano(sys: SystemMatrices, branches: BranchTable,
     Stage l solves the moment problem for the band n0 < |n| <= 2^l on a
     window of length T_l, then lets dissipation act for another T_l.
     The concatenated control vanishes outside (delta, T-delta) x omega.
-    Returns (controls in global time, report with the stage norm chain,
-    each stage's condition and its headroom log10(COND_MAX / cond_scaled)
-    to refusal, and the final state).
+    An active stage reaches F s + L lambda at the end of its window: F s
+    the stage state's free evolution, which the moment solve took for its
+    goal, and L the stage block's control-to-state map, built once and
+    kept with its operator; evolve of the stage's control is the
+    reference it agrees with to roundoff.  No evolve here carries a
+    control.  Returns (controls in global time, report with the stage
+    norm chain, each stage's condition and its headroom
+    log10(COND_MAX / cond_scaled) to refusal, and the final state).
     """
     if weight is None:
         weight = plateau_weight(omega)
@@ -431,8 +465,9 @@ def lebeau_robbiano(sys: SystemMatrices, branches: BranchTable,
             raise np.linalg.LinAlgError(
                 f"stage {level} (N = {Nl}): {exc}") from exc
         controls.append(_shift_control(u, a_start))
-        state = evolve(sys, state, u, Tl)
-        state = evolve(sys, state, None, Tl)
+        L = _control_map(sys, branches, n0, [prob.block], Tl, weight,
+                         state.nmax)
+        state = evolve(sys, _reached(prob.free, L, prob.lam), None, Tl)
         t_reached += 2.0 * Tl
         norms.append(pnorm(state))
         stage_reports.append({"level": level, "N": Nl, "T": Tl,
@@ -698,6 +733,17 @@ def _assemble_control_map(sys, blocks, setups, observed, edges, T, weight,
     L = (per_mode * W[:, None, :]).reshape(-1, len(ns))
     L.flags.writeable = False
     return L
+
+
+def _reached(free: FourierState, L, lam) -> FourierState:
+    """F f0 + L lam: the state a control of multipliers lam reaches from
+    the datum whose free evolution is free, L the control-to-state map of
+    the blocks that emitted it (_control_map); free itself when lam is
+    None (no control yet)."""
+    if lam is None:
+        return free
+    return FourierState(free.nmax,
+                        free.coeffs + (L @ lam).reshape(free.coeffs.shape))
 
 
 def _joint_solve(sys, branches, n0, blocks, goal, T, weight,
@@ -982,22 +1028,13 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
                   tuple(c >= d1 or not split for c in range(m)))]
     free = evolve(sys, f0, None, T)
     L = lam = None
-
-    def reached(lam):
-        """F f0 + L lam, the state at T under the summed multipliers lam
-        (None before the first solve)."""
-        if lam is None:
-            return free
-        return FourierState(nmax, free.coeffs
-                            + (L @ lam).reshape(free.coeffs.shape))
-
     controls = []
     sweep_log = []
     path = "joint-sweeps"
     joint_cond = None
     f0norm = max(f0.norm(), 1e-300)
     for sweep in range(max_sweeps):
-        fT = reached(lam)
+        fT = _reached(free, L, lam)
         res = fT.norm() / f0norm
         sweep_log.append({"sweep": sweep, "relative_residual": res,
                           "h": project_branch(fT, branches, n0, "h").norm(),
@@ -1015,7 +1052,7 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
         lam = dlam if lam is None else lam + dlam
     else:
         # max_sweeps ran out: the last sweep's controls are not yet checked
-        fT = reached(lam)
+        fT = _reached(free, L, lam)
     u_total = merge_controls(controls, nmax, m, T) if controls else None
     cert = {
         "path": path,

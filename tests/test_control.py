@@ -77,6 +77,24 @@ class TestTransport:
         with pytest.raises(ValueError):
             cutoff_eta((0.0, np.pi), Tprime=5.0, mu=0.0, delta=0.1)
 
+    @pytest.mark.parametrize("arc, Tprime, mu, delta, match", [
+        ((0.0, TWO_PI), 5.0, 1.0, 0.1, "single strict arc"),
+        ((0.0, np.pi), 5.0, 0.0, 0.1, "nonzero"),
+        ((0.0, np.pi), 3.0, 1.0, 0.1, "too short"),
+        ((0.0, np.pi), 5.0, 1.0, 1.6, "delta too large")],
+        ids=["not-one-arc", "zero-speed", "short-horizon", "large-delta"])
+    def test_cutoff_eta_input_refusals_are_preconditions(self, arc, Tprime,
+                                                         mu, delta, match):
+        with pytest.raises(PreconditionError, match=match):
+            cutoff_eta(arc, Tprime=Tprime, mu=mu, delta=delta)
+
+    def test_cutoff_eta_small_q_is_a_numerical_refusal(self):
+        # T' = 3.2 just covers the gap pi, but delta = 0.5 trims the box so
+        # far that some characteristics miss it: Q_x vanishes there
+        with pytest.raises(ValueError, match=r"min \|Q_x\|") as info:
+            cutoff_eta((0.0, np.pi), Tprime=3.2, mu=1.0, delta=0.5)
+        assert not isinstance(info.value, PreconditionError)
+
     def test_q_spline_matches_exact_integral(self):
         eta = cutoff_eta((0.0, np.pi), Tprime=5.0, mu=1.0, delta=0.1)
         xs = np.random.default_rng(0).uniform(0, TWO_PI, 40)
@@ -222,6 +240,17 @@ class TestLebeauRobbiano:
         assert report["final_parabolic_norm"] < 1e-6
         assert controls
 
+    @pytest.mark.parametrize("delta, rho, nmax, match", [
+        (0.0, 0.5, 8, "delta"), (1.0, 0.5, 8, "delta"),
+        (0.25, 0.0, 8, "rho"), (0.25, 1.0, 8, "rho"),
+        (0.25, 0.5, 1, "empty schedule")],
+        ids=["delta-zero", "delta-half-T", "rho-zero", "rho-one",
+             "empty"])
+    def test_schedule_refusals_are_preconditions(self, delta, rho, nmax,
+                                                 match):
+        with pytest.raises(PreconditionError, match=match):
+            ctl.LRSchedule.build(2.0, delta, rho, nmax)
+
     def test_passive_stage_below_the_cutoff(self):
         # nscl has n0 = 3: stage 1 (N = 2) controls nothing and only lets
         # the state decay; stages 2-4 solve moment problems
@@ -266,6 +295,50 @@ class TestLebeauRobbiano:
         fT = evolve(sys, f0p, u, T)
         assert ((fT - report["final_state"]).norm()
                 <= 1e-12 * f0p.norm())
+
+    @staticmethod
+    def _stages(monkeypatch, system, nmax, n0_override=None, seed=41):
+        """lebeau_robbiano at T = 4, delta = T/8 on the half torus, with
+        each moment solve's (stage state, window, control, problem)."""
+        sys = system()
+        consts = spectral.separation_radius(sys, n0_override=n0_override)
+        branches = spectral.build_branch_table(sys, consts, nmax)
+        f0p = project_branch(random_state(np.random.default_rng(seed), nmax,
+                                          2), branches, consts.n0, "p")
+        solve, solves = ctl.parabolic_moment_control, []
+
+        def spy(sys, branches, state, Tl, *args, **kwargs):
+            u, prob = solve(sys, branches, state, Tl, *args, **kwargs)
+            solves.append((state, Tl, u, prob))
+            return u, prob
+
+        monkeypatch.setattr(ctl, "parabolic_moment_control", spy)
+        _, report = lebeau_robbiano(
+            sys, branches, f0p, T=4.0, delta=0.5, rho=0.5, nmax=nmax,
+            n0=consts.n0, omega=HALF_TORUS)
+        return sys, branches, consts.n0, report, solves
+
+    @pytest.mark.parametrize("system, nmax, n0, active", [
+        (decoupled_heat_system, 12, 1, 3), (decoupled_heat_system, 32, 1, 5),
+        (nscl_system, 16, None, 3)],
+        ids=["heat-12", "heat-32", "nscl-16"])
+    def test_stage_reaches_free_plus_map_of_its_multipliers(
+            self, monkeypatch, system, nmax, n0, active):
+        """Each active stage's state at the end of its window, F s + L lam,
+        against evolve of the stage's own control from the stage state, to
+        1e-14 of sum_j |lam_j| |L_j| (the cancellation roundoff of the
+        sum).  nscl's first stage (N = 2 <= n0 = 3) is passive."""
+        sys, branches, n0, report, solves = self._stages(
+            monkeypatch, system, nmax, n0_override=n0)
+        assert len(solves) == len(report["stages"]) == active
+        for state, Tl, u, prob in solves:
+            L = ctl._control_map(sys, branches, n0, [prob.block], Tl,
+                                 prob.weight, state.nmax)
+            reached = ctl._reached(prob.free, L, prob.lam)
+            ref = evolve(sys, state, u, Tl)
+            scale = np.sum(np.abs(prob.lam) * np.linalg.norm(L, axis=0))
+            assert (reached - ref).norm() <= 1e-14 * scale
+            assert prob.block == ctl._moment_block(sys, prob.N, Tl)
 
 
 class TestHUM:
@@ -969,7 +1042,8 @@ class TestJointOperatorMemo:
         sys = decoupled_heat_system()
         consts = spectral.separation_radius(sys, n0_override=1)
         branches = spectral.build_branch_table(sys, consts, 8)
-        calls = self._spy(monkeypatch, "_assemble_joint", "build_E2")
+        calls = self._spy(monkeypatch, "_assemble_joint", "build_E2",
+                          "_assemble_control_map")
         for seed, built in ((5, 3), (6, 0)):
             f0p = project_branch(random_state(np.random.default_rng(seed),
                                               8, 2), branches, 1, "p")
@@ -979,12 +1053,54 @@ class TestJointOperatorMemo:
             assert len(calls["_assemble_joint"]) == built
             # MomentProblem.E2 reads the block basis: one build per stage
             assert len(calls["build_E2"]) == built
-            calls["_assemble_joint"].clear()
-            calls["build_E2"].clear()
+            # each stage's L is kept with its operator
+            assert len(calls["_assemble_control_map"]) == built
+            for name in calls:
+                calls[name].clear()
             assert len(report["stages"]) == 3
             for stage in report["stages"]:
                 assert stage["cond_headroom_log10"] == np.log10(
                     ctl.COND_MAX / stage["cond_scaled"]) > 0.0
+
+    @staticmethod
+    def _lr_heat(nmax):
+        """lebeau_robbiano on decoupled heat at T = 4, delta = T/8 on a
+        fresh table: run(seed) returns the report."""
+        sys = decoupled_heat_system()
+        consts = spectral.separation_radius(sys, n0_override=1)
+        branches = spectral.build_branch_table(sys, consts, nmax)
+
+        def run(seed):
+            f0p = project_branch(random_state(np.random.default_rng(seed),
+                                              nmax, 2), branches, 1, "p")
+            return lebeau_robbiano(sys, branches, f0p, T=4.0, delta=0.5,
+                                   rho=0.5, nmax=nmax, n0=1,
+                                   omega=HALF_TORUS)[1]
+
+        return run
+
+    def test_lr_evolves_no_control(self, monkeypatch):
+        """Every evolve of an LR solve, the moment solves' included, is a
+        free one: per active stage one to the end of its window and one
+        passive, then the initial and the trailing decay."""
+        run = self._lr_heat(12)
+        controlled = []
+
+        def spy(sys, f, u=None, *args, **kwargs):
+            controlled.append(u is not None)
+            return evolve(sys, f, u, *args, **kwargs)
+
+        monkeypatch.setattr(ctl, "evolve", spy)
+        report = run(41)
+        assert len(report["stages"]) == 3
+        assert controlled == [False] * 8
+
+    def test_lr_cold_and_warm_runs_agree_bit_for_bit(self):
+        run = self._lr_heat(12)
+        cold, warm = run(41), run(41)
+        assert np.array_equal(cold["final_state"].coeffs,
+                              warm["final_state"].coeffs)
+        assert cold["norms"] == warm["norms"]
 
     def test_moment_E2_is_the_block_basis(self, nscl_branches24):
         sys, consts, branches = nscl_branches24
