@@ -10,6 +10,8 @@ block D whose spectrum has positive real part.  The upper-left block of A
 diagonalizable with real spectrum.
 """
 
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +29,40 @@ DIAG_COND_MAX = 1e8
 REAL_SPEC_TOL = 1e-9
 # sorted speeds closer than this (relative) to their neighbour count as one
 SPEED_MERGE_TOL = 1e-8
+# values an OwnerMemo keeps per owner, least recently used dropped first
+MEMO_SIZE = 8
 
 
 class PreconditionError(ValueError):
     """Inputs outside a hypothesis of the computation, raised where the
     condition is decided: the CLI exits 2 on it, 1 on other errors."""
+
+
+class OwnerMemo:
+    """Values built for an owner object and freed with it: a weakly keyed
+    map from each owner to its MEMO_SIZE most recently used values.  The
+    owner must hash by identity, and no value may reference it, or its
+    weak entry never dies."""
+
+    def __init__(self):
+        self._owners = weakref.WeakKeyDictionary()
+
+    def get(self, owner, key, build):
+        """The value under key for owner, made by build() on a miss."""
+        memo = self._owners.get(owner, {})
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+        return self.put(owner, key, build())
+
+    def put(self, owner, key, value):
+        """Keep value under key for owner, in place of any held one."""
+        memo = self._owners.setdefault(owner, OrderedDict())
+        memo[key] = value
+        memo.move_to_end(key)
+        if len(memo) > MEMO_SIZE:
+            memo.popitem(last=False)
+        return value
 
 
 def _as_complex(a, name, shape=None):

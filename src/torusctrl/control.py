@@ -56,11 +56,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SystemMatrices, TorusSubset, TWO_PI, PreconditionError
-from .dynamics import (FourierState, ControlSignal, ModeBasis, OwnerMemo,
-                       MEMO_SIZE, evolve, gauss_legendre, duhamel_panels,
-                       mode_generator, project_branch, project_low,
-                       analyze_grid, _small_matmul, _state_basis)
+from .algebra import (SystemMatrices, TorusSubset, TWO_PI, PreconditionError,
+                      OwnerMemo, MEMO_SIZE)
+from .dynamics import (FourierState, ControlSignal, ModeBasis, evolve,
+                       gauss_legendre, duhamel_panels, mode_generator,
+                       project_branch, project_low, analyze_grid,
+                       _small_matmul, _state_basis)
 from .spectral import BranchTable
 from . import kernels
 
@@ -432,13 +433,19 @@ def lebeau_robbiano(sys: SystemMatrices, branches: BranchTable,
     goal, and L the stage block's control-to-state map, built once and
     kept with its operator; evolve of the stage's control is the
     reference it agrees with to roundoff.  No evolve here carries a
-    control.  Returns (controls in global time, report with the stage
-    norm chain, each stage's condition and its headroom
-    log10(COND_MAX / cond_scaled) to refusal, and the final state).
+    control.  A widest band past f0p's truncation raises
+    PreconditionError before the first stage.  Returns (controls in
+    global time, report with the stage norm chain, each stage's condition
+    and its headroom log10(COND_MAX / cond_scaled) to refusal, and the
+    final state).
     """
     if weight is None:
         weight = plateau_weight(omega)
     sched = LRSchedule.build(T, delta, rho, nmax)
+    # the widest band (2^l <= nmax), refused before any stage runs
+    top = sched.stages[-1][1]
+    if top > n0:
+        check_band(("parabolic", top), n0, f0p.nmax)
     state = evolve(sys, f0p, None, delta)
     controls = []
 

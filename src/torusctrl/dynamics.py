@@ -28,13 +28,11 @@ all its states in one inverse FFT.
 """
 
 import functools
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SystemMatrices, TorusSubset, TWO_PI
+from .algebra import SystemMatrices, TorusSubset, TWO_PI, OwnerMemo
 from .spectral import BranchTable, eval_symbol
 
 __all__ = [
@@ -57,8 +55,6 @@ PADE13_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
             670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
             960960.0, 16380.0, 182.0, 1.0)
 THETA13 = 5.371920351148152
-# values an OwnerMemo keeps per owner, least recently used dropped first
-MEMO_SIZE = 8
 
 
 @dataclass
@@ -453,27 +449,6 @@ def mode_generator(sys: SystemMatrices, n, adjoint=False):
     if adjoint:
         G = G.conj().swapaxes(1, 2)
     return G if np.ndim(n) else G[0]
-
-
-class OwnerMemo:
-    """Values built for an owner object and freed with it: a weakly keyed
-    map from each owner to its MEMO_SIZE most recently used values.  The
-    owner must hash by identity, and no value may reference it, or its
-    weak entry never dies."""
-
-    def __init__(self):
-        self._owners = weakref.WeakKeyDictionary()
-
-    def get(self, owner, key, build):
-        """The value under key for owner, made by build() on a miss."""
-        memo = self._owners.setdefault(owner, OrderedDict())
-        if key in memo:
-            memo.move_to_end(key)
-            return memo[key]
-        value = memo[key] = build()
-        if len(memo) > MEMO_SIZE:
-            memo.popitem(last=False)
-        return value
 
 
 _STATE_BASES = OwnerMemo()

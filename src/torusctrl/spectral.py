@@ -14,14 +14,19 @@ grid in one Gauss-Jordan sweep (_resolvent_sum), not one LAPACK call per
 node.
 
 Functions of z take a scalar or a 1-D array of z; build_branch_table
-splits all modes n0 < |n| <= nmax at once into one stacked BranchTable.
+splits the modes n0 < |n| <= nmax into one stacked BranchTable.  The
+split depends on the system and the mode, never on a horizon or a datum,
+so each system keeps, in an OwnerMemo that dies with it, one table per
+BranchConstants, grown to the largest nmax asked for, and one
+remainder_at_zero per contour radius.  A call hands out new containers
+of the kept arrays, which are read-only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SystemMatrices, PreconditionError
+from .algebra import SystemMatrices, PreconditionError, OwnerMemo
 
 __all__ = [
     "BranchTable", "BranchConstants", "eval_symbol", "separation_radius",
@@ -41,11 +46,14 @@ REMAINDER_N = 512
 class ContourError(RuntimeError):
     """Contour quadrature failed to converge or hit an eigenvalue.
 
-    `members` holds the stack indices of the matrices that failed."""
+    `members` holds the stack indices of the matrices that failed.  The
+    message is `reason` with "{members}" filled in from them, so that a
+    caller which re-indexes the stack re-raises the same reason."""
 
-    def __init__(self, message, members=()):
-        super().__init__(message)
-        self.members = tuple(members)
+    def __init__(self, reason, members=()):
+        self.reason = reason
+        self.members = tuple(int(k) for k in members)
+        super().__init__(reason.format(members=list(self.members)))
 
 
 def eval_symbol(sys: SystemMatrices, z) -> np.ndarray:
@@ -89,7 +97,7 @@ def _resolvent_sum(N, xi):
         if not np.all(g[c, c]):
             bad = np.flatnonzero(np.any(g[c, c] == 0, axis=1))
             raise ContourError("singular resolvent at a contour node "
-                               f"(stack members {bad.tolist()})", bad)
+                               "(stack members {members})", bad)
         g[c, c + 1:] *= 1.0 / g[c, c]
         for r in range(d):
             if r != c:
@@ -168,7 +176,7 @@ def _resolvent_projection(mats, center, radius):
     bad = np.flatnonzero(np.min(gap, axis=-1) < 1e-12 * max(1.0, radius))
     if bad.size:
         raise ContourError("eigenvalue on the integration contour "
-                           f"(stack members {bad.tolist()})", bad)
+                           "(stack members {members})", bad)
     shifted = mats - center * np.eye(d)
 
     def node_sum(live, j, m):
@@ -177,9 +185,8 @@ def _resolvent_projection(mats, center, radius):
         try:
             return _resolvent_sum(shifted[live], xi)
         except ContourError as exc:
-            bad = live[list(exc.members)]
-            raise ContourError("singular resolvent at a contour node "
-                               f"(stack members {bad.tolist()})", bad) from exc
+            raise ContourError(exc.reason,
+                               live[list(exc.members)]) from exc
 
     out = np.empty_like(mats)
     live = np.arange(K)
@@ -197,7 +204,7 @@ def _resolvent_projection(mats, center, radius):
     if live.size:
         raise ContourError(
             f"contour quadrature did not converge below {CONTOUR_TOL} "
-            f"(relative) at {m} nodes (stack members {live.tolist()})", live)
+            f"(relative) at {m} nodes (stack members {{members}})", live)
     return out.reshape(shape)
 
 
@@ -218,6 +225,10 @@ class BranchTable:
     the transport speeds (S,) of SystemMatrices.transport_speeds, and per
     speed Phmu, Rhmu (S, K, d, d) with
     E(i/n) Phmu = mu (i/n) Phmu + (i/n)^2 Rhmu.
+
+    build_branch_table returns a new table on every call, of read-only
+    views into the table its system keeps: caches keyed by a table's
+    identity (the joint operators) live as long as that call's table.
     """
 
     modes: np.ndarray
@@ -344,7 +355,7 @@ def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray):
     bad = np.flatnonzero(~_norm2_below(total - Ph, 1e-8, Ph))
     if bad.size:
         raise ContourError("mu-group projections do not sum to Ph (stack "
-                           f"members {bad.tolist()}); increase n0", bad)
+                           "members {members}); increase n0", bad)
     return out
 
 
@@ -391,32 +402,87 @@ def limit_projections(sys: SystemMatrices):
     return Ph0, out
 
 
+# remainder_at_zero's limits per system and contour radius
+_REMAINDERS = OwnerMemo()
+
+
 def remainder_at_zero(sys: SystemMatrices, R: float):
     """Richardson-extrapolated limits mu -> (Phmu(0), Rhmu(0)) from
     z = i/REMAINDER_N and i/(2 REMAINDER_N); the branch data is first
-    order in z so the extrapolant is O(1/n^2) accurate."""
-    zs = 1j / (REMAINDER_N * np.array([1.0, 2.0]))
-    Ph, _ = projection_split(sys, zs, R)
-    return {mu: (2.0 * P[1] - P[0], 2.0 * Rm[1] - Rm[0])
-            for mu, (P, Rm) in hyperbolic_branches(sys, zs, Ph).items()}
+    order in z so the extrapolant is O(1/n^2) accurate.  They depend on
+    sys and R alone: computed once per pair and kept while sys lives.
+    Each call returns a new dict of the kept arrays, which are
+    read-only."""
+    def build():
+        zs = 1j / (REMAINDER_N * np.array([1.0, 2.0]))
+        Ph, _ = projection_split(sys, zs, R)
+        return {mu: (_read_only(2.0 * P[1] - P[0]),
+                     _read_only(2.0 * Rm[1] - Rm[0]))
+                for mu, (P, Rm) in hyperbolic_branches(sys, zs, Ph).items()}
+
+    return dict(_REMAINDERS.get(sys, float(R), build))
+
+
+# branch tables per system and BranchConstants, each held at the largest
+# nmax asked for
+_BRANCH_TABLES = OwnerMemo()
+# axis of the rows in each per-mode field of a BranchTable
+_ROW_AXES = {"modes": 0, "Ph": 0, "Pp": 0, "G": 0, "Phmu": 1, "Rhmu": 1}
 
 
 def build_branch_table(sys: SystemMatrices, consts: BranchConstants,
                        nmax: int) -> BranchTable:
     """The branch split at z = i/n for every mode n0 < |n| <= nmax, as one
-    BranchTable with rows n0+1, -(n0+1), n0+2, ...: one stacked call each
-    of projection_split, hyperbolic_branches and graph_map.  A
-    ContourError names the modes that failed.
+    BranchTable with rows n0+1, -(n0+1), n0+2, ...
+
+    The split depends on sys and the mode alone, so one table per sys and
+    consts is kept while sys lives, at the largest nmax asked for.  A
+    larger nmax splits only the modes above it, with one stacked call
+    each of projection_split, hyperbolic_branches and graph_map, and
+    appends their rows; a smaller one reads the first 2 (nmax - n0).
+    Every contour and norm test acts per mode, so the rows hold the bits
+    of a fresh split of their modes alone.  Each call returns a new
+    BranchTable of views of the kept arrays, which are read-only.  A
+    ContourError names the modes that failed, its members are their rows
+    in the full table, and the kept table stays as it was.
     """
-    ns = np.outer(np.arange(consts.n0 + 1, nmax + 1), [1, -1]).ravel()
+    n0 = consts.n0
+    held = _BRANCH_TABLES.get(sys, consts,
+                              lambda: _split_modes(sys, consts, n0, nmax))
+    top = n0 + len(held) // 2
+    if nmax > top:
+        new = _split_modes(sys, consts, top, nmax)
+        held = _BRANCH_TABLES.put(sys, consts, BranchTable(
+            speeds=held.speeds, **{
+                f: _read_only(np.concatenate([getattr(held, f),
+                                              getattr(new, f)], axis=ax))
+                for f, ax in _ROW_AXES.items()}))
+    k = 2 * max(nmax - n0, 0)
+    return BranchTable(speeds=held.speeds, **{
+        f: getattr(held, f)[(slice(None),) * ax + (slice(k),)]
+        for f, ax in _ROW_AXES.items()})
+
+
+def _split_modes(sys, consts, lo, nmax) -> BranchTable:
+    """The branch split of the modes lo < |n| <= nmax (rows n, -n in
+    order of n) with read-only arrays.  A ContourError names the modes
+    that failed; its members are their rows in a table from n0 on."""
+    ns = np.outer(np.arange(lo + 1, nmax + 1), [1, -1]).ravel()
     zs = 1j / ns
     try:
         Ph, Pp = projection_split(sys, zs, consts.R)
         per_speed = hyperbolic_branches(sys, zs, Ph)
     except ContourError as exc:
         modes = ns[list(exc.members)].tolist()
-        raise ContourError(f"modes n = {modes}: {exc}", exc.members) from exc
-    return BranchTable(modes=ns, Ph=Ph, Pp=Pp, G=graph_map(sys, zs, Pp),
-                       speeds=np.array(list(per_speed)),
-                       Phmu=np.array([P for P, _ in per_speed.values()]),
-                       Rhmu=np.array([Rm for _, Rm in per_speed.values()]))
+        rows = 2 * (lo - consts.n0) + np.array(exc.members, dtype=int)
+        raise ContourError(f"modes n = {modes}: {exc.reason}", rows) from exc
+    return BranchTable(*map(_read_only, (
+        ns, Ph, Pp, graph_map(sys, zs, Pp), np.array(list(per_speed)),
+        np.array([P for P, _ in per_speed.values()]),
+        np.array([Rm for _, Rm in per_speed.values()]))))
+
+
+def _read_only(a):
+    """a, made read-only: the memos here hand it to every caller."""
+    a.setflags(write=False)
+    return a

@@ -251,6 +251,26 @@ class TestLebeauRobbiano:
         with pytest.raises(PreconditionError, match=match):
             ctl.LRSchedule.build(2.0, delta, rho, nmax)
 
+    def test_band_past_the_datum_is_refused_before_any_stage(
+            self, monkeypatch):
+        """An nmax-12 datum with nmax = 16: the last stage's band
+        1 < |n| <= 16 reaches past the state, and the refusal comes
+        before the first moment solve."""
+        sys = decoupled_heat_system()
+        consts = spectral.separation_radius(sys, n0_override=1)
+        branches = spectral.build_branch_table(sys, consts, 16)
+        f0p = project_branch(random_state(np.random.default_rng(3), 12, 2),
+                             branches, 1, "p")
+        calls = []
+        monkeypatch.setattr(ctl, "parabolic_moment_control",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(PreconditionError,
+                           match=r"1 < \|n\| <= 16 reaches past the "
+                                 r"state's nmax = 12"):
+            lebeau_robbiano(sys, branches, f0p, T=4.0, delta=0.5, rho=0.5,
+                            nmax=16, n0=1, omega=HALF_TORUS)
+        assert calls == []
+
     def test_passive_stage_below_the_cutoff(self):
         # nscl has n0 = 3: stage 1 (N = 2) controls nothing and only lets
         # the state decay; stages 2-4 solve moment problems

@@ -300,6 +300,126 @@ def test_branch_table_names_the_failing_mode():
         build_branch_table(sys, bad, 8)
 
 
+# ------------------------------------------------- kept branch tables
+
+TABLE_FIELDS = ("modes", "Ph", "Pp", "G", "speeds", "Phmu", "Rhmu")
+
+
+def _assert_same_table(got, want):
+    for field in TABLE_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and np.array_equal(a, b), field
+
+
+def _count_splits(monkeypatch):
+    """The z stacks of every projection_split call from here on."""
+    calls, split = [], spectral.projection_split
+
+    def spy(sys, z, R):
+        calls.append(np.atleast_1d(z))
+        return split(sys, z, R)
+
+    monkeypatch.setattr(spectral, "projection_split", spy)
+    return calls
+
+
+@pytest.mark.parametrize("system", [nscl_system, two_speed_system],
+                         ids=["nscl", "two-speed"])
+def test_grown_and_read_tables_are_bit_identical_to_fresh_builds(
+        system, monkeypatch):
+    sys = system()
+    consts = separation_radius(sys)
+    calls = _count_splits(monkeypatch)
+    grown = (build_branch_table(sys, consts, 12),
+             build_branch_table(sys, consts, 30))
+    # the growth split only the modes 13..30
+    assert [np.abs(1 / z.imag).round().min() for z in calls] == \
+        [consts.n0 + 1, 13]
+    shrunk = build_branch_table(sys, consts, 12)
+    assert len(calls) == 2
+    for nmax, got in ((12, grown[0]), (30, grown[1]), (12, shrunk)):
+        _assert_same_table(got, build_branch_table(system(), consts, nmax))
+    # a new table object on every call
+    assert shrunk is not grown[0] and shrunk is not build_branch_table(
+        sys, consts, 12)
+
+
+def test_kept_arrays_are_read_only():
+    sys = two_speed_system()
+    consts = separation_radius(sys)
+    build_branch_table(sys, consts, 8)
+    for nmax in (8, 12, 6):
+        table = build_branch_table(sys, consts, nmax)
+        for field in TABLE_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, field).flat[0] = 0
+    rz = spectral.remainder_at_zero(sys, consts.R)
+    for P, Rm in rz.values():
+        for a in (P, Rm):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0
+    # the dict is the caller's own
+    rz.clear()
+    assert len(spectral.remainder_at_zero(sys, consts.R)) == 2
+
+
+def test_kept_table_and_remainder_die_with_their_system():
+    import gc
+    import weakref
+    sys = nscl_system()
+    consts = separation_radius(sys)
+    table = build_branch_table(sys, consts, 8)
+    spectral.remainder_at_zero(sys, consts.R)
+    alive = weakref.ref(sys)
+    kept = [weakref.ref(d) for d in (spectral._BRANCH_TABLES._owners[sys],
+                                     spectral._REMAINDERS._owners[sys])]
+    del sys
+    gc.collect()
+    # a returned table does not hold its system
+    assert alive() is None and all(k() is None for k in kept)
+    assert len(table) == 2 * (8 - consts.n0)
+
+
+def test_failed_growth_matches_a_fresh_build_and_keeps_the_table(
+        monkeypatch):
+    # the radius of test_branch_table_names_the_failing_mode: modes +-5
+    # sit on the contour, +-4 split
+    sys = nscl_system()
+    consts = separation_radius(sys)
+    w = np.linalg.eigvals(eval_symbol(sys, 1j / 5))
+    R = float(np.abs(w[np.argmax(np.abs(w))]))
+    bad = spectral.BranchConstants(r=consts.r, n0=consts.n0, R=R)
+    with pytest.raises(spectral.ContourError) as fresh:
+        build_branch_table(nscl_system(), bad, 8)
+    held = build_branch_table(sys, bad, 4)
+    with pytest.raises(spectral.ContourError) as grown:
+        build_branch_table(sys, bad, 8)
+    assert str(grown.value) == str(fresh.value)
+    assert str(fresh.value).startswith("modes n = [5, -5]: ")
+    assert grown.value.members == fresh.value.members == (2, 3)
+    calls = _count_splits(monkeypatch)
+    _assert_same_table(build_branch_table(sys, bad, 4), held)
+    assert calls == []
+
+
+def test_remainder_at_zero_is_split_once_per_system_and_radius(
+        monkeypatch):
+    sys = two_speed_system()
+    consts = separation_radius(sys)
+    calls = _count_splits(monkeypatch)
+    first = spectral.remainder_at_zero(sys, consts.R)
+    again = spectral.remainder_at_zero(sys, consts.R)
+    assert len(calls) == 1
+    for mu in first:
+        assert first[mu][0] is again[mu][0] and first[mu][1] is again[mu][1]
+    spectral.remainder_at_zero(sys, 0.9 * consts.R)
+    other = spectral.remainder_at_zero(two_speed_system(), consts.R)
+    assert len(calls) == 3
+    for mu in first:
+        assert np.array_equal(first[mu][0], other[mu][0])
+        assert np.array_equal(first[mu][1], other[mu][1])
+
+
 # ------------------------------------------------- elementwise node sums
 
 def _lapack_node_sum(N, xi):
@@ -638,7 +758,8 @@ def test_branch_table_is_bit_identical_to_the_svd_stop_rule(system,
     consts = separation_radius(sys)
     got = build_branch_table(sys, consts, 64)
     monkeypatch.setattr(spectral, "_norm2_below", _svd_rule)
-    want = build_branch_table(sys, consts, 64)
+    # a new system object: sys's own table is kept and would be read back
+    want = build_branch_table(system(), consts, 64)
     for field in ("modes", "Ph", "Pp", "G", "speeds", "Phmu", "Rhmu"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
 
