@@ -734,7 +734,7 @@ def _assemble_control_map(sys, blocks, setups, observed, edges, T, weight,
         srcs[on, :, j:j + len(setup.ns)] = _entry_stack(
             blk, setup, T, obs, taus[on]).transpose(0, 2, 1)
         j += len(setup.ns)
-    per_mode = _state_basis(sys, nmax, False).duhamel(
+    per_mode = _state_basis(sys, nmax).duhamel(
         srcs[None], sys.M, T - taus, wts)
     W = weight.toeplitz(np.arange(-nmax, nmax + 1), ns)
     L = (per_mode * W[:, None, :]).reshape(-1, len(ns))

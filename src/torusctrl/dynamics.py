@@ -17,7 +17,7 @@ integrals in the Duhamel formula use per-panel Gauss-Legendre of order 8
 eigen-coordinates (ModeBasis.duhamel), so V_k^{-1} M and V_k apply once
 per mode, not once per node.  The same contraction, over a batch of
 source columns shared by the modes, builds the joint dual operator's
-control-to-state map.  evolve and evolve_adjoint share one ModeBasis per
+control-to-state map.  evolve and that map share one ModeBasis per
 system and truncation, kept in an OwnerMemo: a bounded memo that lives
 and dies with its owner.  A control enters through its coefficients as
 they stand: a signal carries its own support (the emitters build the
@@ -37,7 +37,7 @@ from .spectral import BranchTable, eval_symbol
 
 __all__ = [
     "FourierState", "ControlSignal", "ModeBasis", "gauss_legendre",
-    "duhamel_panels", "evolve", "evolve_adjoint", "windowed_l2_norm",
+    "duhamel_panels", "evolve", "windowed_l2_norm",
     "project_branch", "project_low", "synth_grid",
 ]
 
@@ -114,11 +114,15 @@ class FourierState:
 def _synth_uniform(coeffs, modes, ngrid):
     """sum_a coeffs[a] e^{i modes[a] x} at x_j = 2 pi j / ngrid, along
     axis 0: ngrid * ifft of the coefficients binned at modes mod ngrid,
-    where modes sharing a bin add up.  analyze_grid's DFT inverts it on
-    the modes that keep a bin of their own.
+    where modes sharing a bin add up.  The modes are consecutive, so each
+    run of ngrid of them adds into distinct bins by one indexed +=: every
+    bin sums 0 + c1 (+ c2) in mode order, np.add.at's bits.  analyze_grid's
+    DFT inverts it on the modes that keep a bin of their own.
     """
     spec = np.zeros((ngrid,) + coeffs.shape[1:], dtype=complex)
-    np.add.at(spec, np.asarray(modes) % ngrid, coeffs)
+    bins = np.asarray(modes) % ngrid
+    for s in range(0, len(bins), ngrid):
+        spec[bins[s:s + ngrid]] += coeffs[s:s + ngrid]
     return ngrid * np.fft.ifft(spec, axis=0)
 
 
@@ -372,11 +376,13 @@ class ModeBasis:
     def action(self, vecs):
         """The map scales -> e^{-scales[k, q] G_k} vecs[k], an array
         (K, Q, d), for vecs of shape (K, d).  The factors that do not
-        depend on the scales, V_k and V_k^{-1} vecs_k, are formed once."""
+        depend on the scales, V_k and V_k^{-1} vecs_k, are formed once,
+        read-only: a map can be kept."""
         vecs = np.asarray(vecs, dtype=complex)[:, None, :, None]
         lead = self._V[:, None]
         coef = _small_matmul(self._Vinv[:, None], vecs[self._fast])
         slow_vecs = vecs[self._slow]
+        coef.flags.writeable = slow_vecs.flags.writeable = False
 
         def at(scales):
             s = self._scales(scales)
@@ -454,13 +460,12 @@ def mode_generator(sys: SystemMatrices, n, adjoint=False):
 _STATE_BASES = OwnerMemo()
 
 
-def _state_basis(sys: SystemMatrices, nmax, adjoint):
-    """The ModeBasis of sys's generators on |n| <= nmax (their adjoints
-    when adjoint), built once per system and kept while it lives: a solve
-    evolves the same system many times, and each build is a stacked eig,
-    cond and inv.  Systems hash by identity."""
-    return _STATE_BASES.get(sys, (nmax, adjoint), lambda: ModeBasis(
-        mode_generator(sys, np.arange(-nmax, nmax + 1), adjoint=adjoint)))
+def _state_basis(sys: SystemMatrices, nmax):
+    """The ModeBasis of sys's generators on |n| <= nmax, built once per
+    system and kept while it lives: a solve evolves the same system many
+    times, and each build is a stacked eig, cond and inv."""
+    return _STATE_BASES.get(sys, nmax, lambda: ModeBasis(
+        mode_generator(sys, np.arange(-nmax, nmax + 1))))
 
 
 def duhamel_panels(time_nodes, T, times):
@@ -498,7 +503,7 @@ def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
         if u.nmax != nmax:
             raise ValueError("control truncation differs from state")
 
-    basis = _state_basis(sys, nmax, False)
+    basis = _state_basis(sys, nmax)
     traj = basis.action(f0.coeffs)(times)
     if u is not None:
         taus, wts = duhamel_panels(u.time_nodes, T, times)
@@ -509,21 +514,6 @@ def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
             traj[:, k] += basis.duhamel(src[:, sel], sys.M, t - taus[sel],
                                         wts[sel])
     states = [FourierState(nmax, c) for c in traj.transpose(1, 0, 2).copy()]
-    return states[-1] if sample_times is None else (times, states)
-
-
-def evolve_adjoint(sys: SystemMatrices, g0: FourierState, T: float,
-                   sample_times=None):
-    """Homogeneous adjoint evolution: ghat(n, t) = e^{-t n^2 E(i/n)*} ghat0(n).
-    Returns the state at T, or (times, states) at sample_times, which
-    must lie in [0, T]."""
-    times = (np.array([T]) if sample_times is None
-             else np.asarray(sample_times, dtype=float))
-    if np.any(times < 0) or np.any(times > T):
-        raise ValueError(f"sample times must lie in [0, T = {T}]")
-    traj = _state_basis(sys, g0.nmax, True).action(g0.coeffs)(times)
-    states = [FourierState(g0.nmax, c)
-              for c in traj.transpose(1, 0, 2).copy()]
     return states[-1] if sample_times is None else (times, states)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (SystemMatrices, TorusSubset, TWO_PI, REAL_SPEC_TOL,
-                      PreconditionError, numerical_rank)
+                      PreconditionError, OwnerMemo, numerical_rank)
 from . import spectral, dynamics
 
 __all__ = [
@@ -31,6 +31,8 @@ RATIO_TIMES = 33
 # eigenvalue match of pure_transport_space: |lambda - i mu| below this
 # times 1 + |n|
 TRANSPORT_TOL = 1e-8
+# the witness semigroups of each system (see ObstructionWitness)
+_SEMIGROUPS = OwnerMemo()
 
 
 def highpass_profile(profile, N: int) -> dynamics.FourierState:
@@ -81,7 +83,11 @@ class ObstructionWitness:
     a_n e^{i mu n t} e^{t Rhmu(i/n)*} Phmu(i/n)* phi0 (a_n from chiN),
     gtilde_N(t) has a_n e^{i mu n t} e^{t Rhmu(0)*} phi0; both semigroups
     run on dynamics.ModeBasis.  The pair carries its own support (chiN
-    rides the slowest characteristic outside omega); nothing masks it."""
+    rides the slowest characteristic outside omega); nothing masks it.
+    The semigroups depend on Rhmu, Phmu, Rhmu0 and phi0 alone, not on T
+    or chiN's center: each system keeps them, read-only, while it lives,
+    under the bytes of those four arrays, so a hit returns what a cold
+    build returns and a horizon sweep builds them once per N."""
 
     N: int
     mu: float
@@ -93,14 +99,15 @@ class ObstructionWitness:
     Rhmu: np.ndarray  # (L, d, d): Rhmu(i/n) likewise
 
     def __post_init__(self):
-        # the L live modes of chiN (a_n != 0, n != 0), in order, stacked
-        # once: the semigroup of Rhmu(i/n)* and its start Phmu(i/n)* phi0
+        # the L live modes of chiN (a_n != 0, n != 0), in order, and the
+        # maps e^{t Rhmu(i/n)*} Phmu(i/n)* phi0 on them and e^{t Rhmu(0)*} phi0
         self._live = _live_rows(self.chiN)
-        Rstar = np.swapaxes(self.Rhmu, -1, -2).conj()
-        start = np.swapaxes(self.Phmu, -1, -2).conj() @ self.phi0
-        self._gN = dynamics.ModeBasis(-Rstar).action(start)
-        self._gNtilde = dynamics.ModeBasis(
-            -self.Rhmu0.conj().T[None]).action(self.phi0[None])
+        inputs = (self.Rhmu, self.Phmu, self.Rhmu0, self.phi0)
+        key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in inputs)
+        self._gN, self._gNtilde = _SEMIGROUPS.get(self.sys, key, lambda: (
+            dynamics.ModeBasis(-np.swapaxes(self.Rhmu, -1, -2).conj())
+            .action(np.swapaxes(self.Phmu, -1, -2).conj() @ self.phi0),
+            dynamics.ModeBasis([-self.Rhmu0.conj().T]).action([self.phi0])))
 
     def _states(self, t, rows, vecs):
         """FourierStates a_n e^{i mu n t} v_n(t) on the given rows of chiN,
@@ -184,7 +191,10 @@ def build_witness(sys: SystemMatrices, branches: spectral.BranchTable,
     PEAK_FACTOR*N (keeping the per-mode branch deviation, hence the
     approximation error, of order 1/N).  Its coefficients enter the
     highpass in closed form.  phi0 is the leading right-singular vector
-    of Phmu(0)*.
+    of Phmu(0)*.  The live rows N < |n| <= nmax do not depend on the
+    center, so a horizon sweep at one N on one table reads the witness
+    semigroups its system keeps (see ObstructionWitness) past its first
+    horizon.
     """
     k, mu, center = witness_track(sys, omega, T)
     if not branches:

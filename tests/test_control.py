@@ -1232,7 +1232,7 @@ class TestJointOperatorMemo:
         monkeypatch.setattr(ctl, "_assemble_joint", spy)
         u, _ = hum_gramian_control(sys, branches, 1, ("low",), fstar, 1.0,
                                    HALF_TORUS)
-        basis = weakref.ref(dynamics._state_basis(sys, 4, False))
+        basis = weakref.ref(dynamics._state_basis(sys, 4))
         (op,) = built
         gc.collect()
         assert op() is not None and basis() is not None

@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from torusctrl.algebra import (SystemMatrices, TorusSubset, TWO_PI,
                               minimal_time)
-from torusctrl import spectral, obstruction
+from torusctrl import spectral, obstruction, dynamics
 from torusctrl.obstruction import (highpass_profile, gaussian_profile,
                                    build_witness, observability_ratio,
                                    witness_nmax, pure_transport_space)
@@ -152,6 +155,129 @@ def test_witness_coeffs_batched_and_match_dense_expm(N):
                           * scipy.linalg.expm(t * R.conj().T)
                           @ P.conj().T @ wit.phi0)
             assert _close(one.coeffs, ref, 1e-13), (method.__name__, t)
+
+
+def _table(sys, N, **override):
+    consts = spectral.separation_radius(sys, **override)
+    return consts, spectral.build_branch_table(sys, consts, witness_nmax(N))
+
+
+def _count_mode_bases(monkeypatch):
+    built = []
+    init = dynamics.ModeBasis.__init__
+
+    def spy(self, gens):
+        built.append(len(gens))
+        init(self, gens)
+
+    monkeypatch.setattr(dynamics.ModeBasis, "__init__", spy)
+    return built
+
+
+def test_horizon_sweep_builds_the_witness_semigroups_once(monkeypatch):
+    """A 10-horizon sweep at N = 32 builds the two ModeBasis objects of
+    its witnesses on the first horizon only, and every ratio is
+    bit-identical to a cold build on a fresh system object."""
+    built = _count_mode_bases(monkeypatch)
+    N = 32
+    sys = nscl_system()
+    consts, branches = _table(sys, N)
+    Ts = minimal_time(sys, HALF_TORUS) * np.linspace(0.4, 0.6, 10)
+    ratios = []
+    for T in Ts:
+        wit = build_witness(sys, branches, HALF_TORUS, T, N, consts=consts)
+        ratios.append(observability_ratio(wit, HALF_TORUS, T))
+        assert built == [len(wit._live), 1]
+    for T, ratio in zip(Ts, ratios):
+        # a fresh system object: its memos hold nothing yet
+        cold = nscl_system()
+        wit = build_witness(cold, _table(cold, N)[1], HALF_TORUS, T, N)
+        assert observability_ratio(wit, HALF_TORUS, T) == ratio
+    assert len(built) == 2 + 2 * len(Ts)
+
+
+def test_witness_semigroups_die_with_their_system():
+    sys = nscl_system()
+    consts, branches = _table(sys, 8)
+    wit = build_witness(sys, branches, HALF_TORUS, 1.0, 8, consts=consts)
+    kept = weakref.ref(wit._gN)
+    del wit
+    gc.collect()
+    assert kept() is not None
+    del sys, consts, branches
+    gc.collect()
+    assert kept() is None
+
+
+def test_kept_witness_arrays_are_read_only():
+    sys = nscl_system()
+    consts, branches = _table(sys, 8)
+    wit = build_witness(sys, branches, HALF_TORUS, 1.0, 8, consts=consts)
+    held = [c.cell_contents for f in (wit._gN, wit._gNtilde)
+            for c in f.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    arrays += [a for b in held if isinstance(b, dynamics.ModeBasis)
+               for a in vars(b).values() if isinstance(a, np.ndarray)]
+    # per map: lead, coef and slow_vecs, and the seven of its basis
+    assert len(arrays) == 2 * (3 + 7)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def _witness_bits(wit, T):
+    """The bytes of both coefficient paths at five times, and the ratio."""
+    ts = np.linspace(0.0, T, 5)
+    states = wit.gN_coeffs(ts) + wit.gNtilde_coeffs(ts)
+    return (np.stack([st_.coeffs for st_ in states]).tobytes(),
+            observability_ratio(wit, HALF_TORUS, T))
+
+
+@pytest.mark.parametrize("case", ["n0_override", "table_radius",
+                                  "consts_radius", "Rhmu", "Phmu", "Rhmu0",
+                                  "phi0"])
+def test_other_branch_data_is_built_cold_not_read_stale(monkeypatch, case):
+    """A witness of a system that keeps another witness at the same N and
+    speed gets what a cold build on a fresh system object returns.  The
+    n0 override the obstruct experiment passes gives the kept rows bit
+    for bit, a hit.  The others are built anew: a table of another
+    contour radius under the first constants (its rows differ in the
+    last bits), the first table under constants of another radius (Rhmu0
+    and phi0 differ), and each of the four inputs perturbed alone."""
+    N, T = 16, 1.2
+    sys = nscl_system()
+    consts, branches = _table(sys, N)
+    first = build_witness(sys, branches, HALF_TORUS, T, N, consts=consts)
+
+    def other_radius(c):
+        return spectral.BranchConstants(r=c.r, n0=c.n0, R=0.8 * c.R)
+
+    def build(s):
+        c = spectral.separation_radius(s)
+        if case == "n0_override":
+            c, b = _table(s, N, n0_override=consts.n0 + 3)
+        elif case == "table_radius":
+            b = spectral.build_branch_table(s, other_radius(c),
+                                            witness_nmax(N))
+        elif case == "consts_radius":
+            b, c = _table(s, N)[1], other_radius(c)
+        else:
+            inputs = {name: getattr(first, name)
+                      for name in ("Rhmu", "Phmu", "Rhmu0", "phi0")}
+            a = inputs[case]
+            inputs[case] = a * np.linspace(1.0, 1.001, a.shape[-1])
+            return obstruction.ObstructionWitness(
+                N=N, mu=first.mu, chiN=first.chiN, sys=s, **inputs)
+        return build_witness(s, b, HALF_TORUS, T, N, consts=c)
+
+    built = _count_mode_bases(monkeypatch)
+    warm = build(sys)
+    assert len(built) == (0 if case == "n0_override" else 2)
+    assert (warm._gN is first._gN) == (case == "n0_override")
+    assert _witness_bits(warm, T) == _witness_bits(build(nscl_system()), T)
+    # the first witness's entry is still kept
+    again = build_witness(sys, branches, HALF_TORUS, T, N, consts=consts)
+    assert again._gN is first._gN and again._gNtilde is first._gNtilde
 
 
 def _close(got, ref, rel):
