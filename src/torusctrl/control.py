@@ -602,15 +602,19 @@ def _pairings(setup: _BlockSetup, state: FourierState):
 class _JointOperator:
     """The datum-independent part of a joint solve: the blocks'
     _block_setup entries and bases, panel edges, (own quadrature nodes,
-    observation stack on them) pairs observed, the block offsets offs
-    into the pairing matrix J, its Hermitian part's eigenvalues eigs, the
-    diagonal scaling dscale, the scaled matrix Js and its condition
-    cond; build_map makes control_map on its first request.  The arrays
-    are read-only, and nothing here references the branch table."""
+    observation stack on them) pairs observed, each block's emission
+    weights W[n', j] = rho2hat(n' - n_j) from its entries to the state's
+    modes |n'| <= nmax (an emitted control only scales them by lambda),
+    the block offsets offs into the pairing matrix J, its Hermitian
+    part's eigenvalues eigs, the diagonal scaling dscale, the scaled
+    matrix Js and its condition cond; build_map makes control_map on its
+    first request.  The arrays are read-only, and nothing here references
+    the branch table."""
 
     setups: list
     edges: list
     observed: list
+    weights: list
     offs: np.ndarray
     J: np.ndarray
     eigs: np.ndarray
@@ -697,19 +701,21 @@ def _assemble_joint(sys, branches, n0, blocks, T, weight,
     Js = J / np.outer(dscale, dscale)
     sv = np.linalg.svd(Js, compute_uv=False)
     observed = [(taus, v) for (taus, _), v in zip(quad, own)]
-    for a in [a for pair in observed for a in pair] + edges + [
+    weights = [weight.toeplitz(np.arange(-nmax, nmax + 1), setup.ns)
+               for setup in setups]
+    for a in [a for pair in observed for a in pair] + edges + weights + [
             a for st in setups for a in (st.ns, st.vecs, st.modes)] + [
             offs, J, eigs, dscale, Js]:
         a.flags.writeable = False
     return _JointOperator(
-        setups=setups, edges=edges, observed=observed, offs=offs, J=J,
-        eigs=eigs, dscale=dscale, Js=Js,
+        setups=setups, edges=edges, observed=observed, weights=weights,
+        offs=offs, J=J, eigs=eigs, dscale=dscale, Js=Js,
         cond=float(sv[0] / max(sv[-1], 1e-300)),
         build_map=lambda: _assemble_control_map(
-            sys, blocks, setups, observed, edges, T, weight, nmax))
+            sys, blocks, setups, observed, edges, weights, T, nmax))
 
 
-def _assemble_control_map(sys, blocks, setups, observed, edges, T, weight,
+def _assemble_control_map(sys, blocks, setups, observed, edges, weights, T,
                           nmax):
     """L, the (K d, J) control-to-state map at T of the blocks' entries:
     column j is the state at T on |n| <= nmax, from zero, under entry j's
@@ -723,7 +729,8 @@ def _assemble_control_map(sys, blocks, setups, observed, edges, T, weight,
     blocks' controls (merge_controls' nodes, duhamel_panels), so each
     block reads its entries' stack on its own nodes from observed.  All
     columns go through one ModeBasis.duhamel with sources shared by the
-    modes, and rho2hat(n - n_j) scales mode n after the integral."""
+    modes, and rho2hat(n - n_j), the blocks' emission weights side by
+    side, scales mode n after the integral."""
     taus, wts = duhamel_panels(_merged_nodes(edges, T), T, [T])
     ns = np.concatenate([setup.ns for setup in setups])
     # srcs[q, :, j]: entry j's unit control at taus[q], shared by all modes
@@ -736,8 +743,7 @@ def _assemble_control_map(sys, blocks, setups, observed, edges, T, weight,
         j += len(setup.ns)
     per_mode = _state_basis(sys, nmax).duhamel(
         srcs[None], sys.M, T - taus, wts)
-    W = weight.toeplitz(np.arange(-nmax, nmax + 1), ns)
-    L = (per_mode * W[:, None, :]).reshape(-1, len(ns))
+    L = (per_mode * np.hstack(weights)[:, None, :]).reshape(-1, len(ns))
     L.flags.writeable = False
     return L
 
@@ -784,12 +790,12 @@ def _joint_solve(sys, branches, n0, blocks, goal, T, weight,
     offs = op.offs
     controls = [
         _emit_block(blk, op.setups[b], lam[offs[b]:offs[b + 1]], T, weight,
-                    goal.nmax, op.edges[b], op.observed[b])
+                    op.weights[b], op.edges[b], op.observed[b])
         for b, blk in enumerate(blocks)]
     return controls, op.J, lam, c, op.cond
 
 
-def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges,
+def _emit_block(blk: DualBlock, setup, lam, T, weight, W, edges,
                 observed=None):
     """Lazy control u = rho2 sum_j lambda_j (mask v_j) e^{i n_j x} on the
     block's window, zero outside it, for the block's _block_setup.
@@ -798,12 +804,14 @@ def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges,
     time to go clipped to [0, T].
 
     The coefficients on |n'| <= nmax are (W diag lambda) @ V(t), with
-    V(t) the (J, m) per-entry stack and W[n', j] = rho2hat(n' - n_j)
-    built once.  They take a float or a 1-D array of times (the
-    ControlSignal.at contract); a batch takes one such product per time,
-    so it gives the bits of its times taken one at a time.  The signal's
-    sample nodes are the block's panel edges.  The spatial evaluator
-    synthesizes the lambda-weighted stack over the entries' modes.
+    V(t) the (J, m) per-entry stack and W[n', j] = rho2hat(n' - n_j) the
+    block's (2 nmax + 1, J) emission weights, which the joint operator
+    keeps (_JointOperator.weights).  They take a float or a 1-D array of
+    times (the ControlSignal.at contract); a batch takes one such product
+    per time, so it gives the bits of its times taken one at a time.  The
+    signal's sample nodes are the block's panel edges.  The spatial
+    evaluator synthesizes the lambda-weighted stack over the entries'
+    modes.
 
     observed, when given, is the joint solve's (taus, stack) for the
     block, which _entry_stack reads at exactly those times.
@@ -811,7 +819,8 @@ def _emit_block(blk: DualBlock, setup, lam, T, weight, nmax, edges,
     lam = np.asarray(lam, dtype=complex)
     ns = setup.ns
     m = len(blk.mask)
-    W = weight.toeplitz(np.arange(-nmax, nmax + 1), ns) * lam
+    nmax = len(W) // 2
+    W = W * lam
 
     def coeff_fn(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))

@@ -19,9 +19,12 @@ per mode, not once per node.  The same contraction, over a batch of
 source columns shared by the modes, builds the joint dual operator's
 control-to-state map.  evolve and that map share one ModeBasis per
 system and truncation, kept in an OwnerMemo: a bounded memo that lives
-and dies with its owner.  A control enters through its coefficients as
-they stand: a signal carries its own support (the emitters build the
-spatial cut-off into them), and evolve applies no mask of its own.
+and dies with its owner.  A basis in turn keeps the expm-path
+propagators it formed, per array of scales, so an evolution to a
+horizon it has met runs no Pade exponential.  A control enters through
+its coefficients as they stand: a signal carries its own support (the
+emitters build the spatial cut-off into them), and evolve applies no
+mask of its own.
 States go to and from the uniform grid 2 pi j / ngrid by FFT
 (synth_grid, analyze_grid); the windowed observation norm synthesizes
 all its states in one inverse FFT.
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SystemMatrices, TorusSubset, TWO_PI, OwnerMemo
-from .spectral import BranchTable, eval_symbol
+from .spectral import BranchTable, eval_symbol, _read_only
 
 __all__ = [
     "FourierState", "ControlSignal", "ModeBasis", "gauss_legendre",
@@ -300,6 +303,10 @@ def _expm_pade13(A):
     return X + c * eye
 
 
+# the expm-path propagators of each ModeBasis, per array of scales
+_PROPAGATORS = OwnerMemo()
+
+
 class ModeBasis:
     """The semigroups e^{-s G_k} of a stack of generators G, shape (K, d, d).
 
@@ -318,7 +325,10 @@ class ModeBasis:
     single-scale calls.  Scales are (K, Q) arrays, or anything that
     broadcasts to one: (Q,) shares the scales across modes, (K, 1) gives
     one scale per mode.  A basis is read-only once built, so one can
-    serve every evolution of its system.
+    serve every evolution of its system.  It keeps its generators, the
+    eig-path factors -w_k, V_k and V_k^{-1}, and, in an OwnerMemo that
+    dies with it, the expm-path propagators of its MEMO_SIZE most recent
+    scale arrays (_expm_slow), all read-only.
     """
 
     def __init__(self, gens):
@@ -346,9 +356,15 @@ class ModeBasis:
         return np.exp(s[self._fast, :, None] * self._negw[:, None, :])
 
     def _expm_slow(self, s):
-        """e^{-s G} of the expm-path modes: (Ks, Q, d, d)."""
-        return _expm_pade13(-s[self._slow, :, None, None]
-                            * self.gens[self._slow, None])
+        """e^{-s G} of the expm-path modes: (Ks, Q, d, d), read-only.  The
+        basis keeps them under the shape and bytes of the slow rows'
+        scales, so a repeated scale array (evolve to the same horizon)
+        reads what the Pade call returned the first time."""
+        slow = s[self._slow]
+        return _PROPAGATORS.get(
+            self, (slow.shape, slow.tobytes()), lambda: _read_only(
+                _expm_pade13(-slow[..., None, None]
+                             * self.gens[self._slow, None])))
 
     def expm(self, scales, obs=None):
         """obs[k] e^{-scales[k, q] G_k}: array (K, Q, m, d), for

@@ -190,11 +190,12 @@ def build_witness(sys: SystemMatrices, branches: spectral.BranchTable,
     width is tied to N so the highpassed profile peaks near
     PEAK_FACTOR*N (keeping the per-mode branch deviation, hence the
     approximation error, of order 1/N).  Its coefficients enter the
-    highpass in closed form.  phi0 is the leading right-singular vector
-    of Phmu(0)*.  The live rows N < |n| <= nmax do not depend on the
-    center, so a horizon sweep at one N on one table reads the witness
-    semigroups its system keeps (see ObstructionWitness) past its first
-    horizon.
+    highpass in closed form.  phi0 is the leading left singular vector
+    of Phmu(0)*, kept with the system's remainder_at_zero limits, so a
+    call takes no svd.  The live rows N < |n| <= nmax do not depend on
+    the center, so a horizon sweep at one N on one table reads the
+    witness semigroups its system keeps (see ObstructionWitness) past its
+    first horizon.
     """
     k, mu, center = witness_track(sys, omega, T)
     if not branches:
@@ -206,9 +207,7 @@ def build_witness(sys: SystemMatrices, branches: spectral.BranchTable,
     if consts is None:
         consts = spectral.separation_radius(sys)
     # the branch data is keyed and ordered by the transport speeds
-    Pm0, Rm0 = spectral.remainder_at_zero(sys, consts.R)[mu]
-    u, s, vh = np.linalg.svd(Pm0.conj().T)
-    phi0 = u[:, 0]
+    _, Rm0, phi0 = spectral.remainder_at_zero(sys, consts.R)[mu]
 
     # a KeyError here means the highpass order N is below the cutoff n0
     rows = branches.rows(chiN.modes[_live_rows(chiN)])

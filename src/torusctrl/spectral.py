@@ -18,8 +18,9 @@ splits the modes n0 < |n| <= nmax into one stacked BranchTable.  The
 split depends on the system and the mode, never on a horizon or a datum,
 so each system keeps, in an OwnerMemo that dies with it, one table per
 BranchConstants, grown to the largest nmax asked for, and one
-remainder_at_zero per contour radius.  A call hands out new containers
-of the kept arrays, which are read-only.
+remainder_at_zero per contour radius, with each speed's witness start.
+A call hands out new containers of the kept arrays, which are
+read-only.
 """
 
 from dataclasses import dataclass
@@ -244,13 +245,25 @@ class BranchTable:
 
     def rows(self, ns):
         """Row indices of the modes ns, an int or an array of them; a
-        KeyError names every mode the table lacks."""
-        hit = np.asarray(ns, dtype=int)[..., None] == self.modes
-        missing = np.unique(np.asarray(ns)[~hit.any(axis=-1)]).tolist()
-        if missing:
+        KeyError names every mode the table lacks.
+
+        The rows are in build_branch_table's order n0+1, -(n0+1), n0+2,
+        ..., with n0 + 1 the first row's |mode|, so mode n sits at row
+        2 (|n| - n0 - 1) + (n < 0).  That closed form is checked against
+        modes: a mode whose row is past the table or holds another mode
+        is missing.  A row below 0 reads row 0, which holds n0 + 1 and so
+        never matches."""
+        ns = np.asarray(ns, dtype=int)
+        size = len(self.modes)
+        first = abs(int(self.modes[0])) if size else 0
+        row = 2 * (np.abs(ns) - first) + (ns < 0)
+        found = row < size
+        if size:
+            found &= self.modes.take(row, mode="clip") == ns
+        if not found.all():
+            missing = np.unique(ns[~found]).tolist()
             raise KeyError(f"branch table missing modes {missing}")
-        # each row of hit holds exactly one True; an empty table has none
-        return hit @ np.arange(len(self.modes))
+        return row[()]
 
 
 def separation_radius(sys: SystemMatrices,
@@ -407,18 +420,23 @@ _REMAINDERS = OwnerMemo()
 
 
 def remainder_at_zero(sys: SystemMatrices, R: float):
-    """Richardson-extrapolated limits mu -> (Phmu(0), Rhmu(0)) from
+    """Richardson-extrapolated limits mu -> (Phmu(0), Rhmu(0), phi0) from
     z = i/REMAINDER_N and i/(2 REMAINDER_N); the branch data is first
-    order in z so the extrapolant is O(1/n^2) accurate.  They depend on
-    sys and R alone: computed once per pair and kept while sys lives.
-    Each call returns a new dict of the kept arrays, which are
-    read-only."""
+    order in z so the extrapolant is O(1/n^2) accurate.  phi0, the
+    leading left singular vector of Phmu(0)*, starts an obstruction
+    witness.  They depend on sys and R alone: computed once per pair and
+    kept while sys lives, so a witness takes no svd.  Each call returns a
+    new dict of the kept arrays, which are read-only."""
     def build():
         zs = 1j / (REMAINDER_N * np.array([1.0, 2.0]))
         Ph, _ = projection_split(sys, zs, R)
-        return {mu: (_read_only(2.0 * P[1] - P[0]),
-                     _read_only(2.0 * Rm[1] - Rm[0]))
-                for mu, (P, Rm) in hyperbolic_branches(sys, zs, Ph).items()}
+        out = {}
+        for mu, (P, Rm) in hyperbolic_branches(sys, zs, Ph).items():
+            P0 = _read_only(2.0 * P[1] - P[0])
+            u, _, _ = np.linalg.svd(P0.conj().T)
+            out[mu] = (P0, _read_only(2.0 * Rm[1] - Rm[0]),
+                       _read_only(u)[:, 0])
+        return out
 
     return dict(_REMAINDERS.get(sys, float(R), build))
 

@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from torusctrl.algebra import PreconditionError, TorusSubset, TWO_PI
+from torusctrl.algebra import (PreconditionError, TorusSubset, TWO_PI,
+                              minimal_time)
 from torusctrl import control as ctl
 from torusctrl.control import (smoothstep, window_fn, rho1, plateau_weight,
                                cutoff_eta, transport_control,
@@ -659,6 +660,12 @@ def _loop_coeffs(weight, nmax, m, vecs):
     return out
 
 
+def _emission_weights(weight, nmax, setup):
+    """A block's emission weights W[n', j] = rho2hat(n' - n_j) on
+    |n'| <= nmax, the _emit_block argument the joint operator keeps."""
+    return weight.toeplitz(np.arange(-nmax, nmax + 1), setup.ns)
+
+
 def _kind(setup):
     """The observation kind of a block setup: "parabolic" entries live in
     the graph coordinate, "full" ones in C^d."""
@@ -737,7 +744,9 @@ class TestEmission:
                    + 1j * rng.standard_normal(len(setup.ns)))
             t0, t1 = blk.window
             edges = np.linspace(t0, t1, 5)
-            u = ctl._emit_block(blk, setup, lam, self.T, weight, nmax, edges)
+            u = ctl._emit_block(blk, setup, lam, self.T, weight,
+                                _emission_weights(weight, nmax, setup),
+                                edges)
             assert u.values.shape == (0, 2 * nmax + 1, sys.m)
             for t in (t0, 0.3 * t0 + 0.7 * t1, t1):
                 ref = _loop_coeffs(weight, nmax, sys.m, _block_vectors(
@@ -792,7 +801,8 @@ class TestEmission:
         for sys, branches, blk, setup in self._blocks(nscl_branches24):
             lam = (rng.standard_normal(len(setup.ns))
                    + 1j * rng.standard_normal(len(setup.ns)))
-            u = ctl._emit_block(blk, setup, lam, self.T, weight, nmax,
+            u = ctl._emit_block(blk, setup, lam, self.T, weight,
+                                _emission_weights(weight, nmax, setup),
                                 blk.window)
             t = 0.5 * sum(blk.window)
             coeffs = FourierState(nmax, u.at(t))
@@ -825,7 +835,8 @@ class TestEmission:
             lam = (rng.standard_normal(len(setup.ns))
                    + 1j * rng.standard_normal(len(setup.ns)))
             t0, t1 = blk.window
-            u = ctl._emit_block(blk, setup, lam, self.T, weight, nmax,
+            u = ctl._emit_block(blk, setup, lam, self.T, weight,
+                                _emission_weights(weight, nmax, setup),
                                 np.linspace(t0, t1, 5))
             ts = self._edge_times(t0, t1)
             if prof is not None:
@@ -858,7 +869,8 @@ class TestEmission:
         sys, branches, hyp, setup = self._blocks(nscl_branches24)[0]
         lam = (rng.standard_normal(len(setup.ns))
                + 1j * rng.standard_normal(len(setup.ns)))
-        u = ctl._emit_block(hyp, setup, lam, self.T, weight, nmax,
+        u = ctl._emit_block(hyp, setup, lam, self.T, weight,
+                            _emission_weights(weight, nmax, setup),
                             np.linspace(*hyp.window, 5))
         shifted = ctl._shift_control(u, 0.5)
         ts = self._edge_times(0.5, 0.5 + self.Tprime)
@@ -929,7 +941,7 @@ class TestEmission:
                 taus, _ = gauss_legendre(edges)
                 fresh = ctl._emit_block(
                     blk, setups[b], lam[offs[b]:offs[b + 1]], T, weight,
-                    goal.nmax, edges)
+                    _emission_weights(weight, goal.nmax, setups[b]), edges)
                 batched = u.at(taus)
                 assert np.any(batched)
                 assert np.array_equal(batched, fresh.at(taus))
@@ -999,6 +1011,50 @@ class TestJointOperatorMemo:
         assert np.array_equal(u.at(ts), u_cold.at(ts))
         assert cert["joint_cond_headroom_log10"] == np.log10(
             ctl.COND_MAX / cond)
+
+    @pytest.mark.parametrize("system", [nscl_system, two_speed_system],
+                             ids=["nscl", "two-speed"])
+    def test_consecutive_data_give_the_bits_of_each_datum_solved_first(
+            self, system):
+        """Eight data solved in a row on one system (its kept table,
+        operator, L, emission weights and propagators) give the bits of
+        each datum solved first on a fresh system object (nmax 10)."""
+        nmax = 10
+        Tstar = minimal_time(system(), HALF_TORUS)
+        T, Tprime = 1.5 * Tstar, 1.25 * Tstar
+        ts = np.linspace(0.0, T, 41)
+
+        def solve(sys, f0):
+            consts = spectral.separation_radius(sys)
+            branches = spectral.build_branch_table(sys, consts, nmax)
+            u, cert = full_pipeline(sys, branches, consts.n0, f0, T, Tprime,
+                                    HALF_TORUS, Tstar=Tstar)
+            return (cert["final_state"].coeffs, u.at(ts), u.at(u.time_nodes),
+                    [tuple(s.values()) for s in cert["sweeps"]],
+                    cert["joint_cond"])
+
+        rng = np.random.default_rng(67)
+        sys = system()
+        data = [random_state(rng, nmax, sys.d) for _ in range(8)]
+        warm = [solve(sys, f0) for f0 in data]
+        for f0, got in zip(data, warm):
+            want = solve(system(), f0)
+            for a, b in zip(got[:3], want[:3]):
+                assert np.array_equal(a, b)
+            assert got[3:] == want[3:]
+
+    def test_kept_emission_weights_are_the_toeplitz_lookup(self):
+        scn, consts, branches, run = self._pipeline(8)
+        run(branches, 3)
+        (op,) = ctl._JOINT_OPERATORS._owners[branches].values()
+        weight = plateau_weight(scn.omega)
+        assert len(op.weights) == len(op.setups) == 3
+        for W, setup in zip(op.weights, op.setups):
+            assert W.shape == (17, len(setup.ns))
+            assert np.array_equal(W, weight.toeplitz(np.arange(-8, 9),
+                                                     setup.ns))
+            with pytest.raises(ValueError, match="read-only"):
+                W[0, 0] = 0.0
 
     def test_warm_datum_reads_the_kept_control_map(self, monkeypatch):
         """The first datum on a table builds L once with its operator; a
@@ -1316,7 +1372,7 @@ class TestControlMap:
             controls = [
                 ctl._emit_block(blk, op.setups[b],
                                 unit[op.offs[b]:op.offs[b + 1]], T, weight,
-                                nmax, op.edges[b], op.observed[b])
+                                op.weights[b], op.edges[b], op.observed[b])
                 for b, blk in enumerate(blocks)]
             u = ctl.merge_controls(controls, nmax, sys.m, T)
             col = evolve(sys, zero, u, T).coeffs.ravel()

@@ -328,6 +328,82 @@ def test_state_basis_is_built_once_per_system(monkeypatch):
     assert not np.allclose(got.coeffs, first.coeffs)
 
 
+def _kept_propagators(basis):
+    """The expm-path propagators a basis keeps, in memo order."""
+    return list(dynamics._PROPAGATORS._owners.get(basis, {}).values())
+
+
+@pytest.mark.parametrize("system, slow", [(nscl_system, [-2, 2]),
+                                          (moving_wave_system, [-1, 1])],
+                         ids=["nscl", "moving-wave"])
+def test_kept_propagators_give_the_bits_of_a_cold_basis(monkeypatch, system,
+                                                        slow):
+    """evolve at a repeated horizon reads the propagators its basis kept,
+    with no Pade call, free and with a control, and gives the bits of the
+    same evolution on a fresh system object (a cold basis).  Another
+    horizon of the same shape builds its own, also bit for bit."""
+    nmax = 6
+    sys = system()
+    assert np.arange(-nmax, nmax + 1)[
+        ~dynamics._state_basis(sys, nmax).eig].tolist() == slow
+    rng = np.random.default_rng(53)
+    f0 = random_state(rng, nmax, sys.d)
+    nodes = np.linspace(0.0, 0.9, 5)
+    vals = (rng.standard_normal((5, 2 * nmax + 1, sys.m))
+            + 1j * rng.standard_normal((5, 2 * nmax + 1, sys.m)))
+    u = ControlSignal(time_nodes=nodes, nmax=nmax, values=vals)
+    runs = [(None, 0.9, None), (u, 0.9, None), (None, 0.9, [0.3, 0.9]),
+            (u, 0.9, [0.3, 0.9]), (None, 0.7, None), (u, 0.9, [0.4, 0.9])]
+
+    def coeffs(system_obj, ctl, T, times):
+        out = evolve(system_obj, f0, ctl, T, sample_times=times)
+        return [out.coeffs] if times is None else [s.coeffs for s in out[1]]
+
+    pade, calls = dynamics._expm_pade13, []
+    monkeypatch.setattr(dynamics, "_expm_pade13",
+                        lambda A: calls.append(A.shape) or pade(A))
+    for ctl, T, times in runs:
+        first = coeffs(sys, ctl, T, times)
+        built = len(calls)
+        again = coeffs(sys, ctl, T, times)
+        assert len(calls) == built, (ctl is None, T, times)
+        cold = coeffs(system(), ctl, T, times)
+        for a, b, c in zip(first, again, cold):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+    assert all(shape[0] == len(slow) for shape in calls)
+
+
+def test_kept_propagators_are_read_only():
+    sys = moving_wave_system()
+    rng = np.random.default_rng(59)
+    f0 = random_state(rng, 4, sys.d)
+    u = ControlSignal(time_nodes=np.linspace(0.0, 0.5, 3), nmax=4,
+                      values=np.ones((3, 9, sys.m), dtype=complex))
+    evolve(sys, f0, u, 0.5, sample_times=[0.2, 0.5])
+    kept = _kept_propagators(dynamics._state_basis(sys, 4))
+    assert len(kept) >= 3
+    for P in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            P[0] = 0.0
+
+
+def test_kept_propagators_die_with_their_basis():
+    import gc
+    import weakref
+
+    basis = ModeBasis(mode_generator(moving_wave_system(), [-1, 0, 1]))
+    basis.expm(np.array([0.2, 0.5]))
+    basis.action(np.ones((3, 2)))(0.3)
+    kept = [weakref.ref(P) for P in _kept_propagators(basis)]
+    assert len(kept) == 2
+    kept.append(weakref.ref(dynamics._PROPAGATORS._owners[basis]))
+    alive = weakref.ref(basis)
+    del basis
+    gc.collect()
+    assert alive() is None
+    assert all(ref() is None for ref in kept)
+
+
 def test_gauss_legendre_panels_exact_on_polynomials():
     edges = np.array([0.0, 0.1, 0.5, 2.0])
     taus, wts = gauss_legendre(edges, order=4)

@@ -386,3 +386,60 @@ class TestParser:
             cli.main(argv)
         assert exc.value.code == 2
         assert "usage: torusctrl" in capsys.readouterr().err
+
+
+# one datum of each solve the benchmark times, in a fresh interpreter; the
+# last line printed is every scipy.linalg module it imported
+_WORKLOAD_IMPORTS = """\
+import sys
+import numpy as np
+from torusctrl import cli, control, harness, obstruction, spectral
+from torusctrl.algebra import SystemMatrices, TorusSubset
+from torusctrl.dynamics import project_branch
+
+half = TorusSubset(((0.0, np.pi),))
+rng = np.random.default_rng(3)
+scn = harness.load_scenario("nscl(1, 1, 1, 2, 1)", experiment="pipeline",
+                            nmax=10)
+consts = spectral.separation_radius(scn.sys)
+branches = spectral.build_branch_table(scn.sys, consts, 10)
+control.full_pipeline(scn.sys, branches, consts.n0,
+                      harness._random_state(rng, 10, 2), scn.T, scn.Tprime,
+                      scn.omega, Tstar=scn.Tstar)
+wit_branches = spectral.build_branch_table(scn.sys, consts,
+                                           obstruction.witness_nmax(8))
+T = 0.5 * scn.Tstar
+wit = obstruction.build_witness(scn.sys, wit_branches, half, T, 8,
+                                consts=consts)
+obstruction.observability_ratio(wit, half, T)
+zero = np.zeros((2, 2))
+heat = SystemMatrices(1, 1, A=zero, D=np.array([[1.0]]), K=zero,
+                      M=np.eye(2))
+heat_branches = spectral.build_branch_table(
+    heat, spectral.separation_radius(heat, n0_override=1), 8)
+f0p = project_branch(harness._random_state(rng, 8, 2), heat_branches, 1,
+                     "p")
+control.lebeau_robbiano(heat, heat_branches, f0p, T=4.0, delta=0.5,
+                        rho=0.5, nmax=8, n0=1, omega=half)
+code = cli.main(["pipeline", "--scenario", "nscl(1, 1, 1, 2, 1)",
+                 "--nmax", "10", "--out-dir", sys.argv[1]])
+print(code, sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+"""
+
+
+def test_workload_solves_import_no_scipy_linalg(tmp_path):
+    """The pipeline, Lebeau-Robbiano, witness and CLI pipeline solves run
+    without importing scipy.linalg, whose import alone nearly doubles a
+    run's peak memory."""
+    import subprocess
+    import sys
+
+    import torusctrl
+
+    src = os.path.dirname(os.path.dirname(torusctrl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", _WORKLOAD_IMPORTS, str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"

@@ -225,6 +225,24 @@ def test_kept_witness_arrays_are_read_only():
             a[...] = 0
 
 
+def test_witness_start_is_kept_with_remainder_at_zero(monkeypatch):
+    """phi0 is split once per system and contour radius, with
+    remainder_at_zero's limits: the leading left singular vector of
+    Phmu(0)* bit for bit, read-only, and a witness takes no svd."""
+    sys = two_speed_system()
+    consts, branches = _table(sys, 8)
+    svds, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: svds.append(1) or svd(*a, **k))
+    kept = spectral.remainder_at_zero(sys, consts.R)
+    assert len(svds) == len(kept) == 2
+    for P0, _, phi0 in kept.values():
+        assert np.array_equal(phi0, svd(P0.conj().T)[0][:, 0])
+    T = 0.3 * minimal_time(sys, HALF_TORUS)
+    wit = build_witness(sys, branches, HALF_TORUS, T, 8, consts=consts)
+    assert len(svds) == 2 and wit.phi0 is kept[wit.mu][2]
+
+
 def _witness_bits(wit, T):
     """The bytes of both coefficient paths at five times, and the ratio."""
     ts = np.linspace(0.0, T, 5)

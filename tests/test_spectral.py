@@ -127,6 +127,63 @@ def test_branch_table_keys_and_graph_map(nscl_branches24):
         assert project_branch(f, empty, consts5.n0, which).norm() == 0.0
 
 
+def _brute_rows(table, ns):
+    """BranchTable.rows by comparing every mode with every row."""
+    hit = np.asarray(ns, dtype=int)[..., None] == table.modes
+    missing = np.unique(np.asarray(ns)[~hit.any(axis=-1)]).tolist()
+    if missing:
+        raise KeyError(f"branch table missing modes {missing}")
+    return hit @ np.arange(len(table.modes))
+
+
+def _rows_tables():
+    """Tables built at several nmax, grown in place, read back smaller,
+    and built on an n0 override."""
+    sys = nscl_system()
+    consts = separation_radius(sys)
+    tables = [build_branch_table(sys, consts, nmax) for nmax in (4, 9, 6)]
+    tables.append(build_branch_table(sys, consts, 14))
+    tables.append(build_branch_table(sys, separation_radius(
+        sys, n0_override=consts.n0 + 2), 11))
+    assert [len(t) for t in tables] == [2, 12, 6, 22, 12]
+    return tables
+
+
+def test_table_rows_closed_form_matches_brute_force():
+    rng = np.random.default_rng(61)
+    for table in _rows_tables():
+        modes = table.modes
+        for ns in (modes, modes[::-1], rng.permutation(modes),
+                   rng.choice(modes, size=3 * len(modes)),
+                   np.repeat(modes[:2], 3), modes[:0]):
+            got = table.rows(ns)
+            assert got.dtype == np.int64 and got.shape == ns.shape
+            assert np.array_equal(got, _brute_rows(table, ns))
+            assert np.array_equal(modes[got], ns)
+        for n in modes[[0, -1]]:
+            assert table.rows(int(n)) == _brute_rows(table, int(n))
+        assert np.array_equal(table.rows(modes.reshape(2, -1)),
+                              _brute_rows(table, modes.reshape(2, -1)))
+
+
+def test_table_rows_key_error_names_exactly_the_missing_modes():
+    sys5 = nscl_system(vbar=5.0)
+    empty = build_branch_table(sys5, separation_radius(sys5), 12)
+    assert len(empty) == 0
+    for table in _rows_tables() + [empty]:
+        n0 = abs(int(table.modes[0])) - 1 if len(table) else 13
+        top = n0 + len(table) // 2
+        present = table.modes[:1].tolist()
+        for ns in ([0], [n0], [-n0, 1, -1], [top + 1], [-(top + 1), -top - 7],
+                   present + [0, top + 3, 0, -n0] + present,
+                   0, -(top + 1)):
+            with pytest.raises(KeyError) as brute:
+                _brute_rows(table, ns)
+            with pytest.raises(KeyError) as got:
+                table.rows(ns)
+            assert str(got.value) == str(brute.value), (len(table), ns)
+
+
 def test_graph_map_vanishes_with_coupling():
     # decoupled system: parabolic branch is exactly the second component,
     # so the hyperbolic components of parabolic data vanish identically
@@ -145,7 +202,7 @@ def test_remainder_at_zero_extrapolation():
     rz = spectral.remainder_at_zero(sys, consts.R)
     mus = sorted(rz)
     assert mus == pytest.approx([-1.0], abs=1e-6)
-    Pm0, _ = rz[mus[0]]
+    Pm0 = rz[mus[0]][0]
     Ph0, _ = limit_projections(sys)
     # Richardson from z = i/512, i/1024 leaves an O(1/n^2)-scale tail
     assert Pm0 == pytest.approx(Ph0, abs=1e-5)
@@ -354,10 +411,10 @@ def test_kept_arrays_are_read_only():
             with pytest.raises(ValueError, match="read-only"):
                 getattr(table, field).flat[0] = 0
     rz = spectral.remainder_at_zero(sys, consts.R)
-    for P, Rm in rz.values():
-        for a in (P, Rm):
+    for arrays in rz.values():
+        for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 0
+                a.flat[0] = 0
     # the dict is the caller's own
     rz.clear()
     assert len(spectral.remainder_at_zero(sys, consts.R)) == 2
