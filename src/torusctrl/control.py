@@ -1052,10 +1052,11 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
     for sweep in range(max_sweeps):
         fT = _reached(free, L, lam)
         res = fT.norm() / f0norm
+        # Pp = I - Ph on the band, so fT - h - low is the parabolic part
+        h, low = project_branch(fT, branches, n0, "h"), project_low(fT, n0)
         sweep_log.append({"sweep": sweep, "relative_residual": res,
-                          "h": project_branch(fT, branches, n0, "h").norm(),
-                          "p": project_branch(fT, branches, n0, "p").norm(),
-                          "low": project_low(fT, n0).norm()})
+                          "h": h.norm(), "p": (fT - h - low).norm(),
+                          "low": low.norm()})
         if res <= 1e-9:
             break
         if sweep >= 2 and res > 0.5 * sweep_log[-2]["relative_residual"]:

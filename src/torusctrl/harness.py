@@ -376,7 +376,7 @@ def _exp_spectrum(scn, rng, out_dir):
                       "branch_sum", "branch_eq"], rows)
     lines = [f"spectrum: {scn.name}, 200 samples with |z| <= 1/n0",
              f"separation radius r = {consts.r:.6g}, n0 = {consts.n0}, "
-             f"contour R = {consts.R:.6g}",
+             f"split radius R = {consts.R:.6g}",
              f"max residuals: idempotent {worst[0]:.3e}, commutator "
              f"{worst[1]:.3e}, branch sum {worst[2]:.3e}, branch "
              f"equation {worst[3]:.3e}"]

@@ -481,6 +481,23 @@ class TestPipeline:
         assert cert["sweeps"][0]["relative_residual"] > 1e-6
         assert cert["relative"] <= 1e-9
 
+    def test_sweep_log_splits_the_state_into_its_branches(self):
+        # sweep 0 logs the free state at T: its parabolic norm, taken as
+        # fT - h - low, is the Pp projection's to roundoff
+        scn = harness.load_scenario("nscl(1, 1, 1, 2, 1)",
+                                    experiment="pipeline", nmax=10)
+        consts = spectral.separation_radius(scn.sys)
+        n0 = consts.n0
+        branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
+        f0 = random_state(np.random.default_rng(41), scn.nmax, scn.sys.d)
+        _, cert = full_pipeline(scn.sys, branches, n0, f0, scn.T,
+                                scn.Tprime, scn.omega, Tstar=scn.Tstar)
+        free = evolve(scn.sys, f0, None, scn.T)
+        log = cert["sweeps"][0]
+        assert log["p"] == pytest.approx(
+            project_branch(free, branches, n0, "p").norm(), rel=1e-12)
+        assert log["h"] == project_branch(free, branches, n0, "h").norm()
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_near_full_torus_is_one_joint_mechanism(self, monkeypatch,
                                                     seed):

@@ -274,7 +274,8 @@ class TestCli:
 
     @pytest.mark.parametrize("error", [
         np.linalg.LinAlgError("Gramian condition 2.41e+300"),
-        spectral.ContourError("contour quadrature did not converge"),
+        spectral.ContourError("modes n = [5, -5]: eigenvector condition "
+                              ">= 1e+08 (stack members {members})", (2, 3)),
         ValueError("truncation orders differ"),
         ArithmeticError("pipeline failed to converge")])
     def test_numerical_failure_exits_1(self, tmp_path, monkeypatch, capsys,

@@ -226,7 +226,7 @@ def test_kept_witness_arrays_are_read_only():
 
 
 def test_witness_start_is_kept_with_remainder_at_zero(monkeypatch):
-    """phi0 is split once per system and contour radius, with
+    """phi0 is split once per system and split radius, with
     remainder_at_zero's limits: the leading left singular vector of
     Phmu(0)* bit for bit, read-only, and a witness takes no svd."""
     sys = two_speed_system()
@@ -258,10 +258,11 @@ def test_other_branch_data_is_built_cold_not_read_stale(monkeypatch, case):
     """A witness of a system that keeps another witness at the same N and
     speed gets what a cold build on a fresh system object returns.  The
     n0 override the obstruct experiment passes gives the kept rows bit
-    for bit, a hit.  The others are built anew: a table of another
-    contour radius under the first constants (its rows differ in the
-    last bits), the first table under constants of another radius (Rhmu0
-    and phi0 differ), and each of the four inputs perturbed alone."""
+    for bit, a hit.  So do a table of another split radius under the
+    first constants and the first table under constants of another
+    radius: the projections depend on R only through the grouping of the
+    eigenvalues, which both radii share, so Rhmu0 and phi0 keep their
+    bits too.  Each of the four inputs perturbed alone is built anew."""
     N, T = 16, 1.2
     sys = nscl_system()
     consts, branches = _table(sys, N)
@@ -288,10 +289,11 @@ def test_other_branch_data_is_built_cold_not_read_stale(monkeypatch, case):
                 N=N, mu=first.mu, chiN=first.chiN, sys=s, **inputs)
         return build_witness(s, b, HALF_TORUS, T, N, consts=c)
 
+    hit = case in ("n0_override", "table_radius", "consts_radius")
     built = _count_mode_bases(monkeypatch)
     warm = build(sys)
-    assert len(built) == (0 if case == "n0_override" else 2)
-    assert (warm._gN is first._gN) == (case == "n0_override")
+    assert len(built) == (0 if hit else 2)
+    assert (warm._gN is first._gN) == hit
     assert _witness_bits(warm, T) == _witness_bits(build(nscl_system()), T)
     # the first witness's entry is still kept
     again = build_witness(sys, branches, HALF_TORUS, T, N, consts=consts)

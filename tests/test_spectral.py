@@ -1,5 +1,4 @@
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -208,7 +207,7 @@ def test_remainder_at_zero_extrapolation():
     assert Pm0 == pytest.approx(Ph0, abs=1e-5)
 
 
-# ------------------------------------------------- stacked contour rule
+# ------------------------------------------------- stacked eigendecomposition
 
 BUILTINS = ("damped-wave(0.5)", "moving-wave(1, 1)", "heat-memory",
             "nscl(1, 1, 1, 2, 1)")
@@ -260,79 +259,32 @@ def _random_stack(rng, k, d, scale=0.6):
 def test_stacked_projection_matches_per_matrix_calls():
     rng = np.random.default_rng(3)
     mats = _random_stack(rng, 12, 3)
-    got = spectral._resolvent_projection(mats, 0.1, 0.9)
+    got = _split(mats, 0.1, 0.9)
     for M, P in zip(mats, got):
-        np.testing.assert_allclose(
-            P, spectral._resolvent_projection(M[None], 0.1, 0.9)[0],
-            rtol=0, atol=1e-13)
+        np.testing.assert_allclose(P, _split(M[None], 0.1, 0.9)[0], rtol=0,
+                                   atol=1e-13)
         # the Riesz projection commutes with M and is idempotent
         assert P @ P == pytest.approx(P, abs=1e-10)
         assert P @ M == pytest.approx(M @ P, abs=1e-10)
 
 
-def test_mixed_stack_members_stop_on_their_own(monkeypatch):
-    # eigenvalue 1.02 sits just outside the unit contour, so the trapezoid
-    # rule needs thousands of nodes there; the diagonal 0.2/3 needs few
-    slow = np.array([[0.0, 1.0], [0.0, 1.02]], dtype=complex)
-    fast = np.diag([0.2, 3.0]).astype(complex)
-    kernel, inv = spectral._resolvent_sum, np.linalg.inv
-    stacks, inverses = [], []
-
-    def spy(N, xi):
-        stacks.append(N.shape[0])
-        return kernel(N, xi)
-
-    def inv_spy(a):
-        inverses.append(a.shape)
-        return inv(a)
-
-    monkeypatch.setattr(spectral, "_resolvent_sum", spy)
-    monkeypatch.setattr(np.linalg, "inv", inv_spy)
-    got = spectral._resolvent_projection(np.stack([fast, slow]), 0.0, 1.0)
-    monkeypatch.undo()
-    # both members at the first resolutions, then the slow one alone
-    assert stacks[:2] == [2, 2] and set(stacks[2:]) == {1}
-    assert len(stacks) > 6
-    # the node sums make no LAPACK inverse
-    assert inverses == []
-    assert got[0] == pytest.approx(np.diag([1.0, 0.0]), abs=1e-13)
-    # projection onto the eigenvalue 0 of slow: v = e1, w = (1, -1/1.02)
-    expect = np.array([[1.0, -1.0 / 1.02], [0.0, 0.0]])
-    assert got[1] == pytest.approx(expect, abs=1e-10)
-    np.testing.assert_allclose(
-        got[0], spectral._resolvent_projection(fast[None], 0.0, 1.0)[0],
-        rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("c", [1e7, 1e12])
-def test_contour_stop_is_relative_to_the_projection_norm(c):
-    # ||P|| = c/2: an absolute 1e-11 stop falls below the roundoff of the
-    # node sum (at c = 1e7 the per-node solve loop ran past the node cap
-    # and raised; the stacked sum needs c = 1e12 for that)
-    A = np.array([[1.0, c], [0.0, 3.0]], dtype=complex)
-    P = spectral._resolvent_projection(A[None], 1.0, 1.0)[0]
-    exact = np.array([[1.0, -c / 2.0], [0.0, 0.0]])
-    assert np.linalg.norm(P - exact, 2) <= 1e-10 * np.linalg.norm(exact, 2)
-
-
-def test_contour_gives_up_at_the_node_cap():
-    # eigenvalue 1.0005 needs about 60k nodes at tol 1e-11
-    near = np.array([[0.0, 0.0], [0.0, 1.0005]], dtype=complex)
-    fast = np.diag([0.2, 3.0]).astype(complex)
-    with pytest.raises(spectral.ContourError, match="4096 nodes") as exc:
-        spectral._resolvent_projection(np.stack([fast, near, fast]),
-                                       0.0, 1.0)
-    assert exc.value.members == (1,)
-
-
 def test_on_contour_eigenvalue_in_any_member_raises():
-    rng = np.random.default_rng(8)
-    mats = _random_stack(rng, 5, 2, scale=0.2)
-    mats[3] = np.diag([0.5, 1.0 + 0.0j])
-    with pytest.raises(spectral.ContourError, match="on the integration"
-                       ) as exc:
-        spectral._resolvent_projection(mats, 0.0, 1.0)
-    assert exc.value.members == (3,)
+    # a split radius at (or 5 % above) |w| of the hyperbolic eigenvalue of
+    # E(i/5) puts that eigenvalue within R/10 of the circle, though at 5 %
+    # it still counts as inside; the neighbours keep R/10 clear
+    sys = nscl_system()
+    ns = np.array([6, 7, 5, 8])
+    w = np.linalg.eigvals(eval_symbol(sys, 1j / 5))
+    for factor in (1.0, 1.05):
+        R = factor * float(np.min(np.abs(w)))
+        with pytest.raises(spectral.ContourError, match=r"not split by "
+                           r"\|zeta\| = 0.2\d* \(stack members \[2\]\)"
+                           ) as exc:
+            projection_split(sys, 1j / ns, R)
+        assert exc.value.members == (2,)
+        Ph, _ = projection_split(sys, 1j / ns[[0, 1, 3]], R)
+        assert np.trace(Ph, axis1=1, axis2=2) == pytest.approx(1.0,
+                                                               abs=1e-12)
 
 
 def test_branch_table_matches_per_mode_projection_split(nscl_branches24):
@@ -345,16 +297,36 @@ def test_branch_table_matches_per_mode_projection_split(nscl_branches24):
                                    rtol=0, atol=1e-13)
 
 
-def test_branch_table_names_the_failing_mode():
-    # a contour radius equal to |lambda| of an eigenvalue of E(i/5) puts
-    # that eigenvalue (and its conjugate at n = -5) on the contour
-    sys = nscl_system()
+def _exceptional_point_system():
+    """d1 = 1, d2 = 2 with triangular A and K: the parabolic block of
+    E(+-i/5) is [[2 + 0.14i, 1 + 0.08i], [0, 2 + 0.14i]] in floating point,
+    a Jordan block, while E(i/n) keeps distinct eigenvalues at every other
+    n.  So modes +-5 are refused for their eigenvectors alone."""
+    A = np.array([[1.0, 0.5, 0.2], [0.0, 0.7, 0.4], [0.0, 0.0, 0.7]])
+    K = np.zeros((3, 3))
+    K[1, 1] = 25.0
+    # 1 + 25 / 25 rounds to 2.0 exactly through eval_symbol's z * z
+    return SystemMatrices(1, 2, A=A, D=np.array([[1.0, 1.0], [0.0, 2.0]]),
+                          K=K, M=np.eye(3))
+
+
+def _below_the_exceptional_point(sys):
+    """The certified constants with n0 = 3, below the certified 9."""
     consts = separation_radius(sys)
-    w = np.linalg.eigvals(eval_symbol(sys, 1j / 5))
-    R = float(np.abs(w[np.argmax(np.abs(w))]))
-    bad = spectral.BranchConstants(r=consts.r, n0=consts.n0, R=R)
-    with pytest.raises(spectral.ContourError, match=r"modes n = \[5, -5\]"):
-        build_branch_table(sys, bad, 8)
+    assert consts.n0 == 9
+    return spectral.BranchConstants(r=consts.r, n0=3, R=consts.R)
+
+
+def test_branch_table_names_the_failing_mode():
+    sys = _exceptional_point_system()
+    assert validate_system(sys).ok
+    with pytest.raises(spectral.ContourError, match=r"modes n = \[5, -5\]: "
+                       r"eigenvector condition >= 1e\+08 \(stack members "
+                       r"\[2, 3\]\)"):
+        build_branch_table(sys, _below_the_exceptional_point(sys), 8)
+    # the certified cutoff steps over it
+    table = build_branch_table(sys, separation_radius(sys), 24)
+    assert len(table) == 30
 
 
 # ------------------------------------------------- kept branch tables
@@ -439,20 +411,17 @@ def test_kept_table_and_remainder_die_with_their_system():
 
 def test_failed_growth_matches_a_fresh_build_and_keeps_the_table(
         monkeypatch):
-    # the radius of test_branch_table_names_the_failing_mode: modes +-5
-    # sit on the contour, +-4 split
-    sys = nscl_system()
-    consts = separation_radius(sys)
-    w = np.linalg.eigvals(eval_symbol(sys, 1j / 5))
-    R = float(np.abs(w[np.argmax(np.abs(w))]))
-    bad = spectral.BranchConstants(r=consts.r, n0=consts.n0, R=R)
+    # the system of test_branch_table_names_the_failing_mode: modes +-5
+    # are refused, +-4 split
+    sys = _exceptional_point_system()
+    bad = _below_the_exceptional_point(sys)
     with pytest.raises(spectral.ContourError) as fresh:
-        build_branch_table(nscl_system(), bad, 8)
+        build_branch_table(_exceptional_point_system(), bad, 8)
     held = build_branch_table(sys, bad, 4)
     with pytest.raises(spectral.ContourError) as grown:
         build_branch_table(sys, bad, 8)
     assert str(grown.value) == str(fresh.value)
-    assert str(fresh.value).startswith("modes n = [5, -5]: ")
+    assert str(fresh.value).startswith("modes n = [5, -5]: eigenvector ")
     assert grown.value.members == fresh.value.members == (2, 3)
     calls = _count_splits(monkeypatch)
     _assert_same_table(build_branch_table(sys, bad, 4), held)
@@ -477,23 +446,17 @@ def test_remainder_at_zero_is_split_once_per_system_and_radius(
         assert np.array_equal(first[mu][1], other[mu][1])
 
 
-# ------------------------------------------------- elementwise node sums
+# ------------------------------------------------- projector robustness
 
-def _lapack_node_sum(N, xi):
-    """The node sum the contour made before _resolvent_sum: one stacked
-    LAPACK inverse over every (matrix, node) pair."""
-    res = np.linalg.inv(N[:, None] - xi[:, None, None] * np.eye(N.shape[-1]))
-    return np.einsum("kjab,j->kab", res, xi)
-
-
-def _lapack_projection(mats, center, radius):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_resolvent_sum", _lapack_node_sum)
-        return spectral._resolvent_projection(mats, center, radius)
+def _split(mats, center, radius):
+    """_projections of a stack onto its eigenvalues inside the circle
+    |zeta - center| < radius."""
+    w, V = np.linalg.eig(mats)
+    return spectral._projections(V, (np.abs(w - center) < radius)[None])[0]
 
 
 def _rel_err(P, ref):
-    """||P - ref||_2 / max(1, ||ref||_2) per member: the contour's stop."""
+    """||P - ref||_2 / max(1, ||ref||_2) per member."""
     return (np.linalg.norm(P - ref, ord=2, axis=(-2, -1))
             / np.maximum(1.0, np.linalg.norm(ref, ord=2, axis=(-2, -1))))
 
@@ -512,74 +475,47 @@ def _nonnormal_stack(rng, k, d, scale, center, radius):
     return Q @ T @ Q.conj().swapaxes(-1, -2) + center * np.eye(d)
 
 
-def _nodes(radius, m):
-    return radius * np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_resolvent_sum_matches_lapack_node_sum(d):
-    # P_m = -S / m is the contour's projection at m nodes.  Where the
-    # resolvents are well conditioned the two routes agree to 1e-13
-    # relative; at scale 30 cond(N - xi I) reaches 1e8, and no two
-    # inversions agree better than the roundoff model
-    # eps * radius * mean_j cond_j ||R_j||, which bounds the difference
-    center, radius, m = 0.3 - 0.2j, 0.8, 64
-    xi = _nodes(radius, m)
-    rng = np.random.default_rng(40 + d)
-    mats = np.concatenate([_nonnormal_stack(rng, 20, d, scale, center,
-                                            radius)
-                           for scale in (1.0, 10.0, 30.0)])
-    N = mats - center * np.eye(d)
-    got = -spectral._resolvent_sum(N, xi) / m
-    ref = -_lapack_node_sum(N, xi) / m
-    shifted = N[:, None] - xi[:, None, None] * np.eye(d)
-    model = (np.finfo(float).eps * radius
-             * np.mean(np.linalg.cond(shifted)
-                       * np.linalg.norm(np.linalg.inv(shifted), ord=2,
-                                        axis=(-2, -1)), axis=1)
-             / np.maximum(1.0, np.linalg.norm(ref, ord=2, axis=(1, 2))))
-    err = _rel_err(got, ref)
-    assert np.all(err <= np.maximum(1e-13, model))
-    # the well-conditioned scale-1 members meet the plain bound
-    assert np.all(err[:20] <= 1e-13)
-
-
-def test_resolvent_sum_against_mpmath():
-    # 40-digit Riesz projections from mp.eig: V[:, in] V^-1[in, :].  At
-    # 512 nodes the trapezoid error is far below roundoff, so the two
-    # routes differ only in their inversions.  Their roundoff is random,
-    # so the worst member of each route is compared, not member by member
+def _mp_projections(mats, keep, dps):
+    """Riesz projections V[:, in] V^-1[in, :] from mpmath's eig at dps
+    digits, onto the eigenvalues w with keep(w)."""
     import mpmath
-    center, radius, m = 0.3 - 0.2j, 0.8, 512
-    xi = _nodes(radius, m)
+    out = []
+    with mpmath.workdps(dps):
+        for M in mats:
+            d = len(M)
+            w, V = mpmath.eig(mpmath.matrix(M.tolist()))
+            Vi = mpmath.inverse(V)
+            P = mpmath.zeros(d, d)
+            for j in range(d):
+                if keep(complex(w[j])):
+                    P += V[:, j] * Vi[j, :]
+            out.append([[complex(P[a, b]) for b in range(d)]
+                        for a in range(d)])
+    return np.array(out)
+
+
+def test_projector_against_mpmath():
+    # 40-digit Riesz projections of stacked non-normal members.  Each
+    # factor of V diag(g) V^-1 carries a relative error of about
+    # eps cond(V), so that bounds the error; the worst member sits at
+    # 5 eps cond(V), with cond(V) up to 3e5
+    center, radius = 0.3 - 0.2j, 0.8
     rng = np.random.default_rng(29)
-    errs = []
     for d in (2, 3, 4):
         mats = _nonnormal_stack(rng, 4 if d == 4 else 3, d, 30.0, center,
                                 radius)
-        with mpmath.workdps(40):
-            exact = []
-            for M in mats:
-                w, V = mpmath.eig(mpmath.matrix(M.tolist()))
-                Vi = mpmath.inverse(V)
-                P = mpmath.zeros(d, d)
-                for j in range(d):
-                    if abs(w[j] - center) < radius:
-                        P += V[:, j] * Vi[j, :]
-                exact.append([[complex(P[a, b]) for b in range(d)]
-                              for a in range(d)])
-        N = mats - center * np.eye(d)
-        errs.append([_rel_err(-f(N, xi) / m, np.array(exact))
-                     for f in (spectral._resolvent_sum, _lapack_node_sum)])
-    new = max(e[0].max() for e in errs)
-    lapack = max(e[1].max() for e in errs)
-    assert new <= 2.0 * lapack
+        exact = _mp_projections(mats, lambda w: abs(w - center) < radius, 40)
+        err = _rel_err(_split(mats, center, radius), exact)
+        cond = np.linalg.cond(np.linalg.eig(mats)[1])
+        assert np.all(err <= 16 * np.finfo(float).eps * cond)
 
 
 @pytest.mark.parametrize("spread", [1e3, 1e5])
-def test_contour_on_spread_diffusion_symbols(spread):
+def test_projector_on_spread_diffusion_symbols(spread):
     # d2 = 2 with D = diag(1, spread): the parabolic eigenvalues of E(z)
-    # spread over five decades outside the contour
+    # spread over five decades outside the split circle.  Against 30
+    # digits on every eighth mode the error stays below eps ||E(i/n)||_2
+    # (0.16 of it at spread 1e5)
     sys = SystemMatrices(
         1, 2, A=np.array([[1.0, 0.5, -0.4], [0.3, 0.2, 0.6],
                           [-0.5, 0.1, 0.4]]),
@@ -587,89 +523,55 @@ def test_contour_on_spread_diffusion_symbols(spread):
         K=np.array([[0.0, 0.2, 0.1], [0.1, 0.0, 0.3], [-0.2, 0.4, 0.0]]),
         M=np.eye(3))
     consts = separation_radius(sys)
-    ns = np.outer(np.arange(consts.n0 + 1, 129), [1, -1]).ravel()
-    mats = eval_symbol(sys, 1j / ns)
-    got = spectral._resolvent_projection(mats, 0.0, consts.R)
-    assert np.all(_rel_err(got, _lapack_projection(mats, 0.0, consts.R))
-                  <= 1e-13)
-    np.testing.assert_allclose(np.trace(got, axis1=1, axis2=2), 1.0,
+    table = build_branch_table(sys, consts, 128)
+    np.testing.assert_allclose(np.trace(table.Ph, axis1=1, axis2=2), 1.0,
                                rtol=0, atol=1e-12)
+    rows = np.arange(0, len(table), 8)
+    mats = eval_symbol(sys, 1j / table.modes[rows])
+    exact = _mp_projections(mats, lambda w: abs(w) < consts.R, 30)
+    assert np.all(_rel_err(table.Ph[rows], exact)
+                  <= np.finfo(float).eps
+                  * np.linalg.norm(mats, ord=2, axis=(1, 2)))
+
+
+def _ill_conditioned_at(mats, member):
+    """_split of mats raises a ContourError naming member alone."""
+    with pytest.raises(spectral.ContourError, match=r"eigenvector condition"
+                       ) as exc:
+        _split(mats, 0.0, 1.0)
+    assert exc.value.members == (member,)
 
 
 @pytest.mark.parametrize("c", [1e50, 1e100, 1e160])
-def test_contour_with_huge_entries(c):
-    # ||P|| = c / 2, exact
+def test_projector_with_huge_entries(c):
+    # [[1, c], [0, 3]] has cond(V) ~ c: refused, and only that member
     A = np.array([[1.0, c], [0.0, 3.0]], dtype=complex)
-    P = spectral._resolvent_projection(A[None], 1.0, 1.0)
-    assert np.all(np.isfinite(P))
-    assert _rel_err(P[0], np.array([[1.0, -c / 2.0], [0.0, 0.0]])) <= 1e-13
-    # dense: every eigenvalue is far outside the contour, so P = 0
+    fast = np.diag([0.2, 3.0]).astype(complex)
+    _ill_conditioned_at(np.stack([fast, A, fast]), 1)
+    P = _split(fast[None], 0.0, 1.0)
+    assert np.array_equal(P[0], np.diag([1.0, 0.0]))
+    # dense: every eigenvalue is far outside the circle, so P = 0
     mats = _random_stack(np.random.default_rng(5), 3, 4, c)
-    P = spectral._resolvent_projection(mats, 0.0, 1.0)
-    assert np.all(np.isfinite(P)) and np.abs(P).max() <= 1e-13
+    P = _split(mats, 0.0, 1.0)
+    assert np.all(np.isfinite(P)) and np.abs(P).max() == 0.0
 
 
-def test_contour_with_huge_triangular_entries_at_d4():
-    # off-diagonal entries of size 1e50: P holds products of three
+def test_projector_with_huge_triangular_entries_at_d4():
+    # off-diagonal entries of size 1e50 put cond(V) past any bound
     rng = np.random.default_rng(5)
     T = np.triu(1e50 * np.exp(2j * np.pi * rng.random((4, 4))), 1)
     T += np.diag([0.2, -0.3j, 2.5, -3.0])
-    P = spectral._resolvent_projection(T[None], 0.0, 1.0)
-    assert np.all(np.isfinite(P)) and np.abs(P).max() > 1e140
-    assert _rel_err(P, _lapack_projection(T[None], 0.0, 1.0)) <= 1e-13
-    assert _rel_err(P[0] @ P[0], P[0]) <= 1e-13
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_resolvent_sum_stack_is_bit_identical_to_single_calls(d):
-    rng = np.random.default_rng(d)
-    N = _random_stack(rng, 9, d, 2.0)
-    xi = _nodes(0.9, 64)
-    got = spectral._resolvent_sum(N, xi)
-    for k in range(len(N)):
-        np.testing.assert_array_equal(
-            got[k], spectral._resolvent_sum(N[k:k + 1], xi)[0])
-
-
-def test_resolvent_sum_zero_pivot_raises():
-    # N_1 - xi_0 I = diag(0, 4): column 0 has no nonzero pivot
-    N = np.stack([np.diag([0.2, 3.0]), np.diag([1.0, 5.0])]).astype(complex)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(spectral.ContourError, match=r"singular resolvent"
-                           r" at a contour node \(stack members \[1\]\)"
-                           ) as exc:
-            spectral._resolvent_sum(N, _nodes(1.0, 8))
-    assert exc.value.members == (1,)
-
-
-def test_resolvent_sum_pivots_past_a_zero_diagonal():
-    # at xi_0 = 1, N - xi_0 I = [[0, 1], [1, 4]]: column 0 pivots on row 1
-    N = np.array([[[1.0, 1.0], [1.0, 5.0]]], dtype=complex)
-    xi = _nodes(1.0, 8)
-    assert _rel_err(spectral._resolvent_sum(N, xi),
-                    _lapack_node_sum(N, xi)) <= 1e-15
-
-
-def test_singular_node_names_the_flattened_member(monkeypatch):
-    # an eigenvalue exactly on the first odd node at 256 nodes, with the
-    # on-contour check blinded: by then member 0 has stopped, and the
-    # error names member 1 of the stack, not of the live set
-    node = 1.0 * np.exp(1j * (2.0 * np.pi * 1 / 256))
-    mats = np.stack([np.diag([0.2, 3.0]), np.diag([node, 3.0])])
-    monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda a: np.full(a.shape[:-1], 5.0))
-    with pytest.raises(spectral.ContourError, match=r"stack members \[1\]"
-                       ) as exc:
-        spectral._resolvent_projection(mats, 0.0, 1.0)
-    assert exc.value.members == (1,)
+    benign = np.diag([0.2, -0.3j, 2.5, -3.0]) + np.triu(np.ones((4, 4)), 1)
+    _ill_conditioned_at(np.stack([benign, benign, T]), 2)
+    P = _split(benign[None], 0.0, 1.0)[0]
+    assert _rel_err(P @ P, P) <= 1e-13 and np.trace(P) == pytest.approx(2.0)
 
 
 # ------------------------------------------------- several transport speeds
 
 @pytest.mark.parametrize("speeds", [(1.0, -2.0), (0.0, 1.5)])
 def test_multi_speed_table_matches_scalar_split(speeds):
-    # (0, 1.5) takes the alpha shift of hyperbolic_branches
+    # (0, 1.5) has a zero speed: w/z, not w, picks the speed
     sys = two_speed_system(speeds)
     consts = separation_radius(sys)
     table = build_branch_table(sys, consts, 16)
@@ -706,22 +608,40 @@ def test_multi_speed_table_matches_scalar_split(speeds):
                                    atol=1e-12)
 
 
-@pytest.mark.parametrize("gap, match", [
-    # the speed contours (radius gap/3) lose an eigenvalue at |n| <= 6
-    (0.1, r"modes n = \[4, -4, 5, -5, 6, -6\]: mu-group projections do "
-          r"not sum to Ph"),
-    # an eigenvalue of E1(i/8) sits next to a speed contour
-    (0.05, r"modes n = \[8, -8\]: mu-groups not separated at "
-           r"\|z\| = \[0.125, 0.125\]")])
-def test_branch_table_names_the_modes_of_a_speed_split_failure(gap, match):
-    sys = two_speed_system((1.0, 1.0 + gap))
+def _drifting_pair_system(gap):
+    """Speeds 1 and 1 + gap, with speed 1 coupled through the heat
+    component: the real part of its w/z drifts up by about 2 / n^2, past
+    the midpoint 1 + gap/2 at the lower modes."""
+    A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0 + gap, 0.0],
+                  [-4.0, 0.0, 3.0]])
+    return SystemMatrices(2, 1, A=A, D=np.array([[2.0]]),
+                          K=np.zeros((3, 3)), M=np.eye(3))
+
+
+@pytest.mark.parametrize("gap, n0, rows, match", [
+    # both eigenvalues nearest speed 1 + gap at |n| <= 6
+    (0.1, 3, 6, r"modes n = \[4, -4, 5, -5, 6, -6\]: mu-groups not "
+                r"separated at \|z\| = \[0.25, 0.25, 0.2, 0.2, 0.1667, "
+                r"0.1667\]"),
+    # at gap 0.05 they are up to |n| = 8: a table from n0 = 7 names its
+    # first rows
+    (0.05, 7, 2, r"modes n = \[8, -8\]: mu-groups not separated at "
+                 r"\|z\| = \[0.125, 0.125\]; increase n0$")],
+    ids=["gap-0.1", "gap-0.05"])
+def test_branch_table_names_the_modes_of_a_speed_split_failure(gap, n0, rows,
+                                                               match):
+    sys = _drifting_pair_system(gap)
+    assert validate_system(sys).ok
     consts = separation_radius(sys)
-    # n0 = 3 clears only the hyperbolic/parabolic split; the smallest
-    # cutoff that builds is 6 (gap 0.1) and 21 (gap 0.05)
-    below = spectral.BranchConstants(r=consts.r, n0=3, R=consts.R)
-    with pytest.raises(spectral.ContourError, match=match):
+    # the split radius alone clears n0 = 3
+    below = spectral.BranchConstants(r=consts.r, n0=n0, R=consts.R)
+    projection_split(sys, 1j / np.arange(4, 13), consts.R)
+    with pytest.raises(spectral.ContourError, match=match) as exc:
         build_branch_table(sys, below, 12)
-    # the certified cutoff (9 and 25) also clears the per-speed split
+    # the failing modes are the table's first rows
+    assert exc.value.members == tuple(range(rows))
+    # the certified cutoff (9 for both) also clears the per-speed split
+    assert consts.n0 == 9
     table = build_branch_table(sys, consts, consts.n0 + 12)
     assert len(table) == 24
 
@@ -774,116 +694,81 @@ def test_every_module_reads_the_transport_speeds(name, tmp_path):
             build_witness(sys, table, HALF_TORUS, 1.0, 8, consts=consts)
 
 
-# ------------------------------------------ Frobenius-bracketed norm tests
+# ------------------------------------------------- random systems
 
-def _svd_rule(X, tol, Y=None):
-    """The stop rule with 2-norms taken by SVD on every member."""
-    bound = tol if Y is None else tol * np.maximum(
-        1.0, np.linalg.norm(Y, ord=2, axis=(-2, -1)))
-    return np.linalg.norm(X, ord=2, axis=(-2, -1)) < bound
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("scale", [1e-300, 1e-11, 1.0, 1e160])
-def test_bracketed_norm_test_matches_svd_rule(d, scale):
-    # ||X||_2 placed at ratios to the bound from far below to far above,
-    # through the ambiguous band and the slack next to equality
-    rng = np.random.default_rng(d)
-    ratios = np.concatenate([np.logspace(-3, 3, 61),
-                             1.0 + np.linspace(-1e-11, 1e-11, 41)])
-    Y = scale * _random_stack(rng, ratios.size, d, 1.0)
-    X = _random_stack(rng, ratios.size, d, 1.0)
-    X /= np.linalg.norm(X, ord=2, axis=(1, 2))[:, None, None]
-    bound = 1e-11 * np.maximum(1.0, np.linalg.norm(Y, ord=2, axis=(1, 2)))
-    X *= (ratios * bound)[:, None, None]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = spectral._norm2_below(X, 1e-11, Y)
-        solo = spectral._norm2_below(X / bound[:, None, None], 1.0)
-    np.testing.assert_array_equal(got, _svd_rule(X, 1e-11, Y))
-    np.testing.assert_array_equal(
-        solo, _svd_rule(X / bound[:, None, None], 1.0))
-    assert got[ratios < 0.5].all() and not got[ratios > 2.0].any()
+def _random_system(rng):
+    """A valid system after ROADMAP item 10's recipe: d1, d2 in {1, 2};
+    speeds +-U[0.5, 2], gap above 0.2; Aprime = V diag(mu) V^-1 with
+    V = I + 0.3 N, the rest of A 0.5 N and K 0.3 N; D = diag U[0.5, 2]
+    plus a strictly upper 0.5 N; M = I (N standard normal)."""
+    d1, d2 = (int(k) for k in rng.integers(1, 3, size=2))
+    mus = rng.choice([-1.0, 1.0], d1) * rng.uniform(0.5, 2.0, d1)
+    while d1 == 2 and abs(mus[0] - mus[1]) <= 0.2:
+        mus = rng.choice([-1.0, 1.0], d1) * rng.uniform(0.5, 2.0, d1)
+    d = d1 + d2
+    V = np.eye(d1) + 0.3 * rng.standard_normal((d1, d1))
+    A = 0.5 * rng.standard_normal((d, d))
+    A[:d1, :d1] = V @ np.diag(mus) @ np.linalg.inv(V)
+    D = (np.diag(rng.uniform(0.5, 2.0, d2))
+         + np.triu(0.5 * rng.standard_normal((d2, d2)), 1))
+    K = 0.3 * rng.standard_normal((d, d))
+    return SystemMatrices(d1, d2, A=A, D=D, K=K, M=np.eye(d))
 
 
-@pytest.mark.parametrize("system", [
-    nscl_system, moving_wave_system, two_speed_system,
-    lambda: two_speed_system((0.0, 1.5))])
-def test_branch_table_is_bit_identical_to_the_svd_stop_rule(system,
-                                                            monkeypatch):
-    sys = system()
+def test_random_systems_build_at_their_certified_cutoff():
+    # every system builds n0 < |n| <= n0 + 32 with no ContourError, and
+    # the stacked identities hold to 1e-12 (at most 1.6e-15 here)
+    rng = np.random.default_rng(7)
+    for k in range(40):
+        sys = _random_system(rng)
+        assert validate_system(sys).ok, k
+        consts = separation_radius(sys)
+        table = build_branch_table(sys, consts, consts.n0 + 32)
+        zs = 1j / table.modes
+        z = zs[:, None, None]
+        E = eval_symbol(sys, zs)
+        Ph = table.Ph
+        close = dict(rtol=0, atol=1e-12, err_msg=str(k))
+        np.testing.assert_allclose(Ph @ Ph, Ph, **close)
+        np.testing.assert_allclose(Ph @ E, E @ Ph, **close)
+        np.testing.assert_allclose(np.trace(Ph, axis1=1, axis2=2), sys.d1,
+                                   **close)
+        np.testing.assert_allclose(table.Phmu.sum(axis=0), Ph, **close)
+        for mu, P, R in zip(table.speeds, table.Phmu, table.Rhmu):
+            np.testing.assert_allclose(E @ P, mu * z * P + z * z * R,
+                                       **close)
+
+
+def test_lattice_certificate_clears_what_the_disk_misses():
+    # system 62 of the random draw: its hyperbolic eigenvalue leaves the
+    # circle |zeta| = R between two radial samples of the disk, which
+    # alone certifies n0 = 1.  The lattice z = +-i/n raises n0 to 5
+    rng = np.random.default_rng(7)
+    sys = [_random_system(rng) for _ in range(63)][-1]
+    r, n0, R = _separation_radius_loop(sys)
+    assert n0 == 1
+    with pytest.raises(spectral.ContourError, match=r"modes n = \[2, -2, 3, "
+                       r"-3, 4, -4\]: eigenvalues not split"):
+        build_branch_table(sys, spectral.BranchConstants(r, n0, R), 8)
     consts = separation_radius(sys)
-    got = build_branch_table(sys, consts, 64)
-    monkeypatch.setattr(spectral, "_norm2_below", _svd_rule)
-    # a new system object: sys's own table is kept and would be read back
-    want = build_branch_table(system(), consts, 64)
-    for field in ("modes", "Ph", "Pp", "G", "speeds", "Phmu", "Rhmu"):
-        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert consts.n0 == 5
+    assert len(build_branch_table(sys, consts, consts.n0 + 32)) == 64
 
 
-@pytest.mark.parametrize("c", [1e50, 1e100, 1e160])
-def test_huge_entry_contours_are_bit_identical_to_the_svd_stop_rule(
-        c, monkeypatch):
-    A = np.array([[1.0, c], [0.0, 3.0]], dtype=complex)
-    dense = _random_stack(np.random.default_rng(5), 3, 4, c)
-    rng = np.random.default_rng(5)
-    T = np.triu(1e50 * np.exp(2j * np.pi * rng.random((4, 4))), 1)
-    T += np.diag([0.2, -0.3j, 2.5, -3.0])
-    calls = [(A[None], 1.0, 1.0), (dense, 0.0, 1.0), (T[None], 0.0, 1.0)]
-    got = [spectral._resolvent_projection(*a) for a in calls]
-    monkeypatch.setattr(spectral, "_norm2_below", _svd_rule)
-    for g, a in zip(got, calls):
-        assert np.array_equal(g, spectral._resolvent_projection(*a))
+# ------------------------------------------------- one transport speed
 
-
-def test_contour_and_graph_map_take_no_svd_on_a_builtin(monkeypatch):
-    # every stop of the nscl table, and its d1 = 1 graph map, is settled
-    # by the Frobenius bracket
-    sys = nscl_system()
-    consts = separation_radius(sys)
-    norms = []
-    real = np.linalg.norm
-
-    def spy(x, *args, **kwargs):
-        norms.append(np.shape(x))
-        return real(x, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", spy)
-    build_branch_table(sys, consts, 128)
-    assert norms == []
-
-
-def test_one_speed_split_runs_no_contour_and_no_sum_check(monkeypatch):
+def test_one_speed_split_runs_no_eigendecomposition(monkeypatch):
     sys = nscl_system()
     consts = separation_radius(sys)
     zs = 1j / np.arange(consts.n0 + 1, 40)
     Ph, _ = projection_split(sys, zs, consts.R)
     called = []
-    monkeypatch.setattr(spectral, "_resolvent_projection",
-                        lambda *a: called.append("contour"))
-    monkeypatch.setattr(spectral, "_norm2_below",
-                        lambda *a: called.append("check"))
+    monkeypatch.setattr(np.linalg, "eig", lambda *a: called.append("eig"))
+    monkeypatch.setattr(spectral, "_projections",
+                        lambda *a: called.append("projections"))
     (mu, (Phmu, Rhmu)), = hyperbolic_branches(sys, zs, Ph).items()
     assert called == []
     assert np.array_equal(Phmu, Ph) and Phmu is not Ph
-
-
-def test_perturbed_speed_projection_trips_the_sum_check(monkeypatch):
-    sys = two_speed_system()
-    consts = separation_radius(sys)
-    zs = 1j / np.arange(consts.n0 + 1, 20)
-    Ph, _ = projection_split(sys, zs, consts.R)
-    real = spectral._resolvent_projection
-
-    def perturbed(mats, center, radius):
-        P = real(mats, center, radius)
-        P[4] += 1e-6 * np.eye(3)
-        return P
-
-    monkeypatch.setattr(spectral, "_resolvent_projection", perturbed)
-    with pytest.raises(spectral.ContourError,
-                       match=r"do not sum to Ph \(stack members \[4\]\)"):
-        hyperbolic_branches(sys, zs, Ph)
 
 
 def test_graph_map_refuses_where_p11_reaches_one():
