@@ -494,7 +494,7 @@ def _mp_projections(mats, keep, dps):
     return np.array(out)
 
 
-def test_projector_against_mpmath():
+def test_resolvent_sum_against_mpmath():
     # 40-digit Riesz projections of stacked non-normal members.  Each
     # factor of V diag(g) V^-1 carries a relative error of about
     # eps cond(V), so that bounds the error; the worst member sits at
@@ -511,7 +511,7 @@ def test_projector_against_mpmath():
 
 
 @pytest.mark.parametrize("spread", [1e3, 1e5])
-def test_projector_on_spread_diffusion_symbols(spread):
+def test_contour_on_spread_diffusion_symbols(spread):
     # d2 = 2 with D = diag(1, spread): the parabolic eigenvalues of E(z)
     # spread over five decades outside the split circle.  Against 30
     # digits on every eighth mode the error stays below eps ||E(i/n)||_2
@@ -543,7 +543,7 @@ def _ill_conditioned_at(mats, member):
 
 
 @pytest.mark.parametrize("c", [1e50, 1e100, 1e160])
-def test_projector_with_huge_entries(c):
+def test_contour_with_huge_entries(c):
     # [[1, c], [0, 3]] has cond(V) ~ c: refused, and only that member
     A = np.array([[1.0, c], [0.0, 3.0]], dtype=complex)
     fast = np.diag([0.2, 3.0]).astype(complex)
@@ -556,7 +556,7 @@ def test_projector_with_huge_entries(c):
     assert np.all(np.isfinite(P)) and np.abs(P).max() == 0.0
 
 
-def test_projector_with_huge_triangular_entries_at_d4():
+def test_contour_with_huge_triangular_entries_at_d4():
     # off-diagonal entries of size 1e50 put cond(V) past any bound
     rng = np.random.default_rng(5)
     T = np.triu(1e50 * np.exp(2j * np.pi * rng.random((4, 4))), 1)
@@ -565,6 +565,44 @@ def test_projector_with_huge_triangular_entries_at_d4():
     _ill_conditioned_at(np.stack([benign, benign, T]), 2)
     P = _split(benign[None], 0.0, 1.0)[0]
     assert _rel_err(P @ P, P) <= 1e-13 and np.trace(P) == pytest.approx(2.0)
+
+
+def test_mixed_stack_members_stop_on_their_own():
+    # eigenvalue 1.02 sits just outside the unit circle and 0.2/3 far
+    # from it: each member's projection is the one it gets alone
+    slow = np.array([[0.0, 1.0], [0.0, 1.02]], dtype=complex)
+    fast = np.diag([0.2, 3.0]).astype(complex)
+    got = _split(np.stack([fast, slow]), 0.0, 1.0)
+    assert got[0] == pytest.approx(np.diag([1.0, 0.0]), abs=1e-13)
+    # projection onto the eigenvalue 0 of slow: v = e1, w = (1, -1/1.02)
+    expect = np.array([[1.0, -1.0 / 1.02], [0.0, 0.0]])
+    assert got[1] == pytest.approx(expect, abs=1e-10)
+    np.testing.assert_allclose(got[0], _split(fast[None], 0.0, 1.0)[0],
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("c", [1e7, 1e12])
+def test_contour_stop_is_relative_to_the_projection_norm(c):
+    # ||P|| = c/2 and cond(V) ~ c: below DIAG_COND_MAX the error is
+    # relative to ||P||; past it the member is refused
+    A = np.array([[1.0, c], [0.0, 3.0]], dtype=complex)
+    if c >= spectral.DIAG_COND_MAX:
+        _ill_conditioned_at(A[None], 0)
+        return
+    P = _split(A[None], 1.0, 1.0)[0]
+    exact = np.array([[1.0, -c / 2.0], [0.0, 0.0]])
+    assert np.linalg.norm(P - exact, 2) <= 1e-10 * np.linalg.norm(exact, 2)
+
+
+def test_singular_node_names_the_flattened_member():
+    # a (2, 3) stack whose member [1, 0] has a defective eigenvalue pair:
+    # the error names it by its flattened index 3
+    mats = np.broadcast_to(np.diag([0.2, 3.0]).astype(complex),
+                           (2, 3, 2, 2)).copy()
+    mats[1, 0] = [[0.5, 1.0], [0.0, 0.5]]
+    _ill_conditioned_at(mats, 3)
+    P = _split(mats[0], 0.0, 1.0)
+    assert np.array_equal(P, np.broadcast_to(np.diag([1.0, 0.0]), P.shape))
 
 
 # ------------------------------------------------- several transport speeds
@@ -618,18 +656,16 @@ def _drifting_pair_system(gap):
                           K=np.zeros((3, 3)), M=np.eye(3))
 
 
-@pytest.mark.parametrize("gap, n0, rows, match", [
+@pytest.mark.parametrize("gap, match, n0, rows", [
     # both eigenvalues nearest speed 1 + gap at |n| <= 6
-    (0.1, 3, 6, r"modes n = \[4, -4, 5, -5, 6, -6\]: mu-groups not "
-                r"separated at \|z\| = \[0.25, 0.25, 0.2, 0.2, 0.1667, "
-                r"0.1667\]"),
+    (0.1, r"modes n = \[4, -4, 5, -5, 6, -6\]: mu-groups not separated "
+          r"at \|z\| = \[0.25, 0.25, 0.2, 0.2, 0.1667, 0.1667\]", 3, 6),
     # at gap 0.05 they are up to |n| = 8: a table from n0 = 7 names its
     # first rows
-    (0.05, 7, 2, r"modes n = \[8, -8\]: mu-groups not separated at "
-                 r"\|z\| = \[0.125, 0.125\]; increase n0$")],
-    ids=["gap-0.1", "gap-0.05"])
-def test_branch_table_names_the_modes_of_a_speed_split_failure(gap, n0, rows,
-                                                               match):
+    (0.05, r"modes n = \[8, -8\]: mu-groups not separated at "
+           r"\|z\| = \[0.125, 0.125\]; increase n0$", 7, 2)])
+def test_branch_table_names_the_modes_of_a_speed_split_failure(gap, match, n0,
+                                                               rows):
     sys = _drifting_pair_system(gap)
     assert validate_system(sys).ok
     consts = separation_radius(sys)
@@ -757,7 +793,7 @@ def test_lattice_certificate_clears_what_the_disk_misses():
 
 # ------------------------------------------------- one transport speed
 
-def test_one_speed_split_runs_no_eigendecomposition(monkeypatch):
+def test_one_speed_split_runs_no_contour_and_no_sum_check(monkeypatch):
     sys = nscl_system()
     consts = separation_radius(sys)
     zs = 1j / np.arange(consts.n0 + 1, 40)
