@@ -27,19 +27,21 @@ controls' spectral leakage couples them.  full_pipeline removes that
 coupling with sweeps of one joint dual-pairing solve over the three
 families; its parabolic block is the pipeline's only parabolic
 mechanism, and lebeau_robbiano stands alone.
-_joint_solve is the one Gram assembly, conditioning check and solve:
-the moment method, the HUM Gramian and the pipeline sweeps each specify
-their families as DualBlocks (target, window, channels) and pass the
-state to match.  The joint dual operator depends on the problem, never
-on the datum, so it is assembled once (_joint_operator) and kept in the
-branch table's memo: each block's entries derived and observed once, on
-the union of all blocks' quadrature nodes, each pair of blocks paired
-with one weighted GEMM, the conditioning taken once.  A call then only
-tests its own cond_max, pairs its state with the kept entries, solves
-and hands each block's stack on its own nodes to the control it emits.
+The moment method, the HUM Gramian and the pipeline sweeps each specify
+their families as DualBlocks (target, window, channels).  The joint
+dual operator depends on the problem, never on the datum: each public
+solve asks _joint_operator for it once, which assembles it on the first
+request and keeps it in the branch table's memo, and passes that one
+handle on.  It keeps one record per block (_Block): the entries derived
+and observed once, on the union of all blocks' quadrature nodes, the
+stack on the block's own nodes and its emission weights; each pair of
+blocks is paired with one weighted GEMM, the conditioning taken once.
+_joint_solve then only tests its own cond_max, pairs its state with the
+kept entries, solves and emits each block's control from its record.
 The controls are linear in the multipliers lambda, so a datum f0
-reaches F f0 + L lambda at T (_reached): F f0 its free evolution, L the
-control-to-state map.  L does not depend on the datum; the operator
+reaches F f0 + L lambda at T (_reached(free, op, lam)): F f0 its free
+evolution, L the operator's control-to-state map, which _reached asks
+for only once lam is set.  L does not depend on the datum; the operator
 builds it on the first request, from the kept stacks on the panels
 evolve takes for the merged controls, and keeps it, so a moment or HUM
 solve alone never builds it.  full_pipeline certifies its sweeps this
@@ -372,11 +374,9 @@ def parabolic_moment_control(sys: SystemMatrices, branches: BranchTable,
         weight = plateau_weight(omega)
     blk = _moment_block(sys, N, T)
     free = evolve(sys, f0p, None, T)
-    (u,), gram, lam, rhs, cond = _joint_solve(
-        sys, branches, n0, [blk], -free, T, weight, cond_max=cond_max)
-    # the block's modes, basis and eigenvalues, from the solve's memo
     op = _joint_operator(sys, branches, n0, [blk], T, weight, f0p.nmax)
-    (setup,) = op.setups
+    (u,), gram, lam, rhs, cond = _joint_solve(op, -free, cond_max=cond_max)
+    setup = op.blocks[0].setup
     return u, MomentProblem(N=N, T=T, modes=setup.modes,
                             E2=setup.basis.gens, gram=gram, rhs=rhs,
                             lam=lam, free=free, block=blk, weight=weight,
@@ -472,9 +472,9 @@ def lebeau_robbiano(sys: SystemMatrices, branches: BranchTable,
             raise np.linalg.LinAlgError(
                 f"stage {level} (N = {Nl}): {exc}") from exc
         controls.append(_shift_control(u, a_start))
-        L = _control_map(sys, branches, n0, [prob.block], Tl, weight,
-                         state.nmax)
-        state = evolve(sys, _reached(prob.free, L, prob.lam), None, Tl)
+        op = _joint_operator(sys, branches, n0, [prob.block], Tl, weight,
+                             state.nmax)
+        state = evolve(sys, _reached(prob.free, op, prob.lam), None, Tl)
         t_reached += 2.0 * Tl
         norms.append(pnorm(state))
         stage_reports.append({"level": level, "N": Nl, "T": Tl,
@@ -598,37 +598,49 @@ def _pairings(setup: _BlockSetup, state: FourierState):
     return np.einsum("ka,ka->k", setup.vecs.conj(), fn)
 
 
+class _Block(NamedTuple):
+    """One dual block of a joint operator: its DualBlock spec, its
+    _BlockSetup, its panel edges, its own quadrature nodes taus with the
+    entries' (J, Q, m) observation stack on them, and its emission
+    weights W[n', j] = rho2hat(n' - n_j) from its entries to the state's
+    modes |n'| <= nmax (an emitted control only scales them by lambda).
+    With no nodes, every time asked for is observed anew."""
+
+    spec: DualBlock
+    setup: _BlockSetup
+    edges: np.ndarray
+    taus: np.ndarray
+    stack: np.ndarray
+    weights: np.ndarray
+
+
 @dataclass
 class _JointOperator:
-    """The datum-independent part of a joint solve: the blocks'
-    _block_setup entries and bases, panel edges, (own quadrature nodes,
-    observation stack on them) pairs observed, each block's emission
-    weights W[n', j] = rho2hat(n' - n_j) from its entries to the state's
-    modes |n'| <= nmax (an emitted control only scales them by lambda),
-    the block offsets offs into the pairing matrix J, its Hermitian
-    part's eigenvalues eigs, the diagonal scaling dscale, the scaled
-    matrix Js and its condition cond; build_map makes control_map on its
-    first request.  The arrays are read-only, and nothing here references
-    the branch table."""
+    """The datum-independent part of a joint solve of sys at horizon T,
+    with rho2 weight, for states truncated at nmax: one _Block per dual
+    block, the block offsets offs into the pairing matrix J, its
+    Hermitian part's eigenvalues eigs, the diagonal scaling dscale, the
+    scaled matrix Js and its condition cond.  The arrays are read-only,
+    and nothing here references the branch table."""
 
-    setups: list
-    edges: list
-    observed: list
-    weights: list
+    sys: SystemMatrices
+    T: float
+    weight: SpatialWeight
+    nmax: int
+    blocks: list
     offs: np.ndarray
     J: np.ndarray
     eigs: np.ndarray
     dscale: np.ndarray
     Js: np.ndarray
     cond: float
-    build_map: object
 
     @functools.cached_property
     def control_map(self):
         """L, the control-to-state map at T (_assemble_control_map),
         built once per operator and only when asked for: moment and HUM
         solves never pay for it."""
-        return self.build_map()
+        return _assemble_control_map(self)
 
 
 # joint operators kept per branch table, by the value of the problem
@@ -637,24 +649,19 @@ _JOINT_OPERATORS = OwnerMemo()
 
 def _joint_operator(sys, branches, n0, blocks, T, weight,
                     nmax) -> _JointOperator:
-    """The joint operator of the blocks, assembled once per problem and
-    kept in branches's memo, keyed on the system, T, rho2, n0, the
-    state's nmax and the blocks."""
+    """The joint operator of the blocks, the one handle each solve asks
+    for and passes on: assembled once per problem and kept in branches's
+    memo, keyed on the system, T, rho2, n0, the state's nmax and the
+    blocks.  A block window outside [0, T] raises ValueError first."""
+    outside = [blk.window for blk in blocks
+               if not 0.0 <= blk.window[0] < blk.window[1] <= T]
+    if outside:
+        raise ValueError(f"block windows {outside} do not satisfy "
+                         f"0 <= t0 < t1 <= T = {T}")
     key = (sys, float(T), weight, n0, nmax, tuple(blocks))
     return _JOINT_OPERATORS.get(
         branches, key,
         lambda: _assemble_joint(sys, branches, n0, blocks, T, weight, nmax))
-
-
-def _control_map(sys, branches, n0, blocks, T, weight, nmax):
-    """The control-to-state map L of the blocks' joint operator
-    (_JointOperator.control_map), from the same memo entry: the operator
-    a solve of the problem assembled, or a fresh assembly when none has
-    posed it yet."""
-    return _JOINT_OPERATORS.get(
-        branches, (sys, float(T), weight, n0, nmax, tuple(blocks)),
-        lambda: _assemble_joint(sys, branches, n0, blocks, T, weight, nmax)
-    ).control_map
 
 
 def _assemble_joint(sys, branches, n0, blocks, T, weight,
@@ -667,7 +674,7 @@ def _assemble_joint(sys, branches, n0, blocks, T, weight,
     blocks' quadrature nodes; the block pair (i, j) is one weighted GEMM
     over block j's nodes, V_i* (w_j mask_j V_j)^T with the (node,
     channel) pairs flattened.  The propagators are elementwise per scale,
-    so each slice holds the bits of observing there alone.  Each block
+    so each slice holds the bits of observing there alone.  Each _Block
     keeps its stack on its own nodes for the controls it emits."""
     setups = [_block_setup(sys, branches, n0, nmax, blk) for blk in blocks]
     edges = [np.linspace(*blk.window, blk.time_panels + 1) for blk in blocks]
@@ -700,165 +707,141 @@ def _assemble_joint(sys, branches, n0, blocks, T, weight,
     dscale = np.sqrt(np.abs(np.diagonal(J)).clip(1e-300))
     Js = J / np.outer(dscale, dscale)
     sv = np.linalg.svd(Js, compute_uv=False)
-    observed = [(taus, v) for (taus, _), v in zip(quad, own)]
-    weights = [weight.toeplitz(np.arange(-nmax, nmax + 1), setup.ns)
-               for setup in setups]
-    for a in [a for pair in observed for a in pair] + edges + weights + [
-            a for st in setups for a in (st.ns, st.vecs, st.modes)] + [
-            offs, J, eigs, dscale, Js]:
+    kept = [_Block(blk, setup, e, taus, v,
+                   weight.toeplitz(np.arange(-nmax, nmax + 1), setup.ns))
+            for blk, setup, e, (taus, _), v in zip(blocks, setups, edges,
+                                                    quad, own)]
+    for a in [a for b in kept for a in (
+            b.edges, b.taus, b.stack, b.weights, b.setup.ns, b.setup.vecs,
+            b.setup.modes)] + [offs, J, eigs, dscale, Js]:
         a.flags.writeable = False
-    return _JointOperator(
-        setups=setups, edges=edges, observed=observed, weights=weights,
-        offs=offs, J=J, eigs=eigs, dscale=dscale, Js=Js,
-        cond=float(sv[0] / max(sv[-1], 1e-300)),
-        build_map=lambda: _assemble_control_map(
-            sys, blocks, setups, observed, edges, weights, T, nmax))
+    return _JointOperator(sys, float(T), weight, nmax, kept, offs, J, eigs,
+                          dscale, Js, float(sv[0] / max(sv[-1], 1e-300)))
 
 
-def _assemble_control_map(sys, blocks, setups, observed, edges, weights, T,
-                          nmax):
-    """L, the (K d, J) control-to-state map at T of the blocks' entries:
-    column j is the state at T on |n| <= nmax, from zero, under entry j's
-    unit control rho2 (mask v_j) e^{i n_j x} with its block's profile, and
-    row k d + a holds mode k - nmax, component a.  A control of
-    multipliers lambda therefore reaches L lambda, and a datum f0
+def _assemble_control_map(op: _JointOperator):
+    """L, the (K d, J) control-to-state map at T of the operator's
+    entries: column j is the state at T on |n| <= nmax, from zero, under
+    entry j's unit control rho2 (mask v_j) e^{i n_j x} with its block's
+    profile, and row k d + a holds mode k - nmax, component a.  A control
+    of multipliers lambda therefore reaches L lambda, and a datum f0
     reaches F f0 + L lambda.
 
     It is evolve's Duhamel integral of those controls, reordered by
     linearity.  The panels are the ones evolve takes for the merged
     blocks' controls (merge_controls' nodes, duhamel_panels), so each
-    block reads its entries' stack on its own nodes from observed.  All
-    columns go through one ModeBasis.duhamel with sources shared by the
-    modes, and rho2hat(n - n_j), the blocks' emission weights side by
-    side, scales mode n after the integral."""
-    taus, wts = duhamel_panels(_merged_nodes(edges, T), T, [T])
-    ns = np.concatenate([setup.ns for setup in setups])
+    block reads its stack on its own nodes.  All columns go through one
+    ModeBasis.duhamel with sources shared by the modes, and
+    rho2hat(n - n_j), the blocks' emission weights side by side, scales
+    mode n after the integral."""
+    sys, T = op.sys, op.T
+    taus, wts = duhamel_panels(_merged_nodes([b.edges for b in op.blocks],
+                                             T), T, [T])
     # srcs[q, :, j]: entry j's unit control at taus[q], shared by all modes
-    srcs = np.zeros((len(taus), sys.m, len(ns)), dtype=complex)
-    j = 0
-    for blk, setup, obs in zip(blocks, setups, observed):
-        on = _on_window(taus, blk.window)
-        srcs[on, :, j:j + len(setup.ns)] = _entry_stack(
-            blk, setup, T, obs, taus[on]).transpose(0, 2, 1)
-        j += len(setup.ns)
-    per_mode = _state_basis(sys, nmax).duhamel(
+    srcs = np.zeros((len(taus), sys.m, op.offs[-1]), dtype=complex)
+    for block, lo, hi in zip(op.blocks, op.offs, op.offs[1:]):
+        on = _on_window(taus, block.spec.window)
+        srcs[on, :, lo:hi] = _entry_stack(block, T, taus[on]).transpose(
+            0, 2, 1)
+    per_mode = _state_basis(sys, op.nmax).duhamel(
         srcs[None], sys.M, T - taus, wts)
-    L = (per_mode * np.hstack(weights)[:, None, :]).reshape(-1, len(ns))
+    L = (per_mode * np.hstack([b.weights for b in op.blocks])[:, None, :]
+         ).reshape(-1, op.offs[-1])
     L.flags.writeable = False
     return L
 
 
-def _reached(free: FourierState, L, lam) -> FourierState:
+def _reached(free: FourierState, op: _JointOperator, lam) -> FourierState:
     """F f0 + L lam: the state a control of multipliers lam reaches from
-    the datum whose free evolution is free, L the control-to-state map of
-    the blocks that emitted it (_control_map); free itself when lam is
-    None (no control yet)."""
+    the datum whose free evolution is free, L the control map of the
+    operator that emitted it; free itself when lam is None (no control
+    yet), without asking for L."""
     if lam is None:
         return free
-    return FourierState(free.nmax,
-                        free.coeffs + (L @ lam).reshape(free.coeffs.shape))
+    return FourierState(free.nmax, free.coeffs + (
+        op.control_map @ lam).reshape(free.coeffs.shape))
 
 
-def _joint_solve(sys, branches, n0, blocks, goal, T, weight,
-                 cond_max=COND_MAX, refuse=True):
+def _joint_solve(op: _JointOperator, goal, cond_max=COND_MAX, refuse=True):
     """Choose controls u_b = rho2 sum_k lambda_k (mask v_k) e^{i n_k x}
-    on the blocks' windows, each inside [0, T], whose summed contribution
-    at time T has the dual pairings of the state goal (the negated free
-    evolution to null, or the state to reach).  Returns (controls, J,
-    lambda, rhs, cond): J the pairing matrix (_assemble_joint), rhs
-    goal's pairings, cond the condition of J's diagonal scaling.
+    on the operator's block windows whose summed contribution at time T
+    has the dual pairings of the state goal (the negated free evolution
+    to null, or the state to reach), truncated at op.nmax.  Returns
+    (controls, J, lambda, rhs, cond): J the pairing matrix
+    (_assemble_joint), rhs goal's pairings, cond the condition of J's
+    diagonal scaling.
 
-    The operator comes from _joint_operator, so data and sweeps that pose
-    the same blocks share one assembly; J is its read-only array.  This
-    call tests cond against its own cond_max (refusing unless refuse is
-    False), pairs goal with the kept entries, solves the scaled system
-    and emits each block's control from the operator's stack on the
-    block's own nodes.
+    op comes from _joint_operator, so data and sweeps that pose the same
+    blocks share one assembly; J is its read-only array.  This call tests
+    cond against its own cond_max (refusing unless refuse is False),
+    pairs goal with the kept entries, solves the scaled system and emits
+    each block's control from its stack on its own nodes.
     """
-    outside = [blk.window for blk in blocks
-               if not 0.0 <= blk.window[0] < blk.window[1] <= T]
-    if outside:
-        raise ValueError(f"block windows {outside} do not satisfy "
-                         f"0 <= t0 < t1 <= T = {T}")
-    op = _joint_operator(sys, branches, n0, blocks, T, weight, goal.nmax)
     if refuse and not 0.0 < op.cond <= cond_max:
         raise np.linalg.LinAlgError(
             f"Gram condition {op.cond:.2e} beyond {cond_max:.0e}: target "
             f"too high-dimensional for this (T, omega)")
-    c = np.concatenate([_pairings(setup, goal) for setup in op.setups])
+    c = np.concatenate([_pairings(b.setup, goal) for b in op.blocks])
     lam = np.linalg.solve(op.Js, c / op.dscale) / op.dscale
-    offs = op.offs
-    controls = [
-        _emit_block(blk, op.setups[b], lam[offs[b]:offs[b + 1]], T, weight,
-                    op.weights[b], op.edges[b], op.observed[b])
-        for b, blk in enumerate(blocks)]
+    controls = [_emit_block(block, lam[lo:hi], op.T, op.weight)
+                for block, lo, hi in zip(op.blocks, op.offs, op.offs[1:])]
     return controls, op.J, lam, c, op.cond
 
 
-def _emit_block(blk: DualBlock, setup, lam, T, weight, W, edges,
-                observed=None):
+def _emit_block(block: _Block, lam, T, weight):
     """Lazy control u = rho2 sum_j lambda_j (mask v_j) e^{i n_j x} on the
-    block's window, zero outside it, for the block's _block_setup.
-    Entry j carries r(T-t) mask v_j(t), its _block_observations
-    observation scaled by the block's time profile r (1 when None) at the
-    time to go clipped to [0, T].
+    block's window, zero outside it.  Entry j carries r(T-t) mask v_j(t),
+    its _block_observations observation scaled by the block's time
+    profile r (1 when None) at the time to go clipped to [0, T].
 
     The coefficients on |n'| <= nmax are (W diag lambda) @ V(t), with
-    V(t) the (J, m) per-entry stack and W[n', j] = rho2hat(n' - n_j) the
-    block's (2 nmax + 1, J) emission weights, which the joint operator
-    keeps (_JointOperator.weights).  They take a float or a 1-D array of
-    times (the ControlSignal.at contract); a batch takes one such product
-    per time, so it gives the bits of its times taken one at a time.  The
-    signal's sample nodes are the block's panel edges.  The spatial
-    evaluator synthesizes the lambda-weighted stack over the entries'
-    modes.
-
-    observed, when given, is the joint solve's (taus, stack) for the
-    block, which _entry_stack reads at exactly those times.
+    V(t) the (J, m) per-entry stack (_entry_stack) and W the block's
+    (2 nmax + 1, J) emission weights.  They take a float or a 1-D array
+    of times (the ControlSignal.at contract); a batch takes one such
+    product per time, so it gives the bits of its times taken one at a
+    time.  The signal's sample nodes are the block's panel edges.  The
+    spatial evaluator synthesizes the lambda-weighted stack over the
+    entries' modes.
     """
     lam = np.asarray(lam, dtype=complex)
-    ns = setup.ns
-    m = len(blk.mask)
-    nmax = len(W) // 2
-    W = W * lam
+    W = block.weights * lam
 
     def coeff_fn(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = W @ _entry_stack(blk, setup, T, observed, ts)
+        out = W @ _entry_stack(block, T, ts)
         return out if np.ndim(t) else out[0]
 
     def spatial(t, xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        vs = _entry_stack(blk, setup, T, observed,
-                          np.array([t], dtype=float))[0]
-        return (kernels.synthesize(lam[:, None] * vs, ns, xs)
+        vs = _entry_stack(block, T, np.array([t], dtype=float))[0]
+        return (kernels.synthesize(lam[:, None] * vs, block.setup.ns, xs)
                 * weight(xs)[:, None])
 
-    return ControlSignal.from_func(coeff_fn, np.asarray(edges, dtype=float),
-                                   nmax, m, t_window=blk.window,
-                                   spatial=spatial)
+    return ControlSignal.from_func(
+        coeff_fn, np.asarray(block.edges, dtype=float), len(W) // 2,
+        len(block.spec.mask), t_window=block.spec.window, spatial=spatial)
 
 
-def _entry_stack(blk: DualBlock, setup, T, observed, ts):
+def _entry_stack(block: _Block, T, ts):
     """(Q, J, m) per-entry r(T - t) mask v_j(t) at the 1-D times ts for
-    the block's _block_setup, zero off the window and where the profile r
-    vanishes (r is 1 when the block has none, and is taken at the time to
-    go clipped to [0, T]).  observed, when given, is (taus, stack), the
-    block's (J, Q, m) observations at its quadrature nodes: times equal
-    to taus read the stack, any others observe the entries anew, with
-    the same bits."""
-    r = (np.ones(len(ts)) if blk.rho1_length is None
-         else rho1(np.clip(T - ts, 0.0, T) / blk.rho1_length))
-    r = np.where(_on_window(ts, blk.window), r, 0.0)
+    the block, zero off the window and where the profile r vanishes (r is
+    1 when the block has none, and is taken at the time to go clipped to
+    [0, T]).  Times equal to the block's nodes read its stack; any others
+    observe the entries anew, with the same bits."""
+    spec = block.spec
+    r = (np.ones(len(ts)) if spec.rho1_length is None
+         else rho1(np.clip(T - ts, 0.0, T) / spec.rho1_length))
+    r = np.where(_on_window(ts, spec.window), r, 0.0)
     on = np.flatnonzero(r)
-    out = np.zeros((len(ts), len(setup.ns), len(blk.mask)), dtype=complex)
+    out = np.zeros((len(ts), len(block.setup.ns), len(spec.mask)),
+                   dtype=complex)
     if len(on):
-        if observed is not None and np.array_equal(ts, observed[0]):
-            vs = observed[1][:, on]
+        if np.array_equal(ts, block.taus):
+            vs = block.stack[:, on]
         else:
-            vs = _block_observations(setup, T, ts[on])
+            vs = _block_observations(block.setup, T, ts[on])
         out[on] = vs.transpose(1, 0, 2) * (
-            r[on, None, None] * np.asarray(blk.mask, dtype=float))
+            r[on, None, None] * np.asarray(spec.mask, dtype=float))
     return out
 
 
@@ -931,12 +914,10 @@ def hum_gramian_control(sys: SystemMatrices, branches: BranchTable, n0: int,
             stacklevel=2)
     weight = plateau_weight(omega)
     blk = DualBlock(tuple(target), window, (True,) * sys.m)
-    (u,), J, lam, rhs, cond = _joint_solve(
-        sys, branches, n0, [blk], fstar, T, weight, cond_max=cond_max,
-        refuse=refuse)
-    eigs = _joint_operator(sys, branches, n0, [blk], T, weight,
-                           fstar.nmax).eigs
-    report = HUMReport(gram=J, eigs=eigs, cond=cond,
+    op = _joint_operator(sys, branches, n0, [blk], T, weight, fstar.nmax)
+    (u,), J, lam, rhs, cond = _joint_solve(op, fstar, cond_max=cond_max,
+                                           refuse=refuse)
+    report = HUMReport(gram=J, eigs=op.eigs, cond=cond,
                        energy=float(np.real(np.vdot(lam, rhs))),
                        target_dim=len(rhs),
                        cond_headroom_log10=cond_headroom(cond))
@@ -1012,8 +993,8 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
     No block carries a time profile.  Every control leaks into every band
     through its omega cut-off; the next sweep removes that coupling.
 
-    The sweeps pose the same blocks, so they share one joint operator,
-    and the controls are linear in the summed multipliers lambda: the
+    The sweeps pose the same blocks, so the datum asks for their joint
+    operator once and every sweep solves with it; the controls are linear in the summed multipliers lambda: the
     state a sweep checks is F f0 + L lambda, with F f0 the free evolution
     (the one evolve of a datum) and L the operator's control-to-state map
     at T, built on the first request and kept with the operator.  L lambda
@@ -1043,14 +1024,15 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
         DualBlock(("parabolic", nmax), trailing,
                   tuple(c >= d1 or not split for c in range(m)))]
     free = evolve(sys, f0, None, T)
-    L = lam = None
+    op = _joint_operator(sys, branches, n0, blocks, T, weight, nmax)
+    lam = None
     controls = []
     sweep_log = []
     path = "joint-sweeps"
     joint_cond = None
     f0norm = max(f0.norm(), 1e-300)
     for sweep in range(max_sweeps):
-        fT = _reached(free, L, lam)
+        fT = _reached(free, op, lam)
         res = fT.norm() / f0norm
         # Pp = I - Ph on the band, so fT - h - low is the parabolic part
         h, low = project_branch(fT, branches, n0, "h"), project_low(fT, n0)
@@ -1062,14 +1044,12 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
         if sweep >= 2 and res > 0.5 * sweep_log[-2]["relative_residual"]:
             path = "joint-sweeps (stalled)"
             break
-        corr, _, dlam, _, joint_cond = _joint_solve(
-            sys, branches, n0, blocks, -fT, T, weight)
+        corr, _, dlam, _, joint_cond = _joint_solve(op, -fT)
         controls.extend(corr)
-        L = _control_map(sys, branches, n0, blocks, T, weight, nmax)
         lam = dlam if lam is None else lam + dlam
     else:
         # max_sweeps ran out: the last sweep's controls are not yet checked
-        fT = _reached(free, L, lam)
+        fT = _reached(free, op, lam)
     u_total = merge_controls(controls, nmax, m, T) if controls else None
     cert = {
         "path": path,

@@ -90,9 +90,6 @@ class FourierState:
     def get(self, n):
         return self.coeffs[n + self.nmax]
 
-    def copy(self):
-        return FourierState(self.nmax, self.coeffs.copy())
-
     def norm(self):
         """L2 norm: sqrt(2 pi sum |fhat(n)|^2)."""
         return float(np.sqrt(TWO_PI) * np.linalg.norm(self.coeffs))

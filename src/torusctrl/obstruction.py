@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (SystemMatrices, TorusSubset, TWO_PI, REAL_SPEC_TOL,
-                      PreconditionError, OwnerMemo, numerical_rank)
+                      PreconditionError, OwnerMemo, kalman_rank)
 from . import spectral, dynamics
 
 __all__ = [
@@ -234,22 +234,18 @@ def pure_transport_space(sys: SystemMatrices, mu: float, nmax: int):
     For each 0 < |n| <= nmax, tests whether i*mu is an eigenvalue of
     n E(i/n)* within |lambda - i mu| < TRANSPORT_TOL*(1+|n|), all modes
     in one stacked eig; matches come in order of n, then of eigenvalue
-    index.  Also evaluates the rank of (B | AB | ... | A^{d-1} B), whose
-    fullness predicts the matched set stays finite.
+    index.  Also evaluates the rank of (B | AB | ... | A^{d-1} B)
+    (kalman_rank), whose fullness predicts the matched set stays finite.
     """
-    d = sys.d
     ns = np.concatenate([np.arange(-nmax, 0), np.arange(1, nmax + 1)])
     mats = ns[:, None, None] * spectral.eval_symbol(sys, 1j / ns)
     w, V = np.linalg.eig(np.swapaxes(mats, -1, -2).conj())
     hit = np.abs(w - 1j * mu) < TRANSPORT_TOL * (1.0 + np.abs(ns))[:, None]
     matches = [(int(ns[k]), V[k, :, h]) for k, h in zip(*np.nonzero(hit))]
-    blocks = [sys.B]
-    for _ in range(d - 1):
-        blocks.append(sys.A @ blocks[-1])
-    rank = numerical_rank(np.hstack(blocks), dim_hint=d)
+    rank, full = kalman_rank(sys.A, sys.B)
     return {
         "matches": matches,
         "count": len(matches),
         "kalman_rank_AB": rank,
-        "finite_dimensional_expected": rank == d,
+        "finite_dimensional_expected": full,
     }

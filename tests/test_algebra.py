@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from torusctrl.algebra import (SystemMatrices, TorusSubset, TWO_PI,
                                validate_system, minimal_time, kalman_rank,
                                cascade_transform, numerical_rank)
+from torusctrl.dynamics import windowed_l2_norm
 from conftest import (nscl_system, damped_wave_system, moving_wave_system,
-                      HALF_TORUS)
+                      random_state, HALF_TORUS)
 
 
 def _arcs_from_cuts(cuts):
@@ -56,6 +57,28 @@ class TestTorusSubset:
         om = TorusSubset(arcs)
         gap_len = sum(b - a for a, b in om.gap_intervals())
         assert om.total_length + gap_len == pytest.approx(TWO_PI)
+
+    def test_wrapped_arc_matches_its_split_form(self):
+        """(5, 7) wraps past 2 pi: it is (0, 7 - 2 pi) and (5, 2 pi) for
+        the indicator, the largest gap, nscl's minimal time and the
+        windowed norm."""
+        wrapped = TorusSubset(((5.0, 7.0),))
+        split = TorusSubset(((0.0, 7.0 - TWO_PI), (5.0, TWO_PI)))
+        assert wrapped.arcs == ((5.0, 7.0),)
+        xs = TWO_PI * np.arange(1000) / 1000
+        ind = wrapped.indicator(xs)
+        assert np.array_equal(ind, split.indicator(xs))
+        assert ind[xs < 7.0 - TWO_PI].all() and ind[xs >= 5.0].all()
+        assert not ind[(xs >= 7.0 - TWO_PI) & (xs < 5.0)].any()
+        assert wrapped.largest_gap() == pytest.approx(split.largest_gap(),
+                                                      rel=1e-15)
+        assert minimal_time(nscl_system(), wrapped) == pytest.approx(
+            minimal_time(nscl_system(), split), rel=1e-15)
+        rng = np.random.default_rng(5)
+        ts = np.linspace(0.0, 1.0, 9)
+        states = [random_state(rng, 8, 2) for _ in ts]
+        assert windowed_l2_norm(ts, states, (0.0, 1.0), wrapped) == \
+            windowed_l2_norm(ts, states, (0.0, 1.0), split)
 
     def test_shrunk_is_smaller_subset(self):
         small = HALF_TORUS.shrunk(0.2)
@@ -153,3 +176,17 @@ class TestKalman:
         assert numerical_rank(form.P) == d2
         assert K22 @ form.P == pytest.approx(form.P @ form.Khat22)
         assert sum(form.block_sizes) == d2
+
+    def test_cascade_transform_multi_input(self):
+        """Two input columns: the chain of column 0 has length 2 under
+        diag(1, 2, 3), and column 1 completes the basis."""
+        K22 = np.diag([1.0, 2.0, 3.0])
+        K21 = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        form = cascade_transform(K22, K21)
+        assert form.block_sizes == (2, 1)
+        assert form.column_indices == (0, 1)
+        assert np.array_equal(form.P, np.array([[1, 1, 1], [1, 2, 0],
+                                                [0, 0, 1]]))
+        assert K22 @ form.P == pytest.approx(form.P @ form.Khat22,
+                                             abs=1e-14)
+        assert form.P @ form.Khat21 == pytest.approx(K21, abs=1e-14)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -317,6 +318,25 @@ class TestLebeauRobbiano:
         assert ((fT - report["final_state"]).norm()
                 <= 1e-12 * f0p.norm())
 
+    def test_stage_refusal_names_the_stage(self, monkeypatch):
+        """A moment solve that refuses is re-raised naming its stage's
+        level and band, chained to the refusal."""
+        monkeypatch.setattr(ctl, "parabolic_moment_control",
+                            functools.partial(parabolic_moment_control,
+                                              cond_max=1.0))
+        sys = decoupled_heat_system()
+        consts = spectral.separation_radius(sys, n0_override=1)
+        branches = spectral.build_branch_table(sys, consts, 8)
+        f0p = project_branch(random_state(np.random.default_rng(5), 8, 2),
+                             branches, 1, "p")
+        with pytest.raises(np.linalg.LinAlgError, match=r"^stage 1 "
+                           r"\(N = 2\): Gram condition .* beyond 1e\+00"
+                           ) as info:
+            lebeau_robbiano(sys, branches, f0p, T=2.0, delta=0.25, rho=0.5,
+                            nmax=8, n0=1, omega=HALF_TORUS)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert str(info.value).endswith(str(info.value.__cause__))
+
     @staticmethod
     def _stages(monkeypatch, system, nmax, n0_override=None, seed=41):
         """lebeau_robbiano at T = 4, delta = T/8 on the half torus, with
@@ -353,9 +373,10 @@ class TestLebeauRobbiano:
             monkeypatch, system, nmax, n0_override=n0)
         assert len(solves) == len(report["stages"]) == active
         for state, Tl, u, prob in solves:
-            L = ctl._control_map(sys, branches, n0, [prob.block], Tl,
-                                 prob.weight, state.nmax)
-            reached = ctl._reached(prob.free, L, prob.lam)
+            op = ctl._joint_operator(sys, branches, n0, [prob.block], Tl,
+                                     prob.weight, state.nmax)
+            reached = ctl._reached(prob.free, op, prob.lam)
+            L = op.control_map
             ref = evolve(sys, state, u, Tl)
             scale = np.sum(np.abs(prob.lam) * np.linalg.norm(L, axis=0))
             assert (reached - ref).norm() <= 1e-14 * scale
@@ -549,8 +570,25 @@ class TestPipeline:
         # both windows emit: (0, T') and the trailing one near T
         assert live >= 30
 
+    def test_omega_wrapping_past_two_pi(self):
+        """omega = (5, 5 + pi) wraps past 2 pi: rho2 vanishes outside it,
+        and the pipeline converges on nscl at nmax 12 (seed 1)."""
+        omega = TorusSubset(((5.0, 5.0 + np.pi),))
+        xs = np.linspace(0.0, TWO_PI, 2000, endpoint=False)
+        rho2 = plateau_weight(omega)(xs)
+        assert not np.any(rho2[omega.indicator(xs) == 0.0])
+        assert np.any(rho2[xs < 1.0] == 1.0)
+        sys = nscl_system()
+        consts = spectral.separation_radius(sys)
+        branches = spectral.build_branch_table(sys, consts, 12)
+        Tstar = minimal_time(sys, omega)
+        f0 = random_state(np.random.default_rng(1), 12, 2)
+        _, cert = full_pipeline(sys, branches, consts.n0, f0, 1.5 * Tstar,
+                                1.25 * Tstar, omega, Tstar=Tstar)
+        assert cert["path"] == "joint-sweeps" and cert["relative"] <= 1e-9
+
     def test_shared_nodes_observed_once(self, monkeypatch):
-        """One joint solve observes each of its 3 blocks once, on the
+        """One joint operator observes each of its 3 blocks once, on the
         union of their nodes.  The pairing matrix is bit for bit the
         weighted GEMM of each block pair observed on the column block's
         own nodes alone, and the einsum pairing to roundoff."""
@@ -559,30 +597,30 @@ class TestPipeline:
         consts = spectral.separation_radius(scn.sys)
         branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
         f0 = random_state(np.random.default_rng(41), scn.nmax, scn.sys.d)
-        observe, solve = ctl._block_observations, ctl._joint_solve
-        calls, solves = [], []
+        observe, operator = ctl._block_observations, ctl._joint_operator
+        calls, ops = [], []
 
         def spy_observe(*args):
             calls.append(_kind(args[0]))
             return observe(*args)
 
-        def spy_solve(*args, **kwargs):
+        def spy_operator(*args):
             before = len(calls)
-            out = solve(*args, **kwargs)
-            solves.append((args, out[1], calls[before:]))
-            return out
+            op = operator(*args)
+            ops.append((args, op.J, calls[before:]))
+            return op
 
         monkeypatch.setattr(ctl, "_block_observations", spy_observe)
-        monkeypatch.setattr(ctl, "_joint_solve", spy_solve)
+        monkeypatch.setattr(ctl, "_joint_operator", spy_operator)
         full_pipeline(scn.sys, branches, consts.n0, f0, scn.T, scn.Tprime,
                       scn.omega, Tstar=scn.Tstar)
-        assert len(solves) == 1
-        (sys, branches, n0, blocks, goal, T, weight), J, inside = solves[0]
+        assert len(ops) == 1
+        (sys, branches, n0, blocks, T, weight, nmax), J, inside = ops[0]
         assert inside == ["full", "full", "parabolic"]
         assert [b.target[0] for b in blocks] == ["hyperbolic", "low",
                                                  "parabolic"]
         assert blocks[1].window == blocks[2].window
-        setups = [ctl._block_setup(sys, branches, n0, goal.nmax, b)
+        setups = [ctl._block_setup(sys, branches, n0, nmax, b)
                   for b in blocks]
         ref, loop = [], []
         for bc, sc in zip(blocks, setups):
@@ -677,10 +715,13 @@ def _loop_coeffs(weight, nmax, m, vecs):
     return out
 
 
-def _emission_weights(weight, nmax, setup):
-    """A block's emission weights W[n', j] = rho2hat(n' - n_j) on
-    |n'| <= nmax, the _emit_block argument the joint operator keeps."""
-    return weight.toeplitz(np.arange(-nmax, nmax + 1), setup.ns)
+def _standalone(blk, setup, edges, weight, nmax):
+    """A _Block emitted outside a joint operator: no nodes, so every time
+    is observed anew, and the emission weights W[n', j] =
+    rho2hat(n' - n_j) on |n'| <= nmax that the joint operator keeps."""
+    return ctl._Block(blk, setup, edges, np.empty(0),
+                      np.empty((len(setup.ns), 0, len(blk.mask))),
+                      weight.toeplitz(np.arange(-nmax, nmax + 1), setup.ns))
 
 
 def _kind(setup):
@@ -761,9 +802,8 @@ class TestEmission:
                    + 1j * rng.standard_normal(len(setup.ns)))
             t0, t1 = blk.window
             edges = np.linspace(t0, t1, 5)
-            u = ctl._emit_block(blk, setup, lam, self.T, weight,
-                                _emission_weights(weight, nmax, setup),
-                                edges)
+            u = ctl._emit_block(_standalone(blk, setup, edges, weight, nmax),
+                                lam, self.T, weight)
             assert u.values.shape == (0, 2 * nmax + 1, sys.m)
             for t in (t0, 0.3 * t0 + 0.7 * t1, t1):
                 ref = _loop_coeffs(weight, nmax, sys.m, _block_vectors(
@@ -818,9 +858,9 @@ class TestEmission:
         for sys, branches, blk, setup in self._blocks(nscl_branches24):
             lam = (rng.standard_normal(len(setup.ns))
                    + 1j * rng.standard_normal(len(setup.ns)))
-            u = ctl._emit_block(blk, setup, lam, self.T, weight,
-                                _emission_weights(weight, nmax, setup),
-                                blk.window)
+            u = ctl._emit_block(
+                _standalone(blk, setup, blk.window, weight, nmax), lam,
+                self.T, weight)
             t = 0.5 * sum(blk.window)
             coeffs = FourierState(nmax, u.at(t))
             synth = synth_grid(coeffs, ngrid=len(xs))[1]
@@ -852,9 +892,9 @@ class TestEmission:
             lam = (rng.standard_normal(len(setup.ns))
                    + 1j * rng.standard_normal(len(setup.ns)))
             t0, t1 = blk.window
-            u = ctl._emit_block(blk, setup, lam, self.T, weight,
-                                _emission_weights(weight, nmax, setup),
-                                np.linspace(t0, t1, 5))
+            u = ctl._emit_block(
+                _standalone(blk, setup, np.linspace(t0, t1, 5), weight, nmax),
+                lam, self.T, weight)
             ts = self._edge_times(t0, t1)
             if prof is not None:
                 # the profile is exactly zero at both ends and where
@@ -886,9 +926,9 @@ class TestEmission:
         sys, branches, hyp, setup = self._blocks(nscl_branches24)[0]
         lam = (rng.standard_normal(len(setup.ns))
                + 1j * rng.standard_normal(len(setup.ns)))
-        u = ctl._emit_block(hyp, setup, lam, self.T, weight,
-                            _emission_weights(weight, nmax, setup),
-                            np.linspace(*hyp.window, 5))
+        u = ctl._emit_block(
+            _standalone(hyp, setup, np.linspace(*hyp.window, 5), weight,
+                        nmax), lam, self.T, weight)
         shifted = ctl._shift_control(u, 0.5)
         ts = self._edge_times(0.5, 0.5 + self.Tprime)
         got = shifted.at(ts)
@@ -924,8 +964,8 @@ class TestEmission:
     def test_joint_emission_reads_its_stack_bit_for_bit(self, monkeypatch):
         """Controls emitted by _joint_solve, for the pipeline's three
         blocks and for a moment block with its time profile: at(taus) on
-        the block's own nodes, read from the joint solve's stack, equals
-        at(t) node by node and _emit_block called without the stack, bit
+        the block's own nodes, read from the operator's stack, equals
+        at(t) node by node and _emit_block of a block with no nodes, bit
         for bit; so does the spatial form."""
         solve, solves = ctl._joint_solve, []
 
@@ -948,17 +988,18 @@ class TestEmission:
         assert len(solves) == 2
         xs = np.linspace(0.0, TWO_PI, 29, endpoint=False)
         profiled = 0
-        for (sys, branches, n0, blocks, goal, T, weight), out in solves:
+        for (op, goal), out in solves:
             controls, lam = out[0], out[2]
-            setups = [ctl._block_setup(sys, branches, n0, goal.nmax, b)
-                      for b in blocks]
+            blocks = [b.spec for b in op.blocks]
+            setups = [ctl._block_setup(op.sys, branches, consts.n0,
+                                       goal.nmax, b) for b in blocks]
             offs = np.cumsum([0] + [len(st.ns) for st in setups])
             for b, (blk, u) in enumerate(zip(blocks, controls)):
                 edges = np.linspace(*blk.window, blk.time_panels + 1)
                 taus, _ = gauss_legendre(edges)
                 fresh = ctl._emit_block(
-                    blk, setups[b], lam[offs[b]:offs[b + 1]], T, weight,
-                    _emission_weights(weight, goal.nmax, setups[b]), edges)
+                    _standalone(blk, setups[b], edges, op.weight, goal.nmax),
+                    lam[offs[b]:offs[b + 1]], op.T, op.weight)
                 batched = u.at(taus)
                 assert np.any(batched)
                 assert np.array_equal(batched, fresh.at(taus))
@@ -1065,11 +1106,12 @@ class TestJointOperatorMemo:
         run(branches, 3)
         (op,) = ctl._JOINT_OPERATORS._owners[branches].values()
         weight = plateau_weight(scn.omega)
-        assert len(op.weights) == len(op.setups) == 3
-        for W, setup in zip(op.weights, op.setups):
-            assert W.shape == (17, len(setup.ns))
+        assert len(op.blocks) == 3
+        for block in op.blocks:
+            W = block.weights
+            assert W.shape == (17, len(block.setup.ns))
             assert np.array_equal(W, weight.toeplitz(np.arange(-8, 9),
-                                                     setup.ns))
+                                                     block.setup.ns))
             with pytest.raises(ValueError, match="read-only"):
                 W[0, 0] = 0.0
 
@@ -1130,6 +1172,43 @@ class TestJointOperatorMemo:
         assert len(cert["sweeps"]) == 3 and cert["relative"] <= 1e-9
         assert len(calls["_joint_solve"]) == 2
         assert len(calls["_assemble_joint"]) == 1
+
+    def test_each_solve_asks_for_its_operator_once(self, monkeypatch,
+                                                   nscl_branches24):
+        """One _joint_operator lookup per pipeline datum whatever its
+        sweep count, one per moment or HUM call, and two per active LR
+        stage (its moment solve, then its control map).  A datum that
+        needs no solve builds no control map."""
+        scn, consts, branches, run = self._pipeline(12)
+        calls = self._spy(monkeypatch, "_joint_operator", "_joint_solve",
+                          "_assemble_control_map")
+        _, cert = full_pipeline(scn.sys, branches, consts.n0,
+                                FourierState.zeros(12, 2), scn.T,
+                                scn.Tprime, scn.omega, Tstar=scn.Tstar)
+        assert cert["relative"] == 0.0 and cert["joint_cond"] is None
+        assert len(calls["_joint_operator"]) == 1
+        assert calls["_assemble_control_map"] == []
+        _, cert = run(branches, 0)
+        assert len(cert["sweeps"]) == 3 and len(calls["_joint_solve"]) == 2
+        assert len(calls["_joint_operator"]) == 2
+        assert len(calls["_assemble_control_map"]) == 1
+
+        sys, consts, branches = nscl_branches24
+        fstar = random_state(np.random.default_rng(4), 24, 2)
+        for name in calls:
+            calls[name].clear()
+        hum_gramian_control(sys, branches, consts.n0, ("low",), fstar, 1.0,
+                            HALF_TORUS, window=(0.8, 1.0))
+        assert len(calls["_joint_operator"]) == 1
+        parabolic_moment_control(
+            sys, branches, project_branch(fstar, branches, consts.n0, "p"),
+            1.0, 8, HALF_TORUS, consts.n0)
+        assert len(calls["_joint_operator"]) == 2
+
+        calls["_joint_operator"].clear()
+        report = self._lr_heat(8)(5)
+        assert len(report["stages"]) == 3
+        assert len(calls["_joint_operator"]) == 2 * 3
 
     def test_lr_stages_reuse_their_operators(self, monkeypatch):
         sys = decoupled_heat_system()
@@ -1325,8 +1404,8 @@ class TestControlMap:
     @staticmethod
     def _pipeline(monkeypatch, sys, nmax, seed):
         """full_pipeline on the half torus at T = 1.5 T*, T' = 1.25 T*:
-        (u, cert, f0, problem, L, lam), with problem the first joint
-        solve's positional arguments and lam the summed multipliers."""
+        (u, cert, f0, op, L, lam), with op the joint operator every solve
+        was handed and lam the summed multipliers."""
         scn = harness.Scenario("oracle", sys, HALF_TORUS, nmax=nmax,
                                experiment="pipeline")
         consts = spectral.separation_radius(sys)
@@ -1341,11 +1420,10 @@ class TestControlMap:
         monkeypatch.setattr(ctl, "_joint_solve", spy)
         u, cert = full_pipeline(sys, branches, consts.n0, f0, scn.T,
                                 scn.Tprime, HALF_TORUS, Tstar=scn.Tstar)
-        problem = solves[0][0]
-        _, branches, n0, blocks, _, T, weight = problem
-        L = ctl._control_map(sys, branches, n0, blocks, T, weight, nmax)
+        op = solves[0][0][0]
+        assert all(args[0] is op for args, _ in solves)
         lam = sum(out[2] for _, out in solves)
-        return u, cert, f0, problem, L, lam
+        return u, cert, f0, op, op.control_map, lam
 
     @pytest.mark.parametrize("system, nmax", [
         (nscl_system, 10), (nscl_system, 24), (two_speed_system, 12)],
@@ -1357,9 +1435,8 @@ class TestControlMap:
         is the cancellation roundoff of the sum, not a relative one.  The
         certificate is F f0 + L lam, bit for bit."""
         sys = system()
-        u, cert, f0, problem, L, lam = self._pipeline(monkeypatch, sys,
-                                                      nmax, 3)
-        T = problem[5]
+        u, cert, f0, op, L, lam = self._pipeline(monkeypatch, sys, nmax, 3)
+        T = op.T
         assert L.shape == (sys.d * (2 * nmax + 1), len(lam))
         assert cert["relative"] <= 1e-9
         ref = evolve(sys, FourierState.zeros(nmax, sys.d), u, T)
@@ -1378,20 +1455,16 @@ class TestControlMap:
         merges them, to 1e-13 of max |L| (nmax 8)."""
         nmax = 8
         sys = system()
-        _, _, _, problem, L, _ = self._pipeline(monkeypatch, sys, nmax, 4)
-        sys, branches, n0, blocks, _, T, weight = problem
-        op = ctl._joint_operator(sys, branches, n0, blocks, T, weight, nmax)
+        _, _, _, op, L, _ = self._pipeline(monkeypatch, sys, nmax, 4)
         zero = FourierState.zeros(nmax, sys.d)
         worst = 0.0
         for j in range(L.shape[1]):
             unit = np.zeros(L.shape[1])
             unit[j] = 1.0
-            controls = [
-                ctl._emit_block(blk, op.setups[b],
-                                unit[op.offs[b]:op.offs[b + 1]], T, weight,
-                                op.weights[b], op.edges[b], op.observed[b])
-                for b, blk in enumerate(blocks)]
-            u = ctl.merge_controls(controls, nmax, sys.m, T)
-            col = evolve(sys, zero, u, T).coeffs.ravel()
+            controls = [ctl._emit_block(block, unit[lo:hi], op.T, op.weight)
+                        for block, lo, hi in zip(op.blocks, op.offs,
+                                                 op.offs[1:])]
+            u = ctl.merge_controls(controls, nmax, sys.m, op.T)
+            col = evolve(sys, zero, u, op.T).coeffs.ravel()
             worst = max(worst, np.max(np.abs(L[:, j] - col)))
         assert worst <= 1e-13 * np.max(np.abs(L))

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -5,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from torusctrl import cli, harness, spectral
+from torusctrl import cli, control, harness, spectral
 from torusctrl.algebra import TorusSubset
 from torusctrl.harness import (Scenario, ScenarioError, load_scenario,
                                run_experiment)
@@ -291,6 +292,19 @@ class TestCli:
         assert rc == 1
         out = capsys.readouterr().out
         assert "NUMERICAL FAILURE" in out and str(error) in out
+
+    def test_unconverged_pipeline_exits_1(self, tmp_path, monkeypatch,
+                                          capsys):
+        # no sweep at all leaves the free state at T, far above 1e-3
+        monkeypatch.setattr(control, "full_pipeline", functools.partial(
+            control.full_pipeline, max_sweeps=0))
+        rc = cli.main(["pipeline", "--scenario", "nscl(1, 1, 1, 2, 1)",
+                       "--nmax", "8", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "NUMERICAL FAILURE: pipeline failed to converge" in out
+        assert "(path joint-sweeps)" in out
+        assert "NUMERICAL FAILURE" in (tmp_path / "summary.txt").read_text()
 
 
 NSCL = "nscl(1, 1, 1, 2, 1)"
