@@ -21,34 +21,29 @@ identically, and its coefficients, that control's band restriction, are
 what evolve integrates.
 
 Stage contributions are all expressed at the common final time: the
-per-mode generators commute with the branch projections, so free
-evolution never mixes the low/parabolic/hyperbolic blocks and only the
-controls' spectral leakage couples them.  full_pipeline removes that
-coupling with sweeps of one joint dual-pairing solve over the three
-families; its parabolic block is the pipeline's only parabolic
-mechanism, and lebeau_robbiano stands alone.
-The moment method, the HUM Gramian and the pipeline sweeps each specify
-their families as DualBlocks (target, window, channels).  The joint
-dual operator depends on the problem, never on the datum: each public
-solve asks _joint_operator for it once, which assembles it on the first
-request and keeps it in the branch table's memo, and passes that one
-handle on.  It keeps one record per block (_Block): the entries derived
-and observed once, on the union of all blocks' quadrature nodes, the
-stack on the block's own nodes and its emission weights; each pair of
-blocks is paired with one weighted GEMM, the conditioning taken once.
-_joint_solve then only tests its own cond_max, pairs its state with the
-kept entries, solves and emits each block's control from its record.
-The controls are linear in the multipliers lambda, so a datum f0
-reaches F f0 + L lambda at T (_reached(free, op, lam)): F f0 its free
-evolution, L the operator's control-to-state map, which _reached asks
-for only once lam is set.  L does not depend on the datum; the operator
-builds it on the first request, from the kept stacks on the panels
-evolve takes for the merged controls, and keeps it, so a moment or HUM
-solve alone never builds it.  full_pipeline certifies its sweeps this
-way, with one free evolve per datum, and lebeau_robbiano reaches each
-active stage's state this way from the free evolution its moment solve
-took for a goal: neither evolves a control.  evolve of the returned
-controls stays the reference that L lambda is tested against.
+per-mode generators commute with the branch projections, so only the
+controls' spectral leakage couples the low/parabolic/hyperbolic blocks.
+full_pipeline removes that coupling with sweeps of one joint
+dual-pairing solve over the three families (its only parabolic
+mechanism; lebeau_robbiano stands alone).  Every solve specifies its
+families as DualBlocks (target, window, channels).  The joint dual
+operator depends on the problem, never on the datum: each public solve
+asks _joint_operator for it once (assembled on the first request and
+kept in the branch table's memo).  It keeps one _Block per block, with
+the entries observed once on the union of all blocks' nodes, the stack
+on the block's own nodes and its emission weights, the pairing matrix
+(one weighted GEMM per block pair) conditioned once, and the merged
+panel edges of the controls it emits.  _joint_multipliers refuses by
+its own cond_max and solves for the multipliers lambda; _emit_block
+builds one lazy control from (operator, lambda).  A datum f0 reaches
+F f0 + L lambda at T (_reached): F f0 its free evolution and L the
+operator's control-to-state map, built on the first request that has a
+lambda and kept, so a moment or HUM solve alone never builds it.
+full_pipeline certifies its sweeps this way, solving each for lambda
+alone and emitting one control from the summed lambda at the end, and
+lebeau_robbiano reaches each active stage's state so: neither evolves a
+control.  evolve of a returned control is the reference that L lambda
+is tested against.
 """
 
 import functools
@@ -375,7 +370,7 @@ def parabolic_moment_control(sys: SystemMatrices, branches: BranchTable,
     blk = _moment_block(sys, N, T)
     free = evolve(sys, f0p, None, T)
     op = _joint_operator(sys, branches, n0, [blk], T, weight, f0p.nmax)
-    (u,), gram, lam, rhs, cond = _joint_solve(op, -free, cond_max=cond_max)
+    u, gram, lam, rhs, cond = _joint_solve(op, -free, cond_max=cond_max)
     setup = op.blocks[0].setup
     return u, MomentProblem(N=N, T=T, modes=setup.modes,
                             E2=setup.basis.gens, gram=gram, rhs=rhs,
@@ -497,18 +492,13 @@ def lebeau_robbiano(sys: SystemMatrices, branches: BranchTable,
 
 
 def _shift_control(u: ControlSignal, t0: float) -> ControlSignal:
-    """u delayed by t0; its func sees t - t0 for a float or an array t."""
-    func = spatial = None
-    if u.func is not None:
-        func = lambda t, _f=u.func, _t0=t0: _f(t - _t0)  # noqa: E731
-    if u.spatial is not None:
-        spatial = lambda t, xs, _f=u.spatial, _t0=t0: _f(t - _t0, xs)  # noqa: E731
-    window = None
-    if u.t_window is not None:
-        window = (u.t_window[0] + t0, u.t_window[1] + t0)
+    """An emitted control u (_emit_block) delayed by t0; its func sees
+    t - t0 for a float or an array t."""
     return ControlSignal(time_nodes=u.time_nodes + t0, nmax=u.nmax,
-                         values=u.values, t_window=window, func=func,
-                         spatial=spatial)
+                         values=u.values,
+                         t_window=(u.t_window[0] + t0, u.t_window[1] + t0),
+                         func=lambda t: u.func(t - t0),
+                         spatial=lambda t, xs: u.spatial(t - t0, xs))
 
 
 # ------------------------------------------------------------- HUM Gramians
@@ -602,9 +592,8 @@ class _Block(NamedTuple):
     """One dual block of a joint operator: its DualBlock spec, its
     _BlockSetup, its panel edges, its own quadrature nodes taus with the
     entries' (J, Q, m) observation stack on them, and its emission
-    weights W[n', j] = rho2hat(n' - n_j) from its entries to the state's
-    modes |n'| <= nmax (an emitted control only scales them by lambda).
-    With no nodes, every time asked for is observed anew."""
+    weights W[n', j] = rho2hat(n' - n_j) from its entries to the modes
+    |n'| <= nmax.  With no nodes, every time asked for is observed anew."""
 
     spec: DualBlock
     setup: _BlockSetup
@@ -617,17 +606,18 @@ class _Block(NamedTuple):
 @dataclass
 class _JointOperator:
     """The datum-independent part of a joint solve of sys at horizon T,
-    with rho2 weight, for states truncated at nmax: one _Block per dual
-    block, the block offsets offs into the pairing matrix J, its
-    Hermitian part's eigenvalues eigs, the diagonal scaling dscale, the
-    scaled matrix Js and its condition cond.  The arrays are read-only,
-    and nothing here references the branch table."""
+    with rho2 weight, for states truncated at nmax: one _Block per block,
+    their edges' _merged_nodes (the panels of its controls and of L), the
+    offsets offs into the pairing matrix J, its Hermitian part's eigs,
+    the diagonal scaling dscale, the scaled matrix Js and its condition
+    cond.  The arrays are read-only; nothing references the branch table."""
 
     sys: SystemMatrices
     T: float
     weight: SpatialWeight
     nmax: int
     blocks: list
+    nodes: np.ndarray
     offs: np.ndarray
     J: np.ndarray
     eigs: np.ndarray
@@ -707,16 +697,18 @@ def _assemble_joint(sys, branches, n0, blocks, T, weight,
     dscale = np.sqrt(np.abs(np.diagonal(J)).clip(1e-300))
     Js = J / np.outer(dscale, dscale)
     sv = np.linalg.svd(Js, compute_uv=False)
+    nodes = _merged_nodes(edges, T)
     kept = [_Block(blk, setup, e, taus, v,
                    weight.toeplitz(np.arange(-nmax, nmax + 1), setup.ns))
             for blk, setup, e, (taus, _), v in zip(blocks, setups, edges,
                                                     quad, own)]
     for a in [a for b in kept for a in (
             b.edges, b.taus, b.stack, b.weights, b.setup.ns, b.setup.vecs,
-            b.setup.modes)] + [offs, J, eigs, dscale, Js]:
+            b.setup.modes)] + [nodes, offs, J, eigs, dscale, Js]:
         a.flags.writeable = False
-    return _JointOperator(sys, float(T), weight, nmax, kept, offs, J, eigs,
-                          dscale, Js, float(sv[0] / max(sv[-1], 1e-300)))
+    return _JointOperator(sys, float(T), weight, nmax, kept, nodes, offs, J,
+                          eigs, dscale, Js,
+                          float(sv[0] / max(sv[-1], 1e-300)))
 
 
 def _assemble_control_map(op: _JointOperator):
@@ -727,16 +719,13 @@ def _assemble_control_map(op: _JointOperator):
     of multipliers lambda therefore reaches L lambda, and a datum f0
     reaches F f0 + L lambda.
 
-    It is evolve's Duhamel integral of those controls, reordered by
-    linearity.  The panels are the ones evolve takes for the merged
-    blocks' controls (merge_controls' nodes, duhamel_panels), so each
-    block reads its stack on its own nodes.  All columns go through one
-    ModeBasis.duhamel with sources shared by the modes, and
-    rho2hat(n - n_j), the blocks' emission weights side by side, scales
-    mode n after the integral."""
+    It is evolve's Duhamel integral of those controls on the panels of
+    the operator's nodes, reordered by linearity, so each block reads its
+    stack on its own nodes.  All columns go through one ModeBasis.duhamel
+    with sources shared by the modes, and rho2hat(n - n_j), the blocks'
+    emission weights side by side, scales mode n after the integral."""
     sys, T = op.sys, op.T
-    taus, wts = duhamel_panels(_merged_nodes([b.edges for b in op.blocks],
-                                             T), T, [T])
+    taus, wts = duhamel_panels(op.nodes, T, [T])
     # srcs[q, :, j]: entry j's unit control at taus[q], shared by all modes
     srcs = np.zeros((len(taus), sys.m, op.offs[-1]), dtype=complex)
     for block, lo, hi in zip(op.blocks, op.offs, op.offs[1:]):
@@ -762,64 +751,64 @@ def _reached(free: FourierState, op: _JointOperator, lam) -> FourierState:
         op.control_map @ lam).reshape(free.coeffs.shape))
 
 
-def _joint_solve(op: _JointOperator, goal, cond_max=COND_MAX, refuse=True):
-    """Choose controls u_b = rho2 sum_k lambda_k (mask v_k) e^{i n_k x}
-    on the operator's block windows whose summed contribution at time T
-    has the dual pairings of the state goal (the negated free evolution
-    to null, or the state to reach), truncated at op.nmax.  Returns
-    (controls, J, lambda, rhs, cond): J the pairing matrix
-    (_assemble_joint), rhs goal's pairings, cond the condition of J's
-    diagonal scaling.
-
-    op comes from _joint_operator, so data and sweeps that pose the same
-    blocks share one assembly; J is its read-only array.  This call tests
-    cond against its own cond_max (refusing unless refuse is False),
-    pairs goal with the kept entries, solves the scaled system and emits
-    each block's control from its stack on its own nodes.
-    """
+def _joint_multipliers(op: _JointOperator, goal, cond_max=COND_MAX,
+                       refuse=True):
+    """(lambda, rhs): the multipliers of the controls on op's blocks whose
+    summed contribution at T has the dual pairings rhs of the state goal
+    (the negated free evolution to null, or the state to reach).  Refuses
+    unless 0 < op.cond <= cond_max or refuse is False; emits nothing."""
     if refuse and not 0.0 < op.cond <= cond_max:
         raise np.linalg.LinAlgError(
             f"Gram condition {op.cond:.2e} beyond {cond_max:.0e}: target "
             f"too high-dimensional for this (T, omega)")
     c = np.concatenate([_pairings(b.setup, goal) for b in op.blocks])
-    lam = np.linalg.solve(op.Js, c / op.dscale) / op.dscale
-    controls = [_emit_block(block, lam[lo:hi], op.T, op.weight)
-                for block, lo, hi in zip(op.blocks, op.offs, op.offs[1:])]
-    return controls, op.J, lam, c, op.cond
+    return np.linalg.solve(op.Js, c / op.dscale) / op.dscale, c
 
 
-def _emit_block(block: _Block, lam, T, weight):
-    """Lazy control u = rho2 sum_j lambda_j (mask v_j) e^{i n_j x} on the
-    block's window, zero outside it.  Entry j carries r(T-t) mask v_j(t),
-    its _block_observations observation scaled by the block's time
-    profile r (1 when None) at the time to go clipped to [0, T].
+def _joint_solve(op: _JointOperator, goal, cond_max=COND_MAX, refuse=True):
+    """(control, J, lambda, rhs, cond) for the moment and HUM solves:
+    _joint_multipliers, the control _emit_block builds from them, op's
+    read-only pairing matrix J and its scaled condition cond."""
+    lam, c = _joint_multipliers(op, goal, cond_max, refuse)
+    return _emit_block(op, lam), op.J, lam, c, op.cond
 
-    The coefficients on |n'| <= nmax are (W diag lambda) @ V(t), with
-    V(t) the (J, m) per-entry stack (_entry_stack) and W the block's
-    (2 nmax + 1, J) emission weights.  They take a float or a 1-D array
-    of times (the ControlSignal.at contract); a batch takes one such
-    product per time, so it gives the bits of its times taken one at a
-    time.  The signal's sample nodes are the block's panel edges.  The
-    spatial evaluator synthesizes the lambda-weighted stack over the
-    entries' modes.
-    """
+
+def _emit_block(op: _JointOperator, lam):
+    """One lazy control u = rho2 sum_j lambda_j (mask v_j) e^{i n_j x}
+    over op's blocks, lam holding each block's slice at its offset: entry
+    j carries r(T-t) mask v_j(t) on its block's window and 0 off it
+    (_entry_stack).  at(ts) adds, block by block, (W diag lambda) @ V(ts)
+    on the block's window, W the block's emission weights, one product
+    per time, so a batch gives the bits of its times one at a time.  The
+    spatial form synthesizes the lambda-weighted stacks.  The nodes are
+    op.nodes, and the window spans the blocks' windows."""
+    # the closures hold the blocks, not op: a control outlives its memo
     lam = np.asarray(lam, dtype=complex)
-    W = block.weights * lam
+    blocks, T, weight, rows = op.blocks, op.T, op.weight, 2 * op.nmax + 1
+    m = len(blocks[0].spec.mask)
+    parts = [(block, block.weights * lam[lo:hi])
+             for block, lo, hi in zip(blocks, op.offs, op.offs[1:])]
+    ns = np.concatenate([block.setup.ns for block in blocks])
 
     def coeff_fn(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = W @ _entry_stack(block, T, ts)
+        out = np.zeros((len(ts), rows, m), dtype=complex)
+        for block, W in parts:
+            on = _on_window(ts, block.spec.window)
+            out[on] += W @ _entry_stack(block, T, ts[on])
         return out if np.ndim(t) else out[0]
 
     def spatial(t, xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        vs = _entry_stack(block, T, np.array([t], dtype=float))[0]
-        return (kernels.synthesize(lam[:, None] * vs, block.setup.ns, xs)
+        ts = np.array([t], dtype=float)
+        vs = np.concatenate([_entry_stack(b, T, ts)[0] for b in blocks])
+        return (kernels.synthesize(lam[:, None] * vs, ns, xs)
                 * weight(xs)[:, None])
 
-    return ControlSignal.from_func(
-        coeff_fn, np.asarray(block.edges, dtype=float), len(W) // 2,
-        len(block.spec.mask), t_window=block.spec.window, spatial=spatial)
+    t0, t1 = zip(*(block.spec.window for block in blocks))
+    return ControlSignal.from_func(coeff_fn, op.nodes, op.nmax, m,
+                                   t_window=(min(t0), max(t1)),
+                                   spatial=spatial)
 
 
 def _entry_stack(block: _Block, T, ts):
@@ -915,8 +904,8 @@ def hum_gramian_control(sys: SystemMatrices, branches: BranchTable, n0: int,
     weight = plateau_weight(omega)
     blk = DualBlock(tuple(target), window, (True,) * sys.m)
     op = _joint_operator(sys, branches, n0, [blk], T, weight, fstar.nmax)
-    (u,), J, lam, rhs, cond = _joint_solve(op, fstar, cond_max=cond_max,
-                                           refuse=refuse)
+    u, J, lam, rhs, cond = _joint_solve(op, fstar, cond_max=cond_max,
+                                         refuse=refuse)
     report = HUMReport(gram=J, eigs=op.eigs, cond=cond,
                        energy=float(np.real(np.vdot(lam, rhs))),
                        target_dim=len(rhs),
@@ -927,7 +916,8 @@ def hum_gramian_control(sys: SystemMatrices, branches: BranchTable, n0: int,
 # ------------------------------------------------------------- combination
 
 def merge_controls(controls, nmax, m, T) -> ControlSignal:
-    """Sum additive ControlSignals into one signal covering [0, T]."""
+    """Sum additive ControlSignals into one signal covering [0, T]: for
+    lebeau_robbiano's stage controls, which no one operator emits."""
     items = [(u, u.t_window or (u.time_nodes[0], u.time_nodes[-1]))
              for u in controls]
 
@@ -958,9 +948,9 @@ def _on_window(ts, window):
 
 
 def _merged_nodes(node_sets, T):
-    """merge_controls' time nodes: 0, T and every signal's nodes clipped
-    to [0, T], in increasing order, a node within 1e-13 of the one before
-    it dropped."""
+    """0, T and every set's nodes clipped to [0, T], in increasing order,
+    a node within 1e-13 of the one before it dropped: merge_controls'
+    nodes, and a joint operator's from its blocks' edges."""
     edges = {0.0, T}
     for nodes in node_sets:
         edges.update(np.clip(nodes, 0.0, T).tolist())
@@ -994,20 +984,20 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
     through its omega cut-off; the next sweep removes that coupling.
 
     The sweeps pose the same blocks, so the datum asks for their joint
-    operator once and every sweep solves with it; the controls are linear in the summed multipliers lambda: the
-    state a sweep checks is F f0 + L lambda, with F f0 the free evolution
-    (the one evolve of a datum) and L the operator's control-to-state map
-    at T, built on the first request and kept with the operator.  L lambda
-    is evolve's Duhamel integral of the returned control on evolve's own
-    panels, reordered by linearity, so evolve of that control is the
-    reference it agrees with to roundoff.  Sweeps stop at relative
-    residual 1e-9, on a stall, or after max_sweeps.  The certificate
-    reports the path, the sweep residual chain, the last joint condition
-    and the final relative norm, the last sweep's unless max_sweeps ran
-    out.  joint_cond_headroom_log10 is the last joint solve's
-    cond_headroom (None, as joint_cond, when no solve ran).  T' must pass
-    check_horizons and f0's nmax must exceed n0, or PreconditionError is
-    raised.
+    operator once, and each sweep solves with it for its multipliers
+    alone (_joint_multipliers).  A sweep checks F f0 + L lambda, with
+    lambda the summed multipliers, F f0 the datum's one free evolution
+    and L the operator's control-to-state map at T.  The returned control
+    is emitted once, from the operator and lambda (_emit_block), or is
+    None when no solve ran; L lambda is evolve's Duhamel integral of it
+    on the operator's nodes, reordered by linearity, so evolve of it is
+    the reference L lambda agrees with to roundoff.  Sweeps stop at
+    relative residual 1e-9, on a stall, or after max_sweeps.  The
+    certificate reports the path, the sweep residual chain, the last joint
+    condition and its cond_headroom (both None when no solve ran), and the
+    final relative norm, the last sweep's unless max_sweeps ran out.  T'
+    must pass check_horizons and f0's nmax must exceed n0, or
+    PreconditionError is raised.
     """
     check_horizons(T, Tprime, Tstar)
     nmax = f0.nmax
@@ -1026,10 +1016,8 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
     free = evolve(sys, f0, None, T)
     op = _joint_operator(sys, branches, n0, blocks, T, weight, nmax)
     lam = None
-    controls = []
     sweep_log = []
     path = "joint-sweeps"
-    joint_cond = None
     f0norm = max(f0.norm(), 1e-300)
     for sweep in range(max_sweeps):
         fT = _reached(free, op, lam)
@@ -1044,13 +1032,12 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
         if sweep >= 2 and res > 0.5 * sweep_log[-2]["relative_residual"]:
             path = "joint-sweeps (stalled)"
             break
-        corr, _, dlam, _, joint_cond = _joint_solve(op, -fT)
-        controls.extend(corr)
+        dlam, _ = _joint_multipliers(op, -fT)
         lam = dlam if lam is None else lam + dlam
     else:
-        # max_sweeps ran out: the last sweep's controls are not yet checked
+        # max_sweeps ran out: the last multipliers are not yet checked
         fT = _reached(free, op, lam)
-    u_total = merge_controls(controls, nmax, m, T) if controls else None
+    joint_cond = None if lam is None else op.cond
     cert = {
         "path": path,
         "sweeps": sweep_log,
@@ -1061,4 +1048,4 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
         "relative": fT.norm() / f0norm,
         "final_state": fT,
     }
-    return u_total, cert
+    return (None if lam is None else _emit_block(op, lam)), cert

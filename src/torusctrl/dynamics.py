@@ -167,10 +167,10 @@ class ControlSignal:
     the same float-or-array contract, and values holds no samples, only
     the shape (0, 2*nmax+1, m) that records m; the time nodes still mark
     the panel edges Duhamel quadratures align with.
-    Build them with ControlSignal.from_func.
-    A signal carries its own support: its coefficients already vanish
-    where the control is off, and t_window, when set, only records the
-    declared time window (merge_controls skips a signal outside it).
+    Build them with ControlSignal.from_func (control._emit_block: one
+    per joint solve, over all its blocks).  A signal carries its own
+    support: its coefficients vanish where it is off; t_window, when set,
+    records the declared window (merge_controls skips a signal off it).
     """
 
     time_nodes: np.ndarray

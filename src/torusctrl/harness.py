@@ -450,7 +450,7 @@ def _exp_pipeline(scn, rng, out_dir):
     consts = spectral.separation_radius(scn.sys, n0_override=scn.n0)
     branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
     f0 = _random_state(rng, scn.nmax, scn.sys.d)
-    u, cert = control.full_pipeline(
+    _, cert = control.full_pipeline(
         scn.sys, branches, consts.n0, f0, scn.T, scn.Tprime, scn.omega,
         Tstar=scn.Tstar)
     rows = [[s["sweep"], s["relative_residual"], s["h"], s["p"], s["low"]]

@@ -2,10 +2,10 @@
 
 Synthesis on the uniform grid 2 pi j / ngrid is an inverse FFT in
 dynamics (synth_grid, windowed_l2_norm) and does not come here.  The
-one caller left in the package is the spatial evaluator of the controls
-that control._emit_block builds, which samples at whatever points its
-caller asks for.  The benchmark's tracer wraps synthesize by this module
-path and its run provenance reads USING_NUMBA, so both stay here.
+one caller left in the package is the spatial evaluator of the control
+that control._emit_block builds, over all its blocks' entries at once.
+The benchmark's tracer wraps synthesize by this module path and its run
+provenance reads USING_NUMBA, so both stay here.
 """
 
 import numpy as np

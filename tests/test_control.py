@@ -550,8 +550,9 @@ class TestPipeline:
         assert cert["path"] == "joint-sweeps" and "lr" not in cert
 
     def test_control_vanishes_outside_omega(self):
-        # the merged control's spatial form sums each correction's exact
-        # rho2-weighted mode sum: exactly zero off omega = (0, pi)
+        # the one returned control's spatial form is the exact
+        # rho2-weighted mode sum of every block: exactly zero off
+        # omega = (0, pi)
         scn = harness.load_scenario("nscl(1, 1, 1, 2, 1)",
                                     experiment="pipeline", nmax=10)
         consts = spectral.separation_radius(scn.sys)
@@ -715,13 +716,20 @@ def _loop_coeffs(weight, nmax, m, vecs):
     return out
 
 
-def _standalone(blk, setup, edges, weight, nmax):
-    """A _Block emitted outside a joint operator: no nodes, so every time
-    is observed anew, and the emission weights W[n', j] =
-    rho2hat(n' - n_j) on |n'| <= nmax that the joint operator keeps."""
-    return ctl._Block(blk, setup, edges, np.empty(0),
-                      np.empty((len(setup.ns), 0, len(blk.mask))),
-                      weight.toeplitz(np.arange(-nmax, nmax + 1), setup.ns))
+def _standalone(blocks, T, weight, nmax):
+    """A joint operator that only emits, of the (DualBlock, _BlockSetup,
+    edges) triples blocks: its _Blocks have no nodes, so every time is
+    observed anew, and the emission weights W[n', j] = rho2hat(n' - n_j)
+    on |n'| <= nmax that the joint operator keeps.  It holds no pairing
+    matrix."""
+    kept = [ctl._Block(blk, setup, edges, np.empty(0),
+                       np.empty((len(setup.ns), 0, len(blk.mask))),
+                       weight.toeplitz(np.arange(-nmax, nmax + 1), setup.ns))
+            for blk, setup, edges in blocks]
+    offs = np.cumsum([0] + [len(b.setup.ns) for b in kept])
+    nodes = ctl._merged_nodes([b.edges for b in kept], T)
+    return ctl._JointOperator(None, T, weight, nmax, kept, nodes, offs,
+                              None, None, None, None, None)
 
 
 def _kind(setup):
@@ -802,8 +810,8 @@ class TestEmission:
                    + 1j * rng.standard_normal(len(setup.ns)))
             t0, t1 = blk.window
             edges = np.linspace(t0, t1, 5)
-            u = ctl._emit_block(_standalone(blk, setup, edges, weight, nmax),
-                                lam, self.T, weight)
+            u = ctl._emit_block(
+                _standalone([(blk, setup, edges)], self.T, weight, nmax), lam)
             assert u.values.shape == (0, 2 * nmax + 1, sys.m)
             for t in (t0, 0.3 * t0 + 0.7 * t1, t1):
                 ref = _loop_coeffs(weight, nmax, sys.m, _block_vectors(
@@ -858,9 +866,8 @@ class TestEmission:
         for sys, branches, blk, setup in self._blocks(nscl_branches24):
             lam = (rng.standard_normal(len(setup.ns))
                    + 1j * rng.standard_normal(len(setup.ns)))
-            u = ctl._emit_block(
-                _standalone(blk, setup, blk.window, weight, nmax), lam,
-                self.T, weight)
+            u = ctl._emit_block(_standalone([(blk, setup, blk.window)],
+                                            self.T, weight, nmax), lam)
             t = 0.5 * sum(blk.window)
             coeffs = FourierState(nmax, u.at(t))
             synth = synth_grid(coeffs, ngrid=len(xs))[1]
@@ -893,8 +900,8 @@ class TestEmission:
                    + 1j * rng.standard_normal(len(setup.ns)))
             t0, t1 = blk.window
             u = ctl._emit_block(
-                _standalone(blk, setup, np.linspace(t0, t1, 5), weight, nmax),
-                lam, self.T, weight)
+                _standalone([(blk, setup, np.linspace(t0, t1, 5))], self.T,
+                            weight, nmax), lam)
             ts = self._edge_times(t0, t1)
             if prof is not None:
                 # the profile is exactly zero at both ends and where
@@ -927,8 +934,8 @@ class TestEmission:
         lam = (rng.standard_normal(len(setup.ns))
                + 1j * rng.standard_normal(len(setup.ns)))
         u = ctl._emit_block(
-            _standalone(hyp, setup, np.linspace(*hyp.window, 5), weight,
-                        nmax), lam, self.T, weight)
+            _standalone([(hyp, setup, np.linspace(*hyp.window, 5))], self.T,
+                        weight, nmax), lam)
         shifted = ctl._shift_control(u, 0.5)
         ts = self._edge_times(0.5, 0.5 + self.Tprime)
         got = shifted.at(ts)
@@ -962,44 +969,47 @@ class TestEmission:
         assert overlap > 10
 
     def test_joint_emission_reads_its_stack_bit_for_bit(self, monkeypatch):
-        """Controls emitted by _joint_solve, for the pipeline's three
-        blocks and for a moment block with its time profile: at(taus) on
-        the block's own nodes, read from the operator's stack, equals
-        at(t) node by node and _emit_block of a block with no nodes, bit
-        for bit; so does the spatial form."""
-        solve, solves = ctl._joint_solve, []
+        """The pipeline's one control over its three blocks, emitted from
+        the summed multipliers on the operator's nodes, and a moment
+        control with its time profile: at(taus) on each block's own
+        nodes, read from the operator's stacks, equals at(t) node by node
+        and _emit_block of the same blocks with no nodes, bit for bit; so
+        does the spatial form."""
+        solve, solves = ctl._joint_multipliers, []
 
         def spy_solve(*args, **kwargs):
             out = solve(*args, **kwargs)
-            solves.append((args, out))
+            solves.append((args[0], out[0]))
             return out
 
-        monkeypatch.setattr(ctl, "_joint_solve", spy_solve)
+        monkeypatch.setattr(ctl, "_joint_multipliers", spy_solve)
         scn = harness.load_scenario("nscl(1, 1, 1, 2, 1)",
                                     experiment="pipeline", nmax=10)
         consts = spectral.separation_radius(scn.sys)
         branches = spectral.build_branch_table(scn.sys, consts, scn.nmax)
         f0 = random_state(np.random.default_rng(41), scn.nmax, scn.sys.d)
-        full_pipeline(scn.sys, branches, consts.n0, f0, scn.T, scn.Tprime,
-                      scn.omega, Tstar=scn.Tstar)
+        u_pipe, cert = full_pipeline(scn.sys, branches, consts.n0, f0, scn.T,
+                                     scn.Tprime, scn.omega, Tstar=scn.Tstar)
+        # one joint solve, so its multipliers are the summed ones
+        assert len(cert["sweeps"]) == 2 and len(solves) == 1
         f0p = project_branch(f0, branches, consts.n0, "p")
-        parabolic_moment_control(scn.sys, branches, f0p, 1.0, 8, scn.omega,
-                                 consts.n0)
-        assert len(solves) == 2
+        u_mom, mp = parabolic_moment_control(scn.sys, branches, f0p, 1.0, 8,
+                                             scn.omega, consts.n0)
+        assert len(solves) == 2 and np.array_equal(solves[1][1], mp.lam)
         xs = np.linspace(0.0, TWO_PI, 29, endpoint=False)
         profiled = 0
-        for (op, goal), out in solves:
-            controls, lam = out[0], out[2]
-            blocks = [b.spec for b in op.blocks]
-            setups = [ctl._block_setup(op.sys, branches, consts.n0,
-                                       goal.nmax, b) for b in blocks]
-            offs = np.cumsum([0] + [len(st.ns) for st in setups])
-            for b, (blk, u) in enumerate(zip(blocks, controls)):
-                edges = np.linspace(*blk.window, blk.time_panels + 1)
-                taus, _ = gauss_legendre(edges)
-                fresh = ctl._emit_block(
-                    _standalone(blk, setups[b], edges, op.weight, goal.nmax),
-                    lam[offs[b]:offs[b + 1]], op.T, op.weight)
+        for (op, lam), u in zip(solves, (u_pipe, u_mom)):
+            assert np.array_equal(u.time_nodes, op.nodes)
+            specs = [b.spec for b in op.blocks]
+            edges = [np.linspace(*blk.window, blk.time_panels + 1)
+                     for blk in specs]
+            fresh = ctl._emit_block(_standalone(
+                [(blk, ctl._block_setup(op.sys, branches, consts.n0,
+                                        op.nmax, blk), e)
+                 for blk, e in zip(specs, edges)],
+                op.T, op.weight, op.nmax), lam)
+            for blk, e in zip(specs, edges):
+                taus, _ = gauss_legendre(e)
                 batched = u.at(taus)
                 assert np.any(batched)
                 assert np.array_equal(batched, fresh.at(taus))
@@ -1016,7 +1026,7 @@ class TestJointOperatorMemo:
     """The joint dual operator depends on the system, T, rho2 and the
     blocks, never on the datum: it is assembled once per problem and kept
     in the branch table's memo, and a call only refuses, solves and
-    emits."""
+    emits; a pipeline datum emits once, after its sweeps."""
 
     @staticmethod
     def _pipeline(nmax):
@@ -1049,16 +1059,18 @@ class TestJointOperatorMemo:
         scn, consts, warm, run = self._pipeline(10)
         run(warm, 41)
         calls = self._spy(monkeypatch, "_block_observations", "_block_setup",
-                          "_joint_solve", "_joint_operator")
+                          "_joint_multipliers", "_joint_operator")
         u, cert = run(warm, 42)
         assert calls["_block_observations"] == []
         assert calls["_block_setup"] == []
         cold = spectral.build_branch_table(scn.sys, consts, scn.nmax)
         u_cold, cert_cold = run(cold, 42)
         assert len(calls["_block_setup"]) == 3
-        (_, J, lam, rhs, cond), (_, J_cold, lam_cold, rhs_cold,
-                                 cond_cold) = calls["_joint_solve"]
-        eigs, eigs_cold = (op.eigs for op in calls["_joint_operator"])
+        (lam, rhs), (lam_cold, rhs_cold) = calls["_joint_multipliers"]
+        op, op_cold = calls["_joint_operator"]
+        J, eigs, cond = op.J, op.eigs, op.cond
+        J_cold, eigs_cold, cond_cold = op_cold.J, op_cold.eigs, op_cold.cond
+        assert cert["joint_cond"] == cond
         assert np.array_equal(J, J_cold) and np.array_equal(lam, lam_cold)
         assert np.array_equal(rhs, rhs_cold)
         assert np.array_equal(eigs, eigs_cold) and cond == cond_cold
@@ -1140,6 +1152,26 @@ class TestJointOperatorMemo:
         assert len(calls["_assemble_control_map"]) == 1
         assert len(cert["sweeps"]) == 2 and cert["relative"] <= 1e-9
 
+    def test_warm_datum_emits_one_control(self, monkeypatch):
+        """A warm one-solve datum constructs one ControlSignal, the one it
+        returns, merges none and observes no block: the sweep solves for
+        lambda alone, and the control is emitted once from (op, lambda)."""
+        _, _, branches, run = self._pipeline(10)
+        run(branches, 41)
+        calls = self._spy(monkeypatch, "merge_controls",
+                          "_block_observations")
+        built, init = [], ControlSignal.__post_init__
+
+        def spy_init(signal):
+            built.append(signal)
+            init(signal)
+
+        monkeypatch.setattr(ControlSignal, "__post_init__", spy_init)
+        u, cert = run(branches, 42)
+        assert len(cert["sweeps"]) == 2 and cert["relative"] <= 1e-9
+        assert len(built) == 1 and built[0] is u
+        assert calls == {"merge_controls": [], "_block_observations": []}
+
     def test_moment_and_hum_solves_build_no_control_map(self, monkeypatch,
                                                          nscl_branches24):
         sys, consts, branches = nscl_branches24
@@ -1167,10 +1199,11 @@ class TestJointOperatorMemo:
     def test_sweeps_share_one_operator(self, monkeypatch):
         # this nmax 12 datum needs two joint solves (three sweep entries)
         _, _, branches, run = self._pipeline(12)
-        calls = self._spy(monkeypatch, "_assemble_joint", "_joint_solve")
+        calls = self._spy(monkeypatch, "_assemble_joint",
+                          "_joint_multipliers")
         _, cert = run(branches, 0)
         assert len(cert["sweeps"]) == 3 and cert["relative"] <= 1e-9
-        assert len(calls["_joint_solve"]) == 2
+        assert len(calls["_joint_multipliers"]) == 2
         assert len(calls["_assemble_joint"]) == 1
 
     def test_each_solve_asks_for_its_operator_once(self, monkeypatch,
@@ -1180,8 +1213,8 @@ class TestJointOperatorMemo:
         stage (its moment solve, then its control map).  A datum that
         needs no solve builds no control map."""
         scn, consts, branches, run = self._pipeline(12)
-        calls = self._spy(monkeypatch, "_joint_operator", "_joint_solve",
-                          "_assemble_control_map")
+        calls = self._spy(monkeypatch, "_joint_operator",
+                          "_joint_multipliers", "_assemble_control_map")
         _, cert = full_pipeline(scn.sys, branches, consts.n0,
                                 FourierState.zeros(12, 2), scn.T,
                                 scn.Tprime, scn.omega, Tstar=scn.Tstar)
@@ -1189,7 +1222,8 @@ class TestJointOperatorMemo:
         assert len(calls["_joint_operator"]) == 1
         assert calls["_assemble_control_map"] == []
         _, cert = run(branches, 0)
-        assert len(cert["sweeps"]) == 3 and len(calls["_joint_solve"]) == 2
+        assert len(cert["sweeps"]) == 3
+        assert len(calls["_joint_multipliers"]) == 2
         assert len(calls["_joint_operator"]) == 2
         assert len(calls["_assemble_control_map"]) == 1
 
@@ -1404,26 +1438,39 @@ class TestControlMap:
     @staticmethod
     def _pipeline(monkeypatch, sys, nmax, seed):
         """full_pipeline on the half torus at T = 1.5 T*, T' = 1.25 T*:
-        (u, cert, f0, op, L, lam), with op the joint operator every solve
-        was handed and lam the summed multipliers."""
+        (u, cert, f0, op, L, lam), with op the joint operator every sweep
+        solved with and lam the summed multipliers."""
         scn = harness.Scenario("oracle", sys, HALF_TORUS, nmax=nmax,
                                experiment="pipeline")
         consts = spectral.separation_radius(sys)
         branches = spectral.build_branch_table(sys, consts, nmax)
         f0 = random_state(np.random.default_rng(seed), nmax, sys.d)
-        solve, solves = ctl._joint_solve, []
+        solve, solves = ctl._joint_multipliers, []
 
         def spy(*args, **kwargs):
             solves.append((args, solve(*args, **kwargs)))
             return solves[-1][1]
 
-        monkeypatch.setattr(ctl, "_joint_solve", spy)
+        monkeypatch.setattr(ctl, "_joint_multipliers", spy)
         u, cert = full_pipeline(sys, branches, consts.n0, f0, scn.T,
                                 scn.Tprime, HALF_TORUS, Tstar=scn.Tstar)
         op = solves[0][0][0]
         assert all(args[0] is op for args, _ in solves)
-        lam = sum(out[2] for _, out in solves)
+        lam = sum(out[0] for _, out in solves)
         return u, cert, f0, op, op.control_map, lam
+
+    @staticmethod
+    def _check_against_evolve(sys, u, cert, f0, op, L, lam):
+        """L lam against evolve of the returned control from zero, to
+        1e-14 of sum_j |lam_j| |L_j|, and the certificate against
+        F f0 + L lam, bit for bit."""
+        ref = evolve(sys, FourierState.zeros(op.nmax, sys.d), u, op.T)
+        scale = np.sum(np.abs(lam) * np.linalg.norm(L, axis=0))
+        gap = np.linalg.norm(L @ lam - ref.coeffs.ravel())
+        assert gap <= 1e-14 * scale
+        free = evolve(sys, f0, None, op.T)
+        assert np.array_equal(cert["final_state"].coeffs,
+                              free.coeffs + (L @ lam).reshape(-1, sys.d))
 
     @pytest.mark.parametrize("system, nmax", [
         (nscl_system, 10), (nscl_system, 24), (two_speed_system, 12)],
@@ -1436,23 +1483,26 @@ class TestControlMap:
         certificate is F f0 + L lam, bit for bit."""
         sys = system()
         u, cert, f0, op, L, lam = self._pipeline(monkeypatch, sys, nmax, 3)
-        T = op.T
         assert L.shape == (sys.d * (2 * nmax + 1), len(lam))
         assert cert["relative"] <= 1e-9
-        ref = evolve(sys, FourierState.zeros(nmax, sys.d), u, T)
-        scale = np.sum(np.abs(lam) * np.linalg.norm(L, axis=0))
-        gap = np.linalg.norm(L @ lam - ref.coeffs.ravel())
-        assert gap <= 1e-14 * scale
-        free = evolve(sys, f0, None, T)
-        assert np.array_equal(cert["final_state"].coeffs,
-                              free.coeffs + (L @ lam).reshape(-1, sys.d))
+        self._check_against_evolve(sys, u, cert, f0, op, L, lam)
+
+    def test_summed_multipliers_match_evolve_of_the_control(self,
+                                                            monkeypatch):
+        """nscl at nmax 12, seed 0, takes two joint solves: the one
+        control, emitted from lam = dlam_1 + dlam_2, evolves to L lam, and
+        the certificate is F f0 + L lam (the same bounds as above)."""
+        sys = nscl_system()
+        u, cert, f0, op, L, lam = self._pipeline(monkeypatch, sys, 12, 0)
+        assert len(cert["sweeps"]) == 3 and cert["relative"] <= 1e-9
+        self._check_against_evolve(sys, u, cert, f0, op, L, lam)
 
     @pytest.mark.parametrize("system", [nscl_system, two_speed_system],
                              ids=["nscl", "two-speed"])
     def test_columns_match_one_evolve_per_entry(self, monkeypatch, system):
         """Column j of L against evolve of entry j's unit control, the
-        blocks emitted with lambda = e_j and merged as full_pipeline
-        merges them, to 1e-13 of max |L| (nmax 8)."""
+        one control _emit_block builds from (op, e_j) as full_pipeline
+        emits it, to 1e-13 of max |L| (nmax 8)."""
         nmax = 8
         sys = system()
         _, _, _, op, L, _ = self._pipeline(monkeypatch, sys, nmax, 4)
@@ -1461,10 +1511,7 @@ class TestControlMap:
         for j in range(L.shape[1]):
             unit = np.zeros(L.shape[1])
             unit[j] = 1.0
-            controls = [ctl._emit_block(block, unit[lo:hi], op.T, op.weight)
-                        for block, lo, hi in zip(op.blocks, op.offs,
-                                                 op.offs[1:])]
-            u = ctl.merge_controls(controls, nmax, sys.m, op.T)
+            u = ctl._emit_block(op, unit)
             col = evolve(sys, zero, u, op.T).coeffs.ravel()
             worst = max(worst, np.max(np.abs(L[:, j] - col)))
         assert worst <= 1e-13 * np.max(np.abs(L))
