@@ -788,7 +788,6 @@ def _emit_block(op: _JointOperator, lam):
     m = len(blocks[0].spec.mask)
     parts = [(block, block.weights * lam[lo:hi])
              for block, lo, hi in zip(blocks, op.offs, op.offs[1:])]
-    ns = np.concatenate([block.setup.ns for block in blocks])
 
     def coeff_fn(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -802,13 +801,14 @@ def _emit_block(op: _JointOperator, lam):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ts = np.array([t], dtype=float)
         vs = np.concatenate([_entry_stack(b, T, ts)[0] for b in blocks])
+        ns = np.concatenate([b.setup.ns for b in blocks])
         return (kernels.synthesize(lam[:, None] * vs, ns, xs)
                 * weight(xs)[:, None])
 
-    t0, t1 = zip(*(block.spec.window for block in blocks))
+    window = (min(b.spec.window[0] for b in blocks),
+              max(b.spec.window[1] for b in blocks))
     return ControlSignal.from_func(coeff_fn, op.nodes, op.nmax, m,
-                                   t_window=(min(t0), max(t1)),
-                                   spatial=spatial)
+                                   t_window=window, spatial=spatial)
 
 
 def _entry_stack(block: _Block, T, ts):

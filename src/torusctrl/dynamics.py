@@ -187,7 +187,7 @@ class ControlSignal:
     def __post_init__(self):
         self.time_nodes = np.asarray(self.time_nodes, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
-        if np.any(np.diff(self.time_nodes) <= 0):
+        if (np.diff(self.time_nodes) <= 0).any():
             raise ValueError("time nodes must be strictly increasing")
         if self.func is None and len(self.time_nodes) < 2:
             raise ValueError("an interpolated signal needs at least two "
