@@ -794,6 +794,8 @@ def _emit_block(op: _JointOperator, lam):
         out = np.zeros((len(ts), rows, m), dtype=complex)
         for block, W in parts:
             on = _on_window(ts, block.spec.window)
+            # a window holding every time: a view, not a gather and scatter
+            on = slice(None) if on.all() else on
             out[on] += W @ _entry_stack(block, T, ts[on])
         return out if np.ndim(t) else out[0]
 

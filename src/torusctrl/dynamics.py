@@ -168,7 +168,7 @@ class ControlSignal:
     the shape (0, 2*nmax+1, m) that records m; the time nodes still mark
     the panel edges Duhamel quadratures align with.
     Build them with ControlSignal.from_func (control._emit_block: one
-    per joint solve, over all its blocks).  A signal carries its own
+    from a joint operator and its multipliers).  A signal carries its own
     support: its coefficients vanish where it is off; t_window, when set,
     records the declared window (merge_controls skips a signal off it).
     """
