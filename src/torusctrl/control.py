@@ -777,26 +777,24 @@ def _emit_block(op: _JointOperator, lam):
     """One lazy control u = rho2 sum_j lambda_j (mask v_j) e^{i n_j x}
     over op's blocks, lam holding each block's slice at its offset: entry
     j carries r(T-t) mask v_j(t) on its block's window and 0 off it
-    (_entry_stack).  at(ts) adds, block by block, (W diag lambda) @ V(ts)
-    on the block's window, W the block's emission weights, one product
+    (_entry_stack).  at(ts) sums, block by block, (W diag lambda) @ V(ts),
+    W the block's emission weights and V zero off its window, one product
     per time, so a batch gives the bits of its times one at a time.  The
     spatial form synthesizes the lambda-weighted stacks.  The nodes are
     op.nodes, and the window spans the blocks' windows."""
     # the closures hold the blocks, not op: a control outlives its memo
     lam = np.asarray(lam, dtype=complex)
-    blocks, T, weight, rows = op.blocks, op.T, op.weight, 2 * op.nmax + 1
+    blocks, T, weight = op.blocks, op.T, op.weight
     m = len(blocks[0].spec.mask)
     parts = [(block, block.weights * lam[lo:hi])
              for block, lo, hi in zip(blocks, op.offs, op.offs[1:])]
 
     def coeff_fn(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros((len(ts), rows, m), dtype=complex)
-        for block, W in parts:
-            on = _on_window(ts, block.spec.window)
-            # a window holding every time: a view, not a gather and scatter
-            on = slice(None) if on.all() else on
-            out[on] += W @ _entry_stack(block, T, ts[on])
+        (block, W), *rest = parts
+        out = W @ _entry_stack(block, T, ts)
+        for block, W in rest:
+            out += W @ _entry_stack(block, T, ts)
         return out if np.ndim(t) else out[0]
 
     def spatial(t, xs):

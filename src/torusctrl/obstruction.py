@@ -8,13 +8,12 @@ g_N whose mass over (0,T) x omega vanishes like 1/N^2 relative to its
 terminal mass, which kills any uniform observability constant.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (SystemMatrices, TorusSubset, TWO_PI, REAL_SPEC_TOL,
-                      PreconditionError, OwnerMemo, MEMO_SIZE, kalman_rank)
+                      PreconditionError, OwnerMemo, kalman_rank)
 from . import spectral, dynamics
 
 __all__ = [
@@ -48,8 +47,11 @@ def highpass_profile(profile, N: int) -> dynamics.FourierState:
     """
     log_abs, phase = profile
     nmax = (len(log_abs) - 1) // 2
-    table, signs = _highpass_table(nmax, N)
-    logs = table + log_abs
+    # log |P_N(n)| and its sign over all modes at once: -inf for |n| <= N
+    diffs = np.arange(-nmax, nmax + 1)[:, None] - np.arange(-N, N + 1)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(diffs)).sum(axis=1) + log_abs
+    signs = np.where((diffs < 0).sum(axis=1) % 2 == 0, 1.0, -1.0)
     out = dynamics.FourierState.zeros(nmax, 1)
     finite = np.isfinite(logs)
     if not np.any(finite):
@@ -57,18 +59,6 @@ def highpass_profile(profile, N: int) -> dynamics.FourierState:
     out.coeffs[finite, 0] = (phase[finite] * signs[finite]
                              * np.exp(logs[finite] - np.max(logs[finite])))
     return out * (1.0 / out.norm())
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _highpass_table(nmax, N):
-    """log |P_N(n)| (-inf for |n| <= N) and its sign over the modes
-    -nmax..nmax, read-only: highpass_profile's table, kept per (nmax, N)."""
-    diffs = np.arange(-nmax, nmax + 1)[:, None] - np.arange(-N, N + 1)
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(diffs)).sum(axis=1)
-    signs = np.where((diffs < 0).sum(axis=1) % 2 == 0, 1.0, -1.0)
-    logs.flags.writeable = signs.flags.writeable = False
-    return logs, signs
 
 
 def gaussian_profile(nmax, center, sigma):
