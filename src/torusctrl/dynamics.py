@@ -26,8 +26,9 @@ its coefficients as they stand: a signal carries its own support (the
 emitters build the spatial cut-off into them), and evolve applies no
 mask of its own.
 States go to and from the uniform grid 2 pi j / ngrid by FFT
-(synth_grid, analyze_grid); the windowed observation norm synthesizes
-all its states in one inverse FFT.
+(synth_grid, analyze_grid); the windowed observation norm reads one
+(modes, times, d) coefficient stack, with no per-time state, and bins it
+into one spectrum that a single in-place inverse FFT synthesizes.
 """
 
 import functools
@@ -551,24 +552,29 @@ def project_low(state: FourierState, n0: int):
     return out
 
 
-def windowed_l2_norm(times, states, window, omega: TorusSubset) -> float:
-    """L2 norm over (time window) x omega: one inverse-FFT synthesis of
-    all the states in the window on a uniform grid of max(4*nmax, 64)
-    points, a rectangle rule over omega on that grid, and the composite
+def windowed_l2_norm(times, coeffs, modes, nmax, window,
+                     omega: TorusSubset) -> float:
+    """L2 norm over (time window) x omega of a state truncated at |n| <=
+    nmax, given as the (L, Q, d) stack coeffs[a, q] of its coefficients on
+    the distinct modes[a] at times[q] (zero on the modes not listed).  The
+    times in the window go straight into one (ngrid, Q d) spectrum on the
+    uniform grid of ngrid = max(4*nmax, 64) > 2 nmax points, a bin per
+    mode, which one inverse FFT and its scaling overwrite; the moduli are
+    squared in place, then a rectangle rule over omega and the composite
     trapezoid in time."""
     times = np.asarray(times, dtype=float)
-    ngrid = max(4 * states[0].nmax, 64)
-    xs = TWO_PI * np.arange(ngrid) / ngrid
-    ind = omega.indicator(xs)
-    t0, t1 = window
-    sel = (times >= t0 - 1e-14) & (times <= t1 + 1e-14)
-    ts = times[sel]
-    if len(ts) < 2:
+    sel = (times >= window[0] - 1e-14) & (times <= window[1] + 1e-14)
+    if np.count_nonzero(sel) < 2:
         raise ValueError("trajectory too sparse over the window")
-    kept = [s for s, keep in zip(states, sel) if keep]
-    # kept states side by side as columns: one synthesis for all of them
-    cols = np.stack([st.coeffs for st in kept], axis=1)
-    v = _synth_uniform(cols.reshape(cols.shape[0], -1), kept[0].modes, ngrid)
-    dens = np.sum(np.abs(v.reshape(ngrid, len(kept), -1)) ** 2, axis=2)
+    kept = coeffs if sel.all() else coeffs[:, sel]
+    ngrid = max(4 * nmax, 64)
+    spec = np.zeros((ngrid, kept.shape[1] * kept.shape[2]), dtype=complex)
+    spec[np.asarray(modes) % ngrid] += kept.reshape(len(kept), -1)
+    np.fft.ifft(spec, axis=0, out=spec)
+    spec *= ngrid
+    dens = np.abs(spec)
+    dens **= 2
+    dens = np.sum(dens.reshape(ngrid, kept.shape[1], -1), axis=2)
+    ind = omega.indicator(TWO_PI * np.arange(ngrid) / ngrid)
     vals = ind @ dens * TWO_PI / ngrid
-    return float(np.sqrt(np.trapezoid(vals, ts)))
+    return float(np.sqrt(np.trapezoid(vals, times[sel])))

@@ -8,6 +8,7 @@ g_N whose mass over (0,T) x omega vanishes like 1/N^2 relative to its
 terminal mass, which kills any uniform observability constant.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,17 @@ TRANSPORT_TOL = 1e-8
 _SEMIGROUPS = OwnerMemo()
 
 
+@functools.lru_cache(maxsize=64)
+def _highpass_table(nmax, N):
+    """log |P_N(n)| and its sign over the modes -nmax..nmax, read-only."""
+    diffs = np.arange(-nmax, nmax + 1)[:, None] - np.arange(-N, N + 1)
+    with np.errstate(divide="ignore"):
+        table = np.log(np.abs(diffs)).sum(axis=1)
+    signs = np.where((diffs < 0).sum(axis=1) % 2 == 0, 1.0, -1.0)
+    table.flags.writeable = signs.flags.writeable = False
+    return table, signs
+
+
 def highpass_profile(profile, N: int) -> dynamics.FourierState:
     """Apply the highpass polynomial to a profile given in closed form:
     a_n -> P_N(n) a_n (zero for |n| <= N), rescaled to unit L2 norm
@@ -43,15 +55,13 @@ def highpass_profile(profile, N: int) -> dynamics.FourierState:
     profile is the pair (log |a_n|, a_n / |a_n|) of arrays over the modes
     -nmax..nmax (see gaussian_profile); the product is evaluated in log
     magnitude with sign tracking, so coefficients far below the float
-    range still enter exactly.
+    range still enter exactly.  The table of log |P_N(n)| (-inf for
+    |n| <= N) and its signs is kept per (nmax, N), as it is profile-free.
     """
     log_abs, phase = profile
     nmax = (len(log_abs) - 1) // 2
-    # log |P_N(n)| and its sign over all modes at once: -inf for |n| <= N
-    diffs = np.arange(-nmax, nmax + 1)[:, None] - np.arange(-N, N + 1)
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(diffs)).sum(axis=1) + log_abs
-    signs = np.where((diffs < 0).sum(axis=1) % 2 == 0, 1.0, -1.0)
+    table, signs = _highpass_table(nmax, N)
+    logs = table + log_abs
     out = dynamics.FourierState.zeros(nmax, 1)
     finite = np.isfinite(logs)
     if not np.any(finite):
@@ -87,7 +97,10 @@ class ObstructionWitness:
     The semigroups depend on Rhmu, Phmu, Rhmu0 and phi0 alone, not on T
     or chiN's center: each system keeps them, read-only, while it lives,
     under the bytes of those four arrays, so a hit returns what a cold
-    build returns and a horizon sweep builds them once per N."""
+    build returns and a horizon sweep builds them once per N.  gN_stack
+    gives g_N on a batch of times as one (L, Q, d) array of its L live
+    rows, the array the observability ratio reads; gN_coeffs and
+    gNtilde_coeffs build FourierStates from the same product."""
 
     N: int
     mu: float
@@ -109,30 +122,34 @@ class ObstructionWitness:
             .action(np.swapaxes(self.Phmu, -1, -2).conj() @ self.phi0),
             dynamics.ModeBasis([-self.Rhmu0.conj().T]).action([self.phi0])))
 
-    def _states(self, t, rows, vecs):
-        """FourierStates a_n e^{i mu n t} v_n(t) on the given rows of chiN,
-        with vecs(ts) the (Q, len(rows), d) stack of the v_n: one state
-        per time of a 1-D array t, a single one for a float."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
+    def gN_stack(self, ts):
+        """g_N's live rows at the 1-D array of times ts: (L, Q, d)."""
+        return self._stack(ts, self._live, self._gN)
+
+    def _stack(self, ts, rows, semigroup):
         amp = self.chiN.coeffs[rows, 0] * np.exp(
             1j * self.mu * np.outer(ts, self.chiN.modes[rows]))
+        return amp.T[..., None] * semigroup(ts)
+
+    def _states(self, t, rows, semigroup):
+        # a state per time of a 1-D array t, a single one for a float
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
         coeffs = np.zeros((len(ts), len(self.chiN.modes), self.sys.d),
                           dtype=complex)
-        coeffs[:, rows] = amp[..., None] * vecs(ts)
+        coeffs[:, rows] = self._stack(ts, rows, semigroup).swapaxes(0, 1)
         states = [dynamics.FourierState(self.chiN.nmax, c) for c in coeffs]
         return states if np.ndim(t) else states[0]
 
     def gN_coeffs(self, t):
         """Exact adjoint-solution coefficients at time t: a FourierState
         for a float t, a list of them for a 1-D array of times."""
-        return self._states(t, self._live,
-                            lambda ts: self._gN(ts).transpose(1, 0, 2))
+        return self._states(t, self._live, self._gN)
 
     def gNtilde_coeffs(self, t):
         """Pure-transport comparison profile at time t, with the
         gN_coeffs contract."""
         return self._states(t, np.flatnonzero(self.chiN.coeffs[:, 0]),
-                            lambda ts: self._gNtilde(ts)[0][:, None])
+                            self._gNtilde)
 
 
 def _live_rows(chiN):
@@ -218,14 +235,18 @@ def build_witness(sys: SystemMatrices, branches: spectral.BranchTable,
 
 def observability_ratio(witness: ObstructionWitness, omega: TorusSubset,
                         T: float) -> float:
-    """||g_N||^2 over (0,T) x omega divided by ||g_N(T)||^2 over the torus."""
+    """||g_N||^2 over (0,T) x omega divided by ||g_N(T)||^2 over the torus,
+    both read off one gN_stack on RATIO_TIMES times."""
     ts = np.linspace(0.0, T, RATIO_TIMES)
-    states = witness.gN_coeffs(ts)
-    num = dynamics.windowed_l2_norm(ts, states, (0.0, T), omega) ** 2
-    den = states[-1].norm() ** 2
+    stack = witness.gN_stack(ts)
+    last = dynamics.FourierState.zeros(witness.chiN.nmax, witness.sys.d)
+    last.coeffs[witness._live] = stack[:, -1]
+    den = last.norm() ** 2
     if den == 0:
         raise ZeroDivisionError("degenerate witness: ||g_N(T)|| = 0")
-    return num / den
+    return dynamics.windowed_l2_norm(
+        ts, stack, witness.chiN.modes[witness._live], witness.chiN.nmax,
+        (0.0, T), omega) ** 2 / den
 
 
 def pure_transport_space(sys: SystemMatrices, mu: float, nmax: int):

@@ -7,6 +7,13 @@ from torusctrl import spectral
 from torusctrl.harness import _random_state as random_state  # noqa: F401
 
 
+def state_stack(states):
+    """Q states as windowed_l2_norm reads them: their (2 nmax + 1, Q, d)
+    coefficient stack, its modes and nmax."""
+    return (np.stack([s.coeffs for s in states], axis=1), states[0].modes,
+            states[0].nmax)
+
+
 def nscl_system(vbar=1.0, rhobar=1.0, a=1.0, gamma=2.0, mu=1.0):
     return SystemMatrices(
         1, 1,

@@ -7,7 +7,7 @@ from torusctrl.algebra import (SystemMatrices, TorusSubset, TWO_PI,
                                cascade_transform, numerical_rank)
 from torusctrl.dynamics import windowed_l2_norm
 from conftest import (nscl_system, damped_wave_system, moving_wave_system,
-                      random_state, HALF_TORUS)
+                      random_state, state_stack, HALF_TORUS)
 
 
 def _arcs_from_cuts(cuts):
@@ -77,8 +77,9 @@ class TestTorusSubset:
         rng = np.random.default_rng(5)
         ts = np.linspace(0.0, 1.0, 9)
         states = [random_state(rng, 8, 2) for _ in ts]
-        assert windowed_l2_norm(ts, states, (0.0, 1.0), wrapped) == \
-            windowed_l2_norm(ts, states, (0.0, 1.0), split)
+        stack = state_stack(states)
+        assert windowed_l2_norm(ts, *stack, (0.0, 1.0), wrapped) == \
+            windowed_l2_norm(ts, *stack, (0.0, 1.0), split)
 
     def test_shrunk_is_smaller_subset(self):
         small = HALF_TORUS.shrunk(0.2)

@@ -17,7 +17,8 @@ from torusctrl.dynamics import (ControlSignal, ModeBasis,
                                 project_branch, project_low,
                                 windowed_l2_norm)
 from conftest import (nscl_system, moving_wave_system, damped_wave_system,
-                      decoupled_heat_system, two_speed_system, random_state)
+                      decoupled_heat_system, two_speed_system, random_state,
+                      state_stack)
 
 import mpmath
 import scipy.linalg
@@ -105,7 +106,7 @@ def test_windowed_l2_norm_makes_no_arbitrary_point_synthesis(monkeypatch):
     rng = np.random.default_rng(6)
     ts = np.linspace(0.0, 1.0, 5)
     states = [random_state(rng, 20, 2) for _ in ts]
-    got = windowed_l2_norm(ts, states, (0.0, 1.0),
+    got = windowed_l2_norm(ts, *state_stack(states), (0.0, 1.0),
                            TorusSubset(((0.5, 2.0),)))
     assert calls == [] and got > 0
 
@@ -709,8 +710,19 @@ def test_windowed_l2_norm_full_torus_matches_parseval():
     full = TorusSubset(((0.0, TWO_PI),))
     ts = np.linspace(0.0, 1.0, 9)
     states = [st_] * 9
-    got = windowed_l2_norm(ts, states, (0.0, 1.0), full)
+    got = windowed_l2_norm(ts, *state_stack(states), (0.0, 1.0), full)
     assert got == pytest.approx(st_.norm(), rel=1e-10)
+
+
+@pytest.mark.parametrize("ts", [[], [0.5], [0.5, 2.0]])
+def test_windowed_l2_norm_refuses_fewer_than_two_window_times(ts):
+    """No time, or one time in the window, is the norm's own ValueError,
+    read before any row of the stack."""
+    from torusctrl.algebra import TorusSubset
+    coeffs = np.ones((3, len(ts), 2), dtype=complex)
+    with pytest.raises(ValueError, match="too sparse"):
+        windowed_l2_norm(ts, coeffs, np.arange(-1, 2), 1, (0.0, 1.0),
+                         TorusSubset(((0.5, 2.0),)))
 
 
 def test_windowed_l2_norm_subset_matches_per_state_loop():
@@ -721,7 +733,7 @@ def test_windowed_l2_norm_subset_matches_per_state_loop():
     ts = np.linspace(0.0, 2.0, 11)
     states = [random_state(rng, 6, 2) for _ in ts]
     window = (0.4, 1.6)
-    got = windowed_l2_norm(ts, states, window, omega)
+    got = windowed_l2_norm(ts, *state_stack(states), window, omega)
     # reference: one synthesis per state kept by the window
     xs = TWO_PI * np.arange(64) / 64
     ind = omega.indicator(xs)

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -123,6 +124,54 @@ def test_observability_ratio_decays(nscl_branches24):
     assert ratios[0] < 1e-2
 
 
+def _ratio_from_states(wit, omega, T):
+    """The observability ratio by per-time states: np.stack of
+    gN_coeffs' states, ngrid * ifft of their spectrum binned by
+    np.add.at, a rectangle rule over omega and the trapezoid in time."""
+    ts = np.linspace(0.0, T, obstruction.RATIO_TIMES)
+    states = wit.gN_coeffs(ts)
+    ngrid = max(4 * wit.chiN.nmax, 64)
+    cols = np.stack([st_.coeffs for st_ in states], axis=1)
+    spec = np.zeros((ngrid, cols.shape[1] * cols.shape[2]), dtype=complex)
+    np.add.at(spec, wit.chiN.modes % ngrid, cols.reshape(len(cols), -1))
+    v = ngrid * np.fft.ifft(spec, axis=0)
+    dens = np.sum(np.abs(v.reshape(ngrid, len(ts), -1)) ** 2, axis=2)
+    ind = omega.indicator(TWO_PI * np.arange(ngrid) / ngrid)
+    num = float(np.sqrt(np.trapezoid(ind @ dens * TWO_PI / ngrid, ts)))
+    return num ** 2 / states[-1].norm() ** 2
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+def test_observability_ratio_matches_per_time_states_bit_for_bit(N):
+    sys = nscl_system()
+    consts, branches = _table(sys, N)
+    for T in minimal_time(sys, HALF_TORUS) * np.array([0.4, 0.55]):
+        wit = build_witness(sys, branches, HALF_TORUS, T, N, consts=consts)
+        assert (observability_ratio(wit, HALF_TORUS, T)
+                == _ratio_from_states(wit, HALF_TORUS, T))
+
+
+def test_observability_ratio_peak_memory_is_about_one_spectrum():
+    """One warm ratio at N = 32 traces a peak below 2.75 times the bytes
+    of its (ngrid, RATIO_TIMES, d) complex spectrum: the coefficient
+    stack goes straight into that spectrum, with no per-time states and
+    no stacked copy of them."""
+    sys = nscl_system()
+    consts, branches = _table(sys, 32)
+    T = 0.5 * minimal_time(sys, HALF_TORUS)
+    wit = build_witness(sys, branches, HALF_TORUS, T, 32, consts=consts)
+    observability_ratio(wit, HALF_TORUS, T)
+    tracemalloc.start()
+    try:
+        observability_ratio(wit, HALF_TORUS, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    spectrum = (16 * max(4 * wit.chiN.nmax, 64) * obstruction.RATIO_TIMES
+                * sys.d)
+    assert peak < 2.75 * spectrum
+
+
 @pytest.mark.parametrize("N", [8, 32])
 def test_witness_coeffs_batched_and_match_dense_expm(N):
     """gN_coeffs and gNtilde_coeffs on an array of times against their
@@ -136,7 +185,18 @@ def test_witness_coeffs_batched_and_match_dense_expm(N):
     s = int(np.argmin(np.abs(branches.speeds - wit.mu)))
     ts = np.linspace(0.0, T, 5)
     a = wit.chiN.coeffs[:, 0]
-    for method, rate in ((wit.gN_coeffs, None),
+
+    def gN_stack_states(t):
+        """gN_stack's live rows as states, on the gN_coeffs contract."""
+        coeffs = np.zeros((np.size(t),) + wit.chiN.coeffs.shape[:1]
+                          + (sys.d,), dtype=complex)
+        coeffs[:, wit._live] = wit.gN_stack(np.atleast_1d(t)).swapaxes(0, 1)
+        states = [FourierState(wit.chiN.nmax, c) for c in coeffs]
+        return states if np.ndim(t) else states[0]
+
+    for st_, ref in zip(gN_stack_states(ts), wit.gN_coeffs(ts)):
+        assert np.array_equal(st_.coeffs, ref.coeffs)
+    for method, rate in ((wit.gN_coeffs, None), (gN_stack_states, None),
                          (wit.gNtilde_coeffs, wit.Rhmu0)):
         batched = method(ts)
         assert len(batched) == len(ts)
