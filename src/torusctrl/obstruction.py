@@ -239,6 +239,8 @@ def observability_ratio(witness: ObstructionWitness, omega: TorusSubset,
     both read off one gN_stack on RATIO_TIMES times."""
     ts = np.linspace(0.0, T, RATIO_TIMES)
     stack = witness.gN_stack(ts)
+    # the norm of g_N(T) on all 2 nmax + 1 rows: its sum runs in the order
+    # of gN_coeffs(T).norm(), so the ratio keeps that norm's bits
     last = dynamics.FourierState.zeros(witness.chiN.nmax, witness.sys.d)
     last.coeffs[witness._live] = stack[:, -1]
     den = last.norm() ** 2
