@@ -26,9 +26,9 @@ its coefficients as they stand: a signal carries its own support (the
 emitters build the spatial cut-off into them), and evolve applies no
 mask of its own.
 States go to and from the uniform grid 2 pi j / ngrid by FFT
-(synth_grid, analyze_grid); the windowed observation norm reads one
-(modes, times, d) coefficient stack, with no per-time state, and bins it
-into one spectrum that a single in-place inverse FFT synthesizes.
+(synth_grid, analyze_grid), the inverse FFT in place on the binned
+spectrum; the windowed observation norm reads one (modes, times, d)
+coefficient stack, with no per-time state, as one such spectrum.
 """
 
 import functools
@@ -115,16 +115,20 @@ class FourierState:
 def _synth_uniform(coeffs, modes, ngrid):
     """sum_a coeffs[a] e^{i modes[a] x} at x_j = 2 pi j / ngrid, along
     axis 0: ngrid * ifft of the coefficients binned at modes mod ngrid,
-    where modes sharing a bin add up.  The modes are consecutive, so each
-    run of ngrid of them adds into distinct bins by one indexed +=: every
-    bin sums 0 + c1 (+ c2) in mode order, np.add.at's bits.  analyze_grid's
-    DFT inverts it on the modes that keep a bin of their own.
+    where modes sharing a bin add up, and the inverse FFT and scaling
+    overwrite the binned spectrum.  The modes increase, each run of ngrid
+    of them spanning less than ngrid, so the run adds into distinct bins
+    by one indexed +=: every bin sums 0 + c1 (+ c2) in mode order,
+    np.add.at's bits.  analyze_grid's DFT inverts it on the modes that
+    keep a bin of their own.
     """
     spec = np.zeros((ngrid,) + coeffs.shape[1:], dtype=complex)
     bins = np.asarray(modes) % ngrid
     for s in range(0, len(bins), ngrid):
         spec[bins[s:s + ngrid]] += coeffs[s:s + ngrid]
-    return ngrid * np.fft.ifft(spec, axis=0)
+    np.fft.ifft(spec, axis=0, out=spec)
+    spec *= ngrid
+    return spec
 
 
 def synth_grid(state: FourierState, ngrid=None):
@@ -556,11 +560,10 @@ def windowed_l2_norm(times, coeffs, modes, nmax, window,
                      omega: TorusSubset) -> float:
     """L2 norm over (time window) x omega of a state truncated at |n| <=
     nmax, given as the (L, Q, d) stack coeffs[a, q] of its coefficients on
-    the distinct modes[a] at times[q] (zero on the modes not listed).  The
-    times in the window go straight into one (ngrid, Q d) spectrum on the
-    uniform grid of ngrid = max(4*nmax, 64) > 2 nmax points, a bin per
-    mode, which one inverse FFT and its scaling overwrite; the moduli are
-    squared in place, then a rectangle rule over omega and the composite
+    the increasing modes[a] at times[q] (zero on the modes not listed).
+    The times in the window go straight into one (ngrid, Q d) spectrum,
+    synthesized in place on the grid of ngrid = max(4*nmax, 64) points;
+    then |.|^2 in place, a rectangle rule over omega and the composite
     trapezoid in time."""
     times = np.asarray(times, dtype=float)
     sel = (times >= window[0] - 1e-14) & (times <= window[1] + 1e-14)
@@ -568,11 +571,7 @@ def windowed_l2_norm(times, coeffs, modes, nmax, window,
         raise ValueError("trajectory too sparse over the window")
     kept = coeffs if sel.all() else coeffs[:, sel]
     ngrid = max(4 * nmax, 64)
-    spec = np.zeros((ngrid, kept.shape[1] * kept.shape[2]), dtype=complex)
-    spec[np.asarray(modes) % ngrid] += kept.reshape(len(kept), -1)
-    np.fft.ifft(spec, axis=0, out=spec)
-    spec *= ngrid
-    dens = np.abs(spec)
+    dens = np.abs(_synth_uniform(kept.reshape(len(kept), -1), modes, ngrid))
     dens **= 2
     dens = np.sum(dens.reshape(ngrid, kept.shape[1], -1), axis=2)
     ind = omega.indicator(TWO_PI * np.arange(ngrid) / ngrid)

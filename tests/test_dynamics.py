@@ -87,7 +87,7 @@ def test_synth_uniform_bins_as_add_at(monkeypatch, nmax, grid):
             == want.tobytes())
     # the binned spectrum itself, signed zeros and all, through an
     # identity in place of the inverse FFT
-    monkeypatch.setattr(np.fft, "ifft", lambda a, axis: a)
+    monkeypatch.setattr(np.fft, "ifft", lambda a, axis, out: a)
     assert (dynamics._synth_uniform(coeffs, modes, ngrid).tobytes()
             == (ngrid * spec).tobytes())
 
