@@ -563,8 +563,8 @@ def windowed_l2_norm(times, coeffs, modes, nmax, window,
     the increasing modes[a] at times[q] (zero on the modes not listed).
     The times in the window go straight into one (ngrid, Q d) spectrum,
     synthesized in place on the grid of ngrid = max(4*nmax, 64) points;
-    then |.|^2 in place, a rectangle rule over omega and the composite
-    trapezoid in time."""
+    then the moduli squared in place, a rectangle rule over omega and the
+    composite trapezoid in time."""
     times = np.asarray(times, dtype=float)
     sel = (times >= window[0] - 1e-14) & (times <= window[1] + 1e-14)
     if np.count_nonzero(sel) < 2:
