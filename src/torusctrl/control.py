@@ -991,13 +991,15 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
     is emitted once, from the operator and lambda (_emit_block), or is
     None when no solve ran; L lambda is evolve's Duhamel integral of it
     on the operator's nodes, reordered by linearity, so evolve of it is
-    the reference L lambda agrees with to roundoff.  Sweeps stop at
-    relative residual 1e-9, on a stall, or after max_sweeps.  The
-    certificate reports the path, the sweep residual chain, the last joint
-    condition and its cond_headroom (both None when no solve ran), and the
-    final relative norm, the last sweep's unless max_sweeps ran out.  T'
-    must pass check_horizons and f0's nmax must exceed n0, or
-    PreconditionError is raised.
+    the reference L lambda agrees with to roundoff.  Each sweep logs the
+    norms of the checked state's hyperbolic projection h, its low modes
+    and its parabolic part, which is the one array fT - h - low since
+    Pp = I - Ph on the band.  Sweeps stop at relative residual 1e-9, on
+    a stall, or after max_sweeps.  The certificate reports the path, the
+    sweep residual chain, the last joint condition and its cond_headroom
+    (both None when no solve ran), and the final relative norm, the last
+    sweep's unless max_sweeps ran out.  T' must pass check_horizons and
+    f0's nmax must exceed n0, or PreconditionError is raised.
     """
     check_horizons(T, Tprime, Tstar)
     nmax = f0.nmax
@@ -1024,9 +1026,9 @@ def full_pipeline(sys: SystemMatrices, branches: BranchTable, n0: int,
         res = fT.norm() / f0norm
         # Pp = I - Ph on the band, so fT - h - low is the parabolic part
         h, low = project_branch(fT, branches, n0, "h"), project_low(fT, n0)
+        p = FourierState(nmax, fT.coeffs - h.coeffs - low.coeffs)
         sweep_log.append({"sweep": sweep, "relative_residual": res,
-                          "h": h.norm(), "p": (fT - h - low).norm(),
-                          "low": low.norm()})
+                          "h": h.norm(), "p": p.norm(), "low": low.norm()})
         if res <= 1e-9:
             break
         if sweep >= 2 and res > 0.5 * sweep_log[-2]["relative_residual"]:

@@ -24,7 +24,10 @@ propagators it formed, per array of scales, so an evolution to a
 horizon it has met runs no Pade exponential.  A control enters through
 its coefficients as they stand: a signal carries its own support (the
 emitters build the spatial cut-off into them), and evolve applies no
-mask of its own.
+mask of its own.  Solves check their states at every stage and sweep,
+so a check is one array operation: evolve to one horizon returns its
+trajectory's one column, and project_branch keeps each band's mask and
+projector stack per branch table.
 States go to and from the uniform grid 2 pi j / ngrid by FFT
 (synth_grid, analyze_grid), the inverse FFT in place on the binned
 spectrum; the windowed observation norm reads one (modes, times, d)
@@ -104,7 +107,9 @@ class FourierState:
         return FourierState(self.nmax, -self.coeffs)
 
     def __sub__(self, other):
-        return self + (other * (-1.0))
+        if other.nmax != self.nmax:
+            raise ValueError("truncation orders differ")
+        return FourierState(self.nmax, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
         return FourierState(self.nmax, self.coeffs * scalar)
@@ -507,13 +512,16 @@ def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
     times (see ControlSignal).  Each sample time's integral, over whole
     panels, is one ModeBasis.duhamel contraction of the raw coefficients,
     summed over the nodes in each mode's eigen-coordinates.
-    Returns the state at T, or (times, states) at sample_times, which
-    must lie in [0, T].
+    Returns the state at T >= 0, the trajectory's one column (the bits
+    of sample_times=[T]), or (times, states) at sample_times in [0, T].
     """
     nmax = f0.nmax
-    times = (np.array([T]) if sample_times is None
-             else np.asarray(sample_times, dtype=float))
-    if np.any(times < 0) or np.any(times > T):
+    if sample_times is None:
+        times, outside = np.array([T]), T < 0
+    else:
+        times = np.asarray(sample_times, dtype=float)
+        outside = np.any(times < 0) or np.any(times > T)
+    if outside:
         raise ValueError(f"sample times must lie in [0, T = {T}]")
     if u is not None:
         if u.time_nodes[0] > 1e-12 or u.time_nodes[-1] < T - 1e-12:
@@ -531,19 +539,38 @@ def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
             sel = taus <= t + 1e-14
             traj[:, k] += basis.duhamel(src[:, sel], sys.M, t - taus[sel],
                                         wts[sel])
-    states = [FourierState(nmax, c) for c in traj.transpose(1, 0, 2).copy()]
-    return states[-1] if sample_times is None else (times, states)
+    if sample_times is None:
+        # traj is (K, 1, d): its one column is a C-ordered (K, d) state
+        return FourierState(nmax, traj[:, 0])
+    return times, [FourierState(nmax, c)
+                   for c in traj.transpose(1, 0, 2).copy()]
+
+
+# project_branch's band masks and projector stacks, per branch table
+_BAND_PROJECTORS = OwnerMemo()
 
 
 def project_branch(state: FourierState, branches: BranchTable, n0: int,
                    which="p", nband=None):
     """Projection onto the parabolic ("p") or hyperbolic ("h") part of a
-    BranchTable, optionally restricted to n0 < |n| <= nband."""
-    n = np.abs(state.modes)
-    band = (n > n0) & (n <= (state.nmax if nband is None else nband))
-    P = (branches.Pp if which == "p" else branches.Ph)[
-        branches.rows(state.modes[band])]
-    out = FourierState.zeros(state.nmax, state.d)
+    BranchTable, optionally restricted to n0 < |n| <= nband.
+
+    The band mask and its modes' projector stack depend on the table and
+    (which, n0, nmax, nband), not on the state: they are kept, read-only,
+    in an OwnerMemo that dies with the table.  A table missing band modes
+    raises KeyError and keeps nothing, so every call raises."""
+    nmax = state.nmax
+
+    def gather():
+        n = np.abs(np.arange(-nmax, nmax + 1))
+        band = (n > n0) & (n <= (nmax if nband is None else nband))
+        P = (branches.Pp if which == "p" else branches.Ph)[
+            branches.rows(np.flatnonzero(band) - nmax)]
+        return _read_only(band), _read_only(P)
+
+    band, P = _BAND_PROJECTORS.get(branches, (which, n0, nmax, nband),
+                                   gather)
+    out = FourierState.zeros(nmax, state.d)
     out.coeffs[band] = np.einsum("kab,kb->ka", P, state.coeffs[band])
     return out
 

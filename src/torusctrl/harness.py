@@ -358,8 +358,9 @@ def _exp_spectrum(scn, rng, out_dir):
     sys = scn.sys
     zs = np.array([rng.uniform(0, 1.0 / consts.n0)
                    * np.exp(1j * rng.uniform(0, TWO_PI)) for _ in range(200)])
-    Ph, _ = spectral.projection_split(sys, zs, consts.R)
-    per_speed = spectral.hyperbolic_branches(sys, zs, Ph)
+    pair = spectral.projection_split(sys, zs, consts.R)
+    Ph = pair[0]
+    per_speed = spectral.hyperbolic_branches(sys, zs, Ph, pair.eig)
     E = spectral.eval_symbol(sys, zs)
     zz = zs[:, None, None]
     fro = lambda a: np.linalg.norm(a, axis=(1, 2))  # noqa: E731

@@ -75,6 +75,12 @@ def _projections(V, groups):
         raise ContourError("eigenvector condition >= "
                            f"{DIAG_COND_MAX:.0e} (stack members "
                            "{members})", bad)
+    return _project(V, groups)
+
+
+def _project(V, groups):
+    """_projections with no condition check, for eigenvectors V that
+    passed it already."""
     return (V * groups[..., None, :]) @ np.linalg.inv(V)
 
 
@@ -168,7 +174,8 @@ def separation_radius(sys: SystemMatrices,
             # a block of modes at a time: a refusal costs one block
             for block in np.array_split(ns, ns.size // 512 + 1):
                 zs = 1j / np.concatenate([block, -block])
-                hyperbolic_branches(sys, zs, projection_split(sys, zs, R)[0])
+                pair = projection_split(sys, zs, R)
+                hyperbolic_branches(sys, zs, pair[0], pair.eig)
         except ContourError:
             return False
         return True
@@ -191,15 +198,26 @@ def separation_radius(sys: SystemMatrices,
     return BranchConstants(r=r, n0=n0, R=R)
 
 
-def projection_split(sys: SystemMatrices, z, R: float):
+class ProjectionPair(tuple):
+    """projection_split's (Ph, Pp), keeping as eig the decomposition (w, V)
+    of E(z) it split, whose eigenvectors passed the condition test."""
+
+    def __new__(cls, Ph, Pp, eig):
+        pair = super().__new__(cls, (Ph, Pp))
+        pair.eig = eig
+        return pair
+
+
+def projection_split(sys: SystemMatrices, z, R: float) -> ProjectionPair:
     """Hyperbolic/parabolic projection pair at z.
 
     Ph is the spectral projection of E(z) onto its eigenvalues inside the
     split radius, |zeta| < R, from one eigendecomposition; Pp = I - Ph.
     A 1-D array of z gives (len(z), d, d) stacks, from one stacked
-    eigendecomposition.  A ContourError names the members where not
-    exactly d1 eigenvalues lie inside or one lies within R/10 of the
-    circle, or where _projections refuses the eigenvectors.
+    eigendecomposition, which the returned pair keeps (ProjectionPair).
+    A ContourError names the members where not exactly d1 eigenvalues lie
+    inside or one lies within R/10 of the circle, or where _projections
+    refuses the eigenvectors.
     """
     w, V = np.linalg.eig(eval_symbol(sys, z))
     size = np.abs(w)
@@ -210,10 +228,10 @@ def projection_split(sys: SystemMatrices, z, R: float):
         raise ContourError(f"eigenvalues not split by |zeta| = {R:.6g} "
                            "(stack members {members})", bad)
     Ph = _projections(V, inside[None])[0]
-    return Ph, np.eye(sys.d) - Ph
+    return ProjectionPair(Ph, np.eye(sys.d) - Ph, (w, V))
 
 
-def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray):
+def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray, eig=None):
     """Split Ph into per-speed projections: mu -> (Phmu, Rhmu), one per
     transport speed (SystemMatrices.transport_speeds), in its order.
 
@@ -223,7 +241,9 @@ def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray):
     multiplicity in Sp(Aprime), or where _projections refuses the
     eigenvectors.  The remainder satisfies E(z) Phmu = mu z Phmu + z^2
     Rhmu.  With one speed Phmu is Ph itself and no eigendecomposition
-    runs.  A 1-D array of z with the stack Ph gives stacks.
+    runs.  A 1-D array of z with the stack Ph gives stacks.  Given the
+    eig of the ProjectionPair Ph came from, it runs no second eig or
+    condition test, with the bits of a call without it.
     """
     z = np.asarray(z)
     if np.any(z == 0):
@@ -234,7 +254,7 @@ def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray):
     if len(mus) == 1:
         Phmu = [Ph.copy()]
     else:
-        w, V = np.linalg.eig(E)
+        w, V = np.linalg.eig(E) if eig is None else eig
         # eig's columns have unit norm: Ph keeps its own, zeroes the others
         kept = np.linalg.norm(Ph @ V, axis=-2) > 0.5
         speed = np.where(kept, _speed_of(w / z[..., None], mus), -1)
@@ -247,7 +267,8 @@ def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray):
             at = np.abs(np.ravel(z))[bad].round(4).tolist()
             raise ContourError(f"mu-groups not separated at |z| = {at}; "
                                "increase n0", bad)
-        Phmu = _projections(V, np.moveaxis(onehot, -1, 0))
+        Phmu = (_projections if eig is None else _project)(
+            V, np.moveaxis(onehot, -1, 0))
     return {mu: (P, (E @ P - mu * zz * P) / (zz * zz))
             for mu, P in zip(mus.tolist(), Phmu)}
 
@@ -300,9 +321,10 @@ def remainder_at_zero(sys: SystemMatrices, R: float):
     new dict of the kept arrays, which are read-only."""
     def build():
         zs = 1j / (REMAINDER_N * np.array([1.0, 2.0]))
-        Ph, _ = projection_split(sys, zs, R)
+        pair = projection_split(sys, zs, R)
         out = {}
-        for mu, (P, Rm) in hyperbolic_branches(sys, zs, Ph).items():
+        for mu, (P, Rm) in hyperbolic_branches(sys, zs, pair[0],
+                                               pair.eig).items():
             P0 = _read_only(2.0 * P[1] - P[0])
             u, _, _ = np.linalg.svd(P0.conj().T)
             out[mu] = (P0, _read_only(2.0 * Rm[1] - Rm[0]),
@@ -359,8 +381,9 @@ def _split_modes(sys, consts, lo, nmax) -> BranchTable:
     ns = np.outer(np.arange(lo + 1, nmax + 1), [1, -1]).ravel()
     zs = 1j / ns
     try:
-        Ph, Pp = projection_split(sys, zs, consts.R)
-        per_speed = hyperbolic_branches(sys, zs, Ph)
+        pair = projection_split(sys, zs, consts.R)
+        Ph, Pp = pair
+        per_speed = hyperbolic_branches(sys, zs, Ph, pair.eig)
     except ContourError as exc:
         modes = ns[list(exc.members)].tolist()
         rows = 2 * (lo - consts.n0) + np.array(exc.members, dtype=int)

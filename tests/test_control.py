@@ -519,6 +519,36 @@ class TestPipeline:
             project_branch(free, branches, n0, "p").norm(), rel=1e-12)
         assert log["h"] == project_branch(free, branches, n0, "h").norm()
 
+    @pytest.mark.parametrize("nmax, seed", [(10, 41), (12, 0)])
+    def test_sweep_log_is_the_state_operations_formula(self, monkeypatch,
+                                                       nmax, seed):
+        # every logged norm, rebuilt from the state the sweep checked
+        # with FourierState operations: p is the norm of the state
+        # fT + h * (-1.0) + low * (-1.0); nscl at nmax 12, seed 0, logs
+        # three sweeps
+        scn = harness.load_scenario("nscl(1, 1, 1, 2, 1)",
+                                    experiment="pipeline", nmax=nmax)
+        consts = spectral.separation_radius(scn.sys)
+        n0 = consts.n0
+        branches = spectral.build_branch_table(scn.sys, consts, nmax)
+        f0 = random_state(np.random.default_rng(seed), nmax, scn.sys.d)
+        checked, reached = [], ctl._reached
+
+        def spy(*args):
+            checked.append(reached(*args))
+            return checked[-1]
+
+        monkeypatch.setattr(ctl, "_reached", spy)
+        _, cert = full_pipeline(scn.sys, branches, n0, f0, scn.T,
+                                scn.Tprime, scn.omega, Tstar=scn.Tstar)
+        assert len(cert["sweeps"]) == (2 if nmax == 10 else 3)
+        for log, fT in zip(cert["sweeps"], checked):
+            h = project_branch(fT, branches, n0, "h")
+            low = ctl.project_low(fT, n0)
+            assert log["h"] == h.norm() and log["low"] == low.norm()
+            assert log["p"] == (fT + h * (-1.0) + low * (-1.0)).norm()
+            assert log["relative_residual"] == fT.norm() / f0.norm()
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_near_full_torus_is_one_joint_mechanism(self, monkeypatch,
                                                     seed):

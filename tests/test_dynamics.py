@@ -405,6 +405,34 @@ def test_kept_propagators_die_with_their_basis():
     assert all(ref() is None for ref in kept)
 
 
+def test_fourier_state_sub_is_one_subtraction():
+    """a - b is the one array subtraction a.coeffs - b.coeffs.  It equals
+    the sum a + b * (-1.0) on every entry, signed zeros included, and has
+    its bits wherever the difference is not zero; a zero difference takes
+    IEEE's sign, which b * (-1.0) does not always give."""
+    rng = np.random.default_rng(13)
+    a, b = _flat_state(rng, 6, 2), _flat_state(rng, 6, 2)
+    zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    a.coeffs[:4, 0] = zeros
+    b.coeffs[:4, 1] = zeros
+    a.coeffs[4:8, 0] = b.coeffs[4:8, 0] = zeros
+    a.coeffs[8, 1] = b.coeffs[8, 1]
+    got = (a - b).coeffs
+    assert got.shape == a.coeffs.shape
+    np.testing.assert_array_equal(got.view(float),
+                                  (a.coeffs - b.coeffs).view(float))
+    np.testing.assert_array_equal(np.signbit(got.view(float)),
+                                  np.signbit((a.coeffs - b.coeffs)
+                                             .view(float)))
+    summed = (a + b * (-1.0)).coeffs
+    assert np.all(got == summed)
+    nonzero = got.view(float) != 0
+    assert np.array_equal(got.view(float)[nonzero].view(np.int64),
+                          summed.view(float)[nonzero].view(np.int64))
+    with pytest.raises(ValueError, match="truncation"):
+        a - _flat_state(rng, 5, 2)
+
+
 def test_gauss_legendre_panels_exact_on_polynomials():
     edges = np.array([0.0, 0.1, 0.5, 2.0])
     taus, wts = gauss_legendre(edges, order=4)
@@ -475,6 +503,38 @@ def test_evolve_sample_time_inside_a_control_panel(t):
     ref = evolve(sys, f0, u, t)
     assert (np.linalg.norm(sampled.coeffs - ref.coeffs)
             < 1e-13 * np.linalg.norm(ref.coeffs))
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+def test_evolve_one_horizon_is_the_sampled_last_state(controlled):
+    """evolve to T with no sample times returns the one state of a
+    sample at T bit for bit, with C-ordered coefficients."""
+    sys = two_speed_system()
+    rng = np.random.default_rng(17)
+    nmax = 7
+    f0 = random_state(rng, nmax, sys.d)
+    u = None
+    if controlled:
+        vals = rng.standard_normal((6, 2 * nmax + 1, sys.m)) \
+            + 1j * rng.standard_normal((6, 2 * nmax + 1, sys.m))
+        u = ControlSignal(time_nodes=np.linspace(0.0, 0.9, 6), nmax=nmax,
+                          values=vals, t_window=(0.0, 0.9))
+    one = evolve(sys, f0, u, 0.9)
+    times, (last,) = evolve(sys, f0, u, 0.9, sample_times=[0.9])
+    assert times.tolist() == [0.9]
+    assert one.nmax == nmax and one.coeffs.flags.c_contiguous
+    np.testing.assert_array_equal(one.coeffs, last.coeffs)
+
+
+def test_evolve_refuses_a_negative_horizon():
+    sys = nscl_system()
+    f0 = random_state(np.random.default_rng(6), 4, 2)
+    with pytest.raises(ValueError, match=r"\[0, T = -0.5\]"):
+        evolve(sys, f0, None, -0.5)
+    with pytest.raises(ValueError, match=r"\[0, T = -0.5\]"):
+        evolve(sys, f0, None, -0.5, sample_times=[-0.5])
+    # T = 0 is a horizon: the state comes back to roundoff
+    assert _close(evolve(sys, f0, None, 0.0).coeffs, f0.coeffs)
 
 
 def test_evolve_refuses_sample_times_outside_horizon():
@@ -700,6 +760,70 @@ def test_project_branch_matches_per_mode_loop():
                     P = projection_split(sys, 1j / n, consts.R)[part]
                     ref[n + 12] = P @ st_.get(n)
             np.testing.assert_allclose(got.coeffs, ref, rtol=0, atol=1e-13)
+
+
+def _fresh_projection(state, branches, n0, which, nband):
+    """project_branch's arithmetic with nothing kept: the band mask, the
+    table's rows, the fancy-gathered stack and a zero state."""
+    n = np.abs(state.modes)
+    band = (n > n0) & (n <= (state.nmax if nband is None else nband))
+    P = (branches.Pp if which == "p" else branches.Ph)[
+        branches.rows(state.modes[band])]
+    out = np.zeros((2 * state.nmax + 1, state.d), dtype=complex)
+    out[band] = np.einsum("kab,kb->ka", P, state.coeffs[band])
+    return out
+
+
+@pytest.mark.parametrize("which, nband", [("p", None), ("h", None),
+                                          ("p", 9), ("h", 9)])
+def test_project_branch_keeps_projectors_bit_for_bit(which, nband):
+    """The kept band and stack give a fresh gather's bits, on the call
+    that gathers them and on a later call with another state."""
+    sys = two_speed_system()
+    consts = separation_radius(sys)
+    branches = build_branch_table(sys, consts, 12)
+    rng = np.random.default_rng(23)
+    for st_ in (random_state(rng, 12, sys.d), random_state(rng, 12, sys.d)):
+        got = project_branch(st_, branches, consts.n0, which, nband)
+        assert got.coeffs.flags.c_contiguous
+        np.testing.assert_array_equal(
+            got.coeffs,
+            _fresh_projection(st_, branches, consts.n0, which, nband))
+    (band, P), = dynamics._BAND_PROJECTORS._owners[branches].values()
+    assert not band.flags.writeable and not P.flags.writeable
+    assert len(P) == np.count_nonzero(band)
+
+
+def test_project_branch_missing_modes_raise_on_every_call():
+    sys = nscl_system()
+    consts = separation_radius(sys)
+    branches = build_branch_table(sys, consts, 8)
+    st_ = random_state(np.random.default_rng(2), 12, 2)
+    for _ in range(2):
+        with pytest.raises(KeyError, match="missing modes"):
+            project_branch(st_, branches, consts.n0, "p")
+    assert branches not in dynamics._BAND_PROJECTORS._owners
+
+
+def test_kept_projectors_die_with_their_table():
+    import gc
+    import weakref
+
+    sys = nscl_system()
+    consts = separation_radius(sys)
+    branches = build_branch_table(sys, consts, 10)
+    st_ = random_state(np.random.default_rng(4), 10, 2)
+    project_branch(st_, branches, consts.n0, "p")
+    project_branch(st_, branches, consts.n0, "h", 8)
+    kept = [weakref.ref(a) for pair in
+            dynamics._BAND_PROJECTORS._owners[branches].values()
+            for a in pair]
+    assert len(kept) == 4
+    alive = weakref.ref(branches)
+    del branches
+    gc.collect()
+    assert alive() is None
+    assert all(ref() is None for ref in kept)
 
 
 def test_windowed_l2_norm_full_torus_matches_parseval():

@@ -297,6 +297,68 @@ def test_branch_table_matches_per_mode_projection_split(nscl_branches24):
                                    rtol=0, atol=1e-13)
 
 
+def _counting_eig(monkeypatch):
+    """The stacks handed to np.linalg.eig from here on."""
+    calls, eig = [], np.linalg.eig
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    return calls
+
+
+def test_branch_table_shares_one_eig_per_stacked_split(monkeypatch):
+    """build_branch_table hands projection_split's decomposition to
+    hyperbolic_branches: one eig per stacked split, and the bits of two
+    decompositions (hyperbolic_branches given no eig takes its own)."""
+    consts = separation_radius(two_speed_system())
+    sys = two_speed_system()
+    calls = _counting_eig(monkeypatch)
+    table = build_branch_table(sys, consts, consts.n0 + 32)
+    assert calls == [(64, 3, 3)]
+    build_branch_table(sys, consts, consts.n0 + 40)
+    assert calls == [(64, 3, 3), (16, 3, 3)]
+    spectral.remainder_at_zero(sys, consts.R)
+    assert len(calls) == 3
+
+    zs = 1j / table.modes
+    Ph, Pp = projection_split(sys, zs, consts.R)
+    per_speed = hyperbolic_branches(sys, zs, Ph)
+    assert len(calls) == 5
+    want = spectral.BranchTable(
+        table.modes, Ph, Pp, graph_map(sys, zs, Pp),
+        np.array(list(per_speed)),
+        np.array([P for P, _ in per_speed.values()]),
+        np.array([Rm for _, Rm in per_speed.values()]))
+    _assert_same_table(table, want)
+
+
+def test_shared_eig_keeps_the_refusals(monkeypatch):
+    """Given projection_split's decomposition, hyperbolic_branches refuses
+    unseparated speeds with the members and message of its own eig, and
+    runs no condition test of its own."""
+    sys = _drifting_pair_system(0.1)
+    R = separation_radius(sys).R
+    zs = 1j / np.array([9.0, 5.0, -5.0, 12.0])
+    pair = projection_split(sys, zs, R)
+    good = projection_split(sys, zs[[0, 3]], R)
+    with pytest.raises(spectral.ContourError) as own:
+        hyperbolic_branches(sys, zs, pair[0])
+    assert own.value.members == (1, 2)
+    conds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda a: conds.append(1) or cond(a))
+    with pytest.raises(spectral.ContourError) as shared:
+        hyperbolic_branches(sys, zs, pair[0], pair.eig)
+    assert str(shared.value) == str(own.value)
+    assert shared.value.members == own.value.members
+    assert len(hyperbolic_branches(sys, zs[[0, 3]], good[0], good.eig)) == 2
+    assert conds == []
+
+
 def _exceptional_point_system():
     """d1 = 1, d2 = 2 with triangular A and K: the parabolic block of
     E(+-i/5) is [[2 + 0.14i, 1 + 0.08i], [0, 2 + 0.14i]] in floating point,
