@@ -356,8 +356,9 @@ def _exp_simulate(scn, rng, out_dir):
 def _exp_spectrum(scn, rng, out_dir):
     consts = spectral.separation_radius(scn.sys, n0_override=scn.n0)
     sys = scn.sys
-    zs = np.array([rng.uniform(0, 1.0 / consts.n0)
-                   * np.exp(1j * rng.uniform(0, TWO_PI)) for _ in range(200)])
+    size, phase = rng.uniform([0, 0], [1.0 / consts.n0, TWO_PI],
+                              size=(200, 2)).T
+    zs = size * np.exp(1j * phase)
     pair = spectral.projection_split(sys, zs, consts.R)
     Ph = pair[0]
     per_speed = spectral.hyperbolic_branches(sys, zs, Ph, pair.eig)

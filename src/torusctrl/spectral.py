@@ -11,7 +11,8 @@ w/z lies nearest mu.  The speeds are those of
 SystemMatrices.transport_speeds, and they key every per-speed result
 here.  A ContourError refuses the members of a stack whose eigenvector
 matrix is ill-conditioned or whose eigenvalue counts do not fit the
-split; separation_radius certifies both on the lattice z = i/n.
+split; separation_radius certifies both on the lattice z = +-i/n, with
+the tables' own split.
 
 Functions of z take a scalar or a 1-D array of z; build_branch_table
 splits the modes n0 < |n| <= nmax into one stacked BranchTable.  The
@@ -19,8 +20,10 @@ split depends on the system and the mode, never on a horizon or a datum,
 so each system keeps, in an OwnerMemo that dies with it, one table per
 BranchConstants, grown to the largest nmax asked for, and one
 remainder_at_zero per split radius, with each speed's witness start.
-A call hands out new containers of the kept arrays, which are
-read-only.
+The certificate is the table: the lattice rows separation_radius split
+start the table kept for the constants it returns, so a table up to
+floor(20/r) splits no mode twice.  A call hands out new containers of
+the kept arrays, which are read-only.
 """
 
 from dataclasses import dataclass
@@ -152,9 +155,16 @@ def separation_radius(sys: SystemMatrices,
     """Find (r, n0 = ceil(1/r), R): R = min|Sp(D)|/2; r is the largest
     radius in a geometric grid such that on a sampled disk |z| <= r every
     eigenvalue of E(z) keeps distance >= R/10 from the circle |zeta| = R,
-    and the tables' own split (projection_split, hyperbolic_branches)
-    refuses no point of the lattice z = +-i/n in the sampled annulus
-    r/20 <= |z| <= r.  A smaller n0_override raises PreconditionError."""
+    and the tables' own split (_split_modes) refuses no point of the
+    lattice z = +-i/n in the sampled annulus r/20 <= |z| <= r.  The disk
+    is tested outer ring first, where most refused radii fail, and the
+    lattice 512 modes a block, so that a refusal costs one block.  A
+    smaller n0_override raises PreconditionError.
+
+    The certificate is the table: the rows n0 < |n| of the lattice's
+    first block seed build_branch_table's kept table for the returned
+    constants, unless sys holds one already or their graph map is
+    undefined (build_branch_table then raises it)."""
     specD = np.linalg.eigvals(sys.D)
     if np.any(specD.real <= 0):
         raise ValueError("H.3 violated: Sp(D) not in the right half plane")
@@ -163,26 +173,30 @@ def separation_radius(sys: SystemMatrices,
     phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))
     radii_frac = np.linspace(0.05, 1.0, 12)
 
-    def clears(r):
+    def lattice_split(r):
+        """The split of the lattice's first block of modes, or None where
+        the disk or the lattice refuses r."""
         zs = ((r * radii_frac)[:, None] * phases).ravel()
-        w = np.linalg.eigvals(eval_symbol(sys, zs))
-        if np.any(np.abs(np.abs(w) - R) < margin):
-            return False
+        for ring in (zs[-len(phases):], zs[:-len(phases)]):
+            w = np.linalg.eigvals(eval_symbol(sys, ring))
+            if np.any(np.abs(np.abs(w) - R) < margin):
+                return None
         ns = np.arange(np.ceil(1.0 / r), np.floor(1.0 / (r * radii_frac[0]))
-                       + 1.0)
+                       + 1.0).astype(int)
+        consts = BranchConstants(r=r, n0=int(ns[0]) - 1, R=R)
+        first = None
         try:
-            # a block of modes at a time: a refusal costs one block
             for block in np.array_split(ns, ns.size // 512 + 1):
-                zs = 1j / np.concatenate([block, -block])
-                pair = projection_split(sys, zs, R)
-                hyperbolic_branches(sys, zs, pair[0], pair.eig)
+                split = _split_modes(sys, consts, block[0] - 1, block[-1])
+                first = first or split
         except ContourError:
-            return False
-        return True
+            return None
+        return first
 
     r = 1.0
     while r >= RADIUS_FLOOR:
-        if clears(r):
+        first = lattice_split(r)
+        if first is not None:
             break
         r *= 0.7
     else:
@@ -195,12 +209,21 @@ def separation_radius(sys: SystemMatrices,
             raise PreconditionError(
                 f"n0 override {n0_override} below certified {n0}")
         n0 = int(n0_override)
-    return BranchConstants(r=r, n0=n0, R=R)
+    consts = BranchConstants(r=r, n0=n0, R=R)
+    # the first block's rows of the modes above n0
+    k = 2 * (n0 + 1 - first[0][0])
+    if k < len(first[0]):
+        try:
+            _BRANCH_TABLES.get(sys, consts, lambda: _table(sys, first, k))
+        except ValueError:
+            pass  # graph map undefined: build_branch_table raises it
+    return consts
 
 
 class ProjectionPair(tuple):
     """projection_split's (Ph, Pp), keeping as eig the decomposition (w, V)
-    of E(z) it split, whose eigenvectors passed the condition test."""
+    of E(z) it split, whose eigenvectors passed the condition test, and
+    the mask inside of the eigenvalues Ph projects onto: (w, V, inside)."""
 
     def __new__(cls, Ph, Pp, eig):
         pair = super().__new__(cls, (Ph, Pp))
@@ -214,7 +237,8 @@ def projection_split(sys: SystemMatrices, z, R: float) -> ProjectionPair:
     Ph is the spectral projection of E(z) onto its eigenvalues inside the
     split radius, |zeta| < R, from one eigendecomposition; Pp = I - Ph.
     A 1-D array of z gives (len(z), d, d) stacks, from one stacked
-    eigendecomposition, which the returned pair keeps (ProjectionPair).
+    eigendecomposition, which the returned pair keeps with its mask of
+    the eigenvalues inside (ProjectionPair).
     A ContourError names the members where not exactly d1 eigenvalues lie
     inside or one lies within R/10 of the circle, or where _projections
     refuses the eigenvectors.
@@ -228,7 +252,7 @@ def projection_split(sys: SystemMatrices, z, R: float) -> ProjectionPair:
         raise ContourError(f"eigenvalues not split by |zeta| = {R:.6g} "
                            "(stack members {members})", bad)
     Ph = _projections(V, inside[None])[0]
-    return ProjectionPair(Ph, np.eye(sys.d) - Ph, (w, V))
+    return ProjectionPair(Ph, np.eye(sys.d) - Ph, (w, V, inside))
 
 
 def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray, eig=None):
@@ -243,7 +267,8 @@ def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray, eig=None):
     Rhmu.  With one speed Phmu is Ph itself and no eigendecomposition
     runs.  A 1-D array of z with the stack Ph gives stacks.  Given the
     eig of the ProjectionPair Ph came from, it runs no second eig or
-    condition test, with the bits of a call without it.
+    condition test and takes the pair's mask as the directions Ph keeps,
+    with the bits of a call without it.
     """
     z = np.asarray(z)
     if np.any(z == 0):
@@ -254,9 +279,11 @@ def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray, eig=None):
     if len(mus) == 1:
         Phmu = [Ph.copy()]
     else:
-        w, V = np.linalg.eig(E) if eig is None else eig
-        # eig's columns have unit norm: Ph keeps its own, zeroes the others
-        kept = np.linalg.norm(Ph @ V, axis=-2) > 0.5
+        w, V, kept = (*np.linalg.eig(E), None) if eig is None else eig
+        if kept is None:
+            # eig's columns have unit norm: Ph keeps its own, zeroes the
+            # others
+            kept = np.linalg.norm(Ph @ V, axis=-2) > 0.5
         speed = np.where(kept, _speed_of(w / z[..., None], mus), -1)
         # onehot[..., j, s]: eigen-direction j belongs to speed s
         onehot = speed[..., None] == np.arange(len(mus))
@@ -347,22 +374,24 @@ def build_branch_table(sys: SystemMatrices, consts: BranchConstants,
     BranchTable with rows n0+1, -(n0+1), n0+2, ...
 
     The split depends on sys and the mode alone, so one table per sys and
-    consts is kept while sys lives, at the largest nmax asked for.  A
-    larger nmax splits only the modes above it, with one stacked call
-    each of projection_split, hyperbolic_branches and graph_map, and
-    appends their rows; a smaller one reads the first 2 (nmax - n0).
-    Every eigendecomposition and test acts per mode, so the rows hold the
-    bits of a fresh split of their modes alone.  Each call returns a new
+    consts is kept while sys lives, at the largest nmax asked for; for the
+    constants separation_radius returned, it starts as the certificate's
+    rows, up to floor(20/r) (at most a 512-mode block).  A larger nmax
+    splits only the modes above it, with one stacked call each of
+    projection_split, hyperbolic_branches and graph_map, and appends
+    their rows; a smaller one reads the first 2 (nmax - n0).  Every
+    eigendecomposition and test acts per mode, so the rows hold the bits
+    of a fresh split of their modes alone.  Each call returns a new
     BranchTable of views of the kept arrays, which are read-only.  A
     ContourError names the modes that failed, its members are their rows
     in the full table, and the kept table stays as it was.
     """
     n0 = consts.n0
-    held = _BRANCH_TABLES.get(sys, consts,
-                              lambda: _split_modes(sys, consts, n0, nmax))
+    held = _BRANCH_TABLES.get(
+        sys, consts, lambda: _table(sys, _split_modes(sys, consts, n0, nmax)))
     top = n0 + len(held) // 2
     if nmax > top:
-        new = _split_modes(sys, consts, top, nmax)
+        new = _table(sys, _split_modes(sys, consts, top, nmax))
         held = _BRANCH_TABLES.put(sys, consts, BranchTable(
             speeds=held.speeds, **{
                 f: _read_only(np.concatenate([getattr(held, f),
@@ -374,24 +403,31 @@ def build_branch_table(sys: SystemMatrices, consts: BranchConstants,
         for f, ax in _ROW_AXES.items()})
 
 
-def _split_modes(sys, consts, lo, nmax) -> BranchTable:
-    """The branch split of the modes lo < |n| <= nmax (rows n, -n in
-    order of n) with read-only arrays.  A ContourError names the modes
-    that failed; its members are their rows in a table from n0 on."""
+def _split_modes(sys, consts, lo, nmax):
+    """The branch split of the modes lo < |n| <= nmax, rows n, -n in order
+    of n: the modes, their ProjectionPair and hyperbolic_branches' dict.
+    A ContourError names the modes that failed; its members are their
+    rows in a table from consts.n0 on."""
     ns = np.outer(np.arange(lo + 1, nmax + 1), [1, -1]).ravel()
     zs = 1j / ns
     try:
         pair = projection_split(sys, zs, consts.R)
-        Ph, Pp = pair
-        per_speed = hyperbolic_branches(sys, zs, Ph, pair.eig)
+        return ns, pair, hyperbolic_branches(sys, zs, pair[0], pair.eig)
     except ContourError as exc:
         modes = ns[list(exc.members)].tolist()
         rows = 2 * (lo - consts.n0) + np.array(exc.members, dtype=int)
         raise ContourError(f"modes n = {modes}: {exc.reason}", rows) from exc
+
+
+def _table(sys, split, k=0) -> BranchTable:
+    """The BranchTable of a _split_modes result's rows from k on, in new
+    read-only arrays, with their graph map (whose ValueError it raises)."""
+    ns, (Ph, Pp), per_speed = split
+    ns, Ph, Pp = (a[k:].copy() for a in (ns, Ph, Pp))
     return BranchTable(*map(_read_only, (
-        ns, Ph, Pp, graph_map(sys, zs, Pp), np.array(list(per_speed)),
-        np.array([P for P, _ in per_speed.values()]),
-        np.array([Rm for _, Rm in per_speed.values()]))))
+        ns, Ph, Pp, graph_map(sys, 1j / ns, Pp), np.array(list(per_speed)),
+        np.array([P[k:] for P, _ in per_speed.values()]),
+        np.array([Rm[k:] for _, Rm in per_speed.values()]))))
 
 
 def _read_only(a):

@@ -113,3 +113,62 @@ class TestMemoryCounterexample:
         # order of the returned list follows the requested order
         rev = counterexample_energy_sums(law01, law02, 1.0, Ns[::-1])
         assert rev == pytest.approx(sums[::-1])
+
+
+def _one_shot_energy_sums(f01_coeff, f02_coeff, T, nmax_list):
+    """counterexample_energy_sums with each chunk and sign evaluated as one
+    array expression: the blocked evaluation's reference."""
+    def seg_energy(lo, hi):
+        total = 0.0
+        chunk = 1 << 20
+        for start in range(lo, hi + 1, chunk):
+            ns = np.arange(start, min(start + chunk, hi + 1)).astype(float)
+            for sgn in (1.0, -1.0):
+                n = sgn * ns
+                c01 = np.asarray(f01_coeff(n), dtype=complex)
+                c02 = np.asarray(f02_coeff(n), dtype=complex)
+                exp1 = np.exp(-np.minimum(n ** 2 * T, 700.0))
+                g11 = (1.0 - exp1 ** 2) / 2.0
+                g12 = (1.0 - exp1) / n
+                det = g11 * T - g12 ** 2
+                r1 = -n * c02 * exp1
+                r2 = 1j * n * c01 - c02
+                total += float(np.sum(
+                    (T * np.abs(r1) ** 2
+                     - 2.0 * g12 * np.real(np.conj(r1) * r2)
+                     + g11 * np.abs(r2) ** 2) / det))
+        return total
+
+    out = []
+    running, prev = 0.0, 0
+    for N in sorted(nmax_list):
+        running += seg_energy(prev + 1, N)
+        prev = N
+        out.append(running)
+    order = np.argsort(np.argsort(nmax_list))
+    return [out[i] for i in order]
+
+
+def _real_law(n):
+    an = np.abs(n)
+    return 1.0 / (an * np.log(an + 1.0))
+
+
+def _complex_law(n):
+    return (1.0 + 2.0j) * np.exp(1j * n) / (1.0 + n ** 2) ** 0.75
+
+
+@pytest.mark.parametrize("laws", [(_real_law, np.zeros_like),
+                                  (_complex_law, _real_law),
+                                  (np.zeros_like, _complex_law)],
+                         ids=["real", "complex", "heat-only"])
+@pytest.mark.parametrize("T", [1.0, 0.05])
+def test_blocked_energy_sums_are_the_one_shot_sums_bit_for_bit(laws, T):
+    """Blocks of ENERGY_BLOCK modes keep every elementwise operation and
+    the one np.sum per chunk and sign, so the sums keep their bits; the
+    Ns cross block edges from segments that start mid-block."""
+    from torusctrl.analysis import ENERGY_BLOCK
+    Ns = [1, 7, ENERGY_BLOCK - 1, ENERGY_BLOCK, ENERGY_BLOCK + 1,
+          3 * ENERGY_BLOCK + 5, 1 << 13, 40000, 1 << 16]
+    assert counterexample_energy_sums(*laws, T, Ns) == \
+        _one_shot_energy_sums(*laws, T, Ns)

@@ -85,12 +85,14 @@ def test_traced_moment_solve_records_headroom(tracing):
 
 def test_traced_branch_table_counts_modes_and_splits_inside(tracing):
     """The tracer reads len() of the table as its mode count, and the
-    stacked split still runs through the module's hyperbolic_branches."""
-    sys = decoupled_heat_system()
-    consts = spectral.separation_radius(sys, n0_override=1)
+    stacked split still runs through the module's hyperbolic_branches.
+    The table is built on a fresh system, which holds no certificate rows,
+    so the split runs inside the table's span."""
+    consts = spectral.separation_radius(decoupled_heat_system(),
+                                        n0_override=1)
     tracer = tracing.Tracer()
     with tracer.solving(0):
-        spectral.build_branch_table(sys, consts, 8)
+        spectral.build_branch_table(decoupled_heat_system(), consts, 8)
     assert tracer.counters[0, "spectral.build_branch_table.modes"] == \
         2 * (8 - consts.n0)
     names = [rec[0] for rec in tracer.spans]

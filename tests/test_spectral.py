@@ -242,6 +242,25 @@ def test_separation_radius_matches_per_point_loop(name):
     assert (consts.r, consts.n0, consts.R) == _separation_radius_loop(sys)
 
 
+def test_ring_first_certificate_matches_per_point_loop(monkeypatch):
+    """The disk test's outer ring first, then the other rings: the same
+    radius as the per-point loop on two-speed and ten random systems, and
+    a radius refused on the outer ring costs one 24-point eigvals."""
+    rng = np.random.default_rng(7)
+    for k, sys in enumerate([two_speed_system()] + [
+            _random_system(rng) for _ in range(10)]):
+        consts = separation_radius(sys)
+        assert (consts.r, consts.n0, consts.R) == \
+            _separation_radius_loop(sys), k
+    calls, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls.append(len(a)) or eigvals(a))
+    # nscl's radii 1 and 0.7 fail on the outer ring, 0.49 inside it;
+    # 0.343 clears both (the first call is Sp(D))
+    assert separation_radius(nscl_system()).r == pytest.approx(0.343)
+    assert calls[:7] == [1, 24, 24, 24, 264, 24, 264]
+
+
 def test_eval_symbol_stack_matches_scalar_calls():
     sys = nscl_system()
     zs = np.array([0.1 + 0.05j, -0.3j, 0.02])
@@ -420,19 +439,149 @@ def test_grown_and_read_tables_are_bit_identical_to_fresh_builds(
         system, monkeypatch):
     sys = system()
     consts = separation_radius(sys)
+    top = _lattice_top(consts)
     calls = _count_splits(monkeypatch)
     grown = (build_branch_table(sys, consts, 12),
-             build_branch_table(sys, consts, 30))
-    # the growth split only the modes 13..30
-    assert [np.abs(1 / z.imag).round().min() for z in calls] == \
-        [consts.n0 + 1, 13]
+             build_branch_table(sys, consts, top + 12))
+    # the certificate's rows reach floor(20/r): the growth split only the
+    # modes above it
+    assert [np.abs(1 / z.imag).round().min() for z in calls] == [top + 1]
     shrunk = build_branch_table(sys, consts, 12)
-    assert len(calls) == 2
-    for nmax, got in ((12, grown[0]), (30, grown[1]), (12, shrunk)):
+    assert len(calls) == 1
+    for nmax, got in ((12, grown[0]), (top + 12, grown[1]), (12, shrunk)):
         _assert_same_table(got, build_branch_table(system(), consts, nmax))
     # a new table object on every call
     assert shrunk is not grown[0] and shrunk is not build_branch_table(
         sys, consts, 12)
+
+
+def _lattice_top(consts):
+    """The top mode of separation_radius's lattice, floor(20/r)."""
+    return int(np.floor(1.0 / (consts.r * 0.05)))
+
+
+def _fresh(sys):
+    """A new system object with the matrices of sys: it holds no table."""
+    return SystemMatrices(sys.d1, sys.d2, A=sys.A, D=sys.D, K=sys.K,
+                          M=sys.M)
+
+
+def test_certificate_rows_are_a_fresh_split_bit_for_bit():
+    """The rows separation_radius keeps, read and grown, hold the bits of
+    a table split from n0 on a system that holds none, certified and with
+    an override, below and above the lattice top."""
+    rng = np.random.default_rng(7)
+    systems = [nscl_system(), two_speed_system()] + [
+        _random_system(rng) for _ in range(40)]
+    for k, sys in enumerate(systems):
+        certified = separation_radius(sys)
+        top = _lattice_top(certified)
+        for consts in (certified, separation_radius(
+                sys, n0_override=certified.n0 + 2)):
+            held = spectral._BRANCH_TABLES._owners[sys][consts]
+            assert len(held) == 2 * (top - consts.n0), k
+            for nmax in (consts.n0 + 4, top, top + 6):
+                _assert_same_table(build_branch_table(sys, consts, nmax),
+                                   build_branch_table(_fresh(sys), consts,
+                                                      nmax))
+
+
+@pytest.mark.parametrize("name, n0, top", [
+    ("nscl(1, 1, 1, 2, 1)", None, 58), ("heat-memory", None, 40),
+    ("heat-memory", 9, 40)])
+def test_certified_table_splits_nothing_up_to_the_lattice_top(
+        name, n0, top, monkeypatch):
+    sys = load_scenario(name).sys
+    consts = separation_radius(sys, n0_override=n0)
+    assert _lattice_top(consts) == top
+    calls = _count_splits(monkeypatch)
+    for nmax in (consts.n0 + 1, 16, top, 12):
+        assert len(build_branch_table(sys, consts, nmax)) == \
+            2 * (nmax - consts.n0)
+    assert calls == []
+    build_branch_table(sys, consts, top + 3)
+    assert [sorted(np.abs(1 / z.imag).round()) for z in calls] == [
+        [top + 1, top + 1, top + 2, top + 2, top + 3, top + 3]]
+    # a second certificate keeps the grown table it finds
+    assert separation_radius(sys, n0_override=n0) == consts
+    calls.clear()
+    assert len(build_branch_table(sys, consts, top + 3)) == \
+        2 * (top + 3 - consts.n0)
+    assert calls == []
+
+
+def test_certificate_splits_every_block_and_keeps_the_first(monkeypatch):
+    """nscl with vbar = 15 has r = 0.7^10 and the lattice 36 <= n <= 708,
+    two blocks of 337 and 336 modes: both are split, and the kept table
+    holds the modes of the first above n0."""
+    calls = _count_splits(monkeypatch)
+    sys = nscl_system(vbar=15.0)
+    consts = separation_radius(sys)
+    assert consts.n0 == 36 and _lattice_top(consts) == 708
+    last = [np.abs(1 / z.imag).round() for z in calls[-2:]]
+    assert [(m.min(), m.max(), m.size) for m in last] == [
+        (36, 372, 674), (373, 708, 672)]
+    calls.clear()
+    assert len(build_branch_table(sys, consts, 372)) == 2 * (372 - 36)
+    assert calls == []
+    build_branch_table(sys, consts, 373)
+    assert len(calls) == 1
+
+
+def test_certificate_seeds_nothing_past_its_lattice():
+    sys = nscl_system()
+    consts = separation_radius(sys, n0_override=58)
+    assert consts not in spectral._BRANCH_TABLES._owners.get(sys, {})
+    assert len(build_branch_table(sys, consts, 60)) == 4
+
+
+def test_certificate_rows_are_read_only_and_die_with_their_system():
+    import gc
+    import weakref
+    sys = two_speed_system()
+    consts = separation_radius(sys)
+    held = spectral._BRANCH_TABLES._owners[sys][consts]
+    for field in TABLE_FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(held, field).flat[0] = 0
+    alive = weakref.ref(sys)
+    kept = weakref.ref(spectral._BRANCH_TABLES._owners[sys])
+    del sys
+    gc.collect()
+    assert alive() is None and kept() is None
+    assert len(held) == 2 * (_lattice_top(consts) - consts.n0)
+
+
+def test_undefined_graph_map_leaves_the_certificate_and_its_refusal(
+        monkeypatch):
+    """Where the graph map of the certificate's rows is undefined,
+    separation_radius returns its constants and keeps no table, and
+    build_branch_table raises the graph map's ValueError."""
+    consts = separation_radius(nscl_system())
+
+    def undefined(sys, z, Pp):
+        raise ValueError("graph map undefined")
+
+    monkeypatch.setattr(spectral, "graph_map", undefined)
+    sys = nscl_system()
+    assert separation_radius(sys) == consts
+    assert sys not in spectral._BRANCH_TABLES._owners
+    with pytest.raises(ValueError, match="graph map undefined"):
+        build_branch_table(sys, consts, 8)
+
+
+def test_pair_mask_is_the_directions_ph_keeps():
+    """The mask projection_split keeps with its decomposition is the set
+    of eigen-directions its Ph keeps, norm(Ph V) > 1/2."""
+    rng = np.random.default_rng(7)
+    for k, sys in enumerate([two_speed_system()] + [
+            _random_system(rng) for _ in range(40)]):
+        consts = separation_radius(sys)
+        zs = 1j / np.arange(consts.n0 + 1, _lattice_top(consts) + 1)
+        pair = projection_split(sys, np.concatenate([zs, -zs]), consts.R)
+        w, V, inside = pair.eig
+        assert np.array_equal(
+            inside, np.linalg.norm(pair[0] @ V, axis=-2) > 0.5), k
 
 
 def test_kept_arrays_are_read_only():
