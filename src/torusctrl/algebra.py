@@ -217,7 +217,7 @@ class TorusSubset:
                 ind = np.maximum(ind, (x < b - TWO_PI).astype(float))
         return ind
 
-    def shrunk(self, fraction=0.1):
+    def shrunk(self, fraction):
         """Shrink every arc by `fraction` of its length on each side."""
         arcs = []
         for (a, b) in self.arcs:

@@ -500,9 +500,9 @@ def duhamel_panels(time_nodes, T, times):
         [np.clip(time_nodes, 0.0, T), times])))
 
 
-def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal = None,
-           T: float = 1.0, sample_times=None):
-    """Exact per-mode evolution with Duhamel source term.
+def evolve(sys: SystemMatrices, f0: FourierState, u: ControlSignal,
+           T: float, sample_times=None):
+    """Exact per-mode evolution with Duhamel source term; u None is free.
 
     The control's coefficients enter the mode ODEs through M as they
     stand (the signal carries its own support).  Duhamel integrals use
@@ -551,7 +551,7 @@ _BAND_PROJECTORS = OwnerMemo()
 
 
 def project_branch(state: FourierState, branches: BranchTable, n0: int,
-                   which="p", nband=None):
+                   which, nband=None):
     """Projection onto the parabolic ("p") or hyperbolic ("h") part of a
     BranchTable, optionally restricted to n0 < |n| <= nband.
 

@@ -359,9 +359,8 @@ def _exp_spectrum(scn, rng, out_dir):
     size, phase = rng.uniform([0, 0], [1.0 / consts.n0, TWO_PI],
                               size=(200, 2)).T
     zs = size * np.exp(1j * phase)
-    pair = spectral.projection_split(sys, zs, consts.R)
-    Ph = pair[0]
-    per_speed = spectral.hyperbolic_branches(sys, zs, Ph, pair.eig)
+    Ph, _ = spectral.projection_split(sys, zs, consts.R)
+    per_speed = spectral.hyperbolic_branches(sys, zs, Ph)
     E = spectral.eval_symbol(sys, zs)
     zz = zs[:, None, None]
     fro = lambda a: np.linalg.norm(a, axis=(1, 2))  # noqa: E731
@@ -416,6 +415,9 @@ def _exp_obstruct(scn, rng, out_dir):
              f"{slope:.4f} (decay kills any uniform constant)"]
     _write_gnuplot_stub(out_dir, os.path.basename(csv), "N", "ratio",
                         logscale=True)
+    if not slope < 0:
+        raise ArithmeticError(f"observability ratio does not decay: "
+                              f"fitted slope {slope:.4f} over N sweep {Ns}")
     return lines
 
 

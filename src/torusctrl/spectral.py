@@ -7,12 +7,13 @@ of d1 eigenvalues inside the split radius |zeta| < R, R = min|Sp(D)|/2
 Sp(D).  Each group's Riesz projection (Kato) is V diag(group) V^-1 from
 one stacked eigendecomposition E(z) = V diag(w) V^-1, and the hyperbolic
 group splits further per transport speed mu into the eigenvalues w whose
-w/z lies nearest mu.  The speeds are those of
-SystemMatrices.transport_speeds, and they key every per-speed result
-here.  A ContourError refuses the members of a stack whose eigenvector
-matrix is ill-conditioned or whose eigenvalue counts do not fit the
-split; separation_radius certifies both on the lattice z = +-i/n, with
-the tables' own split.
+w/z lies nearest mu, from an eigendecomposition of its own when there
+are two or more speeds.  _projections is the one projector.  The speeds
+are those of SystemMatrices.transport_speeds, and key every per-speed
+result here.  A ContourError refuses the members of a stack whose
+eigenvector matrix is ill-conditioned or whose eigenvalue counts do not
+fit the split; separation_radius certifies both on the lattice
+z = +-i/n, with the tables' own split.
 
 Functions of z take a scalar or a 1-D array of z; build_branch_table
 splits the modes n0 < |n| <= nmax into one stacked BranchTable.  The
@@ -78,12 +79,6 @@ def _projections(V, groups):
         raise ContourError("eigenvector condition >= "
                            f"{DIAG_COND_MAX:.0e} (stack members "
                            "{members})", bad)
-    return _project(V, groups)
-
-
-def _project(V, groups):
-    """_projections with no condition check, for eigenvectors V that
-    passed it already."""
     return (V * groups[..., None, :]) @ np.linalg.inv(V)
 
 
@@ -220,28 +215,15 @@ def separation_radius(sys: SystemMatrices,
     return consts
 
 
-class ProjectionPair(tuple):
-    """projection_split's (Ph, Pp), keeping as eig the decomposition (w, V)
-    of E(z) it split, whose eigenvectors passed the condition test, and
-    the mask inside of the eigenvalues Ph projects onto: (w, V, inside)."""
-
-    def __new__(cls, Ph, Pp, eig):
-        pair = super().__new__(cls, (Ph, Pp))
-        pair.eig = eig
-        return pair
-
-
-def projection_split(sys: SystemMatrices, z, R: float) -> ProjectionPair:
-    """Hyperbolic/parabolic projection pair at z.
+def projection_split(sys: SystemMatrices, z, R: float):
+    """Hyperbolic/parabolic projection pair (Ph, Pp) at z.
 
     Ph is the spectral projection of E(z) onto its eigenvalues inside the
     split radius, |zeta| < R, from one eigendecomposition; Pp = I - Ph.
     A 1-D array of z gives (len(z), d, d) stacks, from one stacked
-    eigendecomposition, which the returned pair keeps with its mask of
-    the eigenvalues inside (ProjectionPair).
-    A ContourError names the members where not exactly d1 eigenvalues lie
-    inside or one lies within R/10 of the circle, or where _projections
-    refuses the eigenvectors.
+    eigendecomposition.  A ContourError names the members where not
+    exactly d1 eigenvalues lie inside or one lies within R/10 of the
+    circle, or where _projections refuses the eigenvectors.
     """
     w, V = np.linalg.eig(eval_symbol(sys, z))
     size = np.abs(w)
@@ -252,10 +234,10 @@ def projection_split(sys: SystemMatrices, z, R: float) -> ProjectionPair:
         raise ContourError(f"eigenvalues not split by |zeta| = {R:.6g} "
                            "(stack members {members})", bad)
     Ph = _projections(V, inside[None])[0]
-    return ProjectionPair(Ph, np.eye(sys.d) - Ph, (w, V, inside))
+    return Ph, np.eye(sys.d) - Ph
 
 
-def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray, eig=None):
+def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray):
     """Split Ph into per-speed projections: mu -> (Phmu, Rhmu), one per
     transport speed (SystemMatrices.transport_speeds), in its order.
 
@@ -265,10 +247,8 @@ def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray, eig=None):
     multiplicity in Sp(Aprime), or where _projections refuses the
     eigenvectors.  The remainder satisfies E(z) Phmu = mu z Phmu + z^2
     Rhmu.  With one speed Phmu is Ph itself and no eigendecomposition
-    runs.  A 1-D array of z with the stack Ph gives stacks.  Given the
-    eig of the ProjectionPair Ph came from, it runs no second eig or
-    condition test and takes the pair's mask as the directions Ph keeps,
-    with the bits of a call without it.
+    runs; with more, it runs its own eigendecomposition of E(z).  A 1-D
+    array of z with the stack Ph gives stacks.
     """
     z = np.asarray(z)
     if np.any(z == 0):
@@ -279,11 +259,9 @@ def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray, eig=None):
     if len(mus) == 1:
         Phmu = [Ph.copy()]
     else:
-        w, V, kept = (*np.linalg.eig(E), None) if eig is None else eig
-        if kept is None:
-            # eig's columns have unit norm: Ph keeps its own, zeroes the
-            # others
-            kept = np.linalg.norm(Ph @ V, axis=-2) > 0.5
+        w, V = np.linalg.eig(E)
+        # eig's columns have unit norm: Ph keeps its own, zeroes the others
+        kept = np.linalg.norm(Ph @ V, axis=-2) > 0.5
         speed = np.where(kept, _speed_of(w / z[..., None], mus), -1)
         # onehot[..., j, s]: eigen-direction j belongs to speed s
         onehot = speed[..., None] == np.arange(len(mus))
@@ -294,8 +272,7 @@ def hyperbolic_branches(sys: SystemMatrices, z, Ph: np.ndarray, eig=None):
             at = np.abs(np.ravel(z))[bad].round(4).tolist()
             raise ContourError(f"mu-groups not separated at |z| = {at}; "
                                "increase n0", bad)
-        Phmu = (_projections if eig is None else _project)(
-            V, np.moveaxis(onehot, -1, 0))
+        Phmu = _projections(V, np.moveaxis(onehot, -1, 0))
     return {mu: (P, (E @ P - mu * zz * P) / (zz * zz))
             for mu, P in zip(mus.tolist(), Phmu)}
 
@@ -348,10 +325,9 @@ def remainder_at_zero(sys: SystemMatrices, R: float):
     new dict of the kept arrays, which are read-only."""
     def build():
         zs = 1j / (REMAINDER_N * np.array([1.0, 2.0]))
-        pair = projection_split(sys, zs, R)
+        Ph, _ = projection_split(sys, zs, R)
         out = {}
-        for mu, (P, Rm) in hyperbolic_branches(sys, zs, pair[0],
-                                               pair.eig).items():
+        for mu, (P, Rm) in hyperbolic_branches(sys, zs, Ph).items():
             P0 = _read_only(2.0 * P[1] - P[0])
             u, _, _ = np.linalg.svd(P0.conj().T)
             out[mu] = (P0, _read_only(2.0 * Rm[1] - Rm[0]),
@@ -405,14 +381,14 @@ def build_branch_table(sys: SystemMatrices, consts: BranchConstants,
 
 def _split_modes(sys, consts, lo, nmax):
     """The branch split of the modes lo < |n| <= nmax, rows n, -n in order
-    of n: the modes, their ProjectionPair and hyperbolic_branches' dict.
+    of n: the modes, projection_split's pair and hyperbolic_branches' dict.
     A ContourError names the modes that failed; its members are their
     rows in a table from consts.n0 on."""
     ns = np.outer(np.arange(lo + 1, nmax + 1), [1, -1]).ravel()
     zs = 1j / ns
     try:
         pair = projection_split(sys, zs, consts.R)
-        return ns, pair, hyperbolic_branches(sys, zs, pair[0], pair.eig)
+        return ns, pair, hyperbolic_branches(sys, zs, pair[0])
     except ContourError as exc:
         modes = ns[list(exc.members)].tolist()
         rows = 2 * (lo - consts.n0) + np.array(exc.members, dtype=int)

@@ -306,6 +306,21 @@ class TestCli:
         assert "(path joint-sweeps)" in out
         assert "NUMERICAL FAILURE" in (tmp_path / "summary.txt").read_text()
 
+    def test_obstruct_without_decay_exits_1(self, tmp_path, capsys):
+        # past n0 = 40 both witnesses sit at the roundoff floor, and the
+        # ratio rises from N = 64 to 128
+        rc = cli.main(["obstruct", "--scenario", "nscl(1,1,1,2,1)",
+                       "--T", "1.5", "--n0", "40",
+                       "--out-dir", str(tmp_path)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert re.search(r"NUMERICAL FAILURE: observability ratio does not "
+                         r"decay: fitted slope \d+\.\d{4} over N sweep "
+                         r"\[64, 128\]", out), out
+        assert "decay kills" not in out
+        rows = (tmp_path / "obstruct_ratios.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows] == ["N", "64", "128"]
+
 
 NSCL = "nscl(1, 1, 1, 2, 1)"
 

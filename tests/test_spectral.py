@@ -316,36 +316,16 @@ def test_branch_table_matches_per_mode_projection_split(nscl_branches24):
                                    rtol=0, atol=1e-13)
 
 
-def _counting_eig(monkeypatch):
-    """The stacks handed to np.linalg.eig from here on."""
-    calls, eig = [], np.linalg.eig
-
-    def spy(a):
-        calls.append(np.shape(a))
-        return eig(a)
-
-    monkeypatch.setattr(np.linalg, "eig", spy)
-    return calls
-
-
-def test_branch_table_shares_one_eig_per_stacked_split(monkeypatch):
-    """build_branch_table hands projection_split's decomposition to
-    hyperbolic_branches: one eig per stacked split, and the bits of two
-    decompositions (hyperbolic_branches given no eig takes its own)."""
+def test_branch_table_matches_a_stacked_split():
+    """A two-speed table, built and grown, holds the bits of one stacked
+    projection_split, hyperbolic_branches and graph_map on its modes."""
     consts = separation_radius(two_speed_system())
     sys = two_speed_system()
-    calls = _counting_eig(monkeypatch)
-    table = build_branch_table(sys, consts, consts.n0 + 32)
-    assert calls == [(64, 3, 3)]
-    build_branch_table(sys, consts, consts.n0 + 40)
-    assert calls == [(64, 3, 3), (16, 3, 3)]
-    spectral.remainder_at_zero(sys, consts.R)
-    assert len(calls) == 3
-
+    build_branch_table(sys, consts, consts.n0 + 32)
+    table = build_branch_table(sys, consts, consts.n0 + 40)
     zs = 1j / table.modes
     Ph, Pp = projection_split(sys, zs, consts.R)
     per_speed = hyperbolic_branches(sys, zs, Ph)
-    assert len(calls) == 5
     want = spectral.BranchTable(
         table.modes, Ph, Pp, graph_map(sys, zs, Pp),
         np.array(list(per_speed)),
@@ -354,28 +334,21 @@ def test_branch_table_shares_one_eig_per_stacked_split(monkeypatch):
     _assert_same_table(table, want)
 
 
-def test_shared_eig_keeps_the_refusals(monkeypatch):
-    """Given projection_split's decomposition, hyperbolic_branches refuses
-    unseparated speeds with the members and message of its own eig, and
-    runs no condition test of its own."""
+def test_hyperbolic_branches_refuses_unseparated_speeds():
+    """On the drifting pair, hyperbolic_branches' own decomposition
+    refuses the members whose speeds are not separated, and splits the
+    others."""
     sys = _drifting_pair_system(0.1)
     R = separation_radius(sys).R
     zs = 1j / np.array([9.0, 5.0, -5.0, 12.0])
-    pair = projection_split(sys, zs, R)
-    good = projection_split(sys, zs[[0, 3]], R)
-    with pytest.raises(spectral.ContourError) as own:
-        hyperbolic_branches(sys, zs, pair[0])
-    assert own.value.members == (1, 2)
-    conds = []
-    cond = np.linalg.cond
-    monkeypatch.setattr(np.linalg, "cond",
-                        lambda a: conds.append(1) or cond(a))
-    with pytest.raises(spectral.ContourError) as shared:
-        hyperbolic_branches(sys, zs, pair[0], pair.eig)
-    assert str(shared.value) == str(own.value)
-    assert shared.value.members == own.value.members
-    assert len(hyperbolic_branches(sys, zs[[0, 3]], good[0], good.eig)) == 2
-    assert conds == []
+    Ph, _ = projection_split(sys, zs, R)
+    with pytest.raises(spectral.ContourError,
+                       match=r"mu-groups not separated at \|z\| = "
+                       r"\[0\.2, 0\.2\]; increase n0") as exc:
+        hyperbolic_branches(sys, zs, Ph)
+    assert exc.value.members == (1, 2)
+    good, _ = projection_split(sys, zs[[0, 3]], R)
+    assert len(hyperbolic_branches(sys, zs[[0, 3]], good)) == 2
 
 
 def _exceptional_point_system():
@@ -568,20 +541,6 @@ def test_undefined_graph_map_leaves_the_certificate_and_its_refusal(
     assert sys not in spectral._BRANCH_TABLES._owners
     with pytest.raises(ValueError, match="graph map undefined"):
         build_branch_table(sys, consts, 8)
-
-
-def test_pair_mask_is_the_directions_ph_keeps():
-    """The mask projection_split keeps with its decomposition is the set
-    of eigen-directions its Ph keeps, norm(Ph V) > 1/2."""
-    rng = np.random.default_rng(7)
-    for k, sys in enumerate([two_speed_system()] + [
-            _random_system(rng) for _ in range(40)]):
-        consts = separation_radius(sys)
-        zs = 1j / np.arange(consts.n0 + 1, _lattice_top(consts) + 1)
-        pair = projection_split(sys, np.concatenate([zs, -zs]), consts.R)
-        w, V, inside = pair.eig
-        assert np.array_equal(
-            inside, np.linalg.norm(pair[0] @ V, axis=-2) > 0.5), k
 
 
 def test_kept_arrays_are_read_only():
