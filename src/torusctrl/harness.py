@@ -416,7 +416,7 @@ def _exp_obstruct(scn, rng, out_dir):
     _write_gnuplot_stub(out_dir, os.path.basename(csv), "N", "ratio",
                         logscale=True)
     if not slope < 0:
-        raise ArithmeticError(f"observability ratio does not decay: "
+        raise ArithmeticError("observability ratio does not decay: "
                               f"fitted slope {slope:.4f} over N sweep {Ns}")
     return lines
 
